@@ -17,7 +17,6 @@ surface as ``inconclusive`` rather than as confident claims.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -33,7 +32,7 @@ from .model import (
     corank_system,
     draw_covector,
 )
-from .solver import SolveOptions, grid_seeds, solve_points, trace_curves
+from .solver import SolveOptions, greedy_dedup, grid_seeds, solve_points, trace_curves
 
 TRUST_GAP = 100.0  # minimum singular-value gap ratio for a definite rank verdict
 MEMBER_RADIUS = 1e-6  # stratum membership: first-order distance per box diameter
@@ -342,9 +341,6 @@ class StrataResult:
     samples: dict
     notes: list
 
-    def stratum_points(self, depth: int) -> list:
-        return self.points.get(depth, [])
-
     def exact_depth(self, depth: int) -> list:
         return [c for c in self.points.get(depth, []) if c.depth == depth]
 
@@ -484,11 +480,7 @@ def compute_strata(
             notes.append(f"depth {k}: no candidate points")
             continue
         stacked = np.array(raw)
-        keep: list = []
-        for i in range(len(stacked)):
-            if all(np.linalg.norm(stacked[i] - stacked[j]) > 1e-6 * diam for j in keep):
-                keep.append(i)
-        stacked = stacked[keep]
+        stacked = stacked[greedy_dedup(stacked, 1e-6 * diam)]
         stacked = stacked[np.lexsort(stacked.T[::-1])]
         samples[k] = stacked
         verified = []
@@ -1043,24 +1035,23 @@ def covector_sweep(
     count: int = 20,
     seed: int | None = None,
     strata: StrataResult | None = None,
-    workers: int = 4,
 ) -> list:
-    """Zero censuses for ``count`` seeded covector draws, run concurrently.
+    """Zero censuses for ``count`` seeded covector draws, in draw order.
 
-    The merge order is by draw index, so the output is deterministic for
-    a fixed seed regardless of scheduling.
+    Draw ``i`` uses covector seed ``seed + i`` (the scene's seed when
+    ``seed`` is None), so the output is deterministic for a fixed seed.
+    The draws run one after another: they share the scene's expression
+    caches, which are not safe to mutate from several threads.
     """
     if strata is None:
         strata = compute_strata(scene)
     base = scene.rng_seed if seed is None else seed
-
-    def one(i: int) -> dict:
+    out = []
+    for i in range(count):
         weights = draw_covector(scene.n, base + i)
         census = zero_census(scene, weights, strata=strata, cache={})
-        return {"draw": i, "weights": [float(w) for w in weights], "census": census}
-
-    with ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
-        return list(pool.map(one, range(count)))
+        out.append({"draw": i, "weights": [float(w) for w in weights], "census": census})
+    return out
 
 
 # ---------------------------------------------------------------------------

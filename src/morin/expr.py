@@ -21,6 +21,8 @@ callers and are covered by the test suite:
 from __future__ import annotations
 
 import math
+import operator
+from collections import OrderedDict
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Sequence
@@ -324,8 +326,10 @@ _cmp_key = cmp_to_key(_cmp)
 #           | "-" base
 #
 # Note the last production: a leading minus binds to the base, so "-x^2"
-# parses as (-x)^2. Numbers are unsigned decimals; "p/q" comes out of the
-# grammar as a division and folds to an exact rational in simplify().
+# parses as (-x)^2. A minus directly before a number gives a negative
+# constant, not a negation node. Numbers are otherwise unsigned decimals;
+# "p/q" comes out of the grammar as a division and folds to an exact
+# rational in simplify().
 
 def _tokenize(text: str) -> list:
     toks = []
@@ -454,6 +458,9 @@ def parse(text: str, var_names: Sequence[str] = ()) -> Expr:
             return inner
         if kind == "-":
             advance()
+            if peek()[0] == "num":
+                # a negative literal, so formatted constants reparse as one node
+                return Const(-Fraction(advance()[1]))
             return Unary("neg", p_base())
         raise ParseError("expected a number, identifier, or '('", pos)
 
@@ -466,7 +473,7 @@ def parse(text: str, var_names: Sequence[str] = ()) -> Expr:
 # ---------------------------------------------------------------------------
 # Formatting. Output reparses to an expression with identical values whose
 # simplification equals that of the original (exact structural round-trips
-# are impossible because the grammar has no negative or fractional literals).
+# are impossible because the grammar has no fractional literals).
 
 def _prec(n: Expr) -> int:
     if isinstance(n, Const):
@@ -710,12 +717,15 @@ def _build_sum(node: Expr, leaves: list, ops: int, memo: dict) -> Expr:
         for s2, t in _terms_of(memo[id(leaf)]):
             try:
                 c, num, den = _peel(t)
+                key = (num, den)
             except _OpaqueDiv:
+                # a term dividing by a literal zero merges with no other
+                # term: nan - nan is not 0
                 c, num, den = Fraction(1), ((t, 1),), ()
+                key = len(parts)
             c *= sign * s2
             if c == 0:
                 continue
-            key = (num, den)
             acc[key] = acc.get(key, Fraction(0)) + c
             parts[key] = (num, den)
     entries = [(c, *parts[k]) for k, c in acc.items() if c != 0]
@@ -744,11 +754,19 @@ def _build_prod(node: Expr, leaves: list, ops: int, memo: dict) -> Expr:
     coeff = Fraction(1)
     nets: dict = {}
     bail = False
+    zeros = 0  # divisions by a literal zero, kept as a final "/ 0" each
     for d, leaf in leaves:
         canon = memo[id(leaf)]
+        while isinstance(canon, Binary) and canon.op == "div" and _is_const(canon.right, 0):
+            # a leaf that is itself "X / 0" joins the chain as X and a zero
+            if d > 0:
+                zeros += 1
+            else:
+                coeff = Fraction(0)
+            canon = canon.left
         if d < 0 and _is_const(canon, 0):
-            bail = True
-            break
+            zeros += 1
+            continue
         try:
             c, num, den = _peel(canon)
         except _OpaqueDiv:
@@ -770,16 +788,24 @@ def _build_prod(node: Expr, leaves: list, ops: int, memo: dict) -> Expr:
                 nets[b] = nets.get(b, 0) + e
     if bail:
         return _rebuild_chain(node, memo, prod=True)
-    if coeff == 0:
+    if coeff == 0 and not zeros:
         return _ZERO
     fkey = cmp_to_key(lambda p, q: _cmp(p[0], q[0]))
     num = tuple(sorted(((b, e) for b, e in nets.items() if e > 0), key=fkey))
     den = tuple(sorted(((b, -e) for b, e in nets.items() if e < 0), key=fkey))
-    core = _rebuild_term(abs(coeff), num, den)
+    core = _rebuild_term(abs(coeff), num, den) if coeff else _ZERO
     if coeff < 0:
-        res = Const(coeff) if isinstance(core, Const) else Unary("neg", core)
+        if isinstance(core, Const):
+            res = Const(coeff)
+        elif _is_sum_kind(core):
+            # a negated sum is canonical only as the sum of negated terms
+            res = simplify(Unary("neg", core))
+        else:
+            res = Unary("neg", core)
     else:
         res = core
+    for _ in range(zeros):
+        res = Binary("div", res, _ZERO)
     naive = ops + sum(memo[id(leaf)].node_count for _, leaf in leaves)
     if res.node_count > naive:
         res = _rebuild_chain(node, memo, prod=True)
@@ -795,12 +821,13 @@ def _build_pow(node: Pow, memo: dict) -> Expr:
         return Const(base.value ** e)
     if e == 1:
         return base
-    if isinstance(base, Pow):
-        return Pow(base.base, base.exponent * e)
+    negate = False
     if isinstance(base, Unary) and base.op == "neg":
-        inner = Pow(base.child, e)
-        return inner if e % 2 == 0 else Unary("neg", inner)
-    return Pow(base, e)
+        base, negate = base.child, e % 2 == 1
+    if isinstance(base, Pow):
+        base, e = base.base, base.exponent * e
+    res = Pow(base, e)
+    return Unary("neg", res) if negate else res
 
 
 def _build_fn(node: Unary, memo: dict) -> Expr:
@@ -980,6 +1007,107 @@ def variables_used(e: Expr) -> set:
     return {n.index for n in _postorder([e]) if isinstance(n, Var)}
 
 
+# Evaluation plans: each expression list is walked once into a flat step
+# list, which later calls replay. A step is (kind, fn, a, b, free): ``fn``
+# is the operation, or a constant's value; ``a`` and ``b`` are argument
+# slots, except that a variable's column is ``a`` and a power's exponent
+# is ``b``. The value of step i lands in slot i, and ``free`` lists the
+# slots whose last use is that step, so intermediates are dropped exactly
+# when a node-by-node walk would drop them. The plan's outputs pair each
+# root's slot with the slots freed after it is copied out. Plans are keyed
+# by the expression tuple, a structural key (hashes are cached on the
+# nodes), and evicted least recently used first.
+_PLAN_CACHE_SIZE = 512
+
+_CONST, _VAR, _POW, _UNARY, _BINARY = range(5)
+
+
+def _strict_sqrt(c):
+    if np.any(c < 0):
+        raise EvalDomainError("square root of a negative value")
+    return np.sqrt(c)
+
+
+def _strict_log(c):
+    if np.any(c <= 0):
+        raise EvalDomainError("log of a nonpositive value")
+    return np.log(c)
+
+
+def _strict_div(l, r):
+    if np.any(r == 0):
+        raise EvalDomainError("division by zero")
+    return l / r
+
+
+_OPS = {
+    "neg": operator.neg,
+    "sqrt": np.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+}
+_STRICT_OPS = {**_OPS, "sqrt": _strict_sqrt, "log": _strict_log, "div": _strict_div}
+
+_plans: OrderedDict = OrderedDict()
+
+
+def _const_value(c: Const) -> np.float64:
+    try:
+        return np.float64(c.value)
+    except OverflowError:
+        return np.float64(math.inf if c.value > 0 else -math.inf)
+
+
+def _build_plan(exprs: tuple, strict: bool) -> tuple:
+    order = _postorder(exprs)
+    slot = {id(n): i for i, n in enumerate(order)}
+    refs = [0] * len(order)
+    for n in order:
+        for k in n._kids():
+            refs[slot[id(k)]] += 1
+    for r in exprs:
+        refs[slot[id(r)]] += 1
+
+    def release(*kids) -> tuple:
+        freed = []
+        for k in kids:
+            i = slot[id(k)]
+            refs[i] -= 1
+            if refs[i] == 0:
+                freed.append(i)
+        return tuple(freed)
+
+    ops = _STRICT_OPS if strict else _OPS
+    steps = []
+    for n in order:
+        if isinstance(n, Const):
+            steps.append((_CONST, _const_value(n), 0, 0, ()))
+        elif isinstance(n, Var):
+            steps.append((_VAR, None, n.index, 0, ()))
+        elif isinstance(n, Pow):
+            steps.append((_POW, None, slot[id(n.base)], n.exponent, release(n.base)))
+        elif isinstance(n, Unary):
+            steps.append((_UNARY, ops[n.op], slot[id(n.child)], 0, release(n.child)))
+        else:
+            steps.append(
+                (
+                    _BINARY,
+                    ops[n.op],
+                    slot[id(n.left)],
+                    slot[id(n.right)],
+                    release(n.left, n.right),
+                )
+            )
+    outputs = tuple((slot[id(r)], release(r)) for r in exprs)
+    return tuple(steps), outputs
+
+
 def eval_block(exprs: Sequence[Expr], points, strict: bool = False) -> np.ndarray:
     """Evaluate several expressions over a batch of points.
 
@@ -1001,79 +1129,52 @@ def eval_block(exprs: Sequence[Expr], points, strict: bool = False) -> np.ndarra
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
     npts, dim = pts.shape
-    exprs = list(exprs)
-    order = _postorder(exprs)
+    roots = tuple(exprs)
+    key = (roots, strict)
+    plan = _plans.get(key)
+    if plan is None:
+        plan = (roots, *_build_plan(roots, strict))
+        _plans[key] = plan
+        if len(_plans) > _PLAN_CACHE_SIZE:
+            _plans.popitem(last=False)
+    elif any(map(operator.is_not, plan[0], roots)):
+        # A structurally equal copy matched by walking both trees; key the
+        # plan on the copy, so its next lookups match by identity.
+        del _plans[key]
+        plan = (roots, *plan[1:])
+        _plans[key] = plan
+    else:
+        _plans.move_to_end(key)
+    _, steps, outputs = plan
 
-    refs: dict = {}
-    for n in order:
-        for k in n._kids():
-            refs[id(k)] = refs.get(id(k), 0) + 1
-    for r in exprs:
-        refs[id(r)] = refs.get(id(r), 0) + 1
-
-    vals: dict = {}
-
-    def release(n: Expr) -> None:
-        refs[id(n)] -= 1
-        if refs[id(n)] == 0:
-            del vals[id(n)]
-
+    vals: list = []
+    push = vals.append
     with np.errstate(all="ignore"):
-        for n in order:
-            if isinstance(n, Const):
-                try:
-                    v = np.float64(n.value)
-                except OverflowError:
-                    v = np.float64(math.inf if n.value > 0 else -math.inf)
-            elif isinstance(n, Var):
-                if n.index >= dim:
+        for kind, fn, a, b, free in steps:
+            if kind == _BINARY:
+                v = fn(vals[a], vals[b])
+            elif kind == _UNARY:
+                v = fn(vals[a])
+            elif kind == _POW:
+                v = vals[a] ** b
+            elif kind == _VAR:
+                if a >= dim:
                     raise ValueError(
-                        f"expression uses variable index {n.index} but points "
+                        f"expression uses variable index {a} but points "
                         f"have dimension {dim}"
                     )
-                v = pts[:, n.index]
-            elif isinstance(n, Pow):
-                v = vals[id(n.base)] ** n.exponent
-                release(n.base)
-            elif isinstance(n, Unary):
-                c = vals[id(n.child)]
-                if n.op == "neg":
-                    v = -c
-                elif n.op == "sqrt":
-                    if strict and np.any(c < 0):
-                        raise EvalDomainError("square root of a negative value")
-                    v = np.sqrt(c)
-                elif n.op == "sin":
-                    v = np.sin(c)
-                elif n.op == "cos":
-                    v = np.cos(c)
-                elif n.op == "exp":
-                    v = np.exp(c)
-                else:
-                    if strict and np.any(c <= 0):
-                        raise EvalDomainError("log of a nonpositive value")
-                    v = np.log(c)
-                release(n.child)
+                v = pts[:, a]
             else:
-                l, r = vals[id(n.left)], vals[id(n.right)]
-                if n.op == "add":
-                    v = l + r
-                elif n.op == "sub":
-                    v = l - r
-                elif n.op == "mul":
-                    v = l * r
-                else:
-                    if strict and np.any(r == 0):
-                        raise EvalDomainError("division by zero")
-                    v = l / r
-                release(n.left)
-                release(n.right)
-            vals[id(n)] = v
+                v = fn
+            for i in free:
+                vals[i] = None
+            push(v)
 
-        out = np.empty((len(exprs), npts), dtype=float)
-        for i, r in enumerate(exprs):
-            out[i, :] = vals[id(r)]
-            release(r)
+        out = np.empty((len(outputs), npts), dtype=float)
+        for row, (i, free) in enumerate(outputs):
+            out[row, :] = vals[i]
+            for j in free:
+                vals[j] = None
     return out
 
 

@@ -158,13 +158,6 @@ class Scene:
         vals = eval_block(flat, pts)
         return vals.T.reshape(len(pts), self.n, self.ambient_dim)
 
-    def constraint_values(self, points) -> np.ndarray:
-        if not self.constraints:
-            pts = np.asarray(points, dtype=float)
-            k = len(pts) if pts.ndim > 1 else 1
-            return np.zeros((0, k))
-        return eval_block(self.constraints, points)
-
     def covector_field(self, weights) -> list:
         """Components of the weighted covector combination, as expressions.
 
@@ -447,21 +440,8 @@ class StratumChart:
     def delta(self) -> Expr | None:
         return self.new_equations[0] if self.depth >= 2 else None
 
-    def jacobian_exprs(self) -> list:
-        N = self.scene.ambient_dim
-        return [[differentiate(eq, s) for s in range(N)] for eq in self.equations]
-
     def residuals(self, points) -> np.ndarray:
         return eval_block(self.equations, points).T
-
-    def jacobian_at(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(1, -1)
-        N = self.scene.ambient_dim
-        flat = [d for row in self.jacobian_exprs() for d in row]
-        vals = eval_block(flat, pts)
-        return vals.T.reshape(len(pts), len(self.equations), N)
 
     def validity_margin(self, points) -> np.ndarray:
         """Dimensionless chart-quality margin at each point.
@@ -518,9 +498,7 @@ def build_sigma1_chart(scene: Scene, pivot: PivotSelection, anchor) -> StratumCh
         raise SceneError("not enough bordered minors to cut the first stratum")
 
     def grad_at(e: Expr) -> np.ndarray:
-        return np.array(
-            [evaluate_safe(differentiate(e, s), anchor) for s in range(N)]
-        )
+        return eval_block([differentiate(e, s) for s in range(N)], anchor)[:, 0]
 
     basis: list = []
 
@@ -568,12 +546,6 @@ def build_sigma1_chart(scene: Scene, pivot: PivotSelection, anchor) -> StratumCh
         selected_cols=tuple(minors[i][0] for i in chosen),
         audit_cols=tuple(minors[i][0] for i in remaining),
     )
-
-
-def evaluate_safe(e: Expr, point) -> float:
-    from .expr import evaluate
-
-    return evaluate(e, point, strict=False)
 
 
 # ---------------------------------------------------------------------------

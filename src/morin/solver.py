@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
 
 from .expr import Expr, differentiate, eval_block, simplify
 from .linalg import RankReport, numeric_rank
@@ -98,6 +99,32 @@ def _jacobian_exprs(system, dim: int) -> list:
 def _eval_jacobian(jac_flat, pts, n_eqs: int, dim: int) -> np.ndarray:
     vals = eval_block(jac_flat, pts)
     return vals.T.reshape(len(pts), n_eqs, dim)
+
+
+def greedy_dedup(pts, radius: float) -> list:
+    """Indices of the points kept by greedy deduplication, in visit order.
+
+    Points are visited in order; a point is kept iff
+    ``np.linalg.norm(pts[i] - pts[j]) > radius`` for every point ``j`` kept
+    before it. Each kept point asks a KD-tree for its ball at a slightly
+    inflated radius, so roundoff in the tree's own distances never hides a
+    neighbour, and every later neighbour is confirmed with that exact
+    expression before it is marked covered. Only kept points query, so the
+    cost follows the number of distinct points, not its square. Points
+    must be finite.
+    """
+    pts = np.asarray(pts, dtype=float)
+    tree = cKDTree(pts)
+    covered = np.zeros(len(pts), dtype=bool)
+    kept = []
+    for i in range(len(pts)):
+        if covered[i]:
+            continue
+        kept.append(i)
+        for j in tree.query_ball_point(pts[i], radius * (1.0 + 1e-9)):
+            if j > i and not covered[j] and np.linalg.norm(pts[j] - pts[i]) <= radius:
+                covered[j] = True
+    return kept
 
 
 def grid_seeds(box, grid: int, cap: int = _SEED_CAP) -> np.ndarray:
@@ -273,10 +300,7 @@ def solve_points(
     order = np.argsort(res, kind="stable")
     pts, res, its = pts[order], res[order], its[order]
     radius = opts.dedup_radius * max(opts.diameter, 1.0)
-    kept: list = []
-    for i in range(len(pts)):
-        if all(np.linalg.norm(pts[i] - pts[j]) > radius for j in kept):
-            kept.append(i)
+    kept = greedy_dedup(pts, radius)
     stats["deduplicated"] = len(pts) - len(kept)
     pts, res, its = pts[kept], res[kept], its[kept]
 
@@ -548,11 +572,7 @@ def grid_oracle(
     diam = float(np.linalg.norm([hi - lo for lo, hi in box]))
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]
-    kept = []
-    for i in range(len(pts)):
-        if all(np.linalg.norm(pts[i] - pts[j]) > 1e-6 * diam for j in kept):
-            kept.append(i)
-    return pts[kept]
+    return pts[greedy_dedup(pts, 1e-6 * diam)]
 
 
 def _scan_level(

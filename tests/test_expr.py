@@ -1,5 +1,7 @@
 """Tests for the symbolic expression kernel."""
 
+import math
+import operator
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import morin.expr as expr_module
 from morin.expr import (
     NODE_CAP,
     Binary,
@@ -247,7 +250,16 @@ def test_simplify_never_grows(e):
     assert simplify(e).node_count <= e.node_count
 
 
+_ZERO_BY_ZERO = Binary("div", const(0), const(0))
+
+
 @given(_random_exprs)
+@example(Unary("neg", Pow(Unary("neg", Pow(var(0), 2)), 2)))
+@example(Binary("sub", const(-1), var(0)))
+@example(Binary("mul", const(-1), Binary("sub", const(1), var(0))))
+@example(Unary("neg", Binary("div", Binary("div", const(1), const(2)), const(0))))
+@example(Binary("div", const(4), _ZERO_BY_ZERO))
+@example(Unary("neg", Binary("add", _ZERO_BY_ZERO, _ZERO_BY_ZERO)))
 @settings(max_examples=120, deadline=None)
 def test_simplify_idempotent_through_reparse(e):
     s = simplify(e)
@@ -265,6 +277,121 @@ def test_simplify_preserves_values(e):
     # Loose absolute floor: random trees can cancel catastrophically.
     scale = np.maximum(1.0, np.maximum(np.abs(ve[mask]), np.abs(vs[mask])))
     assert np.all(np.abs(ve[mask] - vs[mask]) <= 1e-12 * scale + 1e-9)
+
+
+def test_power_of_negated_power_folds():
+    assert format_expr(canon("(-(x2^2))^2")) == "x2^4"
+    assert format_expr(canon("(-(x2^2))^3")) == "-(x2^6)"
+
+
+def test_minus_before_a_number_is_a_negative_literal():
+    assert parse("-3", ()) == Const(-3)
+    assert parse("x1 * -3", NAMES) == Binary("mul", Var(0), Const(-3))
+    assert parse("-x1", NAMES) == Unary("neg", Var(0))
+
+
+def test_negated_sum_factor_is_a_sum():
+    assert format_expr(canon("-1 * (1 - x1)")) == "x1 - 1"
+    assert format_expr(canon("(x1 - x2) / -1")) == "x2 - x1"
+
+
+def test_terms_dividing_by_literal_zero_never_cancel():
+    assert np.isnan(evaluate(canon("0/0 - 0/0"), [0.0, 0.0, 0.0], strict=False))
+    assert format_expr(canon("2 * (x1 / 0)")) == "2 * x1 / 0"
+
+
+_REFERENCE_OPS = {
+    "neg": operator.neg,
+    "sqrt": np.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+}
+
+
+def reference_eval(exprs, pts):
+    """Node-by-node evaluation with no plan, in the same arithmetic."""
+    memo = {}
+
+    def value(n):
+        if id(n) not in memo:
+            if isinstance(n, Const):
+                try:
+                    v = np.float64(n.value)
+                except OverflowError:
+                    v = np.float64(math.inf if n.value > 0 else -math.inf)
+            elif isinstance(n, Var):
+                v = pts[:, n.index]
+            elif isinstance(n, Pow):
+                v = value(n.base) ** n.exponent
+            elif isinstance(n, Unary):
+                v = _REFERENCE_OPS[n.op](value(n.child))
+            else:
+                v = _REFERENCE_OPS[n.op](value(n.left), value(n.right))
+            memo[id(n)] = v
+        return memo[id(n)]
+
+    out = np.empty((len(exprs), len(pts)))
+    with np.errstate(all="ignore"):
+        for i, e in enumerate(exprs):
+            out[i, :] = value(e)
+    return out
+
+
+@given(_random_exprs, _random_exprs)
+@settings(max_examples=120, deadline=None)
+def test_eval_block_is_bit_identical_to_reference(a, b):
+    exprs = [a, b, simplify(a), a]
+    want = reference_eval(exprs, PTS[:12])
+    for _ in range(2):  # the second call replays the cached plan
+        assert np.array_equal(eval_block(exprs, PTS[:12]), want, equal_nan=True)
+
+
+def test_eval_block_on_structural_copy():
+    exprs = [parse(t, NAMES) for t in CORPUS]
+    copies = [parse(t, NAMES) for t in CORPUS]
+    assert copies == exprs and not any(c is e for c, e in zip(copies, exprs))
+    first = eval_block(exprs, PTS)
+    assert np.array_equal(eval_block(copies, PTS), first, equal_nan=True)
+    assert np.array_equal(eval_block(exprs, PTS), first, equal_nan=True)
+    assert np.array_equal(eval_block(copies[::-1], PTS), first[::-1], equal_nan=True)
+
+
+def test_eval_block_errors_survive_caching():
+    bad = [parse("x1 + x3", NAMES), parse("log(x1 - x1)", NAMES)]
+    for exprs in (bad, [parse("x1 + x3", NAMES), parse("log(x1 - x1)", NAMES)]):
+        with pytest.raises(ValueError, match="variable index 2 but points have dimension 2"):
+            eval_block(exprs, np.zeros((3, 2)))
+        with pytest.raises(EvalDomainError, match="log of a nonpositive value"):
+            eval_block(exprs, np.zeros((3, 3)), strict=True)
+        # the quiet plan for the same list stays quiet
+        assert np.isneginf(eval_block(exprs, np.zeros((3, 3)))[1]).all()
+    for text in ("sqrt(0 - x1)", "1/(x1 - x1)"):
+        e = parse(text, NAMES)
+        for _ in range(2):
+            with pytest.raises(EvalDomainError):
+                eval_block([e], np.ones((2, 3)), strict=True)
+
+
+def test_eval_block_plan_cache_is_bounded():
+    cap = expr_module._PLAN_CACHE_SIZE
+    x = parse("x1", NAMES)
+    lists = [[Binary("add", x, const(k))] for k in range(cap + 20)]
+    for exprs in lists:
+        eval_block(exprs, PTS[:2])
+    plans = expr_module._plans
+    assert len(plans) == cap
+    assert (tuple(lists[19]), False) not in plans
+    # least recently used goes first: touching the oldest plan keeps it
+    eval_block(lists[20], PTS[:2])
+    eval_block([Binary("add", x, const(-1))], PTS[:2])
+    assert len(plans) == cap
+    assert (tuple(lists[20]), False) in plans and (tuple(lists[21]), False) not in plans
 
 
 def test_format_round_trip_values():

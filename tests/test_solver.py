@@ -9,12 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morin.expr import parse
 from morin.model import build_chain, corank_system, load_scene
 from morin.solver import (
     SolveOptions,
     TracedCurve,
+    greedy_dedup,
     grid_oracle,
     grid_seeds,
     in_box,
@@ -234,6 +237,46 @@ def test_oracle_empty_system_set():
     system = list(sc.constraints) + list(sc.covector_field(sc.covector))
     reps = grid_oracle(system, sc.box, resolution=64)
     assert reps.shape == (0, 3)
+
+
+# -- deduplication -----------------------------------------------------------
+
+
+def greedy_loop(pts, radius):
+    """The quadratic greedy rule that ``greedy_dedup`` must reproduce."""
+    kept = []
+    for i in range(len(pts)):
+        if all(np.linalg.norm(pts[i] - pts[j]) > radius for j in kept):
+            kept.append(i)
+    return kept
+
+
+@given(
+    centers=st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=6
+    ),
+    count=st.sampled_from([1, 2, 40, 1000]),
+    spread=st.sampled_from([0.0, 1e-12, 1e-9, 0.3]),
+    radius=st.sampled_from([1e-6, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_greedy_dedup_matches_loop(centers, count, spread, radius, seed):
+    # Centers on a lattice of half the radius put many pairs at exactly
+    # the radius (and at zero distance); a small spread makes dense
+    # clusters of near-coincident points and pairs a hair either side.
+    rng = np.random.default_rng(seed)
+    lattice = np.array(centers, dtype=float) * (0.5 * radius)
+    pts = lattice[rng.integers(len(lattice), size=count)]
+    pts = pts + spread * radius * rng.standard_normal(pts.shape)
+    assert greedy_dedup(pts, radius) == greedy_loop(pts, radius)
+
+
+def test_greedy_dedup_radius_is_inclusive():
+    pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 0.75]])
+    assert np.linalg.norm(pts[3] - pts[0]) == 1.0
+    assert greedy_dedup(pts, 1.0) == greedy_loop(pts, 1.0) == [0]
+    assert greedy_dedup(pts, 0.5) == greedy_loop(pts, 0.5) == [0, 3, 4]
 
 
 # -- set matching -------------------------------------------------------------
