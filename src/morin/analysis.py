@@ -32,7 +32,15 @@ from .model import (
     corank_system,
     draw_covector,
 )
-from .solver import SolveOptions, greedy_dedup, grid_seeds, solve_points, trace_curves
+from .solver import (
+    SolveOptions,
+    cell_centers,
+    greedy_dedup,
+    grid_seeds,
+    lattice_points,
+    solve_points,
+    trace_curves,
+)
 
 TRUST_GAP = 100.0  # minimum singular-value gap ratio for a definite rank verdict
 MEMBER_RADIUS = 1e-6  # stratum membership: first-order distance per box diameter
@@ -1099,15 +1107,10 @@ def manifold_reaches_boundary(scene: Scene, resolution: int = 48) -> bool:
     if not scene.constraints:
         return True
     box = scene.box
-    axes = [
-        lo + (np.arange(resolution) + 0.5) * (hi - lo) / resolution for lo, hi in box
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = lattice_points(cell_centers(box, resolution))
     vals = np.max(np.abs(eval_block(list(scene.constraints), pts)), axis=0)
     cell = np.array([(hi - lo) / resolution for lo, hi in box])
     half_diag = 0.5 * float(np.linalg.norm(cell))
-    grads = np.zeros(len(pts))
     flat = [
         differentiate(e, s)
         for e in scene.constraints

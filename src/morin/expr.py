@@ -158,6 +158,9 @@ class Unary(Expr):
     def _kids(self):
         return (self.child,)
 
+    def _scalar(self):
+        return self._ordkey
+
 
 class Binary(Expr):
     """One of ``add``, ``sub``, ``mul``, ``div`` on two children."""
@@ -177,6 +180,9 @@ class Binary(Expr):
 
     def _kids(self):
         return (self.left, self.right)
+
+    def _scalar(self):
+        return self._ordkey
 
 
 class Pow(Expr):
@@ -1011,12 +1017,14 @@ def variables_used(e: Expr) -> set:
 # list, which later calls replay. A step is (kind, fn, a, b, free): ``fn``
 # is the operation, or a constant's value; ``a`` and ``b`` are argument
 # slots, except that a variable's column is ``a`` and a power's exponent
-# is ``b``. The value of step i lands in slot i, and ``free`` lists the
-# slots whose last use is that step, so intermediates are dropped exactly
-# when a node-by-node walk would drop them. The plan's outputs pair each
-# root's slot with the slots freed after it is copied out. Plans are keyed
-# by the expression tuple, a structural key (hashes are cached on the
-# nodes), and evicted least recently used first.
+# is ``b``. Structurally equal subtrees, shared or not, get one step, so
+# a repeated subexpression is computed once; every operation is
+# deterministic, so the values are the bits a node-by-node walk gives.
+# The value of step i lands in slot i, and ``free`` lists the slots whose
+# last use is that step. The plan's outputs pair each root's slot with the
+# slots freed after it is copied out. Plans are keyed by the expression
+# tuple, a structural key (hashes are cached on the nodes), and evicted
+# least recently used first.
 _PLAN_CACHE_SIZE = 512
 
 _CONST, _VAR, _POW, _UNARY, _BINARY = range(5)
@@ -1065,47 +1073,49 @@ def _const_value(c: Const) -> np.float64:
 
 
 def _build_plan(exprs: tuple, strict: bool) -> tuple:
-    order = _postorder(exprs)
-    slot = {id(n): i for i, n in enumerate(order)}
-    refs = [0] * len(order)
-    for n in order:
-        for k in n._kids():
-            refs[slot[id(k)]] += 1
-    for r in exprs:
-        refs[slot[id(r)]] += 1
+    # Bottom-up, so equal subtrees have equal keys by the time their
+    # parents are keyed: (kind, operation or payload, *argument slots).
+    ops = _STRICT_OPS if strict else _OPS
+    slot_of: dict = {}
+    step_of: dict = {}
+    steps: list = []
+    uses: list = []
+    for n in _postorder(exprs):
+        if isinstance(n, Const):
+            key, step = (_CONST, n._scalar()), (_CONST, _const_value(n), 0, 0)
+        elif isinstance(n, Var):
+            key, step = (_VAR, n.index), (_VAR, None, n.index, 0)
+        elif isinstance(n, Pow):
+            a = slot_of[id(n.base)]
+            key, step = (_POW, n.exponent, a), (_POW, None, a, n.exponent)
+        elif isinstance(n, Unary):
+            a = slot_of[id(n.child)]
+            key, step = (_UNARY, n.op, a), (_UNARY, ops[n.op], a, 0)
+        else:
+            a, b = slot_of[id(n.left)], slot_of[id(n.right)]
+            key, step = (_BINARY, n.op, a, b), (_BINARY, ops[n.op], a, b)
+        i = step_of.setdefault(key, len(steps))
+        if i == len(steps):
+            steps.append(step)
+            uses.append(key[2:])
+        slot_of[id(n)] = i
 
-    def release(*kids) -> tuple:
+    out_slots = [slot_of[id(r)] for r in exprs]
+    refs = [0] * len(steps)
+    for i in [k for used in uses for k in used] + out_slots:
+        refs[i] += 1
+
+    def release(used) -> tuple:
         freed = []
-        for k in kids:
-            i = slot[id(k)]
+        for i in used:
             refs[i] -= 1
             if refs[i] == 0:
                 freed.append(i)
         return tuple(freed)
 
-    ops = _STRICT_OPS if strict else _OPS
-    steps = []
-    for n in order:
-        if isinstance(n, Const):
-            steps.append((_CONST, _const_value(n), 0, 0, ()))
-        elif isinstance(n, Var):
-            steps.append((_VAR, None, n.index, 0, ()))
-        elif isinstance(n, Pow):
-            steps.append((_POW, None, slot[id(n.base)], n.exponent, release(n.base)))
-        elif isinstance(n, Unary):
-            steps.append((_UNARY, ops[n.op], slot[id(n.child)], 0, release(n.child)))
-        else:
-            steps.append(
-                (
-                    _BINARY,
-                    ops[n.op],
-                    slot[id(n.left)],
-                    slot[id(n.right)],
-                    release(n.left, n.right),
-                )
-            )
-    outputs = tuple((slot[id(r)], release(r)) for r in exprs)
-    return tuple(steps), outputs
+    plan = tuple((*step, release(used)) for step, used in zip(steps, uses))
+    outputs = tuple((i, release((i,))) for i in out_slots)
+    return plan, outputs
 
 
 def eval_block(exprs: Sequence[Expr], points, strict: bool = False) -> np.ndarray:

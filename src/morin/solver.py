@@ -127,6 +127,19 @@ def greedy_dedup(pts, radius: float) -> list:
     return kept
 
 
+def cell_centers(box, resolution: int) -> list:
+    """Per-axis cell-center coordinates of a uniform lattice over the box."""
+    return [lo + (np.arange(resolution) + 0.5) * (hi - lo) / resolution for lo, hi in box]
+
+
+def lattice_points(axes, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows ``start:stop`` of the lattice spanned by ``axes``, one point
+    per row, the last axis varying fastest."""
+    shape = tuple(len(a) for a in axes)
+    flat = np.arange(start, math.prod(shape) if stop is None else stop)
+    return np.stack([a[i] for a, i in zip(axes, np.unravel_index(flat, shape))], axis=-1)
+
+
 def grid_seeds(box, grid: int, cap: int = _SEED_CAP) -> np.ndarray:
     """Cell-center seed lattice over the box, capped in total size.
 
@@ -136,11 +149,7 @@ def grid_seeds(box, grid: int, cap: int = _SEED_CAP) -> np.ndarray:
     """
     dim = len(box)
     per_axis = min(grid, max(8, int(round(cap ** (1.0 / dim)))))
-    axes = [
-        lo + (np.arange(per_axis) + 0.5) * (hi - lo) / per_axis for lo, hi in box
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return lattice_points(cell_centers(box, per_axis))
 
 
 def in_box(points, box, slack: float = 0.0) -> np.ndarray:
@@ -489,46 +498,46 @@ def trace_curves(
 # ---------------------------------------------------------------------------
 # Dense-grid oracle.
 
-def _scan_box(eqs, box, resolution, chunk=200_000):
-    """Per-equation abs residuals sampled on the cell-center lattice."""
-    axes = [
-        lo + (np.arange(resolution) + 0.5) * (hi - lo) / resolution
-        for lo, hi in box
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = np.empty((len(eqs), len(pts)))
-    for lo_i in range(0, len(pts), chunk):
-        part = pts[lo_i : lo_i + chunk]
-        block = eval_block(eqs, part)
-        vals[:, lo_i : lo_i + chunk] = np.abs(np.nan_to_num(block, nan=np.inf))
-    shape = (len(eqs),) + (resolution,) * len(box)
-    return vals.reshape(shape), axes
+_SCAN_CHUNK = 16_384  # lattice points per eval_block call; cache-sized
+_FLOAT_MAX = np.finfo(float).max
+
+
+def _scan_box(eqs, box, resolution, chunk=_SCAN_CHUNK):
+    """Per-equation abs residuals sampled on the cell-center lattice.
+
+    Returns ``(values, axes)``; ``values`` has shape ``(len(eqs),) +
+    (resolution,) * len(box)``, and every nan or infinite residual is
+    stored as the largest finite float, so the array holds finite numbers
+    only. The points are built one chunk at a time, so beyond ``values``
+    the memory used is a few chunks.
+    """
+    axes = cell_centers(box, resolution)
+    total = resolution ** len(box)
+    values = np.empty((len(eqs), total))
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        block = eval_block(eqs, lattice_points(axes, start, stop))
+        np.fmin(np.abs(block, out=block), _FLOAT_MAX, out=values[:, start:stop])
+    return values.reshape((len(eqs),) + (resolution,) * len(box)), axes
 
 
 def _local_slope(values, box, resolution) -> np.ndarray:
     """Per-cell, per-equation slope estimate: the largest finite
     difference to any axis neighbor, divided by the cell size along that
-    axis. The leading axis of ``values`` indexes equations."""
+    axis. The leading axis of ``values`` indexes equations, and
+    ``values`` must be finite."""
     out = np.zeros_like(values)
-    work = np.nan_to_num(values, nan=np.inf)
-    for axis, (lo, hi) in enumerate(box):
-        size = (hi - lo) / resolution
-        ax = axis + 1
-        diffs = np.abs(np.diff(work, axis=ax))
-        diffs = np.nan_to_num(diffs, nan=0.0, posinf=0.0)
-        shape_lo = [slice(None)] * work.ndim
-        shape_hi = [slice(None)] * work.ndim
-        shape_lo[ax] = slice(0, work.shape[ax] - 1)
-        shape_hi[ax] = slice(1, work.shape[ax])
-        # each target cell appears once per side, so in-place maximum on
-        # views matches element-wise scatter
-        axis_slope = np.zeros_like(work)
-        view_lo = axis_slope[tuple(shape_lo)]
-        np.maximum(view_lo, diffs, out=view_lo)
-        view_hi = axis_slope[tuple(shape_hi)]
-        np.maximum(view_hi, diffs, out=view_hi)
-        out = np.maximum(out, axis_slope / size)
+    for ax, (lo, hi) in enumerate(box, start=1):
+        step = np.diff(values, axis=ax)
+        np.abs(step, out=step)
+        step /= (hi - lo) / resolution
+        # each cell is the low end of one difference and the high end of
+        # another; dividing by a positive size keeps the order, so this is
+        # the maximum of the scaled differences on both sides
+        n = values.shape[ax]
+        for part in (slice(0, n - 1), slice(1, n)):
+            view = out[(slice(None),) * ax + (part,)]
+            np.maximum(view, step, out=view)
     return out
 
 
@@ -546,13 +555,17 @@ def grid_oracle(
     Gauss-Newton solver. A cell is a candidate when every equation on its
     own could reach zero inside the cell, each judged against that
     equation's locally observed slope (a shared threshold would let the
-    steepest equation mask the whole box); candidate cells form clusters,
+    steepest equation mask the whole box); a nan or infinite residual
+    counts as the largest finite float. Candidate cells form clusters,
     every cluster's bounding box is rescanned at higher resolution
     (re-labeled, so merged clusters split), and a leaf survives only if
     its best residual has shrunk in proportion to the final cell size,
     again equation by equation. Roots that stay in one cluster through
     every level merge into one answer. Only meaningful for systems whose
     solution set is a finite point set.
+
+    A level frees its lattice arrays before it rescans its clusters, so
+    memory stays at about one level's arrays, whatever the depth.
     """
     eqs = _compile(system)
     dim = len(box)
@@ -569,7 +582,6 @@ def grid_oracle(
     if not reps:
         return np.zeros((0, dim))
     pts = np.array(reps)
-    diam = float(np.linalg.norm([hi - lo for lo, hi in box]))
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]
     return pts[greedy_dedup(pts, 1e-6 * diam)]
@@ -578,66 +590,80 @@ def grid_oracle(
 def _scan_level(
     eqs, box, resolution, tol_residual, levels_left, min_half_diag, accept_half_diag
 ) -> list:
-    dim = len(box)
-    values, axes = _scan_box(eqs, box, resolution)
-    finite_vals = np.nan_to_num(values, nan=np.inf)
-    slope = _local_slope(values, box, resolution)
-    half_diag = 0.5 * math.sqrt(sum(((hi - lo) / resolution) ** 2 for lo, hi in box))
-    tau = 1.5 * slope * half_diag + 10.0 * tol_residual
-    mask = np.all(finite_vals <= tau, axis=0)
-    worst = finite_vals.max(axis=0)
-    flat_vals = finite_vals.reshape(len(eqs), -1)
-    flat_slope = slope.reshape(len(eqs), -1)
-    labels, count = ndimage.label(mask, structure=np.ones((3,) * dim, dtype=int))
     reps: list = []
-    for lab in range(1, count + 1):
-        where = labels == lab
-        if levels_left <= 1 or half_diag <= min_half_diag:
-            # leaf: a root cell satisfies V <= slope * half_diag for every
-            # equation, while a positive minimum of some V fails once the
-            # cell is small; clusters whose cells never got small are
-            # plateaus, not roots
-            if half_diag > accept_half_diag:
+    for item in _scan_clusters(
+        eqs, box, resolution, tol_residual, levels_left, min_half_diag, accept_half_diag
+    ):
+        if isinstance(item, np.ndarray):
+            reps.append(item)
+        else:
+            sub_box, child_res = item
+            reps.extend(
+                _scan_level(
+                    eqs,
+                    sub_box,
+                    child_res,
+                    tol_residual,
+                    levels_left - 1,
+                    min_half_diag,
+                    accept_half_diag,
+                )
+            )
+    return reps
+
+
+def _scan_clusters(
+    eqs, box, resolution, tol_residual, levels_left, min_half_diag, accept_half_diag
+) -> list:
+    """One scan level's outcome, cluster by cluster in label order: a leaf
+    representative point, or a ``(sub_box, child_resolution)`` to rescan.
+    The lattice arrays die when this returns."""
+    dim = len(box)
+    half_diag = 0.5 * math.sqrt(sum(((hi - lo) / resolution) ** 2 for lo, hi in box))
+    leaf = levels_left <= 1 or half_diag <= min_half_diag
+    if leaf and half_diag > accept_half_diag:
+        # a root cell satisfies V <= slope * half_diag for every equation,
+        # while a positive minimum of some V fails once the cell is small;
+        # clusters whose cells never got small are plateaus, not roots
+        return []
+    values, axes = _scan_box(eqs, box, resolution)
+    slope = _local_slope(values, box, resolution)
+    tau = 1.5 * slope * half_diag + 10.0 * tol_residual
+    mask = np.all(values <= tau, axis=0)
+    del tau
+    labels, _ = ndimage.label(mask, structure=np.ones((3,) * dim, dtype=int))
+    worst = values.max(axis=0) if leaf else None
+    out: list = []
+    for lab, cells in enumerate(ndimage.find_objects(labels), start=1):
+        if leaf:
+            # the first best cell in C order: offsets inside the bounding
+            # box keep the order of the whole lattice
+            sub = np.where(labels[cells] == lab, worst[cells], np.inf)
+            local = np.unravel_index(int(np.argmin(sub)), sub.shape)
+            idx = tuple(s.start + k for s, k in zip(cells, local))
+            col = (slice(None),) + idx
+            bound = 4.0 * slope[col] * half_diag + 50.0 * tol_residual
+            if np.any(values[col] > bound):
                 continue
-            flat = np.where(where, worst, np.inf).ravel()
-            j = int(np.argmin(flat))
-            bound = 4.0 * flat_slope[:, j] * half_diag + 50.0 * tol_residual
-            if np.any(flat_vals[:, j] > bound):
-                continue
-            idx = np.unravel_index(j, worst.shape)
-            reps.append(np.array([axes[a][idx[a]] for a in range(dim)]))
+            out.append(np.array([axes[a][idx[a]] for a in range(dim)]))
             continue
-        idx = np.argwhere(where)
         sub_box = []
-        degenerate = False
         shrink = 0.0
-        for axis, (lo, hi) in enumerate(box):
+        for (lo, hi), s in zip(box, cells):
             size = (hi - lo) / resolution
-            i_min, i_max = idx[:, axis].min(), idx[:, axis].max()
-            s_lo = max(lo, lo + (i_min - 1) * size)
-            s_hi = min(hi, lo + (i_max + 2) * size)
+            s_lo = max(lo, lo + (s.start - 1) * size)
+            s_hi = min(hi, lo + (s.stop + 1) * size)
             if not s_lo < s_hi:
-                degenerate = True
                 break
             sub_box.append((s_lo, s_hi))
             shrink = max(shrink, (s_hi - s_lo) / (hi - lo))
-        if degenerate:
-            continue
-        # a cluster spanning its whole box would recurse forever at fixed
-        # resolution; finer cells restore progress (thinner mask next level)
-        child_res = min(2 * resolution, 128) if shrink > 0.6 else 16
-        reps.extend(
-            _scan_level(
-                eqs,
-                tuple(sub_box),
-                child_res,
-                tol_residual,
-                levels_left - 1,
-                min_half_diag,
-                accept_half_diag,
-            )
-        )
-    return reps
+        else:
+            # a cluster spanning its whole box would recurse forever at
+            # fixed resolution; finer cells restore progress (thinner mask
+            # next level)
+            child_res = min(2 * resolution, 128) if shrink > 0.6 else 16
+            out.append((tuple(sub_box), child_res))
+    return out
 
 
 def match_point_sets(found, expected, tol: float) -> dict:

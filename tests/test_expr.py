@@ -394,6 +394,98 @@ def test_eval_block_plan_cache_is_bounded():
     assert (tuple(lists[20]), False) in plans and (tuple(lists[21]), False) not in plans
 
 
+def test_equality_compares_operations_below_the_root():
+    # Forge hash collisions: equality must still tell the operations apart,
+    # because it is what keys the plan cache.
+    x = var(0)
+    pairs = [
+        (Binary("add", Unary("sin", x), const(1)), Binary("add", Unary("cos", x), const(1))),
+        (Binary("mul", x, x), Binary("add", x, x)),
+    ]
+    for a, b in pairs:
+        b._hash = a._hash
+        assert a != b and b != a
+        pts = PTS[:5, :1]
+        got = [eval_block([e], pts)[0] for e in (a, b)]
+        assert np.array_equal(got[0], reference_eval([a], pts)[0])
+        assert np.array_equal(got[1], reference_eval([b], pts)[0])
+    assert Binary("add", Unary("sin", x), const(1)) == parse("sin(x1) + 1", NAMES)
+
+
+def rebuild(e):
+    """A structurally equal copy of ``e`` that shares no node with it."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, Var):
+        return Var(e.index)
+    if isinstance(e, Pow):
+        return Pow(rebuild(e.base), e.exponent)
+    if isinstance(e, Unary):
+        return Unary(e.op, rebuild(e.child))
+    return Binary(e.op, rebuild(e.left), rebuild(e.right))
+
+
+def test_plan_shares_structurally_equal_subtrees():
+    e = parse("sin(x1 + x2) * sin(x1 + x2)", NAMES)
+    assert e.left is not e.right
+    steps, _ = expr_module._build_plan((e,), False)
+    assert len(steps) == 5  # x2, x1, x1 + x2, sin, product
+    f = parse("cos(x1 + x2) - sin(x1 + x2)", NAMES)
+    steps, outputs = expr_module._build_plan((e, f, rebuild(f)), False)
+    assert len(steps) == 7  # and cos, difference
+    assert outputs[1][0] == outputs[2][0]
+    assert np.array_equal(
+        eval_block([e, f, rebuild(f)], PTS), reference_eval([e, f, rebuild(f)], PTS)
+    )
+
+
+@given(_random_exprs, _random_exprs)
+@settings(max_examples=120, deadline=None)
+def test_shared_steps_are_bit_identical_to_reference(a, b):
+    exprs = [a, rebuild(a), Binary("sub", b, rebuild(a)), Binary("mul", a, rebuild(a)), b]
+    want = reference_eval(exprs, PTS[:12])
+    assert np.array_equal(eval_block(exprs, PTS[:12]), want, equal_nan=True)
+
+
+def strict_reference(exprs, pts):
+    """Strict node-by-node evaluation in plan order, with no shared steps:
+    the values, or the message of the first domain error."""
+    memo = {}
+    try:
+        with np.errstate(all="ignore"):
+            for n in expr_module._postorder(exprs):
+                if isinstance(n, (Const, Var)):
+                    memo[id(n)] = reference_eval([n], pts)[0]
+                    continue
+                kids = [memo[id(k)] for k in n._kids()]
+                if isinstance(n, Pow):
+                    memo[id(n)] = kids[0] ** n.exponent
+                    continue
+                if n.op == "sqrt" and np.any(kids[0] < 0):
+                    raise EvalDomainError("square root of a negative value")
+                if n.op == "log" and np.any(kids[0] <= 0):
+                    raise EvalDomainError("log of a nonpositive value")
+                if n.op == "div" and np.any(kids[1] == 0):
+                    raise EvalDomainError("division by zero")
+                memo[id(n)] = _REFERENCE_OPS[n.op](*kids)
+    except EvalDomainError as err:
+        return str(err)
+    return np.array([memo[id(e)] for e in exprs])
+
+
+@given(_random_exprs, _random_exprs)
+@settings(max_examples=120, deadline=None)
+def test_shared_steps_raise_the_same_strict_error(a, b):
+    exprs = [b, rebuild(a), Binary("add", a, rebuild(b)), a]
+    want = strict_reference(exprs, PTS[:12])
+    if isinstance(want, str):
+        with pytest.raises(EvalDomainError) as err:
+            eval_block(exprs, PTS[:12], strict=True)
+        assert str(err.value) == want
+    else:
+        assert np.array_equal(eval_block(exprs, PTS[:12], strict=True), want, equal_nan=True)
+
+
 def test_format_round_trip_values():
     for text in CORPUS:
         e = parse(text, NAMES)

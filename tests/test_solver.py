@@ -6,17 +6,23 @@ axis) and the hyperboloid pair (two isolated deep-stratum points).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
-from morin.expr import parse
+from morin.expr import eval_block, parse, simplify
 from morin.model import build_chain, corank_system, load_scene
 from morin.solver import (
+    _SCAN_CHUNK,
     SolveOptions,
     TracedCurve,
+    _local_slope,
+    _scan_box,
+    _scan_clusters,
     greedy_dedup,
     grid_oracle,
     grid_seeds,
@@ -237,6 +243,213 @@ def test_oracle_empty_system_set():
     system = list(sc.constraints) + list(sc.covector_field(sc.covector))
     reps = grid_oracle(system, sc.box, resolution=64)
     assert reps.shape == (0, 3)
+
+
+# -- the scan against the implementation it replaced ------------------------
+#
+# The scan used to build each lattice whole with meshgrid, read nan
+# residuals as inf and then every non-finite one as the largest float
+# through two nan_to_num passes, fill a zeroed buffer per axis for the
+# slope, find each cluster with one ``labels == lab`` pass, and keep every
+# level's arrays alive while it recursed. These copies of it pin the
+# rewrite to the same bits.
+
+
+def old_scan_box(eqs, box, resolution, chunk=200_000):
+    axes = [lo + (np.arange(resolution) + 0.5) * (hi - lo) / resolution for lo, hi in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    vals = np.empty((len(eqs), len(pts)))
+    for lo_i in range(0, len(pts), chunk):
+        block = eval_block(eqs, pts[lo_i : lo_i + chunk])
+        vals[:, lo_i : lo_i + chunk] = np.abs(np.nan_to_num(block, nan=np.inf))
+    return vals.reshape((len(eqs),) + (resolution,) * len(box)), axes
+
+
+def old_local_slope(values, box, resolution):
+    out = np.zeros_like(values)
+    work = np.nan_to_num(values, nan=np.inf)
+    for axis, (lo, hi) in enumerate(box):
+        size = (hi - lo) / resolution
+        ax = axis + 1
+        diffs = np.abs(np.diff(work, axis=ax))
+        diffs = np.nan_to_num(diffs, nan=0.0, posinf=0.0)
+        shape_lo = [slice(None)] * work.ndim
+        shape_hi = [slice(None)] * work.ndim
+        shape_lo[ax] = slice(0, work.shape[ax] - 1)
+        shape_hi[ax] = slice(1, work.shape[ax])
+        axis_slope = np.zeros_like(work)
+        view_lo = axis_slope[tuple(shape_lo)]
+        np.maximum(view_lo, diffs, out=view_lo)
+        view_hi = axis_slope[tuple(shape_hi)]
+        np.maximum(view_hi, diffs, out=view_hi)
+        out = np.maximum(out, axis_slope / size)
+    return out
+
+
+def old_scan_level(eqs, box, resolution, tol_residual, levels_left, min_half_diag, accept_half_diag):
+    """One level of the old scan: its finite values, slope and mask, and per
+    cluster a leaf point or the ``(sub_box, child_res)`` it rescanned."""
+    dim = len(box)
+    values, axes = old_scan_box(eqs, box, resolution)
+    finite_vals = np.nan_to_num(values, nan=np.inf)
+    slope = old_local_slope(values, box, resolution)
+    half_diag = 0.5 * math.sqrt(sum(((hi - lo) / resolution) ** 2 for lo, hi in box))
+    tau = 1.5 * slope * half_diag + 10.0 * tol_residual
+    mask = np.all(finite_vals <= tau, axis=0)
+    worst = finite_vals.max(axis=0)
+    flat_vals = finite_vals.reshape(len(eqs), -1)
+    flat_slope = slope.reshape(len(eqs), -1)
+    labels, count = ndimage.label(mask, structure=np.ones((3,) * dim, dtype=int))
+    items: list = []
+    for lab in range(1, count + 1):
+        where = labels == lab
+        if levels_left <= 1 or half_diag <= min_half_diag:
+            if half_diag > accept_half_diag:
+                continue
+            flat = np.where(where, worst, np.inf).ravel()
+            j = int(np.argmin(flat))
+            bound = 4.0 * flat_slope[:, j] * half_diag + 50.0 * tol_residual
+            if np.any(flat_vals[:, j] > bound):
+                continue
+            idx = np.unravel_index(j, worst.shape)
+            items.append(np.array([axes[a][idx[a]] for a in range(dim)]))
+            continue
+        idx = np.argwhere(where)
+        sub_box = []
+        degenerate = False
+        shrink = 0.0
+        for axis, (lo, hi) in enumerate(box):
+            size = (hi - lo) / resolution
+            i_min, i_max = idx[:, axis].min(), idx[:, axis].max()
+            s_lo = max(lo, lo + (i_min - 1) * size)
+            s_hi = min(hi, lo + (i_max + 2) * size)
+            if not s_lo < s_hi:
+                degenerate = True
+                break
+            sub_box.append((s_lo, s_hi))
+            shrink = max(shrink, (s_hi - s_lo) / (hi - lo))
+        if degenerate:
+            continue
+        child_res = min(2 * resolution, 128) if shrink > 0.6 else 16
+        items.append((tuple(sub_box), child_res))
+    return finite_vals, slope, mask, items
+
+
+def old_grid_oracle(system, box, resolution, *, tol_residual=1e-9, levels=24):
+    eqs = [simplify(e) for e in system]
+    diam = float(np.linalg.norm([hi - lo for lo, hi in box]))
+
+    def scan(box, resolution, levels_left):
+        reps = []
+        items = old_scan_level(
+            eqs, box, resolution, tol_residual, levels_left, 5e-7 * diam, 2e-3 * diam
+        )[-1]
+        for item in items:
+            if isinstance(item, np.ndarray):
+                reps.append(item)
+            else:
+                reps.extend(scan(item[0], item[1], levels_left - 1))
+        return reps
+
+    reps = scan(tuple(box), resolution, levels)
+    if not reps:
+        return np.zeros((0, len(box)))
+    pts = np.array(reps)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    return pts[greedy_dedup(pts, 1e-6 * diam)]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# Equations with nan (sqrt, log and 0/0 off their domains), +inf and -inf
+# (1/x1 and log(x1^2) on a lattice through x1 = 0) next to smooth ones.
+_SCAN_EQS = (
+    "sqrt(x1) - x2",
+    "1/x1 - x2",
+    "log(x1^2) + x2",
+    "x1/x1 - x2",
+    "x1^2 + x2^2 - 1",
+    "sin(3*x1) - x2",
+    "(x1 - 0.05) * (x1 + 0.05)",
+    "x2 - x1 / 2",
+)
+_V3 = ("x1", "x2", "x3")
+
+
+@st.composite
+def scan_cases(draw):
+    # Boxes symmetric about 0 with an odd resolution put a cell center on
+    # x1 = 0 exactly; two or three equations make isolated roots likely.
+    dim = draw(st.sampled_from([2, 3]))
+    names = V2 if dim == 2 else _V3
+    texts = draw(st.lists(st.sampled_from(_SCAN_EQS), min_size=4 - dim, max_size=2))
+    if dim == 3:
+        texts.append(draw(st.sampled_from(["x3", "x3 - x1 * x2", "1/x3 - x1"])))
+    spans = st.sampled_from([(-1.0, 1.0), (-2.0, 2.0), (-0.5, 0.5), (-0.3, 1.4), (0.0, 1.7)])
+    box = tuple(draw(spans) for _ in range(dim))
+    resolution = draw(st.sampled_from([8, 9, 16] if dim == 3 else [8, 15, 32]))
+    levels = draw(st.integers(1, 3) if dim == 3 else st.sampled_from([1, 2, 6, 10]))
+    return [simplify(parse(t, names)) for t in texts], box, resolution, levels
+
+
+def scan_case(texts, box, resolution, levels):
+    return [simplify(parse(t, V2)) for t in texts], box, resolution, levels
+
+
+@given(case=scan_cases(), chunk=st.sampled_from([5, 64, _SCAN_CHUNK]))
+# the pole of 1/x1 at a cell center gives 36 leaves, the nan half-plane of
+# sqrt(x1) three roots on its edge
+@example(case=scan_case(["1/x1 - x2", "x1^2 + x2^2 - 1"], ((-1.0, 1.0),) * 2, 15, 6), chunk=64)
+@example(case=scan_case(["sqrt(x1) - x2", "sin(3*x1) - x2"], ((-2.0, 2.0),) * 2, 15, 10), chunk=5)
+@settings(max_examples=60, deadline=None)
+def test_scan_matches_the_implementation_it_replaced(case, chunk):
+    eqs, box, resolution, levels = case
+    tol = 1e-9
+    # accept leaves with coarse cells too, so the leaf test runs at level 1
+    finite_vals, slope, mask, items = old_scan_level(eqs, box, resolution, tol, levels, 1e-7, 0.5)
+    values, axes = _scan_box(eqs, box, resolution, chunk=chunk)
+    assert same_bits(values, finite_vals)
+    assert np.all(np.isfinite(values))
+    assert same_bits(_local_slope(values, box, resolution), slope)
+    half_diag = 0.5 * math.sqrt(sum(((hi - lo) / resolution) ** 2 for lo, hi in box))
+    assert same_bits(np.all(values <= 1.5 * slope * half_diag + 10.0 * tol, axis=0), mask)
+    got = _scan_clusters(eqs, box, resolution, tol, levels, 1e-7, 0.5)
+    assert len(got) == len(items)
+    for g, w in zip(got, items):
+        if isinstance(w, np.ndarray):
+            assert same_bits(g, w)
+        else:
+            assert same_bits(np.array(g[0]), np.array(w[0])) and g[1] == w[1]
+    want = old_grid_oracle(eqs, box, resolution, tol_residual=tol, levels=levels)
+    assert same_bits(grid_oracle(eqs, box, resolution, tol_residual=tol, levels=levels), want)
+
+
+def test_oracle_on_torus_zeros_matches_the_implementation_it_replaced():
+    system, sc = torus_zero_system()
+    want = old_grid_oracle(system, sc.box, 48)
+    assert len(want) == 4
+    assert same_bits(grid_oracle(system, sc.box, 48), want)
+
+
+def test_oracle_memory_stays_at_one_level():
+    # The zero set of x1 - x2 is a plane across the whole box, so every
+    # level rescans the whole box at 128 cells per axis until the levels
+    # run out; a scan that kept each level's arrays would grow with depth.
+    box = ((-1.0, 1.0),) * 3
+    eqs = [parse("x1 - x2", _V3)]
+    one_level = 8 * len(eqs) * 128**3  # the values array of one level
+    tracemalloc.start()
+    try:
+        reps = grid_oracle(eqs, box, resolution=128, levels=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reps.shape == (0, 3)
+    assert peak < 6 * one_level, peak / one_level
 
 
 # -- deduplication -----------------------------------------------------------
