@@ -88,23 +88,23 @@ def _null_space(rows: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
-def _omega_scale(scene: Scene, cache: dict) -> float:
+def _omega_scale(scene: Scene) -> float:
     """Largest coframe row norm over a coarse box lattice.
 
     The restriction-rank test needs an external scale: a single row shrinking
     to zero at a point still has full rank relative to its own largest
     singular value, so the cutoff must reference how big the coframe is
-    elsewhere. Cached per call tree (the lattice never changes).
+    elsewhere. Computed once per scene (the lattice never changes).
     """
-    key = ("omega_scale", scene.digest())
-    if key in cache:
-        return cache[key]
-    pts = grid_seeds(scene.box, 6, cap=4096)
-    norms = np.linalg.norm(scene.omega_at(pts), axis=2)
-    finite = norms[np.isfinite(norms)]
-    scale = float(finite.max()) if len(finite) else 1.0
-    cache[key] = max(scale, 1e-12)
-    return cache[key]
+
+    def build() -> float:
+        pts = grid_seeds(scene.box, 6, cap=4096)
+        norms = np.linalg.norm(scene.omega_at(pts), axis=2)
+        finite = norms[np.isfinite(norms)]
+        scale = float(finite.max()) if len(finite) else 1.0
+        return max(scale, 1e-12)
+
+    return scene.memo(("omega_scale",), build)
 
 
 def _restriction_corank(restriction: np.ndarray, n: int, cut: float) -> tuple:
@@ -207,7 +207,7 @@ def _membership(scene: Scene, expr, point: np.ndarray) -> tuple:
     return "inconclusive", dist / diam
 
 
-def classify_point(scene: Scene, point, *, cache: dict | None = None) -> Classification:
+def classify_point(scene: Scene, point) -> Classification:
     """Walk the stratum tower at one point and name its type.
 
     The chart chain is rebuilt with every selection made at the point
@@ -229,7 +229,6 @@ def classify_point(scene: Scene, point, *, cache: dict | None = None) -> Classif
     # shrinking to zero is as degenerate as rows becoming parallel, so the
     # raw coframe values are projected onto an orthonormal tangent basis
     # and rank-tested against the coframe's own scale over the box.
-    cache = {} if cache is None else cache
     n = scene.n
     if len(base_grads):
         g_rep = numeric_rank(_unit_rows(base_grads), scene.tol_rank)
@@ -245,7 +244,7 @@ def classify_point(scene: Scene, point, *, cache: dict | None = None) -> Classif
         restriction = omega_vals @ _null_space(base_grads)
     else:
         restriction = omega_vals
-    cut = scene.tol_rank * _omega_scale(scene, cache)
+    cut = scene.tol_rank * _omega_scale(scene)
     corank, measured = _restriction_corank(restriction, n, cut)
     margins = {"restriction_rank": float(measured)}
     if measured < TRUST_GAP:
@@ -264,7 +263,7 @@ def classify_point(scene: Scene, point, *, cache: dict | None = None) -> Classif
             note=f"coframe corank {corank} exceeds 1",
         )
 
-    chain = build_chain_at(scene, x, cache=cache)
+    chain = build_chain_at(scene, x)
     chart1 = chain.chart(1)
     resid = float(np.max(np.abs(chart1.residuals(x.reshape(1, -1)))))
     margins["first_chart_residual"] = resid
@@ -387,7 +386,6 @@ def compute_strata(
     """
     depth_cap = scene.max_depth if max_depth is None else min(max_depth, scene.n)
     notes: list = []
-    cache: dict = {}
 
     first = corank_system(scene)
     opts = SolveOptions(
@@ -411,7 +409,7 @@ def compute_strata(
     # classification cost scales with sample count; a farthest-point subset
     # keeps coverage while the full sample set stays available as seeds
     subset = _farthest_subset(sigma1, 120)
-    classified1 = [classify_point(scene, sigma1[i], cache=cache) for i in subset]
+    classified1 = [classify_point(scene, sigma1[i]) for i in subset]
     points[1] = [c for c in classified1 if c.depth >= 1]
     dropped = len(classified1) - len(points[1])
     if dropped:
@@ -476,7 +474,7 @@ def compute_strata(
                 kept_curves = []
                 for curve in traced:
                     probe = curve.points[:: max(1, len(curve.points) // 5)]
-                    verdicts = [classify_point(scene, q, cache=cache) for q in probe]
+                    verdicts = [classify_point(scene, q) for q in probe]
                     if verdicts and all(v.depth >= k for v in verdicts):
                         kept_curves.append(curve)
                         raw.extend(probe)
@@ -493,7 +491,7 @@ def compute_strata(
         samples[k] = stacked
         verified = []
         for p in stacked:
-            cls = classify_point(scene, p, cache=cache)
+            cls = classify_point(scene, p)
             if cls.depth >= k:
                 verified.append(cls)
         points[k] = verified
@@ -542,8 +540,7 @@ def check_corank1(scene: Scene, samples: int = 300) -> dict:
     else:
         pts = grid_seeds(scene.box, per_axis, cap=samples * 4)
     report["manifold_samples"] = int(len(pts))
-    cache: dict = {}
-    cut = scene.tol_rank * _omega_scale(scene, cache)
+    cut = scene.tol_rank * _omega_scale(scene)
     for p in np.asarray(pts, dtype=float).reshape(-1, N):
         omega_vals = scene.omega_at(p)[0]
         base = _gradient_rows(scene.constraints, p)
@@ -794,7 +791,7 @@ def _multiplier_seeds(scene: Scene, equations, xi_exprs, xs: np.ndarray) -> np.n
     return np.array(seeds)
 
 
-def find_xi_zeros(scene: Scene, weights, *, cache: dict | None = None) -> list:
+def find_xi_zeros(scene: Scene, weights) -> list:
     """Zeros of the weighted covector on the manifold.
 
     Solves constraints plus all covector components (overdetermined) and
@@ -812,7 +809,7 @@ def find_xi_zeros(scene: Scene, weights, *, cache: dict | None = None) -> list:
     outcome = solve_points(system, opts)
     records = []
     for sp in outcome.points:
-        cls = classify_point(scene, sp.x, cache=cache)
+        cls = classify_point(scene, sp.x)
         flags = []
         if cls.kind == "regular":
             flags.append("zero off the first stratum")
@@ -839,7 +836,6 @@ def find_restricted_zeros(
     weights,
     *,
     strata: StrataResult | None = None,
-    cache: dict | None = None,
 ) -> list:
     """Zeros of the weighted covector restricted to the depth-k stratum.
 
@@ -897,21 +893,19 @@ def find_restricted_zeros(
     for x in candidates:
         if any(np.linalg.norm(x - r.x) <= 1e-6 * diam for r in kept):
             continue
-        rec = _verify_restricted_zero(scene, k, x, xi, cache=cache)
+        rec = _verify_restricted_zero(scene, k, x, xi)
         if rec is not None:
             kept.append(rec)
     kept.sort(key=lambda r: tuple(r.x))
     return kept
 
 
-def _verify_restricted_zero(
-    scene: Scene, k: int, x: np.ndarray, xi_exprs, *, cache: dict | None
-) -> ZeroRecord | None:
+def _verify_restricted_zero(scene: Scene, k: int, x: np.ndarray, xi_exprs) -> ZeroRecord | None:
     """Re-anchored verification of one restricted-zero candidate."""
-    cls = classify_point(scene, x, cache=cache)
+    cls = classify_point(scene, x)
     if cls.kind == "regular" or (0 <= cls.depth < k):
         return None
-    chain = build_chain_at(scene, x, max_depth=k, cache=cache)
+    chain = build_chain_at(scene, x, max_depth=k)
     if chain.depth < k:
         return None
     equations = chain.chart(k).equations
@@ -944,8 +938,6 @@ def nondegeneracy(
     scene: Scene,
     record: ZeroRecord,
     weights,
-    *,
-    cache: dict | None = None,
 ) -> ZeroRecord:
     """Bordered-determinant nondegeneracy verdict for one zero record.
 
@@ -963,7 +955,7 @@ def nondegeneracy(
         equations = list(scene.constraints)
         lam = np.zeros(len(equations))
     else:
-        chain = build_chain_at(scene, record.x, max_depth=k, cache=cache)
+        chain = build_chain_at(scene, record.x, max_depth=k)
         if chain.depth < k:
             return ZeroRecord(
                 **{**_record_fields(record), "nondegenerate": "inconclusive",
@@ -1011,7 +1003,6 @@ def zero_census(
     weights,
     *,
     strata: StrataResult | None = None,
-    cache: dict | None = None,
 ) -> dict:
     """All zeros for one covector draw: unrestricted plus every depth.
 
@@ -1020,20 +1011,13 @@ def zero_census(
     """
     if strata is None:
         strata = compute_strata(scene)
-    if cache is None:
-        cache = {}
     unrestricted = [
-        nondegeneracy(scene, r, weights, cache=cache)
-        for r in find_xi_zeros(scene, weights, cache=cache)
+        nondegeneracy(scene, r, weights) for r in find_xi_zeros(scene, weights)
     ]
     restricted = {}
     for k in range(1, scene.n):
-        records = find_restricted_zeros(
-            scene, k, weights, strata=strata, cache=cache
-        )
-        restricted[k] = [
-            nondegeneracy(scene, r, weights, cache=cache) for r in records
-        ]
+        records = find_restricted_zeros(scene, k, weights, strata=strata)
+        restricted[k] = [nondegeneracy(scene, r, weights) for r in records]
     return {"unrestricted": unrestricted, "restricted": restricted}
 
 
@@ -1048,8 +1032,10 @@ def covector_sweep(
 
     Draw ``i`` uses covector seed ``seed + i`` (the scene's seed when
     ``seed`` is None), so the output is deterministic for a fixed seed.
-    The draws run one after another: they share the scene's expression
-    caches, which are not safe to mutate from several threads.
+    The draws run one after another and share what does not depend on the
+    weights: the scene memo (minors, depth determinants, coframe scale)
+    and the expression caches. None of these is safe to mutate from
+    several threads.
     """
     if strata is None:
         strata = compute_strata(scene)
@@ -1057,7 +1043,7 @@ def covector_sweep(
     out = []
     for i in range(count):
         weights = draw_covector(scene.n, base + i)
-        census = zero_census(scene, weights, strata=strata, cache={})
+        census = zero_census(scene, weights, strata=strata)
         out.append({"draw": i, "weights": [float(w) for w in weights], "census": census})
     return out
 
@@ -1228,7 +1214,7 @@ def euler_congruence(
             a = np.asarray(scene.covector, dtype=float)
         else:
             a = draw_covector(n, base + attempt)
-        trial = zero_census(scene, a, strata=strata, cache={})
+        trial = zero_census(scene, a, strata=strata)
         problems = []
         for rec in trial["unrestricted"] + [
             r for k in trial["restricted"] for r in trial["restricted"][k]

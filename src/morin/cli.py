@@ -239,13 +239,12 @@ def _cmd_zeros(scene: Scene, args, report: dict) -> int:
     if not (0 <= k <= scene.n):
         raise CliError(f"--stratum {k} out of range 0..{scene.n}")
     weights = _weights(scene, args)
-    cache: dict = {}
     strata = compute_strata(scene)
     if k == 0:
-        records = find_xi_zeros(scene, weights, cache=cache)
+        records = find_xi_zeros(scene, weights)
     else:
-        records = find_restricted_zeros(scene, k, weights, strata=strata, cache=cache)
-    records = [nondegeneracy(scene, r, weights, cache=cache) for r in records]
+        records = find_restricted_zeros(scene, k, weights, strata=strata)
+    records = [nondegeneracy(scene, r, weights) for r in records]
 
     deepest = np.array([c.x for c in strata.exact_depth(scene.max_depth)])
     distances = []

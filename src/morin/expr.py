@@ -507,6 +507,16 @@ def format_expr(e: Expr, var_names: Sequence[str] | None = None) -> str:
         s = strs[id(child)]
         return s if _prec(child) >= min_prec else f"({s})"
 
+    def factor(child: Expr, min_prec: int) -> str:
+        # A negative fraction in a product prints as a negated group:
+        # "(-1/2)" would reparse as a division that joins the product chain
+        # as two more factors, "-(1/2)" as one factor, as the constant is,
+        # so simplification keeps or drops the chain alike on both.
+        if isinstance(child, Const) and child.value < 0 and child.value.denominator != 1:
+            v = -child.value
+            return f"-({v.numerator}/{v.denominator})"
+        return wrap(child, min_prec)
+
     strs: dict = {}
     stack = [(e, False)]
     while stack:
@@ -542,7 +552,10 @@ def format_expr(e: Expr, var_names: Sequence[str] | None = None) -> str:
             sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[n.op]
             lmin = 1 if n.op in ("add", "sub") else 2
             rmin = lmin + 1
-            s = f"{wrap(n.left, lmin)} {sym} {wrap(n.right, rmin)}"
+            if lmin == 2:
+                s = f"{factor(n.left, lmin)} {sym} {factor(n.right, rmin)}"
+            else:
+                s = f"{wrap(n.left, lmin)} {sym} {wrap(n.right, rmin)}"
         strs[id(n)] = s
     return strs[id(e)]
 

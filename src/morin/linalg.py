@@ -36,10 +36,16 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
-    if m.shape[0] > MAX_DIM or m.shape[1] > MAX_DIM:
-        raise ValueError(f"matrix shape {m.shape} exceeds the {MAX_DIM} cap")
-    if square and m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return _checked(m, square)
+
+
+def _checked(m: np.ndarray, square: bool) -> np.ndarray:
+    """The checks of :func:`as_matrix` on the last two axes of ``m``."""
+    rows, cols = m.shape[-2:]
+    if rows > MAX_DIM or cols > MAX_DIM:
+        raise ValueError(f"matrix shape {(rows, cols)} exceeds the {MAX_DIM} cap")
+    if square and rows != cols:
+        raise ValueError(f"expected a square matrix, got shape {(rows, cols)}")
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError("matrix contains nan or inf")
     return m
@@ -91,7 +97,31 @@ def numeric_rank(a, tol: float = DEFAULT_RANK_TOL) -> RankReport:
     m = as_matrix(a)
     if m.size == 0:
         return RankReport(0, np.empty(0), tol, math.inf, math.inf)
-    sv = np.linalg.svd(m, compute_uv=False)
+    return _rank_report(np.linalg.svd(m, compute_uv=False), tol)
+
+
+def numeric_ranks(a, tol: float = DEFAULT_RANK_TOL) -> list:
+    """:func:`numeric_rank` of every matrix of a stack ``a``, shape
+    ``(P, m, n)``, from one stacked SVD.
+
+    LAPACK factors a stack one matrix at a time, so each report holds the
+    bits that :func:`numeric_rank` gives for its matrix alone. The checks
+    are those of :func:`numeric_rank` too: one oversized or non-finite
+    matrix makes the whole call raise the same ValueError.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 3:
+        raise ValueError(f"expected a matrix stack, got array of ndim {m.ndim}")
+    _checked(m, False)
+    if m.shape[1] * m.shape[2] == 0:
+        return [RankReport(0, np.empty(0), tol, math.inf, math.inf) for _ in m]
+    return [_rank_report(sv, tol) for sv in np.linalg.svd(m, compute_uv=False)]
+
+
+def _rank_report(sv: np.ndarray, tol: float) -> RankReport:
+    """The rank decision for descending singular values ``sv``."""
     smax = sv[0]
     if smax == 0.0:
         return RankReport(0, sv, tol, 0.0, 0.0)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,7 +41,7 @@ from .expr import (
     simplify,
     symbolic_determinant,
 )
-from .linalg import numeric_rank
+from .linalg import numeric_rank, numeric_ranks
 
 VALIDITY_FACTOR = 10.0  # margins below VALIDITY_FACTOR * tol_rank are unusable
 
@@ -78,6 +78,7 @@ class Scene:
     grid: int = 64
     max_depth: int | None = None
     hints: Mapping = field(default_factory=dict)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         N = self.ambient_dim
@@ -202,6 +203,22 @@ class Scene:
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+
+    def memo(self, key, build):
+        """``build()``, computed on first use and kept on this scene under
+        ``key``.
+
+        For pieces that depend on the scene alone: bordered minors, depth
+        determinants, the coframe scale. Charts built at the same
+        selections then share one expression object, so derivative and
+        evaluation-plan caches hit by identity. ``dataclasses.replace``
+        starts a new scene with an empty memo.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
 
 # ---------------------------------------------------------------------------
@@ -377,39 +394,46 @@ def select_pivot(scene: Scene, point) -> PivotSelection:
 
     Ties are broken lexicographically on (rows, cols), first by iterating
     row subsets, then column subsets, and keeping strict improvements only.
+    All minors are taken in one stacked determinant call.
     """
     n, N = scene.n, scene.ambient_dim
     k = n - 1
     if k == 0:
         return PivotSelection((), (), 1.0)
     mat = scene.omega_at(point)[0]
+    subsets = list(product(combinations(range(n), k), combinations(range(N), k)))
+    rows = np.array([r for r, _ in subsets])
+    cols = np.array([c for _, c in subsets])
+    dets = np.linalg.det(mat[rows[:, :, None], cols[:, None, :]]).tolist()
     best = None
-    for rows in combinations(range(n), k):
-        sub_rows = mat[list(rows), :]
-        for cols in combinations(range(N), k):
-            d = float(np.linalg.det(sub_rows[:, list(cols)]))
-            if best is None or abs(d) > abs(best.value):
-                best = PivotSelection(rows, cols, d)
+    for (r, c), d in zip(subsets, dets):
+        if best is None or abs(d) > abs(best.value):
+            best = PivotSelection(r, c, d)
     return best
 
 
-def bordered_minors(scene: Scene, pivot: PivotSelection) -> list:
+def bordered_minors(scene: Scene, pivot: PivotSelection) -> tuple:
     """All n x n minors of the coframe matrix that contain the pivot.
 
     Returns (column, expression) pairs in ascending column order; the
     minor rows/columns are sorted ascending, which fixes every sign.
+    Built once per scene and pivot.
     """
     n, N = scene.n, scene.ambient_dim
-    (extra_row,) = set(range(n)) - set(pivot.rows)
-    rows = sorted(pivot.rows + (extra_row,))
-    out = []
-    for j in range(N):
-        if j in pivot.cols:
-            continue
-        cols = sorted(pivot.cols + (j,))
-        sub = [[scene.omega[r][c] for c in cols] for r in rows]
-        out.append((j, symbolic_determinant(sub)))
-    return out
+
+    def build() -> tuple:
+        (extra_row,) = set(range(n)) - set(pivot.rows)
+        rows = sorted(pivot.rows + (extra_row,))
+        out = []
+        for j in range(N):
+            if j in pivot.cols:
+                continue
+            cols = sorted(pivot.cols + (j,))
+            sub = [[scene.omega[r][c] for c in cols] for r in rows]
+            out.append((j, symbolic_determinant(sub)))
+        return tuple(out)
+
+    return scene.memo(("bordered_minors", pivot.rows, pivot.cols), build)
 
 
 @dataclass(eq=False)
@@ -456,27 +480,41 @@ class StratumChart:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
-        P = len(pts)
-        margins = np.full(P, np.inf)
         omega_vals = self.scene.omega_at(pts)
+        scale = _coframe_scale(omega_vals)
+        live = scale > 0
+        margins = np.where(live, np.inf, 0.0)
         if self.pivot.rows:
             rows, cols = list(self.pivot.rows), list(self.pivot.cols)
-            sub = omega_vals[:, rows, :][:, :, cols]
-            smin = np.linalg.svd(sub, compute_uv=False)[:, -1]
-            smax = np.linalg.svd(omega_vals, compute_uv=False)[:, 0]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                pm = np.where(smax > 0, smin / smax, 0.0)
+            sub = omega_vals[live][:, rows, :][:, :, cols]
+            pm = np.zeros(len(pts))
+            pm[live] = np.linalg.svd(sub, compute_uv=False)[:, -1] / scale[live]
             margins = np.minimum(margins, pm)
         for idx, sup in enumerate(self.supplements):
-            depth = idx + 2
-            base_count = self.scene.equation_count(depth - 2)
+            # the supplement of depth idx + 2 is measured over the
+            # conormal of depth idx
+            base = self.equations[: self.scene.equation_count(idx)]
             margins = np.minimum(
                 margins,
-                _supplement_margin_at(
-                    self.scene, self.equations[:base_count], sup.indices, pts, omega_vals
+                _projected_margins(
+                    omega_vals[:, list(sup.indices), :],
+                    _gradient_stack(self.scene, base, pts),
+                    scale,
+                    self.scene.tol_rank,
                 ),
             )
         return margins
+
+
+def _coframe_scale(omega_vals: np.ndarray) -> np.ndarray:
+    """Largest singular value of each coframe matrix of the stack, one
+    stacked SVD; 0 where the matrix is not finite (LAPACK would fail the
+    whole stack on it) and where the largest value is not finite."""
+    finite = np.isfinite(omega_vals).all(axis=(1, 2))
+    scale = np.zeros(len(omega_vals))
+    scale[finite] = np.linalg.svd(omega_vals[finite], compute_uv=False)[:, 0]
+    scale[~np.isfinite(scale)] = 0.0
+    return scale
 
 
 def build_sigma1_chart(scene: Scene, pivot: PivotSelection, anchor) -> StratumChart:
@@ -497,8 +535,10 @@ def build_sigma1_chart(scene: Scene, pivot: PivotSelection, anchor) -> StratumCh
     if need > len(minors):
         raise SceneError("not enough bordered minors to cut the first stratum")
 
-    def grad_at(e: Expr) -> np.ndarray:
-        return eval_block([differentiate(e, s) for s in range(N)], anchor)[:, 0]
+    candidates = list(scene.constraints) + [e for _, e in minors]
+    flat = [differentiate(e, s) for e in candidates for s in range(N)]
+    grads = eval_block(flat, anchor)[:, 0].reshape(len(candidates), N)
+    minor_grads = grads[len(scene.constraints):]
 
     basis: list = []
 
@@ -518,19 +558,19 @@ def build_sigma1_chart(scene: Scene, pivot: PivotSelection, anchor) -> StratumCh
             r = r - (r @ b) * b
         return float(np.linalg.norm(r))
 
-    for g in scene.constraints:
-        extend_basis(grad_at(g))
+    for g in grads[: len(scene.constraints)]:
+        extend_basis(g)
     chosen: list = []
     remaining = list(range(len(minors)))
     for _ in range(need):
         best_idx, best_score = None, -1.0
         for idx in remaining:
-            score = perp_norm(grad_at(minors[idx][1]))
+            score = perp_norm(minor_grads[idx])
             if score > best_score:
                 best_idx, best_score = idx, score
         chosen.append(best_idx)
         remaining.remove(best_idx)
-        extend_basis(grad_at(minors[best_idx][1]))
+        extend_basis(minor_grads[best_idx])
     chosen.sort()
     equations = tuple(scene.constraints) + tuple(minors[i][1] for i in chosen)
     audits = tuple(minors[i][1] for i in remaining)
@@ -564,46 +604,47 @@ class SupplementSelection:
     margin: float
 
 
-def _supplement_margin_at(
-    scene: Scene, base_equations, indices, pts, omega_vals=None
-) -> np.ndarray:
-    """Smallest singular value of the selected raw coframe rows after
-    projection off the base conormal, divided by the largest singular
-    value of the full coframe matrix. Raw rows matter: a selected row
-    shrinking to zero makes the depth determinant vanish spuriously, and
-    normalization would hide that.
-    """
+def _gradient_stack(scene: Scene, equations, pts) -> np.ndarray:
+    """Gradients of ``equations`` at each point, shape (P, len(equations), N)."""
     N = scene.ambient_dim
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1)
-    if omega_vals is None:
-        omega_vals = scene.omega_at(pts)
-    P = len(pts)
-    out = np.zeros(P)
-    if base_equations:
-        flat = [differentiate(eq, s) for eq in base_equations for s in range(N)]
-        q = eval_block(flat, pts).T.reshape(P, len(base_equations), N)
-    else:
-        q = np.zeros((P, 0, N))
-    sel = list(indices)
-    for p in range(P):
-        w = omega_vals[p][sel, :].astype(float)
-        if not np.all(np.isfinite(w)):
-            out[p] = 0.0
-            continue
-        scale = np.linalg.svd(omega_vals[p], compute_uv=False)[0]
-        if scale <= 0 or not math.isfinite(scale):
-            out[p] = 0.0
-            continue
-        qp = q[p]
-        if qp.shape[0] and np.all(np.isfinite(qp)):
-            u, s, vt = np.linalg.svd(qp, full_matrices=False)
-            keep = s > scene.tol_rank * (s[0] if s.size and s[0] > 0 else 1.0)
-            basis = vt[keep]
-            w = w - (w @ basis.T) @ basis
-        sv = np.linalg.svd(w, compute_uv=False)
-        out[p] = (sv[-1] if sv.size else scale) / scale
+    if not equations:
+        return np.zeros((len(pts), 0, N))
+    flat = [differentiate(eq, s) for eq in equations for s in range(N)]
+    return eval_block(flat, pts).T.reshape(len(pts), len(equations), N)
+
+
+def _projected_margins(w, q, scale, tol_rank: float) -> np.ndarray:
+    """Supplement margins: the smallest singular value of each block of
+    selected raw coframe rows ``w[p]`` after projection off the row span of
+    the base gradients ``q[p]``, over the coframe scale ``scale[p]``.
+
+    Raw rows matter: a selected row shrinking to zero makes the depth
+    determinant vanish spuriously, and normalization would hide that. The
+    span keeps the singular directions above ``tol_rank`` times the
+    largest; a non-finite ``q[p]`` skips the projection, and ``scale[p]``
+    of 0 (a coframe that is not finite) gives margin 0. Each step is one
+    stacked LAPACK call or stacked product, which gives each block the
+    bits of a call on it alone.
+    """
+    out = np.zeros(len(w))
+    live = np.flatnonzero(scale > 0)
+    if not len(live):
+        return out
+    w, q = w[live], q[live]
+    if q.shape[1]:
+        proj = np.flatnonzero(np.isfinite(q).all(axis=(1, 2)))
+        _, s, vt = np.linalg.svd(q[proj], full_matrices=False)
+        top = s[:, 0]
+        cut = tol_rank * np.where(top > 0, top, 1.0)
+        # singular values descend, so the kept ones are a prefix of each row
+        kept = np.count_nonzero(s > cut[:, None], axis=1)
+        for size in np.unique(kept[kept > 0]):
+            group = kept == size
+            basis = vt[group, :size, :]
+            rows = proj[group]
+            w[rows] -= (w[rows] @ basis.transpose(0, 2, 1)) @ basis
+    sv = np.linalg.svd(w, compute_uv=False)
+    out[live] = (sv[:, -1] if sv.shape[1] else scale[live]) / scale[live]
     return out
 
 
@@ -615,28 +656,33 @@ def select_supplement(
     Subsets failing the rank test (stacked rank must exceed the base rank
     by exactly the subset size) are excluded; among the rest the largest
     margin wins, ties going to the lexicographically first subset. Returns
-    None when no subset qualifies at this anchor.
+    None when no subset qualifies at this anchor. The subsets are ranked
+    and measured as one stack each.
     """
-    n, N = scene.n, scene.ambient_dim
+    n = scene.n
     r = n - depth + 1
-    anchor = np.asarray(anchor, dtype=float)
-    if base_equations:
-        flat = [differentiate(eq, s) for eq in base_equations for s in range(N)]
-        q = eval_block(flat, anchor).reshape(len(base_equations), N)
-    else:
-        q = np.zeros((0, N))
-    base_rank = numeric_rank(q, scene.tol_rank).rank if q.size else 0
-    omega_vals = scene.omega_at(anchor)[0]
+    anchor = np.asarray(anchor, dtype=float).reshape(1, -1)
+    q = _gradient_stack(scene, base_equations, anchor)
+    base_rank = numeric_rank(q[0], scene.tol_rank).rank if q.size else 0
+    omega_vals = scene.omega_at(anchor)
+    subsets = list(combinations(range(n), r))
+    rows = omega_vals[0][np.array(subsets)]
+    stacks = np.concatenate([np.repeat(q, len(subsets), axis=0), rows], axis=1)
+    ok = [
+        i
+        for i, rep in enumerate(numeric_ranks(stacks, scene.tol_rank))
+        if rep.rank == base_rank + r
+    ]
+    margins = _projected_margins(
+        rows[ok],
+        np.repeat(q, len(ok), axis=0),
+        np.repeat(_coframe_scale(omega_vals), len(ok)),
+        scene.tol_rank,
+    )
     best = None
-    for subset in combinations(range(n), r):
-        stack = np.vstack([q, omega_vals[list(subset), :]])
-        if numeric_rank(stack, scene.tol_rank).rank != base_rank + r:
-            continue
-        margin = float(
-            _supplement_margin_at(scene, base_equations, subset, anchor)[0]
-        )
+    for i, margin in zip(ok, margins.tolist()):
         if best is None or margin > best.margin:
-            best = SupplementSelection(subset, margin)
+            best = SupplementSelection(subsets[i], margin)
     return best
 
 
@@ -772,7 +818,10 @@ def build_chain(
             notes.append(f"depth {k}: no coframe supplement qualifies at any anchor")
             return ChartChain(scene, tuple(charts), False, tuple(notes))
 
-        delta = build_delta(scene, prev.equations, supplement)
+        if any(c.hint_used for c in charts):
+            delta = build_delta(scene, prev.equations, supplement)
+        else:
+            delta = _chart_delta(scene, prev, supplement)
         hint_used, hint_note = False, None
         if k in hints:
             accept, hint_note = _audit_hint(scene, hints[k], delta, samples)
@@ -806,22 +855,18 @@ def build_chain_at(
     point,
     *,
     max_depth: int | None = None,
-    cache: dict | None = None,
 ) -> ChartChain:
     """Chain with every selection made at one point, without sampling.
 
     Used to re-verify a candidate under the chart best adapted to it: the
     pivot and every supplement are chosen at ``point`` itself, so the
     resulting chain has the largest margins available there. No stratum
-    sampling happens and hints are ignored. ``cache`` (structure key ->
-    determinant expression) makes repeated calls cheap when many
-    candidates share the same selections.
+    sampling happens and hints are ignored. Charts at the same selections
+    share their minors and determinants through the scene memo.
     """
     point = np.asarray(point, dtype=float)
     depth_cap = scene.max_depth if max_depth is None else max_depth
     depth_cap = min(depth_cap, scene.n)
-    if cache is None:
-        cache = {}
 
     pivot = select_pivot(scene, point)
     chart = build_sigma1_chart(scene, pivot, point)
@@ -834,21 +879,7 @@ def build_chain_at(
         if supplement is None:
             notes.append(f"depth {k}: no coframe supplement qualifies here")
             return ChartChain(scene, tuple(charts), False, tuple(notes))
-        key = (
-            "delta",
-            k,
-            pivot.rows,
-            pivot.cols,
-            prev.selected_cols,
-            tuple(
-                s.indices for s in prev.supplements
-            ),
-            supplement.indices,
-        )
-        delta = cache.get(key)
-        if delta is None:
-            delta = build_delta(scene, prev.equations, supplement)
-            cache[key] = delta
+        delta = _chart_delta(scene, prev, supplement)
         charts.append(
             StratumChart(
                 scene=scene,
@@ -866,6 +897,21 @@ def build_chain_at(
     return ChartChain(scene, tuple(charts), True, tuple(notes))
 
 
+def _chart_delta(scene: Scene, prev: StratumChart, supplement: SupplementSelection) -> Expr:
+    """``build_delta`` over a hint-free chart ``prev``, built once per scene:
+    the pivot, the selected minors and the supplements fix the equations."""
+    key = (
+        "delta",
+        prev.depth + 1,
+        prev.pivot.rows,
+        prev.pivot.cols,
+        prev.selected_cols,
+        tuple(s.indices for s in prev.supplements),
+        supplement.indices,
+    )
+    return scene.memo(key, lambda: build_delta(scene, prev.equations, supplement))
+
+
 # ---------------------------------------------------------------------------
 # Pivot-free description of the first stratum.
 
@@ -877,8 +923,12 @@ def corank_system(scene: Scene) -> list:
     stratum and for tracing it across chart boundaries.
     """
     n, N = scene.n, scene.ambient_dim
-    eqs = list(scene.constraints)
-    for cols in combinations(range(N), n):
-        sub = [[scene.omega[r][c] for c in cols] for r in range(n)]
-        eqs.append(symbolic_determinant(sub))
-    return eqs
+
+    def build() -> tuple:
+        eqs = list(scene.constraints)
+        for cols in combinations(range(N), n):
+            sub = [[scene.omega[r][c] for c in cols] for r in range(n)]
+            eqs.append(symbolic_determinant(sub))
+        return tuple(eqs)
+
+    return list(scene.memo(("corank_system",), build))

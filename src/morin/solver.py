@@ -26,7 +26,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
 from .expr import Expr, differentiate, eval_block, simplify
-from .linalg import RankReport, numeric_rank
+from .linalg import RankReport, numeric_ranks
 
 _SEED_CAP = 24_000  # total Gauss-Newton seeds, keeps dense grids tractable
 _ESCAPE_FACTOR = 20.0  # drop iterates this many diameters from the box center
@@ -317,12 +317,12 @@ def solve_points(
 
     order = np.lexsort(pts.T[::-1])
     pts, res, its = pts[order], res[order], its[order]
-    J = _eval_jacobian(jac_flat, pts, n_eqs, dim)
+    ranks = numeric_ranks(_eval_jacobian(jac_flat, pts, n_eqs, dim), opts.tol_rank)
     points = [
         SolvedPoint(
             x=pts[i],
             residual=float(res[i]),
-            jacobian_rank=numeric_rank(J[i], opts.tol_rank),
+            jacobian_rank=ranks[i],
             iterations=int(its[i]),
         )
         for i in range(len(pts))
@@ -504,13 +504,36 @@ _SCAN_CHUNK = 16_384  # lattice points per eval_block call; cache-sized
 _FLOAT_MAX = np.finfo(float).max
 
 
-def _residuals(eqs, axes, cells) -> np.ndarray:
-    """Abs residuals of ``eqs`` at the lattice cells with C-order flat
-    indices ``cells``, shape ``(len(eqs), len(cells))``. Every nan or
-    infinite residual is stored as the largest finite float, so the result
-    holds finite numbers only."""
-    block = eval_block(eqs, lattice_points(axes, cells))
+def _residuals(eqs, pts) -> np.ndarray:
+    """Abs residuals of ``eqs`` at the points ``pts``, shape ``(len(eqs),
+    len(pts))``. Every nan or infinite residual is stored as the largest
+    finite float, so the result holds finite numbers only."""
+    block = eval_block(eqs, pts)
     return np.fmin(np.abs(block, out=block), _FLOAT_MAX, out=block)
+
+
+def _lattice_chunks(axes, chunk=_SCAN_CHUNK):
+    """The whole lattice of ``axes`` in C order, ``chunk`` points at a time.
+
+    Yields ``(start, points)``, where ``points`` is bitwise
+    ``lattice_points(axes, np.arange(start, start + len(points)))``. The
+    points are a view of one template, rebuilt in place for each chunk, so
+    use them before asking for the next. The template holds the lattice
+    of the inner axes, repeated to cover a chunk at any offset; a chunk
+    only refills the outer-axis column.
+    """
+    dim = len(axes)
+    inner = lattice_points(axes[1:]) if dim > 1 else np.zeros((1, 0))
+    size = len(inner)
+    total = len(axes[0]) * size
+    reps = -(-chunk // size) + 1
+    template = np.empty((reps * size, dim))
+    template[:, 1:] = np.tile(inner, (reps, 1))
+    for start in range(0, total, chunk):
+        first, offset = divmod(start, size)
+        outer = axes[0][first : first + reps]
+        template[: len(outer) * size, 0].reshape(len(outer), size)[:] = outer[:, None]
+        yield start, template[offset : offset + min(chunk, total - start)]
 
 
 def _scan_box(eqs, box, resolution, chunk=_SCAN_CHUNK):
@@ -522,11 +545,9 @@ def _scan_box(eqs, box, resolution, chunk=_SCAN_CHUNK):
     so beyond ``values`` the memory used is a few chunks.
     """
     axes = cell_centers(box, resolution)
-    total = resolution ** len(box)
-    values = np.empty((len(eqs), total))
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        values[:, start:stop] = _residuals(eqs, axes, np.arange(start, stop))
+    values = np.empty((len(eqs), resolution ** len(box)))
+    for start, pts in _lattice_chunks(axes, chunk):
+        values[:, start : start + len(pts)] = _residuals(eqs, pts)
     return values.reshape((len(eqs),) + (resolution,) * len(box)), axes
 
 
@@ -707,7 +728,7 @@ def _scan_clusters(
         vals = np.empty(mask.size)
         for start in range(0, len(needed), _SCAN_CHUNK):
             part = needed[start : start + _SCAN_CHUNK]
-            vals[part] = _residuals([eq], axes, part)[0]
+            vals[part] = _residuals([eq], lattice_points(axes, part))[0]
         open_cells = np.flatnonzero(mask)
         slope = np.empty(mask.size)
         slope[open_cells] = _cell_slope(vals, open_cells, box, resolution)

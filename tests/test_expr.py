@@ -260,6 +260,9 @@ _ZERO_BY_ZERO = Binary("div", const(0), const(0))
 @example(Unary("neg", Binary("div", Binary("div", const(1), const(2)), const(0))))
 @example(Binary("div", const(4), _ZERO_BY_ZERO))
 @example(Unary("neg", Binary("add", _ZERO_BY_ZERO, _ZERO_BY_ZERO)))
+@example(Binary("mul", var(0), Unary("neg", Binary("div", const(1), const(2)))))
+@example(Binary("div", var(0), Unary("neg", Binary("div", const(1), const(2)))))
+@example(Binary("mul", Unary("neg", Binary("div", const(1), const(3))), var(1)))
 @settings(max_examples=120, deadline=None)
 def test_simplify_idempotent_through_reparse(e):
     s = simplify(e)

@@ -2,8 +2,11 @@
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morin.linalg import (
     MAX_DIM,
@@ -13,6 +16,7 @@ from morin.linalg import (
     determinant,
     least_squares,
     numeric_rank,
+    numeric_ranks,
 )
 
 RNG = np.random.default_rng(991)
@@ -179,3 +183,80 @@ def test_lstsq_shape_validation():
 def test_report_types():
     assert isinstance(numeric_rank(np.eye(2)), RankReport)
     assert isinstance(least_squares(np.eye(2), np.zeros(2)), LstsqResult)
+
+
+# -- the stacked rank kernel --------------------------------------------------
+
+# small integers and zeros make rank-deficient matrices common; the rest
+# spreads singular values over many decades
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0, 1e-12, 3e7]),
+    st.floats(-10.0, 10.0, allow_subnormal=False),
+)
+
+
+@st.composite
+def _stacks(draw):
+    """(P, m, n) stacks, 1 <= m, n <= 5, some with a repeated row, some as
+    a non-contiguous transposed or reversed view."""
+    P, m, n = draw(st.integers(0, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    a = draw(hnp.arrays(float, (P, m, n), elements=_ENTRY))
+    if m > 1 and draw(st.booleans()):
+        a[:, -1] = a[:, 0]
+    view = draw(st.sampled_from(["plain", "transposed", "reversed"]))
+    if view == "transposed":
+        return a.transpose(0, 2, 1)
+    if view == "reversed":
+        return a[:, ::-1, :]
+    return a
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@given(_stacks(), st.sampled_from([1e-8, 1e-3, 0.5]))
+@settings(max_examples=150, deadline=None)
+def test_numeric_ranks_are_bitwise_numeric_rank(stack, tol):
+    reports = numeric_ranks(stack, tol)
+    assert len(reports) == len(stack)
+    for got, m in zip(reports, stack):
+        want = numeric_rank(m, tol)
+        assert got.rank == want.rank and got.tolerance_used == want.tolerance_used
+        assert _bits(got.singular_values) == _bits(want.singular_values)
+        assert _bits(got.gap_ratio) == _bits(want.gap_ratio)
+        assert _bits(got.full_rank_margin) == _bits(want.full_rank_margin)
+
+
+@given(_stacks(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_numeric_ranks_refuse_what_numeric_rank_refuses(stack, data):
+    if not len(stack):
+        return
+    stack = stack.copy()
+    p = data.draw(st.integers(0, len(stack) - 1))
+    stack[p, -1, 0] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    with pytest.raises(ValueError) as one:
+        numeric_rank(stack[p])
+    with pytest.raises(ValueError) as stacked:
+        numeric_ranks(stack)
+    assert str(stacked.value) == str(one.value)
+
+
+def test_numeric_ranks_refuse_oversized_and_flat_input():
+    for shape in [(MAX_DIM + 1, 2), (2, MAX_DIM + 1)]:
+        with pytest.raises(ValueError) as one:
+            numeric_rank(np.zeros(shape))
+        with pytest.raises(ValueError) as stacked:
+            numeric_ranks(np.zeros((3,) + shape))
+        assert str(stacked.value) == str(one.value)
+    with pytest.raises(ValueError, match="ndim 2"):
+        numeric_ranks(np.eye(3))
+    with pytest.raises(ValueError, match="tol"):
+        numeric_ranks(np.zeros((1, 2, 2)), 0.0)
+
+
+def test_numeric_ranks_of_empty_matrices():
+    reports = numeric_ranks(np.zeros((2, 0, 3)))
+    assert [r.rank for r in reports] == [0, 0]
+    assert all(r.gap_ratio == math.inf and r.singular_values.size == 0 for r in reports)

@@ -8,18 +8,27 @@ minors, and determinants below were derived by hand from those formulas.
 """
 
 import math
+from dataclasses import replace
+from itertools import combinations
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from morin.expr import const, evaluate, mul, parse, simplify
+from morin.expr import const, differentiate, eval_block, evaluate, mul, parse, simplify
+from morin.linalg import numeric_rank
 from morin.model import (
     HINT_AUDIT_SAMPLES,
     VALIDITY_FACTOR,
     PivotSelection,
     Scene,
     SceneError,
+    SupplementSelection,
     _audit_hint,
+    _coframe_scale,
+    _projected_margins,
     bordered_minors,
     build_chain,
     build_chain_at,
@@ -392,11 +401,16 @@ def test_chain_at_point_rejects_torus_impostor():
 
 def test_chain_at_point_shares_cache():
     sc = scene("torus")
-    cache: dict = {}
-    build_chain_at(sc, (3.0, -3.0, 0.0), cache=cache)
-    n_first = len(cache)
-    build_chain_at(sc, (1.0, -1.0, 0.0), cache=cache)
-    assert n_first >= 1 and len(cache) == n_first  # same selections reused
+    first = build_chain_at(sc, (3.0, -3.0, 0.0))
+    second = build_chain_at(sc, (1.0, -1.0, 0.0))
+    # same selections: the same minors and delta objects, not copies
+    assert first.chart(2).supplements == second.chart(2).supplements
+    assert first.chart(2).delta is second.chart(2).delta
+    assert first.chart(1).equations == second.chart(1).equations
+    assert all(a is b for a, b in zip(first.chart(1).equations, second.chart(1).equations))
+    # a replaced scene starts with an empty memo
+    other = replace(sc, grid=32)
+    assert build_chain_at(other, (3.0, -3.0, 0.0)).chart(2).delta is not first.chart(2).delta
 
 
 def test_chart_validity_margin_scale_free():
@@ -462,3 +476,184 @@ def test_chain_reports_hint_use():
     assert chain.complete
     assert chain.chart(2).hint_used
     assert any("accepted" in n for n in chain.notes)
+
+
+# -- stacked margin, pivot and supplement kernels -----------------------------
+#
+# The references below are the per-point loops these kernels replaced. The
+# one departure: a point whose coframe is not finite gets margin 0, where
+# the loop's SVD raised for the whole batch.
+
+
+def _reference_margins(omega_vals, q, indices, tol):
+    out = np.zeros(len(omega_vals))
+    for p in range(len(omega_vals)):
+        w = omega_vals[p][list(indices), :].astype(float)
+        if not np.all(np.isfinite(omega_vals[p])):
+            continue
+        scale = np.linalg.svd(omega_vals[p], compute_uv=False)[0]
+        if scale <= 0 or not math.isfinite(scale):
+            continue
+        qp = q[p]
+        if qp.shape[0] and np.all(np.isfinite(qp)):
+            _, s, vt = np.linalg.svd(qp, full_matrices=False)
+            keep = s > tol * (s[0] if s.size and s[0] > 0 else 1.0)
+            basis = vt[keep]
+            w = w - (w @ basis.T) @ basis
+        sv = np.linalg.svd(w, compute_uv=False)
+        out[p] = (sv[-1] if sv.size else scale) / scale
+    return out
+
+
+def _reference_validity(chart, pts):
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    omega_vals = chart.scene.omega_at(pts)
+    N = chart.scene.ambient_dim
+    margins = np.full(len(pts), np.inf)
+    for p, om in enumerate(omega_vals):
+        if not np.all(np.isfinite(om)):
+            margins[p] = 0.0
+            continue
+        if chart.pivot.rows:
+            sub = om[list(chart.pivot.rows), :][:, list(chart.pivot.cols)]
+            smin = np.linalg.svd(sub, compute_uv=False)[-1]
+            smax = np.linalg.svd(om, compute_uv=False)[0]
+            margins[p] = min(margins[p], smin / smax if smax > 0 else 0.0)
+    for idx, sup in enumerate(chart.supplements):
+        base = chart.equations[: chart.scene.equation_count(idx)]
+        flat = [differentiate(e, s) for e in base for s in range(N)]
+        q = eval_block(flat, pts).T.reshape(len(pts), len(base), N)
+        margins = np.minimum(
+            margins, _reference_margins(omega_vals, q, sup.indices, chart.scene.tol_rank)
+        )
+    return margins
+
+
+def _reference_pivot(sc, point):
+    n, N = sc.n, sc.ambient_dim
+    mat = sc.omega_at(point)[0]
+    best = None
+    for rows in combinations(range(n), n - 1):
+        sub_rows = mat[list(rows), :]
+        for cols in combinations(range(N), n - 1):
+            d = float(np.linalg.det(sub_rows[:, list(cols)]))
+            if best is None or abs(d) > abs(best.value):
+                best = PivotSelection(rows, cols, d)
+    return best
+
+
+def _reference_supplement(sc, base, depth, anchor):
+    n, N = sc.n, sc.ambient_dim
+    r = n - depth + 1
+    anchor = np.asarray(anchor, dtype=float)
+    flat = [differentiate(eq, s) for eq in base for s in range(N)]
+    q = eval_block(flat, anchor).reshape(len(base), N)
+    base_rank = numeric_rank(q, sc.tol_rank).rank if q.size else 0
+    omega_vals = sc.omega_at(anchor)
+    best = None
+    for subset in combinations(range(n), r):
+        stack = np.vstack([q, omega_vals[0][list(subset), :]])
+        if numeric_rank(stack, sc.tol_rank).rank != base_rank + r:
+            continue
+        margin = float(_reference_margins(omega_vals, q[None], subset, sc.tol_rank)[0])
+        if best is None or margin > best.margin:
+            best = SupplementSelection(subset, margin)
+    return best
+
+
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 1e-9, 4e6]),
+    st.floats(-10.0, 10.0, allow_subnormal=False),
+)
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _margin_inputs(draw):
+    """Coframe values (P, n, N), base gradients (P, E, N) and one row subset;
+    some points carry a nan or inf in the coframe or in the gradients, and
+    some gradient blocks repeat a row so the kept span varies in size."""
+    P = draw(st.integers(0, 6))
+    n = draw(st.integers(1, 4))
+    N = draw(st.integers(n, 5))
+    E = draw(st.integers(0, 4))
+    omega = draw(hnp.arrays(float, (P, n, N), elements=_ENTRY))
+    q = draw(hnp.arrays(float, (P, E, N), elements=_ENTRY))
+    if E > 1:
+        for p in range(P):
+            if draw(st.booleans()):
+                q[p, -1] = draw(st.sampled_from([1.0, 1e-10])) * q[p, 0]
+    for p in range(P):
+        where = draw(st.sampled_from(["none", "none", "coframe", "gradients"]))
+        if where == "coframe":
+            omega[p, draw(st.integers(0, n - 1)), draw(st.integers(0, N - 1))] = draw(_SPECIAL)
+        elif where == "gradients" and E:
+            q[p, draw(st.integers(0, E - 1)), draw(st.integers(0, N - 1))] = draw(_SPECIAL)
+    size = draw(st.integers(1, n))
+    indices = tuple(sorted(draw(st.permutations(range(n)))[:size]))
+    return omega, q, indices
+
+
+@given(_margin_inputs(), st.sampled_from([1e-8, 1e-2, 0.3]))
+@settings(max_examples=200, deadline=None)
+def test_projected_margins_are_bitwise_the_per_point_loop(inputs, tol):
+    omega, q, indices = inputs
+    got = _projected_margins(omega[:, list(indices), :], q, _coframe_scale(omega), tol)
+    assert got.tobytes() == _reference_margins(omega, q, indices, tol).tobytes()
+
+
+_TORUS_POINTS = st.lists(
+    st.tuples(*[st.floats(-5.0, 5.0, allow_subnormal=False)] * 3)
+    | st.sampled_from([(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (3.0, -3.0, 0.0)]),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(_TORUS_POINTS)
+@settings(max_examples=60, deadline=None)
+def test_chart_kernels_are_bitwise_the_per_point_loops(points):
+    # the torus coframe is nan on the x2 = x3 = 0 pole line
+    sc = scene("torus")
+    chain = build_chain_at(sc, (3.0, -3.0, 0.0))
+    for chart in chain.charts:
+        got = chart.validity_margin(points)
+        assert got.tobytes() == _reference_validity(chart, points).tobytes()
+    with np.errstate(invalid="ignore"):
+        for p in points:
+            got, want = select_pivot(sc, p), _reference_pivot(sc, p)
+            assert (got.rows, got.cols) == (want.rows, want.cols)
+            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    for p in points:
+        # on the pole both refuse the nan matrices with the same error
+        outcomes = []
+        for select in (select_supplement, _reference_supplement):
+            try:
+                outcomes.append(select(sc, sc.constraints, 2, p))
+            except ValueError as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1]
+
+
+@given(st.lists(st.tuples(*[st.floats(-2.0, 2.0, allow_subnormal=False)] * 3), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_pivot_and_supplement_are_bitwise_the_loops_on_swallowtail(points):
+    sc = scene("swallowtail")
+    chain = build_chain_at(sc, (0.0, 0.0, 0.0))
+    for p in points:
+        got, want = select_pivot(sc, p), _reference_pivot(sc, p)
+        assert (got.rows, got.cols, got.value) == (want.rows, want.cols, want.value)
+        for depth in (2, 3):
+            base = chain.chart(depth - 1).equations[: sc.equation_count(depth - 2)]
+            assert select_supplement(sc, base, depth, p) == _reference_supplement(sc, base, depth, p)
+
+
+def test_margins_on_the_torus_pole_are_zero_not_an_error():
+    # x2 = x3 = 0 makes the coframe nan; the SVD used to fail the whole batch
+    sc = scene("torus")
+    chain = build_chain_at(sc, (3.0, -3.0, 0.0))
+    pts = np.array([[0.0, 0.0, 0.0], [3.0, -3.0, 0.0]])
+    for chart in chain.charts:
+        margins = chart.validity_margin(pts)
+        assert margins[0] == 0.0
+        assert margins[1] == chart.validity_margin(pts[1])[0] > 0.0

@@ -25,13 +25,16 @@ from morin.solver import (
     TracedCurve,
     _cell_slope,
     _face_dilation,
+    _lattice_chunks,
     _local_slope,
     _scan_box,
     _scan_clusters,
     greedy_dedup,
     grid_oracle,
+    cell_centers,
     grid_seeds,
     in_box,
+    lattice_points,
     match_point_sets,
     solve_points,
     trace_curves,
@@ -517,6 +520,21 @@ def test_cascade_evaluates_later_equations_only_near_open_cells(monkeypatch):
         assert 0 < points[k] <= np.count_nonzero(ndimage.binary_dilation(open_before))
     # at this resolution the first equation already closes most cells
     assert sum(points) < 1.5 * resolution**3
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("resolution", [16, 17, 64, 128])
+def test_dense_chunks_are_bitwise_lattice_points(dim, resolution):
+    axes = cell_centers(((-1.3, 2.0), (0.1, 0.7), (-5.0, -4.9))[:dim], resolution)
+    total = resolution**dim
+    for chunk in sorted({_SCAN_CHUNK, 4097, 7 if total <= 5000 else _SCAN_CHUNK}):
+        covered = 0
+        for start, pts in _lattice_chunks(axes, chunk):
+            assert start == covered and len(pts) == min(chunk, total - start)
+            want = lattice_points(axes, np.arange(start, start + len(pts)))
+            assert pts.shape == want.shape and pts.tobytes() == want.tobytes()
+            covered += len(pts)
+        assert covered == total
 
 
 def test_oracle_memory_stays_at_one_level():
