@@ -22,7 +22,17 @@ from itertools import combinations
 
 import numpy as np
 
-from .expr import const, differentiate, eval_block, mul, simplify, sub, symbolic_determinant, var
+from .expr import (
+    System,
+    const,
+    differentiate,
+    eval_block,
+    mul,
+    simplify,
+    sub,
+    symbolic_determinant,
+    var,
+)
 from .linalg import RankReport, determinant, least_squares, numeric_rank
 from .model import (
     VALIDITY_FACTOR,
@@ -33,7 +43,6 @@ from .model import (
     draw_covector,
 )
 from .solver import (
-    SolveOptions,
     cell_centers,
     greedy_dedup,
     grid_seeds,
@@ -70,15 +79,6 @@ def _unit_rows(mat: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(mat, axis=1)
     keep = norms > 0
     return mat[keep] / norms[keep, None]
-
-
-def _gradient_rows(equations, point: np.ndarray) -> np.ndarray:
-    N = len(point)
-    flat = [differentiate(e, s) for e in equations for s in range(N)]
-    if not flat:
-        return np.zeros((0, N))
-    vals = eval_block(flat, point.reshape(1, -1))[:, 0]
-    return vals.reshape(len(equations), N)
 
 
 def _null_space(rows: np.ndarray) -> np.ndarray:
@@ -191,9 +191,9 @@ def _membership(scene: Scene, expr, point: np.ndarray) -> tuple:
     Uses the first-order distance |value| / |gradient| relative to the box
     diameter. A vanishing gradient falls back to the absolute residual.
     """
-    vals = eval_block([expr], point.reshape(1, -1))[:, 0]
-    value = abs(float(vals[0]))
-    grad = _gradient_rows([expr], point)[0]
+    system = System([expr], len(point))
+    value = abs(float(system.values(point)[0, 0]))
+    grad = system.jacobian(point)[0, 0]
     gnorm = float(np.linalg.norm(grad))
     diam = scene.box_diameter()
     if gnorm * diam <= value * 1e-12:
@@ -220,7 +220,7 @@ def classify_point(scene: Scene, point) -> Classification:
     """
     x = np.asarray(point, dtype=float)
     omega_vals = scene.omega_at(x)[0]
-    base_grads = _gradient_rows(scene.constraints, x)
+    base_grads = System(scene.constraints, len(x)).jacobian(x)[0]
     if not (np.all(np.isfinite(omega_vals)) and np.all(np.isfinite(base_grads))):
         return Classification(
             x, "inconclusive", -1, (), {}, note="coframe values not finite here"
@@ -284,7 +284,7 @@ def classify_point(scene: Scene, point) -> Classification:
     for k in range(1, chain.depth + 1):
         prev_eqs = scene.constraints if k == 1 else chain.chart(k - 1).equations
         dim, trust = _intersection_dim(
-            omega_vals, base_grads, _gradient_rows(prev_eqs, x), scene.tol_rank
+            omega_vals, base_grads, System(prev_eqs, len(x)).jacobian(x)[0], scene.tol_rank
         )
         dims.append(dim)
         if trust != "yes" or dim != k - 1:
@@ -388,13 +388,7 @@ def compute_strata(
     notes: list = []
 
     first = corank_system(scene)
-    opts = SolveOptions(
-        box=scene.box,
-        grid=min(scene.grid, sample_grid),
-        tol_residual=scene.tol_residual,
-        tol_rank=scene.tol_rank,
-        dedup_radius=5e-3,
-    )
+    opts = scene.solve_options(min(scene.grid, sample_grid), dedup_radius=5e-3)
     outcome = solve_points(first, opts)
     sigma1 = outcome.coordinates()
     samples = {1: sigma1 if len(sigma1) else np.zeros((0, scene.ambient_dim))}
@@ -527,13 +521,7 @@ def check_corank1(scene: Scene, samples: int = 300) -> dict:
         "inconclusive": [],
     }
     per_axis = max(8, int(round(samples ** (1.0 / N))))
-    opts = SolveOptions(
-        box=scene.box,
-        grid=per_axis,
-        tol_residual=scene.tol_residual,
-        tol_rank=scene.tol_rank,
-        dedup_radius=1e-4,
-    )
+    opts = scene.solve_options(per_axis, dedup_radius=1e-4)
     if scene.constraints:
         projected = solve_points(scene.constraints, opts)
         pts = projected.coordinates()
@@ -541,9 +529,10 @@ def check_corank1(scene: Scene, samples: int = 300) -> dict:
         pts = grid_seeds(scene.box, per_axis, cap=samples * 4)
     report["manifold_samples"] = int(len(pts))
     cut = scene.tol_rank * _omega_scale(scene)
+    constraints = System(scene.constraints, N)
     for p in np.asarray(pts, dtype=float).reshape(-1, N):
         omega_vals = scene.omega_at(p)[0]
-        base = _gradient_rows(scene.constraints, p)
+        base = constraints.jacobian(p)[0]
         if not (np.all(np.isfinite(omega_vals)) and np.all(np.isfinite(base))):
             continue
         restriction = omega_vals @ _null_space(base) if len(base) else omega_vals
@@ -558,7 +547,7 @@ def check_corank1(scene: Scene, samples: int = 300) -> dict:
     report["sigma1_points"] = len(sigma1.points)
     for sp in sigma1.points:
         chain = build_chain_at(scene, sp.x, max_depth=1)
-        grads = _gradient_rows(chain.chart(1).equations, sp.x)
+        grads = System(chain.chart(1).equations, N).jacobian(sp.x)[0]
         rep = numeric_rank(_unit_rows(grads), scene.tol_rank)
         verdict = _trusted(rep, len(chain.chart(1).equations))
         if verdict == "no":
@@ -582,7 +571,7 @@ def check_corank1(scene: Scene, samples: int = 300) -> dict:
         hits = solve_points(deep, opts)
         for sp in hits.points:
             omega_vals = scene.omega_at(sp.x)[0]
-            base = _gradient_rows(scene.constraints, sp.x)
+            base = constraints.jacobian(sp.x)[0]
             restriction = omega_vals @ _null_space(base) if len(base) else omega_vals
             corank, measured = _restriction_corank(restriction, n, cut)
             if corank >= 2 and measured >= TRUST_GAP:
@@ -667,7 +656,7 @@ def check_morin(
                 )
                 verdict = "inconclusive" if verdict == "morin" else verdict
                 continue
-            grads = _gradient_rows(chain.chart(k).equations, cls.x)
+            grads = System(chain.chart(k).equations, scene.ambient_dim).jacobian(cls.x)[0]
             rep = numeric_rank(_unit_rows(grads), scene.tol_rank)
             trust = _trusted(rep, len(chain.chart(k).equations))
             det = (
@@ -783,10 +772,10 @@ def _multiplier_seeds(scene: Scene, equations, xi_exprs, xs: np.ndarray) -> np.n
     if not len(xs):
         return np.zeros((0, scene.ambient_dim + len(equations)))
     xi_vals = eval_block(xi_exprs, xs).T
+    grads = System(equations, scene.ambient_dim).jacobian(xs)
     seeds = []
-    for i, x in enumerate(xs):
-        G = _gradient_rows(equations, x)
-        lam = least_squares(G.T, xi_vals[i], scene.tol_rank).solution if len(G) else []
+    for x, G, xi in zip(xs, grads, xi_vals):
+        lam = least_squares(G.T, xi, scene.tol_rank).solution if len(G) else []
         seeds.append(np.concatenate([x, np.asarray(lam, dtype=float)]))
     return np.array(seeds)
 
@@ -800,12 +789,7 @@ def find_xi_zeros(scene: Scene, weights) -> list:
     """
     xi = _covector_exprs(scene, weights)
     system = list(scene.constraints) + xi
-    opts = SolveOptions(
-        box=scene.box,
-        grid=min(scene.grid, 14),
-        tol_residual=scene.tol_residual,
-        tol_rank=scene.tol_rank,
-    )
+    opts = scene.solve_options(min(scene.grid, 14))
     outcome = solve_points(system, opts)
     records = []
     for sp in outcome.points:
@@ -873,13 +857,7 @@ def find_restricted_zeros(
             continue
         stacked = np.vstack(pool)
         seeds = _multiplier_seeds(scene, equations, xi, stacked)
-        opts = SolveOptions(
-            box=scene.box,
-            grid=min(scene.grid, 12),
-            tol_residual=scene.tol_residual,
-            tol_rank=scene.tol_rank,
-            dedup_radius=1e-6,
-        )
+        opts = scene.solve_options(min(scene.grid, 12), dedup_radius=1e-6)
         outcome = solve_points(
             system, opts, seeds=seeds, var_dim=N + len(equations)
         )
@@ -908,10 +886,10 @@ def _verify_restricted_zero(scene: Scene, k: int, x: np.ndarray, xi_exprs) -> Ze
     chain = build_chain_at(scene, x, max_depth=k)
     if chain.depth < k:
         return None
-    equations = chain.chart(k).equations
-    resid_eqs = float(np.max(np.abs(eval_block(list(equations), x.reshape(1, -1)))))
+    system = System(chain.chart(k).equations, len(x))
+    resid_eqs = float(np.max(np.abs(system.values(x))))
     xi_vals = eval_block(xi_exprs, x.reshape(1, -1))[:, 0]
-    G = _gradient_rows(equations, x)
+    G = system.jacobian(x)[0]
     ls = least_squares(G.T, xi_vals, scene.tol_rank)
     resid = max(resid_eqs, ls.residual_norm)
     scale = max(1.0, float(np.max(np.abs(xi_vals))), float(np.max(np.abs(G))))
@@ -964,15 +942,14 @@ def nondegeneracy(
         equations = list(chain.chart(k).equations)
         lam = np.asarray(record.multipliers, dtype=float)
         if len(lam) != len(equations):
-            G = _gradient_rows(equations, record.x)
+            G = System(equations, N).jacobian(record.x)[0]
             xi_vals = eval_block(xi, record.x.reshape(1, -1))[:, 0]
             lam = least_squares(G.T, xi_vals, scene.tol_rank).solution
 
     system = _multiplier_system(scene, equations, xi)
     q = len(equations)
     joint = np.concatenate([record.x, lam])
-    flat = [differentiate(e, t) for e in system for t in range(N + q)]
-    J = eval_block(flat, joint.reshape(1, -1))[:, 0].reshape(len(system), N + q)
+    J = System(system, N + q).jacobian(joint)[0]
     rep = numeric_rank(_unit_rows(J), scene.tol_rank)
     verdict = _trusted(rep, N + q)
     det = determinant(J) if J.shape[0] == J.shape[1] else 0.0
@@ -1094,16 +1071,11 @@ def manifold_reaches_boundary(scene: Scene, resolution: int = 48) -> bool:
         return True
     box = scene.box
     pts = lattice_points(cell_centers(box, resolution))
-    vals = np.max(np.abs(eval_block(list(scene.constraints), pts)), axis=0)
+    constraints = System(scene.constraints, scene.ambient_dim)
+    vals = np.max(np.abs(constraints.values(pts)), axis=1)
     cell = np.array([(hi - lo) / resolution for lo, hi in box])
     half_diag = 0.5 * float(np.linalg.norm(cell))
-    flat = [
-        differentiate(e, s)
-        for e in scene.constraints
-        for s in range(scene.ambient_dim)
-    ]
-    gv = eval_block(flat, pts).reshape(len(scene.constraints), scene.ambient_dim, -1)
-    grads = np.max(np.linalg.norm(gv, axis=1), axis=0)
+    grads = np.max(np.linalg.norm(constraints.jacobian(pts), axis=2), axis=1)
     suspect = vals <= 1.5 * grads * half_diag + 10.0 * scene.tol_residual
     shell = np.zeros(len(pts), dtype=bool)
     for axis, (lo, hi) in enumerate(box):
@@ -1130,14 +1102,8 @@ def euler_via_morse(scene: Scene, seed: int = 0) -> int:
     g = scene.constraints[0]
     N = 3
     grad_exprs = [differentiate(g, s) for s in range(N)]
-    hess_exprs = [[differentiate(grad_exprs[s], t) for t in range(N)] for s in range(N)]
-    opts = SolveOptions(
-        box=scene.box,
-        grid=min(scene.grid, 12),
-        tol_residual=scene.tol_residual,
-        tol_rank=scene.tol_rank,
-        dedup_radius=1e-5,
-    )
+    gradient = System(grad_exprs, N)
+    opts = scene.solve_options(min(scene.grid, 12), dedup_radius=1e-5)
     surface = solve_points(scene.constraints, opts).coordinates()
     if not len(surface):
         raise AnalysisError("no surface points found in the box")
@@ -1147,7 +1113,7 @@ def euler_via_morse(scene: Scene, seed: int = 0) -> int:
         system = [simplify(g)]
         for s in range(N):
             system.append(simplify(sub(const(float(a[s])), mul(var(N), grad_exprs[s]))))
-        grads = eval_block(grad_exprs, surface).T
+        grads = gradient.values(surface)
         lam0 = (grads @ a) / np.maximum(np.einsum("ij,ij->i", grads, grads), 1e-30)
         seeds = np.column_stack([surface, lam0])
         outcome = solve_points(system, opts, seeds=seeds, var_dim=N + 1)
@@ -1157,10 +1123,8 @@ def euler_via_morse(scene: Scene, seed: int = 0) -> int:
         degenerate = False
         for sp in outcome.points:
             x, lam = sp.x[:N], sp.x[N]
-            grad = np.array([v[0] for v in eval_block(grad_exprs, x.reshape(1, -1))])
-            hess = np.array(
-                [[eval_block([hess_exprs[s][t]], x.reshape(1, -1))[0, 0] for t in range(N)] for s in range(N)]
-            )
+            grad = gradient.values(x)[0]
+            hess = gradient.jacobian(x)[0]
             tangent = _null_space(grad.reshape(1, -1))
             restricted = tangent.T @ (-lam * hess) @ tangent
             rep = numeric_rank(restricted, scene.tol_rank)

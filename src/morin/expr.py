@@ -4,8 +4,8 @@ Small exact-arithmetic expression kernel used by the rest of the package:
 rational constants, the four arithmetic operations, nonnegative integer
 powers, and a handful of analytic functions (sqrt, sin, cos, exp, log).
 It provides parsing, structural simplification, differentiation, batched
-numeric evaluation over numpy point arrays, and determinants of symbolic
-matrices.
+numeric evaluation over numpy point arrays, equation systems with their
+Jacobians (``System``), and determinants of symbolic matrices.
 
 Expression trees are immutable. Three properties are load-bearing for the
 callers and are covered by the test suite:
@@ -24,7 +24,7 @@ import math
 import operator
 from collections import OrderedDict
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -974,6 +974,8 @@ def _diff_node(n: Expr, v: int) -> Expr:
     if isinstance(n, Var):
         return _ONE if n.index == v else _ZERO
     if isinstance(n, Pow):
+        if n.exponent == 0:  # parse keeps "x^0"; power() cannot take -1
+            return _ZERO
         db = n.base._deriv[v]
         return mul(mul(Const(n.exponent), power(n.base, n.exponent - 1)), db)
     if isinstance(n, Unary):
@@ -1204,6 +1206,30 @@ def eval_block(exprs: Sequence[Expr], points, strict: bool = False) -> np.ndarra
 def evaluate(e: Expr, point, strict: bool = True) -> float:
     """Evaluate a single expression at a single point."""
     return float(eval_block([e], np.asarray(point, dtype=float), strict=strict)[0, 0])
+
+
+class System:
+    """Equations in ``dim`` variables, evaluated with their Jacobian.
+
+    ``values(P)`` has shape (P, m) and ``jacobian(P)`` shape (P, m, dim);
+    both take one point as a 1-D array too. The partial derivatives are
+    built on the first ``jacobian`` call, equation-major, and reused.
+    """
+
+    def __init__(self, equations: Iterable[Expr], dim: int):
+        self.equations = tuple(equations)
+        self.dim = dim
+
+    @cached_property
+    def _partials(self) -> tuple:
+        return tuple(differentiate(e, s) for e in self.equations for s in range(self.dim))
+
+    def values(self, points) -> np.ndarray:
+        return eval_block(self.equations, points).T
+
+    def jacobian(self, points) -> np.ndarray:
+        vals = eval_block(self._partials, points)
+        return vals.T.reshape(vals.shape[1], len(self.equations), self.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,9 @@ def _rank_report(sv: np.ndarray, tol: float) -> RankReport:
     elif rank == 0:
         gap = 0.0
     else:
-        gap = math.inf if sv[rank] == 0.0 else float(sv[rank - 1] / sv[rank])
+        # a gap past the float range (sv[rank] subnormal) is an infinite one
+        with np.errstate(over="ignore"):
+            gap = math.inf if sv[rank] == 0.0 else float(sv[rank - 1] / sv[rank])
     margin = float(sv[-1] / (tol * smax))
     return RankReport(rank, sv, tol, gap, margin)
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from .expr import (
     Expr,
+    System,
     differentiate,
     eval_block,
     format_expr,
@@ -147,6 +148,19 @@ class Scene:
 
     def box_diameter(self) -> float:
         return float(np.linalg.norm([hi - lo for lo, hi in self.box]))
+
+    def solve_options(self, grid: int, **fields):
+        """Solver settings over this scene's box and tolerances; ``fields``
+        sets the remaining ``SolveOptions`` fields."""
+        from .solver import SolveOptions
+
+        return SolveOptions(
+            box=self.box,
+            grid=grid,
+            tol_residual=self.tol_residual,
+            tol_rank=self.tol_rank,
+            **fields,
+        )
 
     # -- evaluation helpers --------------------------------------------
 
@@ -404,7 +418,11 @@ def select_pivot(scene: Scene, point) -> PivotSelection:
     subsets = list(product(combinations(range(n), k), combinations(range(N), k)))
     rows = np.array([r for r, _ in subsets])
     cols = np.array([c for _, c in subsets])
-    dets = np.linalg.det(mat[rows[:, :, None], cols[:, None, :]]).tolist()
+    # det sums the logs of the LU pivots, so a singular minor warns on its
+    # way to an exact 0, and a coframe that is not finite here on its way
+    # to a nan that loses every comparison below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dets = np.linalg.det(mat[rows[:, :, None], cols[:, None, :]]).tolist()
     best = None
     for (r, c), d in zip(subsets, dets):
         if best is None or abs(d) > abs(best.value):
@@ -465,7 +483,7 @@ class StratumChart:
         return self.new_equations[0] if self.depth >= 2 else None
 
     def residuals(self, points) -> np.ndarray:
-        return eval_block(self.equations, points).T
+        return System(self.equations, self.scene.ambient_dim).values(points)
 
     def validity_margin(self, points) -> np.ndarray:
         """Dimensionless chart-quality margin at each point.
@@ -498,7 +516,7 @@ class StratumChart:
                 margins,
                 _projected_margins(
                     omega_vals[:, list(sup.indices), :],
-                    _gradient_stack(self.scene, base, pts),
+                    System(base, self.scene.ambient_dim).jacobian(pts),
                     scale,
                     self.scene.tol_rank,
                 ),
@@ -536,8 +554,7 @@ def build_sigma1_chart(scene: Scene, pivot: PivotSelection, anchor) -> StratumCh
         raise SceneError("not enough bordered minors to cut the first stratum")
 
     candidates = list(scene.constraints) + [e for _, e in minors]
-    flat = [differentiate(e, s) for e in candidates for s in range(N)]
-    grads = eval_block(flat, anchor)[:, 0].reshape(len(candidates), N)
+    grads = System(candidates, N).jacobian(anchor)[0]
     minor_grads = grads[len(scene.constraints):]
 
     basis: list = []
@@ -604,15 +621,6 @@ class SupplementSelection:
     margin: float
 
 
-def _gradient_stack(scene: Scene, equations, pts) -> np.ndarray:
-    """Gradients of ``equations`` at each point, shape (P, len(equations), N)."""
-    N = scene.ambient_dim
-    if not equations:
-        return np.zeros((len(pts), 0, N))
-    flat = [differentiate(eq, s) for eq in equations for s in range(N)]
-    return eval_block(flat, pts).T.reshape(len(pts), len(equations), N)
-
-
 def _projected_margins(w, q, scale, tol_rank: float) -> np.ndarray:
     """Supplement margins: the smallest singular value of each block of
     selected raw coframe rows ``w[p]`` after projection off the row span of
@@ -656,15 +664,18 @@ def select_supplement(
     Subsets failing the rank test (stacked rank must exceed the base rank
     by exactly the subset size) are excluded; among the rest the largest
     margin wins, ties going to the lexicographically first subset. Returns
-    None when no subset qualifies at this anchor. The subsets are ranked
-    and measured as one stack each.
+    None when no subset qualifies at this anchor, or when the coframe or
+    the base gradients are not finite there. The subsets are ranked and
+    measured as one stack each.
     """
     n = scene.n
     r = n - depth + 1
     anchor = np.asarray(anchor, dtype=float).reshape(1, -1)
-    q = _gradient_stack(scene, base_equations, anchor)
-    base_rank = numeric_rank(q[0], scene.tol_rank).rank if q.size else 0
+    q = System(base_equations, scene.ambient_dim).jacobian(anchor)
     omega_vals = scene.omega_at(anchor)
+    if not (np.isfinite(q).all() and np.isfinite(omega_vals).all()):
+        return None
+    base_rank = numeric_rank(q[0], scene.tol_rank).rank if q.size else 0
     subsets = list(combinations(range(n), r))
     rows = omega_vals[0][np.array(subsets)]
     stacks = np.concatenate([np.repeat(q, len(subsets), axis=0), rows], axis=1)
@@ -771,7 +782,7 @@ def build_chain(
     The chain stops early (``complete`` False, reason in ``notes``) when a
     stratum yields no usable samples or no supplement qualifies.
     """
-    from .solver import SolveOptions, solve_points
+    from .solver import solve_points
 
     anchor = np.asarray(anchor, dtype=float)
     if hints is None:
@@ -786,13 +797,7 @@ def build_chain(
 
     for k in range(2, depth_cap + 1):
         prev = charts[-1]
-        opts = SolveOptions(
-            box=scene.box,
-            grid=min(scene.grid, sample_grid),
-            tol_residual=scene.tol_residual,
-            tol_rank=scene.tol_rank,
-            dedup_radius=1e-3,
-        )
+        opts = scene.solve_options(min(scene.grid, sample_grid), dedup_radius=1e-3)
         outcome = solve_points(prev.equations, opts, audits=prev.audits)
         if not outcome.points:
             notes.append(f"depth {k}: no samples found on the previous stratum")

@@ -18,14 +18,14 @@ Everything here is deterministic: no randomness, stable orderings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import ndimage
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
-from .expr import Expr, differentiate, eval_block, simplify
+from .expr import System, eval_block, simplify
 from .linalg import RankReport, numeric_ranks
 
 _SEED_CAP = 24_000  # total Gauss-Newton seeds, keeps dense grids tractable
@@ -83,22 +83,8 @@ class SolveOutcome:
         return np.array([p.x for p in self.points])
 
 
-def _compile(system) -> list:
-    return [simplify(e) for e in system]
-
-
-def _eval_rows(exprs, pts) -> np.ndarray:
-    """Evaluate expressions at points, result (P, len(exprs))."""
-    return eval_block(exprs, pts).T
-
-
-def _jacobian_exprs(system, dim: int) -> list:
-    return [differentiate(eq, s) for eq in system for s in range(dim)]
-
-
-def _eval_jacobian(jac_flat, pts, n_eqs: int, dim: int) -> np.ndarray:
-    vals = eval_block(jac_flat, pts)
-    return vals.T.reshape(len(pts), n_eqs, dim)
+def _compile(system, dim: int) -> System:
+    return System([simplify(e) for e in system], dim)
 
 
 def greedy_dedup(pts, radius: float) -> list:
@@ -181,12 +167,11 @@ def solve_points(
     times the residual tolerance. Duplicates are merged keeping the lower
     residual; the result is ordered lexicographically by coordinates.
     """
-    eqs = _compile(system)
-    n_eqs = len(eqs)
     boxed = len(opts.box)
     dim = boxed if var_dim is None else var_dim
     if dim < boxed:
         raise ValueError("var_dim smaller than the box dimension")
+    eqs = _compile(system, dim)
     if seeds is None:
         if dim != boxed:
             raise ValueError("seeds are required when variables exceed the box")
@@ -204,7 +189,6 @@ def solve_points(
     if not len(X):
         return SolveOutcome([], stats)
 
-    jac_flat = _jacobian_exprs(eqs, dim)
     center = np.array([(lo + hi) / 2 for lo, hi in opts.box])
     escape = _ESCAPE_FACTOR * max(opts.diameter, 1.0)
     lam = np.full(len(X), 1e-10)
@@ -217,7 +201,7 @@ def solve_points(
         if not idx.size:
             break
         P = X[idx]
-        R = _eval_rows(eqs, P)
+        R = eqs.values(P)
         finite = np.all(np.isfinite(R), axis=1)
         resnorm = np.where(finite, np.max(np.abs(R), axis=1, initial=0.0), np.inf)
         conv = finite & (resnorm <= opts.tol_residual)
@@ -233,7 +217,7 @@ def solve_points(
             continue
         sub = idx[live]
         P, R = P[live], R[live]
-        J = _eval_jacobian(jac_flat, P, n_eqs, dim)
+        J = eqs.jacobian(P)
         bad_j = ~np.all(np.isfinite(J.reshape(len(P), -1)), axis=1)
         if np.any(bad_j):
             active[sub[bad_j]] = False
@@ -264,7 +248,7 @@ def solve_points(
             if not np.any(trial):
                 break
             cand = P[trial] - alpha[trial, None] * step[trial]
-            Rc = _eval_rows(eqs, cand)
+            Rc = eqs.values(cand)
             ok = np.all(np.isfinite(Rc), axis=1)
             newnorm = np.where(ok, np.linalg.norm(np.nan_to_num(Rc), axis=1), np.inf)
             good = newnorm <= old[trial] * (1.0 - 1e-4 * alpha[trial])
@@ -288,7 +272,7 @@ def solve_points(
     its = np.array([d[3] for d in done])
 
     # strict recheck (paranoia against accumulation in the batched path)
-    R = _eval_rows(eqs, pts)
+    R = eqs.values(pts)
     strict = np.all(np.isfinite(R), axis=1) & (
         np.max(np.abs(R), axis=1, initial=0.0) <= opts.tol_residual
     )
@@ -296,7 +280,7 @@ def solve_points(
     stats["out_of_box"] = int(np.count_nonzero(strict & ~inside))
     keep = strict & inside
     if audits:
-        audit_vals = _eval_rows(_compile(audits), pts)
+        audit_vals = _compile(audits, dim).values(pts)
         audit_ok = np.all(
             np.abs(np.nan_to_num(audit_vals, nan=np.inf))
             <= 10.0 * opts.tol_residual,
@@ -317,7 +301,7 @@ def solve_points(
 
     order = np.lexsort(pts.T[::-1])
     pts, res, its = pts[order], res[order], its[order]
-    ranks = numeric_ranks(_eval_jacobian(jac_flat, pts, n_eqs, dim), opts.tol_rank)
+    ranks = numeric_ranks(eqs.jacobian(pts), opts.tol_rank)
     points = [
         SolvedPoint(
             x=pts[i],
@@ -366,16 +350,16 @@ def _curve_tangent(J: np.ndarray, tol: float) -> np.ndarray | None:
     return vt[-1]
 
 
-def _correct(eqs, jac_flat, x, n_eqs, dim, tol, max_iter=10):
+def _correct(eqs: System, x, tol, max_iter=10):
     """Project a predictor point back onto the solution set."""
     x = x.copy()
     for it in range(max_iter):
-        r = _eval_rows(eqs, x.reshape(1, -1))[0]
+        r = eqs.values(x)[0]
         if not np.all(np.isfinite(r)):
             return None, it
         if np.max(np.abs(r), initial=0.0) <= tol:
             return x, it
-        J = _eval_jacobian(jac_flat, x.reshape(1, -1), n_eqs, dim)[0]
+        J = eqs.jacobian(x)[0]
         if not np.all(np.isfinite(J)):
             return None, it
         step, *_ = np.linalg.lstsq(J, r, rcond=None)
@@ -383,7 +367,7 @@ def _correct(eqs, jac_flat, x, n_eqs, dim, tol, max_iter=10):
     return None, max_iter
 
 
-def _trace_one(eqs, jac_flat, n_eqs, dim, start, direction, opts, h0, max_steps):
+def _trace_one(eqs: System, start, direction, opts, h0, max_steps):
     """Trace from ``start`` along ``direction`` until closure, exit, or stall.
 
     Returns (vertices list excluding start, closed, boundary, collapsed).
@@ -396,7 +380,7 @@ def _trace_one(eqs, jac_flat, n_eqs, dim, start, direction, opts, h0, max_steps)
     h = h0
     closed = boundary = collapsed = False
     for step_no in range(max_steps):
-        J = _eval_jacobian(jac_flat, x.reshape(1, -1), n_eqs, dim)[0]
+        J = eqs.jacobian(x)[0]
         t = _curve_tangent(J, opts.tol_rank)
         if t is None:
             break
@@ -404,7 +388,7 @@ def _trace_one(eqs, jac_flat, n_eqs, dim, start, direction, opts, h0, max_steps)
             t = -t
         moved = None
         while h >= h_min:
-            cand, iters = _correct(eqs, jac_flat, x + h * t, n_eqs, dim, tol)
+            cand, iters = _correct(eqs, x + h * t, tol)
             if cand is not None and np.linalg.norm(cand - x) > 0.1 * h:
                 moved = cand
                 if iters <= 3:
@@ -440,19 +424,11 @@ def trace_curves(
     component are consumed. Curves come back sorted by their smallest
     vertex, closed loops first as traced.
     """
-    eqs = _compile(system)
     dim = len(opts.box)
-    n_eqs = len(eqs)
-    jac_flat = _jacobian_exprs(eqs, dim)
+    eqs = _compile(system, dim)
     if seeds is None:
-        sample_opts = SolveOptions(
-            box=opts.box,
-            grid=min(opts.grid, 12),
-            tol_residual=opts.tol_residual,
-            tol_rank=opts.tol_rank,
-            dedup_radius=2e-3,
-        )
-        seeds = solve_points(eqs, sample_opts).coordinates()
+        sample_opts = replace(opts, grid=min(opts.grid, 12), dedup_radius=2e-3)
+        seeds = solve_points(eqs.equations, sample_opts).coordinates()
     seeds = np.asarray(seeds, dtype=float).reshape(-1, dim)
     if not len(seeds):
         return []
@@ -464,23 +440,19 @@ def trace_curves(
         if consumed[i]:
             continue
         consumed[i] = True
-        x0, _ = _correct(eqs, jac_flat, seeds[i], n_eqs, dim, 10 * opts.tol_residual)
+        x0, _ = _correct(eqs, seeds[i], 10 * opts.tol_residual)
         if x0 is None:
             continue
-        J = _eval_jacobian(jac_flat, x0.reshape(1, -1), n_eqs, dim)[0]
+        J = eqs.jacobian(x0)[0]
         t0 = _curve_tangent(J, opts.tol_rank)
         if t0 is None:
             continue
-        fwd, closed, bnd_f, col_f = _trace_one(
-            eqs, jac_flat, n_eqs, dim, x0, t0, opts, h0, max_steps
-        )
+        fwd, closed, bnd_f, col_f = _trace_one(eqs, x0, t0, opts, h0, max_steps)
         if closed:
             pts = np.array([x0] + fwd + [x0])
             curve = TracedCurve(pts, True, False, col_f)
         else:
-            bwd, _, bnd_b, col_b = _trace_one(
-                eqs, jac_flat, n_eqs, dim, x0, -t0, opts, h0, max_steps
-            )
+            bwd, _, bnd_b, col_b = _trace_one(eqs, x0, -t0, opts, h0, max_steps)
             pts = np.array(list(reversed(bwd)) + [x0] + fwd)
             curve = TracedCurve(pts, False, bnd_f and bnd_b, col_f or col_b)
         curves.append(curve)
@@ -642,7 +614,7 @@ def grid_oracle(
     clusters, so memory stays at about one level's arrays, whatever the
     depth.
     """
-    eqs = _compile(system)
+    eqs = [simplify(e) for e in system]
     dim = len(box)
     if not eqs:
         # every cell stays open, so each level rescans the whole box, and

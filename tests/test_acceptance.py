@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from morin.analysis import (
-    _gradient_rows,
     _unit_rows,
     check_morin,
     euler_congruence,
@@ -22,7 +21,7 @@ from morin.analysis import (
     find_xi_zeros,
 )
 from morin.cli import main
-from morin.expr import differentiate, eval_block, evaluate
+from morin.expr import System, differentiate, eval_block, evaluate
 from morin.linalg import numeric_rank
 from morin.model import build_chain_at, corank_system, draw_covector, load_scene
 from morin.solver import grid_oracle, match_point_sets
@@ -69,7 +68,7 @@ def test_01_hyperboloid_cusp_pair_with_full_rank_stack(
         ratios.append(abs(w["stack_det"]) / (4.0 * abs(p[0])))
         assert w["rank_margin"] >= 1e4
         chain = build_chain_at(hyperboloid_scene, p)
-        grads = _gradient_rows(chain.chart(2).equations, p)
+        grads = System(chain.chart(2).equations, len(p)).jacobian(p)[0]
         rep = numeric_rank(_unit_rows(grads), hyperboloid_scene.tol_rank)
         assert rep.full
         assert min(rep.full_rank_margin, rep.gap_ratio) >= 1e4

@@ -21,6 +21,7 @@ from morin.expr import (
     ExpressionTooLarge,
     ParseError,
     Pow,
+    System,
     Unary,
     Var,
     const,
@@ -562,10 +563,55 @@ def test_derivatives_match_finite_differences():
 def test_derivative_of_constant_in_variable():
     e = parse("x1^2 + 4", NAMES)
     assert differentiate(e, 2) == Const(0)
+    assert differentiate(parse("x1^0", NAMES), 0) == Const(0)
 
 
 def test_variables_used():
     assert variables_used(parse("x1*x3 + 2", NAMES)) == {0, 2}
+
+
+# -- systems ----------------------------------------------------------------
+
+_SYSTEM_PTS = np.vstack(
+    [PTS[:6], [[0.0, 0.0, 0.0], [math.nan, 1.0, -1.0], [math.inf, -math.inf, 2.0]]]
+)
+
+
+def per_entry_system(eqs, dim, pts):
+    """Values (P, m) and Jacobian (P, m, dim), one ``eval_block`` call per
+    entry."""
+    values = np.empty((len(pts), len(eqs)))
+    jacobian = np.empty((len(pts), len(eqs), dim))
+    for i, e in enumerate(eqs):
+        values[:, i] = eval_block([e], pts)[0]
+        for s in range(dim):
+            jacobian[:, i, s] = eval_block([differentiate(e, s)], pts)[0]
+    return values, jacobian
+
+
+@given(st.lists(_random_exprs, max_size=3), st.sampled_from([3, 4]))
+@example([], 3)
+@example([Unary("neg", Pow(var(0), 0))], 3)
+@example([Pow(Unary("cos", var(0)), 2)], 3)
+@settings(max_examples=120, deadline=None)
+def test_system_is_bitwise_the_per_entry_reference(eqs, dim):
+    # a fourth column feeds a variable no equation uses: its partials are 0
+    pts = np.hstack([_SYSTEM_PTS, np.full((len(_SYSTEM_PTS), dim - 3), 0.5)])
+    want_values, want_jacobian = per_entry_system(eqs, dim, pts)
+    system = System(eqs, dim)
+    got = system.values(pts)
+    assert "_partials" not in vars(system)  # values alone never differentiate
+    assert got.shape == (len(pts), len(eqs))
+    assert got.tobytes() == want_values.tobytes()
+    got = system.jacobian(pts)
+    assert got.shape == (len(pts), len(eqs), dim)
+    assert got.tobytes() == want_jacobian.tobytes()
+    # one point as a 1-D array is a batch of one; the reference takes the
+    # batch too, since a nan's sign bit can depend on the batch length
+    for p in (0, 7, 8):
+        want_values, want_jacobian = per_entry_system(eqs, dim, pts[p : p + 1])
+        assert system.values(pts[p]).tobytes() == want_values.tobytes()
+        assert system.jacobian(pts[p]).tobytes() == want_jacobian.tobytes()
 
 
 # -- symbolic determinants --------------------------------------------------
