@@ -17,7 +17,7 @@ surface as ``inconclusive`` rather than as confident claims.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -36,6 +36,7 @@ from .expr import (
 from .linalg import RankReport, determinant, least_squares, numeric_rank
 from .model import (
     VALIDITY_FACTOR,
+    ChartChain,
     Scene,
     build_chain,
     build_chain_at,
@@ -64,11 +65,9 @@ class AnalysisError(RuntimeError):
 
 def _trusted(report: RankReport, rank: int) -> str:
     """Tri-state verdict for the claim ``numeric rank == rank``."""
-    if report.rank != rank:
-        measured = report.gap_ratio if not report.full else report.full_rank_margin
-        return "no" if measured >= TRUST_GAP else "inconclusive"
-    measured = report.full_rank_margin if report.full else report.gap_ratio
-    return "yes" if measured >= TRUST_GAP else "inconclusive"
+    if not report.margin >= TRUST_GAP:
+        return "inconclusive"
+    return "yes" if report.rank == rank else "no"
 
 
 def _unit_rows(mat: np.ndarray) -> np.ndarray:
@@ -146,11 +145,7 @@ def _intersection_dim(omega_vals, base_grads, conormal_grads, tol) -> tuple:
         dim_ab = ra.rank + rb.rank - rab.rank
     else:
         dim_ab = 0
-    trust = "yes"
-    for rep in reports:
-        measured = rep.full_rank_margin if rep.full else rep.gap_ratio
-        if measured < TRUST_GAP:
-            trust = "inconclusive"
+    trust = "inconclusive" if any(rep.margin < TRUST_GAP for rep in reports) else "yes"
     return dim_aw - dim_ab, trust
 
 
@@ -165,7 +160,9 @@ class Classification:
     ``depth`` is the stratum depth (0 for regular, -1 when inconclusive).
     ``intersection_dims`` holds, for each depth reached, the dimension of
     the intersection between the coframe row span and the conormal of the
-    previous stratum; a depth-k point must show 0, 1, …, k-1.
+    previous stratum; a depth-k point must show 0, 1, …, k-1. ``chain`` is
+    the chart chain the walk used, built at ``x``; None when the walk
+    stopped before building one. Reports leave it out.
     """
 
     x: np.ndarray
@@ -174,6 +171,7 @@ class Classification:
     intersection_dims: tuple
     margins: dict
     note: str = ""
+    chain: ChartChain | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -210,10 +208,10 @@ def _membership(scene: Scene, expr, point: np.ndarray) -> tuple:
 def classify_point(scene: Scene, point) -> Classification:
     """Walk the stratum tower at one point and name its type.
 
-    The chart chain is rebuilt with every selection made at the point
+    The chart chain is built with every selection made at the point
     itself, so membership is judged by the best-adapted chart available
     (a chart carried over from elsewhere can degenerate here and vouch
-    for points it should reject). The walk stops at the first depth whose
+    for points it should reject); the result keeps it. The walk stops at the first depth whose
     determinant clearly misses the point; a verdict inside the refusal
     band, an untrusted rank, or an intersection dimension off its
     expected value yields ``inconclusive``.
@@ -272,10 +270,10 @@ def classify_point(scene: Scene, point) -> Classification:
             verdict, _ = _membership(scene, e, x)
             if verdict == "no":
                 return Classification(
-                    x, "regular", 0, (), margins, note="off the first stratum"
+                    x, "regular", 0, (), margins, "off the first stratum", chain
                 )
         return Classification(
-            x, "inconclusive", -1, (), margins, note="first chart residual unclear"
+            x, "inconclusive", -1, (), margins, "first chart residual unclear", chain
         )
 
     depth = 1
@@ -314,18 +312,12 @@ def classify_point(scene: Scene, point) -> Classification:
         depth = k + 1
     if inconclusive_note:
         return Classification(
-            x, "inconclusive", -1, tuple(dims), margins, note=inconclusive_note
+            x, "inconclusive", -1, tuple(dims), margins, inconclusive_note, chain
         )
     if not chain.complete and depth == chain.depth and depth < min(scene.max_depth, n):
-        return Classification(
-            x,
-            "inconclusive",
-            -1,
-            tuple(dims),
-            margins,
-            note="; ".join(chain.notes) or "chain stopped early",
-        )
-    return Classification(x, f"A{depth}", depth, tuple(dims), margins)
+        note = "; ".join(chain.notes) or "chain stopped early"
+        return Classification(x, "inconclusive", -1, tuple(dims), margins, note, chain)
+    return Classification(x, f"A{depth}", depth, tuple(dims), margins, chain=chain)
 
 
 # ---------------------------------------------------------------------------
@@ -645,20 +637,11 @@ def check_morin(
             break
 
         for cls in strata.exact_depth(k):
-            chain = build_chain_at(scene, cls.x)
-            if chain.depth < k:
-                witnesses.append(
-                    {
-                        "depth": k,
-                        "point": [float(v) for v in cls.x],
-                        "reason": "no chart chain reaches this depth here",
-                    }
-                )
-                verdict = "inconclusive" if verdict == "morin" else verdict
-                continue
-            grads = System(chain.chart(k).equations, scene.ambient_dim).jacobian(cls.x)[0]
+            # the walk that found depth k ran on a chain reaching it
+            equations = cls.chain.chart(k).equations
+            grads = System(equations, scene.ambient_dim).jacobian(cls.x)[0]
             rep = numeric_rank(_unit_rows(grads), scene.tol_rank)
-            trust = _trusted(rep, len(chain.chart(k).equations))
+            trust = _trusted(rep, len(equations))
             det = (
                 determinant(grads)
                 if grads.shape[0] == grads.shape[1]
@@ -690,9 +673,7 @@ def check_morin(
                         "depth": k,
                         "point": [float(v) for v in cls.x],
                         "reason": "conditions hold",
-                        "rank_margin": float(
-                            rep.full_rank_margin if rep.full else rep.gap_ratio
-                        ),
+                        "rank_margin": float(rep.margin),
                         "stack_det": None if det is None else float(det),
                     }
                 )
@@ -719,7 +700,8 @@ class ZeroRecord:
     depth k >= 1 means the restriction to the depth-k stratum, where the
     zero condition is expressed through multipliers against the chart
     equations. ``flags`` lists every cross-check violation; nothing is
-    silently dropped.
+    silently dropped. ``equations`` are the chart equations the zero was
+    verified on (the constraints at depth 0); reports leave them out.
     """
 
     x: np.ndarray
@@ -730,6 +712,7 @@ class ZeroRecord:
     nondegenerate: str = "inconclusive"
     bordered_det: float = 0.0
     flags: tuple = ()
+    equations: tuple = ()
 
     def as_dict(self) -> dict:
         return {
@@ -809,6 +792,7 @@ def find_xi_zeros(scene: Scene, weights) -> list:
                 residual=sp.residual,
                 classification=cls,
                 flags=tuple(flags),
+                equations=scene.constraints,
             )
         )
     return records
@@ -826,8 +810,8 @@ def find_restricted_zeros(
     States the critical-point condition with multipliers over every chart
     equation of the stratum (constraints included) and solves in the
     joint point-multiplier space, seeding from the stratum samples. Each
-    solution is re-verified against a chart rebuilt at the point itself:
-    the multipliers must reproduce the covector there, and a
+    solution is re-verified on the chart its classification built at the
+    point itself: the multipliers must reproduce the covector there, and a
     rank-deficient multiplier solve marks the record inconclusive instead
     of trusting it.
     """
@@ -839,9 +823,7 @@ def find_restricted_zeros(
     N = scene.ambient_dim
     diam = scene.box_diameter()
 
-    seeds_x = [strata.samples.get(k, np.zeros((0, N)))]
-    seeds_x.append(strata.samples.get(1, np.zeros((0, N))) if k == 1 else np.zeros((0, N)))
-    xs = np.vstack([s for s in seeds_x if len(s)]) if any(len(s) for s in seeds_x) else None
+    xs = strata.samples.get(k, np.zeros((0, N)))
 
     candidates: list = []
     for chain in strata.chains or []:
@@ -850,12 +832,9 @@ def find_restricted_zeros(
         equations = chain.chart(k).equations
         system = _multiplier_system(scene, equations, xi)
         chart_samples = chain.chart(k).samples
-        pool = [xs] if xs is not None else []
-        if chart_samples is not None and len(chart_samples):
-            pool.append(np.asarray(chart_samples))
-        if not pool:
+        stacked = xs if chart_samples is None else np.vstack([xs, chart_samples])
+        if not len(stacked):
             continue
-        stacked = np.vstack(pool)
         seeds = _multiplier_seeds(scene, equations, xi, stacked)
         opts = scene.solve_options(min(scene.grid, 12), dedup_radius=1e-6)
         outcome = solve_points(
@@ -879,14 +858,19 @@ def find_restricted_zeros(
 
 
 def _verify_restricted_zero(scene: Scene, k: int, x: np.ndarray, xi_exprs) -> ZeroRecord | None:
-    """Re-anchored verification of one restricted-zero candidate."""
+    """Re-anchored verification of one restricted-zero candidate, on the
+    chain its classification built at ``x``."""
     cls = classify_point(scene, x)
     if cls.kind == "regular" or (0 <= cls.depth < k):
         return None
-    chain = build_chain_at(scene, x, max_depth=k)
+    chain = cls.chain
+    if chain is None or chain.depth < k:
+        # the walk stopped before building a chain, or at the scene's depth cap
+        chain = build_chain_at(scene, x, max_depth=k)
     if chain.depth < k:
         return None
-    system = System(chain.chart(k).equations, len(x))
+    equations = chain.chart(k).equations
+    system = System(equations, len(x))
     resid_eqs = float(np.max(np.abs(system.values(x))))
     xi_vals = eval_block(xi_exprs, x.reshape(1, -1))[:, 0]
     G = system.jacobian(x)[0]
@@ -909,6 +893,7 @@ def _verify_restricted_zero(scene: Scene, k: int, x: np.ndarray, xi_exprs) -> Ze
         residual=float(resid),
         classification=cls,
         flags=tuple(flags),
+        equations=equations,
     )
 
 
@@ -923,56 +908,18 @@ def nondegeneracy(
     is exactly the bordered matrix (covector Jacobian minus multiplier
     curvature, bordered by the chart equation gradients), so the zero is
     nondegenerate precisely when that square matrix has full rank with a
-    trusted margin. The raw determinant is recorded alongside. Returns a
-    new record; the input is not mutated.
+    trusted margin. The raw determinant is recorded alongside. The chart
+    is the one the zero was verified on; at depth 0 the multipliers are
+    zero. Returns a new record; the input is not mutated.
     """
-    xi = _covector_exprs(scene, weights)
     N = scene.ambient_dim
-    k = record.stratum_depth
-    if k == 0:
-        equations = list(scene.constraints)
-        lam = np.zeros(len(equations))
-    else:
-        chain = build_chain_at(scene, record.x, max_depth=k)
-        if chain.depth < k:
-            return ZeroRecord(
-                **{**_record_fields(record), "nondegenerate": "inconclusive",
-                   "flags": record.flags + ("no chart chain at the zero",)}
-            )
-        equations = list(chain.chart(k).equations)
-        lam = np.asarray(record.multipliers, dtype=float)
-        if len(lam) != len(equations):
-            G = System(equations, N).jacobian(record.x)[0]
-            xi_vals = eval_block(xi, record.x.reshape(1, -1))[:, 0]
-            lam = least_squares(G.T, xi_vals, scene.tol_rank).solution
-
-    system = _multiplier_system(scene, equations, xi)
-    q = len(equations)
-    joint = np.concatenate([record.x, lam])
-    J = System(system, N + q).jacobian(joint)[0]
+    q = len(record.equations)
+    lam = np.asarray(record.multipliers, dtype=float) if record.stratum_depth else np.zeros(q)
+    system = _multiplier_system(scene, record.equations, _covector_exprs(scene, weights))
+    J = System(system, N + q).jacobian(np.concatenate([record.x, lam]))[0]
     rep = numeric_rank(_unit_rows(J), scene.tol_rank)
-    verdict = _trusted(rep, N + q)
     det = determinant(J) if J.shape[0] == J.shape[1] else 0.0
-    return ZeroRecord(
-        **{
-            **_record_fields(record),
-            "nondegenerate": {"yes": "yes", "no": "no"}.get(verdict, "inconclusive"),
-            "bordered_det": float(det),
-        }
-    )
-
-
-def _record_fields(record: ZeroRecord) -> dict:
-    return {
-        "x": record.x,
-        "stratum_depth": record.stratum_depth,
-        "multipliers": record.multipliers,
-        "residual": record.residual,
-        "classification": record.classification,
-        "nondegenerate": record.nondegenerate,
-        "bordered_det": record.bordered_det,
-        "flags": record.flags,
-    }
+    return replace(record, nondegenerate=_trusted(rep, N + q), bordered_det=float(det))
 
 
 def zero_census(

@@ -319,9 +319,6 @@ def _cmp(a: Expr, b: Expr) -> int:
     return 0
 
 
-_cmp_key = cmp_to_key(_cmp)
-
-
 # ---------------------------------------------------------------------------
 # Parsing.
 #

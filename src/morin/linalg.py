@@ -82,6 +82,12 @@ class RankReport:
     def full(self) -> bool:
         return self.rank == len(self.singular_values)
 
+    @property
+    def margin(self) -> float:
+        """How far the decision sits from its cutoff: ``full_rank_margin``
+        at full rank, else ``gap_ratio``."""
+        return self.full_rank_margin if self.full else self.gap_ratio
+
 
 def numeric_rank(a, tol: float = DEFAULT_RANK_TOL) -> RankReport:
     """Numeric rank of ``a`` with gap diagnostics.

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, product
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -836,20 +836,9 @@ def build_chain(
             notes.append(f"depth {k}: {hint_note}")
 
         charts.append(
-            StratumChart(
-                scene=scene,
-                depth=k,
-                equations=prev.equations + (delta,),
-                new_equations=(delta,),
-                audits=prev.audits,
-                pivot=pivot,
-                supplements=prev.supplements + (supplement,),
-                anchor=np.asarray(anchor_k, dtype=float),
-                selected_cols=prev.selected_cols,
-                audit_cols=prev.audit_cols,
-                samples=samples,
-                hint_used=hint_used,
-                hint_note=hint_note,
+            _next_chart(
+                prev, supplement, delta, anchor_k,
+                samples=samples, hint_used=hint_used, hint_note=hint_note,
             )
         )
     return ChartChain(scene, tuple(charts), True, tuple(notes))
@@ -885,21 +874,26 @@ def build_chain_at(
             notes.append(f"depth {k}: no coframe supplement qualifies here")
             return ChartChain(scene, tuple(charts), False, tuple(notes))
         delta = _chart_delta(scene, prev, supplement)
-        charts.append(
-            StratumChart(
-                scene=scene,
-                depth=k,
-                equations=prev.equations + (delta,),
-                new_equations=(delta,),
-                audits=prev.audits,
-                pivot=pivot,
-                supplements=prev.supplements + (supplement,),
-                anchor=point,
-                selected_cols=prev.selected_cols,
-                audit_cols=prev.audit_cols,
-            )
-        )
+        charts.append(_next_chart(prev, supplement, delta, point))
     return ChartChain(scene, tuple(charts), True, tuple(notes))
+
+
+def _next_chart(
+    prev: StratumChart, supplement: SupplementSelection, delta: Expr, anchor, **fields
+) -> StratumChart:
+    """The chart one depth deeper than ``prev``: its equations plus
+    ``delta``, anchored at ``anchor``. Every other field carries over from
+    ``prev`` (the pivot, the audits, the minor columns) unless ``fields``
+    sets it."""
+    return replace(
+        prev,
+        depth=prev.depth + 1,
+        equations=prev.equations + (delta,),
+        new_equations=(delta,),
+        supplements=prev.supplements + (supplement,),
+        anchor=np.asarray(anchor, dtype=float),
+        **fields,
+    )
 
 
 def _chart_delta(scene: Scene, prev: StratumChart, supplement: SupplementSelection) -> Expr:

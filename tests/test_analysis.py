@@ -8,6 +8,7 @@ a well-behaved frame from one whose depth determinant dies identically.
 """
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,12 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morin.analysis import (
+    TRUST_GAP,
     AnalysisError,
+    _covector_exprs,
     _farthest_subset,
+    _intersection_dim,
     _membership,
+    _multiplier_system,
+    _trusted,
+    _unit_rows,
     check_corank1,
     check_morin,
     classify_point,
+    compute_strata,
     euler_congruence,
     euler_via_morse,
     find_restricted_zeros,
@@ -29,7 +37,10 @@ from morin.analysis import (
     nondegeneracy,
     zero_census,
 )
-from morin.solver import match_point_sets
+from morin.expr import System, eval_block
+from morin.linalg import RankReport, determinant, least_squares, numeric_rank
+from morin.model import build_chain_at, draw_covector
+from morin.solver import match_point_sets, solve_points
 
 TORUS_CUSPS = np.array(
     [[-3.0, 3.0, 0.0], [-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [3.0, -3.0, 0.0]]
@@ -95,6 +106,24 @@ def test_classification_serializes(torus_scene):
     d = classify_point(torus_scene, [3.0, -3.0, 0.0]).as_dict()
     assert set(d) == {"x", "kind", "depth", "intersection_dims", "note"}
     assert all(isinstance(v, float) for v in d["x"])
+
+
+def test_classification_keeps_the_chain_it_walked(
+    torus_scene, torus_strata, swallowtail_scene
+):
+    cases = [(torus_scene, p) for p in TORUS_CUSPS]
+    cases += [(torus_scene, p) for p in torus_strata.samples[1][:4]]
+    cases.append((swallowtail_scene, np.zeros(3)))
+    for scene, x in cases:
+        walked = classify_point(scene, x).chain
+        rebuilt = build_chain_at(scene, x)
+        assert walked.depth == rebuilt.depth
+        for k in range(1, rebuilt.depth + 1):
+            got, expected = walked.chart(k).equations, rebuilt.chart(k).equations
+            assert len(got) == len(expected)
+            assert all(a is b for a, b in zip(got, expected))
+    # the walk stops before any chain where the coframe is not finite
+    assert classify_point(torus_scene, (0.0, 0.0, 0.0)).chain is None
 
 
 # -- stratum towers -----------------------------------------------------------
@@ -194,6 +223,84 @@ def test_nondegeneracy_returns_new_record(torus_scene):
     assert out.nondegenerate == "yes"
 
 
+def test_restricted_zero_seeds_each_sample_once(torus_scene, torus_strata):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["seeds"])
+        return solve_points(*args, **kwargs)
+
+    with patch("morin.analysis.solve_points", spy):
+        find_restricted_zeros(torus_scene, 1, [1.0, 0.0], strata=torus_strata)
+    samples = torus_strata.samples[1]
+    assert seen and len(samples)
+    for seeds in seen:
+        assert len(np.unique(seeds, axis=0)) == len(seeds)
+        assert np.array_equal(seeds[:, : torus_scene.ambient_dim], samples)
+
+
+def _reference_trusted(report, rank):
+    """The trust rule with each branch spelled out: the reference for
+    ``_trusted`` and ``RankReport.margin``."""
+    if report.rank != rank:
+        measured = report.gap_ratio if not report.full else report.full_rank_margin
+        return "no" if measured >= TRUST_GAP else "inconclusive"
+    measured = report.full_rank_margin if report.full else report.gap_ratio
+    return "yes" if measured >= TRUST_GAP else "inconclusive"
+
+
+def _reference_nondegeneracy(scene, record, weights):
+    """Nondegeneracy with the chart chain rebuilt at the zero, and the
+    multipliers solved again when their count disagrees with the chart's:
+    the reference for the chart a record keeps. Returns the verdict, the
+    bits of the bordered determinant and the flags."""
+    xi = _covector_exprs(scene, weights)
+    N = scene.ambient_dim
+    k = record.stratum_depth
+    if k == 0:
+        equations = list(scene.constraints)
+        lam = np.zeros(len(equations))
+    else:
+        chain = build_chain_at(scene, record.x, max_depth=k)
+        if chain.depth < k:
+            return "inconclusive", None, record.flags + ("no chart chain at the zero",)
+        equations = list(chain.chart(k).equations)
+        lam = np.asarray(record.multipliers, dtype=float)
+        if len(lam) != len(equations):
+            G = System(equations, N).jacobian(record.x)[0]
+            xi_vals = eval_block(xi, record.x.reshape(1, -1))[:, 0]
+            lam = least_squares(G.T, xi_vals, scene.tol_rank).solution
+    system = _multiplier_system(scene, equations, xi)
+    q = len(equations)
+    J = System(system, N + q).jacobian(np.concatenate([record.x, lam]))[0]
+    rep = numeric_rank(_unit_rows(J), scene.tol_rank)
+    det = determinant(J) if J.shape[0] == J.shape[1] else 0.0
+    return _reference_trusted(rep, N + q), np.float64(det).tobytes(), record.flags
+
+
+def _assert_reference_nondegeneracy(scene, records, weights):
+    assert records
+    for record in records:
+        out = nondegeneracy(scene, record, weights)
+        got = (out.nondegenerate, np.float64(out.bordered_det).tobytes(), out.flags)
+        assert got == _reference_nondegeneracy(scene, record, weights)
+
+
+def test_nondegeneracy_matches_the_chain_rebuilding_reference(
+    torus_scene, torus_strata, sphere_v_scene
+):
+    weights = [1.0, 0.0]
+    records = find_xi_zeros(torus_scene, weights)
+    records += find_restricted_zeros(torus_scene, 1, weights, strata=torus_strata)
+    assert {r.stratum_depth for r in records} == {0, 1}
+    _assert_reference_nondegeneracy(torus_scene, records, weights)
+    # the records of `zeros sphere_v --stratum 1`
+    scene = sphere_v_scene
+    weights = scene.covector or draw_covector(scene.n, scene.rng_seed)
+    records = find_restricted_zeros(scene, 1, weights, strata=compute_strata(scene))
+    _assert_reference_nondegeneracy(scene, records, weights)
+
+
 def test_restricted_depth_out_of_range_raises(torus_scene):
     with pytest.raises(AnalysisError):
         find_restricted_zeros(torus_scene, 5, [1.0, 0.0])
@@ -233,6 +340,33 @@ def test_boundary_surrogate(torus_scene, hyperboloid_scene):
 
 
 # -- helpers ------------------------------------------------------------------
+
+
+_MARGINS = st.one_of(
+    st.sampled_from([0.0, TRUST_GAP, math.nan, math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_REPORTS = st.builds(
+    lambda rank, size, gap, margin: RankReport(rank, np.ones(size), 1e-8, gap, margin),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    _MARGINS,
+    _MARGINS,
+)
+
+
+@given(st.lists(_REPORTS, min_size=5, max_size=5), st.integers(0, 4), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_trust_rule_matches_the_spelled_out_formulas(reports, rank, with_base):
+    for rep in reports:
+        assert _trusted(rep, rank) == _reference_trusted(rep, rank)
+    # _intersection_dim ranks three stacks, or five when there is a base
+    used = reports if with_base else reports[:3]
+    base = np.ones((1, 3)) if with_base else np.zeros((0, 3))
+    with patch("morin.analysis.numeric_rank", side_effect=used):
+        _, trust = _intersection_dim(np.eye(3), base, np.ones((2, 3)), 1e-8)
+    weakest = [r.full_rank_margin if r.full else r.gap_ratio for r in used]
+    assert trust == ("inconclusive" if any(m < TRUST_GAP for m in weakest) else "yes")
 
 
 def test_membership_tri_state(torus_scene):
