@@ -371,8 +371,9 @@ def compute_strata(
     Depth 1 comes from the pivot-free corank system (every maximal minor),
     so no chart choice can hide part of it. Deeper strata are proposed by
     chart chains anchored at a farthest-point subset of the depth-1
-    samples, then every candidate is re-verified by
-    :func:`classify_point`, which rebuilds the chain at the candidate.
+    samples, each distinct chain listed once, then every candidate is
+    re-verified by :func:`classify_point`, which rebuilds the chain at the
+    candidate.
     Chart-boundary impostors (points where a foreign chart degenerates)
     fail that re-anchored test and are dropped.
     """
@@ -404,10 +405,13 @@ def compute_strata(
     if depth_cap < 2:
         return StrataResult(scene, [], points, curves, samples, notes)
 
+    # anchors that make the same depth-1 selection share one chain
     anchors = samples[1][_farthest_subset(samples[1], anchor_count)]
     chains = []
     for anchor in anchors:
         chain = build_chain(scene, anchor, max_depth=depth_cap, sample_grid=sample_grid)
+        if chain in chains:
+            continue
         chains.append(chain)
         for note in chain.notes:
             if note not in notes:
@@ -432,13 +436,15 @@ def compute_strata(
                 extra = build_chain(
                     scene, prev[idx], max_depth=depth_cap, sample_grid=sample_grid
                 )
-                chains.append(extra)
-                for note in extra.notes:
-                    if note not in notes:
-                        notes.append(note)
-                if extra.depth >= k:
-                    active.append(extra)
-                    covered |= extra.chart(k).validity_margin(prev) >= 1e-2
+                # a chain already listed is already counted in ``covered``
+                if extra not in chains:
+                    chains.append(extra)
+                    for note in extra.notes:
+                        if note not in notes:
+                            notes.append(note)
+                    if extra.depth >= k:
+                        active.append(extra)
+                        covered |= extra.chart(k).validity_margin(prev) >= 1e-2
                 covered[idx] = True
                 added += 1
         # Grid seeds alone can all fall into a foreign chart's spurious zero

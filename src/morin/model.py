@@ -15,8 +15,11 @@ numeric layer as an explicit list of ambient equations:
 
 Chart data is only trustworthy where the pivot minor and the supplement
 stay nondegenerate; every chart therefore exposes a dimensionless validity
-margin, and chain construction records anchors and the sample clouds used
-for hint audits so callers can re-anchor when a margin collapses.
+margin, and chain construction records the sample clouds used for hint
+audits. A chain depends on its anchor only through the depth-1 selection
+(pivot and minor columns), so anchors that make the same selection share
+one chain; callers re-anchor where a margin collapses by building a chain
+at a point that selects differently.
 
 A scene used down to depth k needs k+1 continuous derivatives; this is
 documented, not enforced.
@@ -223,10 +226,11 @@ class Scene:
         ``key``.
 
         For pieces that depend on the scene alone: bordered minors, depth
-        determinants, the coframe scale. Charts built at the same
-        selections then share one expression object, so derivative and
-        evaluation-plan caches hit by identity. ``dataclasses.replace``
-        starts a new scene with an empty memo.
+        determinants, the coframe scale, the chart chain of each depth-1
+        selection. Charts built at the same selections then share one
+        expression object, so derivative and evaluation-plan caches hit by
+        identity. ``dataclasses.replace`` starts a new scene with an empty
+        memo.
         """
         try:
             return self._memo[key]
@@ -471,7 +475,6 @@ class StratumChart:
     audits: tuple
     pivot: PivotSelection
     supplements: tuple  # SupplementSelection per depth 2..depth
-    anchor: np.ndarray
     selected_cols: tuple = ()
     audit_cols: tuple = ()
     samples: np.ndarray | None = None
@@ -599,7 +602,6 @@ def build_sigma1_chart(scene: Scene, pivot: PivotSelection, anchor) -> StratumCh
         audits=audits,
         pivot=pivot,
         supplements=(),
-        anchor=anchor,
         selected_cols=tuple(minors[i][0] for i in chosen),
         audit_cols=tuple(minors[i][0] for i in remaining),
     )
@@ -722,7 +724,7 @@ def build_delta(scene: Scene, prev_equations, supplement: SupplementSelection) -
 
 @dataclass(eq=False)
 class ChartChain:
-    """Charts for depths 1..K around one anchor, deepest first built last."""
+    """Charts for depths 1..K for one depth-1 selection, deepest built last."""
 
     scene: Scene
     charts: tuple
@@ -770,20 +772,24 @@ def build_chain(
     sample_grid: int = 12,
     hints: Mapping | None = None,
 ) -> ChartChain:
-    """Build charts depth by depth around ``anchor``.
+    """Build charts depth by depth from ``anchor``.
 
-    The anchor should lie on (or very near) the first stratum. Deeper
-    anchors are chosen automatically: the previous system is sampled over
-    the scene box, samples are filtered by chart validity, and the sample
-    with the largest margin anchors the next supplement selection. User
-    hint equations replace the automatic determinant only after the
-    value-proportionality audit over those samples passes.
+    The anchor should lie on (or very near) the first stratum; it fixes
+    the depth-1 selection (pivot and minor columns) and nothing else.
+    Deeper anchors are chosen automatically: the previous system is
+    sampled over the scene box, samples are filtered by chart validity,
+    and the sample with the largest margin anchors the next supplement
+    selection. User hint equations replace the automatic determinant only
+    after the value-proportionality audit over those samples passes.
 
     The chain stops early (``complete`` False, reason in ``notes``) when a
     stratum yields no usable samples or no supplement qualifies.
-    """
-    from .solver import solve_points
 
+    Everything below depth 1 follows from the selection, the depth cap,
+    ``sample_grid`` and the hints, so the chain is built once per scene
+    for each of them: anchors that select alike get the same
+    ``ChartChain``, whose depth-1 chart is the first such anchor's.
+    """
     anchor = np.asarray(anchor, dtype=float)
     if hints is None:
         hints = scene.hints
@@ -792,9 +798,28 @@ def build_chain(
 
     pivot = select_pivot(scene, anchor)
     chart = build_sigma1_chart(scene, pivot, anchor)
+    key = (
+        "chain",
+        pivot.rows,
+        pivot.cols,
+        chart.selected_cols,
+        depth_cap,
+        sample_grid,
+        tuple(sorted(hints.items())),
+    )
+    return scene.memo(
+        key, lambda: _sampled_chain(scene, chart, depth_cap, sample_grid, hints)
+    )
+
+
+def _sampled_chain(
+    scene: Scene, chart: StratumChart, depth_cap: int, sample_grid: int, hints: Mapping
+) -> ChartChain:
+    """``build_chain`` below its depth-1 chart ``chart``."""
+    from .solver import solve_points
+
     charts = [chart]
     notes: list = []
-
     for k in range(2, depth_cap + 1):
         prev = charts[-1]
         opts = scene.solve_options(min(scene.grid, sample_grid), dedup_radius=1e-3)
@@ -812,12 +837,10 @@ def build_chain(
         order = np.argsort(-margins, kind="stable")
 
         supplement = None
-        anchor_k = None
         base = prev.equations[: scene.equation_count(k - 2)]
         for idx in order[:8]:
-            cand = select_supplement(scene, base, k, samples[idx])
-            if cand is not None:
-                supplement, anchor_k = cand, samples[idx]
+            supplement = select_supplement(scene, base, k, samples[idx])
+            if supplement is not None:
                 break
         if supplement is None:
             notes.append(f"depth {k}: no coframe supplement qualifies at any anchor")
@@ -837,7 +860,7 @@ def build_chain(
 
         charts.append(
             _next_chart(
-                prev, supplement, delta, anchor_k,
+                prev, supplement, delta,
                 samples=samples, hint_used=hint_used, hint_note=hint_note,
             )
         )
@@ -874,24 +897,22 @@ def build_chain_at(
             notes.append(f"depth {k}: no coframe supplement qualifies here")
             return ChartChain(scene, tuple(charts), False, tuple(notes))
         delta = _chart_delta(scene, prev, supplement)
-        charts.append(_next_chart(prev, supplement, delta, point))
+        charts.append(_next_chart(prev, supplement, delta))
     return ChartChain(scene, tuple(charts), True, tuple(notes))
 
 
 def _next_chart(
-    prev: StratumChart, supplement: SupplementSelection, delta: Expr, anchor, **fields
+    prev: StratumChart, supplement: SupplementSelection, delta: Expr, **fields
 ) -> StratumChart:
     """The chart one depth deeper than ``prev``: its equations plus
-    ``delta``, anchored at ``anchor``. Every other field carries over from
-    ``prev`` (the pivot, the audits, the minor columns) unless ``fields``
-    sets it."""
+    ``delta``. Every other field carries over from ``prev`` (the pivot,
+    the audits, the minor columns) unless ``fields`` sets it."""
     return replace(
         prev,
         depth=prev.depth + 1,
         equations=prev.equations + (delta,),
         new_equations=(delta,),
         supplements=prev.supplements + (supplement,),
-        anchor=np.asarray(anchor, dtype=float),
         **fields,
     )
 

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import ndimage
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
 from .expr import System, eval_block, simplify
@@ -166,6 +164,17 @@ def solve_points(
     (with a tiny relative slack), and every audit equation within ten
     times the residual tolerance. Duplicates are merged keeping the lower
     residual; the result is ordered lexicographically by coordinates.
+
+    A round makes two evaluation calls: the full steps, then every halving
+    1/2 ... 1/32 of the failed ones, stacked. A point takes its first step
+    that passes and keeps that step's residuals, so no iterate is
+    evaluated twice; ``eval_block`` gives a finite row the same bits in
+    any batch, so each decision is that of evaluating the trial alone.
+
+    ``stats`` puts every seed in exactly one of ``converged``, ``dropped``
+    (not finite, escaped or stalled), ``out_of_iterations``,
+    ``recheck_failed``, ``out_of_box``, ``audit_rejected`` and
+    ``deduplicated``.
     """
     boxed = len(opts.box)
     dim = boxed if var_dim is None else var_dim
@@ -182,6 +191,8 @@ def solve_points(
         "seeds": len(X),
         "converged": 0,
         "dropped": 0,
+        "out_of_iterations": 0,
+        "recheck_failed": 0,
         "out_of_box": 0,
         "audit_rejected": 0,
         "deduplicated": 0,
@@ -194,14 +205,22 @@ def solve_points(
     lam = np.full(len(X), 1e-10)
     iters = np.zeros(len(X), dtype=int)
     active = np.ones(len(X), dtype=bool)
+    resid = eqs.values(X)  # each seed's residual row at its iterate
     done: list = []
+
+    def passes(cand, old, alpha):
+        """Which trial points cut the residual norm enough, and their rows."""
+        Rc = eqs.values(cand)
+        ok = np.all(np.isfinite(Rc), axis=1)
+        newnorm = np.where(ok, np.linalg.norm(np.nan_to_num(Rc), axis=1), np.inf)
+        return newnorm <= old * (1.0 - 1e-4 * alpha), Rc
 
     for _ in range(opts.max_iterations):
         idx = np.flatnonzero(active)
         if not idx.size:
             break
         P = X[idx]
-        R = eqs.values(P)
+        R = resid[idx]
         finite = np.all(np.isfinite(R), axis=1)
         resnorm = np.where(finite, np.max(np.abs(R), axis=1, initial=0.0), np.inf)
         conv = finite & (resnorm <= opts.tol_residual)
@@ -240,29 +259,29 @@ def solve_points(
         if np.any(bad_s):
             step[bad_s] = 0.0
         old = np.linalg.norm(R, axis=1)
-        accepted = np.zeros(len(P), dtype=bool)
-        alpha = np.ones(len(P))
-        newX = P.copy()
-        for _half in range(6):
-            trial = ~accepted
-            if not np.any(trial):
-                break
-            cand = P[trial] - alpha[trial, None] * step[trial]
-            Rc = eqs.values(cand)
-            ok = np.all(np.isfinite(Rc), axis=1)
-            newnorm = np.where(ok, np.linalg.norm(np.nan_to_num(Rc), axis=1), np.inf)
-            good = newnorm <= old[trial] * (1.0 - 1e-4 * alpha[trial])
-            tpos = np.flatnonzero(trial)
-            newX[tpos[good]] = cand[good]
-            accepted[tpos[good]] = True
-            alpha[tpos[~good]] *= 0.5
+        cand = P - step
+        accepted, Rc = passes(cand, old, 1.0)
+        X[sub[accepted]] = cand[accepted]
+        resid[sub[accepted]] = Rc[accepted]
+        fail = np.flatnonzero(~accepted)
+        if fail.size:
+            # row h * len(fail) + i tries the halving h + 1 of failed point i
+            alpha = np.repeat(0.5 ** np.arange(1, 6), fail.size)
+            cand = np.tile(P[fail], (5, 1)) - alpha[:, None] * np.tile(step[fail], (5, 1))
+            good, Rc = passes(cand, np.tile(old[fail], 5), alpha)
+            good = good.reshape(5, fail.size)
+            hit = good.any(axis=0)
+            rows = (np.argmax(good, axis=0) * fail.size + np.arange(fail.size))[hit]
+            X[sub[fail[hit]]] = cand[rows]
+            resid[sub[fail[hit]]] = Rc[rows]
+            accepted[fail[hit]] = True
         lam[sub[accepted]] = np.maximum(lam[sub[accepted]] * 0.3, 1e-12)
         lam[sub[~accepted]] *= 30.0
         stalled = ~accepted & (lam[sub] > 1e6)
         active[sub[stalled]] = False
         stats["dropped"] += int(np.count_nonzero(stalled))
-        X[sub] = newX
         iters[sub] += 1
+    stats["out_of_iterations"] = int(np.count_nonzero(active))
 
     if not done:
         return SolveOutcome([], stats)
@@ -277,6 +296,7 @@ def solve_points(
         np.max(np.abs(R), axis=1, initial=0.0) <= opts.tol_residual
     )
     inside = in_box(pts, opts.box, slack=1e-9 * opts.diameter)
+    stats["recheck_failed"] = int(np.count_nonzero(~strict))
     stats["out_of_box"] = int(np.count_nonzero(strict & ~inside))
     keep = strict & inside
     if audits:
@@ -680,6 +700,8 @@ def _scan_clusters(
     whole-lattice scan of every equation gives, and so are the mask, the
     leaf argmin and the leaf bound. The lattice arrays die when this
     returns."""
+    from scipy import ndimage
+
     dim = len(box)
     half_diag = 0.5 * math.sqrt(sum(((hi - lo) / resolution) ** 2 for lo, hi in box))
     leaf = levels_left <= 1 or half_diag <= min_half_diag
@@ -755,6 +777,8 @@ def match_point_sets(found, expected, tol: float) -> dict:
     ``bijective`` is True when the sets have equal size and the optimal
     assignment pairs every point within ``tol``.
     """
+    from scipy.optimize import linear_sum_assignment
+
     report = {
         "found": len(found),
         "expected": len(expected),

@@ -8,6 +8,7 @@ a well-behaved frame from one whose depth determinant dies identically.
 """
 
 import math
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -39,7 +40,13 @@ from morin.analysis import (
 )
 from morin.expr import System, eval_block
 from morin.linalg import RankReport, determinant, least_squares, numeric_rank
-from morin.model import build_chain_at, draw_covector
+from morin.model import (
+    build_chain,
+    build_chain_at,
+    build_sigma1_chart,
+    draw_covector,
+    select_pivot,
+)
 from morin.solver import match_point_sets, solve_points
 
 TORUS_CUSPS = np.array(
@@ -153,6 +160,58 @@ def test_hyperboloid_strata_golden(hyperboloid_strata):
     assert len(curves) == 2 and not any(c.closed for c in curves)
     found = np.array([c.x for c in hyperboloid_strata.exact_depth(2)])
     assert match_point_sets(found, HYPERBOLOID_CUSPS, tol=1e-6)["bijective"]
+
+
+def test_anchors_with_one_selection_share_one_chain(torus_scene, torus_strata):
+    scene = torus_scene
+    sigma1 = torus_strata.samples[1]
+    groups: dict = {}
+    for anchor in sigma1[_farthest_subset(sigma1, 4)]:
+        pivot = select_pivot(scene, anchor)
+        selected = build_sigma1_chart(scene, pivot, anchor).selected_cols
+        groups.setdefault((pivot.rows, pivot.cols, selected), []).append(anchor)
+    assert len(groups) == 2 and max(len(g) for g in groups.values()) >= 2
+    chains = [build_chain(scene, group[0]) for group in groups.values()]
+    assert chains[0] is not chains[1]
+    listed = torus_strata.chains
+    assert all(c in listed for c in chains)
+    assert len({id(c) for c in listed}) == len(listed)
+    for group, chain in zip(groups.values(), chains):
+        assert all(build_chain(scene, a) is chain for a in group)
+        # built from the group's last anchor, on a scene with an empty memo
+        fresh = build_chain(replace(scene), group[-1])
+        assert fresh is not chain
+        assert (fresh.complete, fresh.notes) == (chain.complete, chain.notes)
+        assert fresh.depth == chain.depth
+        for want, got in zip(chain.charts, fresh.charts):
+            assert got.equations == want.equations and got.audits == want.audits
+            assert got.supplements == want.supplements
+            if want.samples is None:
+                assert got.samples is None
+            else:
+                assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def _record_bits(record):
+    return (
+        record.x.tobytes(),
+        np.array(record.multipliers).tobytes(),
+        np.float64(record.residual).tobytes(),
+        record.flags,
+        record.equations,
+        repr(record.as_dict()),
+    )
+
+
+def test_listing_every_chain_twice_changes_no_result(torus_scene, torus_strata):
+    doubled = replace(torus_strata, chains=torus_strata.chains * 2)
+    weights = draw_covector(2, 42)
+    want = find_restricted_zeros(torus_scene, 1, weights, strata=torus_strata)
+    got = find_restricted_zeros(torus_scene, 1, weights, strata=doubled)
+    assert want and [_record_bits(r) for r in got] == [_record_bits(r) for r in want]
+    assert repr(check_morin(torus_scene, strata=doubled)) == repr(
+        check_morin(torus_scene, strata=torus_strata)
+    )
 
 
 # -- corank and fold-chain checks ---------------------------------------------

@@ -10,6 +10,7 @@ import math
 import tracemalloc
 import warnings
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,16 @@ from scipy import ndimage
 
 from morin import solver
 from morin.expr import eval_block, parse, simplify
-from morin.model import build_chain, corank_system, load_scene
+from morin.analysis import _covector_exprs, _multiplier_seeds, _multiplier_system
+from morin.model import (
+    SupplementSelection,
+    build_chain,
+    build_chain_at,
+    build_delta,
+    corank_system,
+    draw_covector,
+    load_scene,
+)
 from morin.solver import (
     _SCAN_CHUNK,
     SolveOptions,
@@ -170,6 +180,261 @@ def test_hyperboloid_deep_points():
     out = solve_points(chart.equations, opts, audits=chart.audits)
     expect = np.array([[-1.0, -2.0, 0.0], [1.0, 2.0, 0.0]])
     assert out.coordinates() == pytest.approx(expect, abs=1e-7)
+
+
+# -- Gauss-Newton against the implementation it replaced ----------------------
+
+
+def _reference_solve_points(system, opts, *, seeds, audits=(), var_dim=None):
+    """``solve_points`` as it was before each trial round became one
+    evaluation call: the residuals evaluated again at every loop head, and
+    each halving of the step evaluated in its own call. Seeds are given."""
+    boxed = len(opts.box)
+    dim = boxed if var_dim is None else var_dim
+    eqs = solver._compile(system, dim)
+    X = np.asarray(seeds, dtype=float).reshape(-1, dim).copy()
+    stats = {
+        "seeds": len(X),
+        "converged": 0,
+        "dropped": 0,
+        "out_of_box": 0,
+        "audit_rejected": 0,
+        "deduplicated": 0,
+    }
+    center = np.array([(lo + hi) / 2 for lo, hi in opts.box])
+    escape = solver._ESCAPE_FACTOR * max(opts.diameter, 1.0)
+    lam = np.full(len(X), 1e-10)
+    iters = np.zeros(len(X), dtype=int)
+    active = np.ones(len(X), dtype=bool)
+    done: list = []
+
+    for _ in range(opts.max_iterations):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        P = X[idx]
+        R = eqs.values(P)
+        finite = np.all(np.isfinite(R), axis=1)
+        resnorm = np.where(finite, np.max(np.abs(R), axis=1, initial=0.0), np.inf)
+        conv = finite & (resnorm <= opts.tol_residual)
+        for j in np.flatnonzero(conv):
+            done.append((idx[j], P[j].copy(), float(resnorm[j]), int(iters[idx[j]])))
+        active[idx[conv]] = False
+        gone = ~finite
+        gone |= np.linalg.norm(P[:, :boxed] - center, axis=1) > escape
+        active[idx[gone]] = False
+        stats["dropped"] += int(np.count_nonzero(gone & ~conv))
+        live = ~conv & ~gone
+        if not np.any(live):
+            continue
+        sub = idx[live]
+        P, R = P[live], R[live]
+        J = eqs.jacobian(P)
+        bad_j = ~np.all(np.isfinite(J.reshape(len(P), -1)), axis=1)
+        if np.any(bad_j):
+            active[sub[bad_j]] = False
+            stats["dropped"] += int(np.count_nonzero(bad_j))
+            keep = ~bad_j
+            sub, P, R, J = sub[keep], P[keep], R[keep], J[keep]
+            if not len(P):
+                continue
+        H = np.einsum("pei,pej->pij", J, J)
+        g = np.einsum("pei,pe->pi", J, R)
+        scale = np.trace(H, axis1=1, axis2=2) / dim + 1e-30
+        A = H + (lam[sub] * scale)[:, None, None] * np.eye(dim)
+        try:
+            step = np.linalg.solve(A, g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            step = np.array(
+                [np.linalg.lstsq(A[p], g[p], rcond=None)[0] for p in range(len(P))]
+            )
+        bad_s = ~np.all(np.isfinite(step), axis=1)
+        if np.any(bad_s):
+            step[bad_s] = 0.0
+        old = np.linalg.norm(R, axis=1)
+        accepted = np.zeros(len(P), dtype=bool)
+        alpha = np.ones(len(P))
+        newX = P.copy()
+        for _half in range(6):
+            trial = ~accepted
+            if not np.any(trial):
+                break
+            cand = P[trial] - alpha[trial, None] * step[trial]
+            Rc = eqs.values(cand)
+            ok = np.all(np.isfinite(Rc), axis=1)
+            newnorm = np.where(ok, np.linalg.norm(np.nan_to_num(Rc), axis=1), np.inf)
+            good = newnorm <= old[trial] * (1.0 - 1e-4 * alpha[trial])
+            tpos = np.flatnonzero(trial)
+            newX[tpos[good]] = cand[good]
+            accepted[tpos[good]] = True
+            alpha[tpos[~good]] *= 0.5
+        lam[sub[accepted]] = np.maximum(lam[sub[accepted]] * 0.3, 1e-12)
+        lam[sub[~accepted]] *= 30.0
+        stalled = ~accepted & (lam[sub] > 1e6)
+        active[sub[stalled]] = False
+        stats["dropped"] += int(np.count_nonzero(stalled))
+        X[sub] = newX
+        iters[sub] += 1
+
+    if not done:
+        return [], stats
+    pts = np.array([d[1] for d in done])
+    res = np.array([d[2] for d in done])
+    its = np.array([d[3] for d in done])
+    R = eqs.values(pts)
+    strict = np.all(np.isfinite(R), axis=1) & (
+        np.max(np.abs(R), axis=1, initial=0.0) <= opts.tol_residual
+    )
+    inside = in_box(pts, opts.box, slack=1e-9 * opts.diameter)
+    stats["out_of_box"] = int(np.count_nonzero(strict & ~inside))
+    keep = strict & inside
+    if audits:
+        audit_vals = solver._compile(audits, dim).values(pts)
+        audit_ok = np.all(
+            np.abs(np.nan_to_num(audit_vals, nan=np.inf)) <= 10.0 * opts.tol_residual,
+            axis=1,
+        )
+        stats["audit_rejected"] = int(np.count_nonzero(keep & ~audit_ok))
+        keep &= audit_ok
+    pts, res, its = pts[keep], res[keep], its[keep]
+    if not len(pts):
+        return [], stats
+    order = np.argsort(res, kind="stable")
+    pts, res, its = pts[order], res[order], its[order]
+    kept = greedy_dedup(pts, opts.dedup_radius * max(opts.diameter, 1.0))
+    stats["deduplicated"] = len(pts) - len(kept)
+    pts, res, its = pts[kept], res[kept], its[kept]
+    order = np.lexsort(pts.T[::-1])
+    pts, res, its = pts[order], res[order], its[order]
+    ranks = solver.numeric_ranks(eqs.jacobian(pts), opts.tol_rank)
+    stats["converged"] = len(pts)
+    return [(pts[i], res[i], its[i], ranks[i]) for i in range(len(pts))], stats
+
+
+def _swallowtail_chart():
+    """Two swallowtail chart equations: the depth-1 determinant and the
+    depth-2 one over coframe rows 2 and 3, which raise x3 to the powers 2
+    and 3 and reach degree 4 in it."""
+    sc = load_scene("scenes/swallowtail.scene")
+    first = build_chain_at(sc, (0.5, 0.0, 0.0), max_depth=1).chart(1).equations
+    delta = build_delta(sc, first, SupplementSelection((1, 2), 1.0))
+    return list(first) + [delta], (), sc.box
+
+
+def _gauss_newton_cases() -> dict:
+    torus = load_scene("scenes/torus.scene")
+    chart, _ = torus_depth2()
+    return {
+        "torus_corank": (corank_system(torus), (), torus.box),
+        "torus_depth2": (list(chart.equations), chart.audits, torus.box),
+        "swallowtail": _swallowtail_chart(),
+        "pole": (system2("1/x1 - x2", "x1^2 + x2^2 - 1"), (), ((-1.0, 1.0),) * 2),
+    }
+
+
+_GN_CASES = _gauss_newton_cases()
+
+_STAT_GROUPS = (
+    "converged",
+    "dropped",
+    "out_of_iterations",
+    "recheck_failed",
+    "out_of_box",
+    "audit_rejected",
+    "deduplicated",
+)
+
+
+def _assert_stats_add_up(stats):
+    assert sum(stats[key] for key in _STAT_GROUPS) == stats["seeds"], stats
+
+
+def _rank_bits(rep):
+    return (
+        rep.rank,
+        rep.singular_values.tobytes(),
+        np.float64(rep.tolerance_used).tobytes(),
+        np.float64(rep.gap_ratio).tobytes(),
+        np.float64(rep.full_rank_margin).tobytes(),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(_GN_CASES))
+@given(
+    picks=st.one_of(st.none(), st.lists(st.integers(0, 10**6), min_size=1, max_size=300)),
+    max_iterations=st.sampled_from([3, 60]),
+)
+@example(picks=None, max_iterations=60)
+@settings(max_examples=25, deadline=None)
+def test_gauss_newton_rounds_are_bitwise_the_sequential_loop(case, picks, max_iterations):
+    equations, audits, box = _GN_CASES[case]
+    grid = grid_seeds(box, 12)
+    seeds = grid if picks is None else grid[[i % len(grid) for i in picks]]
+    opts = SolveOptions(box=box, grid=12, max_iterations=max_iterations)
+    out = solve_points(equations, opts, seeds=seeds, audits=audits)
+    want, want_stats = _reference_solve_points(equations, opts, seeds=seeds, audits=audits)
+    assert {key: out.stats[key] for key in want_stats} == want_stats
+    _assert_stats_add_up(out.stats)
+    assert len(out.points) == len(want)
+    for got, (x, res, its, rank) in zip(out.points, want):
+        assert got.x.tobytes() == x.tobytes()
+        assert np.float64(got.residual).tobytes() == np.float64(res).tobytes()
+        assert got.iterations == its
+        assert _rank_bits(got.jacobian_rank) == _rank_bits(rank)
+
+
+def _special_floats():
+    finite = st.floats(-10.0, 10.0, allow_nan=False)
+    special = st.sampled_from([0.0, -0.0, 1e-300, 1e300, np.inf, -np.inf, np.nan])
+    return st.one_of(finite, finite, finite, special)
+
+
+@pytest.mark.parametrize("case", sorted(_GN_CASES))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_eval_block_rows_do_not_depend_on_the_batch(case, data):
+    equations, _, box = _GN_CASES[case]
+    exprs = [simplify(e) for e in equations]
+    shape = st.tuples(st.integers(1, 40), st.just(len(box)))
+    points = data.draw(hnp.arrays(np.float64, shape, elements=_special_floats()))
+    order = np.array(data.draw(st.permutations(range(len(points)))), dtype=int)
+
+    def canonical(vals):
+        # only a nan's sign bit may depend on the batch
+        return np.where(np.isnan(vals), np.nan, vals).tobytes()
+
+    batch = eval_block(exprs, points)
+    shuffled = eval_block(exprs, points[order])
+    for i in range(len(points)):
+        one = eval_block(exprs, points[i])[:, 0]
+        assert canonical(one) == canonical(batch[:, i])
+    assert canonical(shuffled) == canonical(batch[:, order])
+
+
+def test_stats_sort_every_seed_into_one_group():
+    torus = load_scene("scenes/torus.scene")
+    opts = torus.solve_options(12)
+    # the first-stratum samples of `compute_strata`
+    out = solve_points(corank_system(torus), torus.solve_options(12, dedup_radius=5e-3))
+    _assert_stats_add_up(out.stats)
+    samples = out.coordinates()
+    chart, _ = torus_depth2()
+    out = solve_points(chart.equations, opts, audits=chart.audits)
+    _assert_stats_add_up(out.stats)
+    assert out.stats["audit_rejected"] > 0
+    # the multiplier system of `find_restricted_zeros(torus, 1, ...)`,
+    # where some seeds are still iterating when the iterations run out
+    xi = _covector_exprs(torus, draw_covector(2, 42))
+    equations = build_chain_at(torus, samples[0], max_depth=1).chart(1).equations
+    seeds = _multiplier_seeds(torus, equations, xi, samples)
+    out = solve_points(
+        _multiplier_system(torus, equations, xi),
+        opts,
+        seeds=seeds,
+        var_dim=torus.ambient_dim + len(equations),
+    )
+    _assert_stats_add_up(out.stats)
+    assert out.stats["out_of_iterations"] > 0
 
 
 # -- curve tracing ------------------------------------------------------------
