@@ -106,13 +106,20 @@ def _omega_scale(scene: Scene) -> float:
     return scene.memo(("omega_scale",), build)
 
 
-def _restriction_corank(restriction: np.ndarray, n: int, cut: float) -> tuple:
-    """Corank of the tangent-space restriction with a trust measure.
+def _restriction_corank(scene: Scene, omega_vals, base_grads) -> tuple:
+    """Corank of the coframe's restriction to the tangent space, with a
+    trust measure.
 
-    Singular values are compared against the absolute cutoff ``cut``; the
-    trust measure is how far the nearest singular value stays from it on
-    either side (the refusal band sits at ``TRUST_GAP``).
+    A row shrinking to zero is as degenerate as rows becoming parallel, so
+    the raw coframe values are projected onto an orthonormal tangent basis
+    and their singular values compared against ``tol_rank`` times the
+    coframe's own scale over the box. The trust measure is how far the
+    nearest singular value stays from that cutoff on either side (the
+    refusal band sits at ``TRUST_GAP``).
     """
+    n = scene.n
+    restriction = omega_vals @ _null_space(base_grads) if len(base_grads) else omega_vals
+    cut = scene.tol_rank * _omega_scale(scene)
     sv = np.linalg.svd(restriction, compute_uv=False) if restriction.size else np.zeros(0)
     sv = np.concatenate([sv, np.zeros(n - len(sv))]) if len(sv) < n else sv
     rank = int(np.count_nonzero(sv > cut))
@@ -169,7 +176,6 @@ class Classification:
     kind: str
     depth: int
     intersection_dims: tuple
-    margins: dict
     note: str = ""
     chain: ChartChain | None = None
 
@@ -220,61 +226,32 @@ def classify_point(scene: Scene, point) -> Classification:
     omega_vals = scene.omega_at(x)[0]
     base_grads = System(scene.constraints, len(x)).jacobian(x)[0]
     if not (np.all(np.isfinite(omega_vals)) and np.all(np.isfinite(base_grads))):
-        return Classification(
-            x, "inconclusive", -1, (), {}, note="coframe values not finite here"
-        )
-    # Degeneracy lives in the restriction to the tangent space, and a row
-    # shrinking to zero is as degenerate as rows becoming parallel, so the
-    # raw coframe values are projected onto an orthonormal tangent basis
-    # and rank-tested against the coframe's own scale over the box.
-    n = scene.n
+        return Classification(x, "inconclusive", -1, (), note="coframe values not finite here")
     if len(base_grads):
         g_rep = numeric_rank(_unit_rows(base_grads), scene.tol_rank)
         if _trusted(g_rep, scene.num_constraints) != "yes":
             return Classification(
-                x,
-                "inconclusive",
-                -1,
-                (),
-                {},
-                note="constraint gradients degenerate here",
+                x, "inconclusive", -1, (), note="constraint gradients degenerate here"
             )
-        restriction = omega_vals @ _null_space(base_grads)
-    else:
-        restriction = omega_vals
-    cut = scene.tol_rank * _omega_scale(scene)
-    corank, measured = _restriction_corank(restriction, n, cut)
-    margins = {"restriction_rank": float(measured)}
+    corank, measured = _restriction_corank(scene, omega_vals, base_grads)
     if measured < TRUST_GAP:
-        return Classification(
-            x, "inconclusive", -1, (), margins, note="coframe restriction rank unclear"
-        )
+        return Classification(x, "inconclusive", -1, (), note="coframe restriction rank unclear")
     if corank <= 0:
-        return Classification(x, "regular", 0, (), margins)
+        return Classification(x, "regular", 0, ())
     if corank >= 2:
         return Classification(
-            x,
-            "inconclusive",
-            -1,
-            (),
-            margins,
-            note=f"coframe corank {corank} exceeds 1",
+            x, "inconclusive", -1, (), note=f"coframe corank {corank} exceeds 1"
         )
 
     chain = build_chain_at(scene, x)
     chart1 = chain.chart(1)
     resid = float(np.max(np.abs(chart1.residuals(x.reshape(1, -1)))))
-    margins["first_chart_residual"] = resid
     if resid > 1000.0 * scene.tol_residual:
         for e in chart1.equations:
             verdict, _ = _membership(scene, e, x)
             if verdict == "no":
-                return Classification(
-                    x, "regular", 0, (), margins, "off the first stratum", chain
-                )
-        return Classification(
-            x, "inconclusive", -1, (), margins, "first chart residual unclear", chain
-        )
+                return Classification(x, "regular", 0, (), "off the first stratum", chain)
+        return Classification(x, "inconclusive", -1, (), "first chart residual unclear", chain)
 
     depth = 1
     dims = []
@@ -296,10 +273,8 @@ def classify_point(scene: Scene, point) -> Classification:
             depth = k
             break
         nxt = chain.chart(k + 1)
-        verdict, dist = _membership(scene, nxt.delta, x)
-        margins[f"depth_{k + 1}_distance"] = float(dist)
+        verdict, _ = _membership(scene, nxt.delta, x)
         validity = float(nxt.validity_margin(x.reshape(1, -1))[0])
-        margins[f"depth_{k + 1}_validity"] = validity
         if verdict == "yes" and validity < VALIDITY_FACTOR * scene.tol_rank:
             inconclusive_note = f"chart invalid at depth {k + 1}"
             break
@@ -311,13 +286,11 @@ def classify_point(scene: Scene, point) -> Classification:
             break
         depth = k + 1
     if inconclusive_note:
-        return Classification(
-            x, "inconclusive", -1, tuple(dims), margins, inconclusive_note, chain
-        )
-    if not chain.complete and depth == chain.depth and depth < min(scene.max_depth, n):
+        return Classification(x, "inconclusive", -1, tuple(dims), inconclusive_note, chain)
+    if not chain.complete and depth == chain.depth and depth < min(scene.max_depth, scene.n):
         note = "; ".join(chain.notes) or "chain stopped early"
-        return Classification(x, "inconclusive", -1, tuple(dims), margins, note, chain)
-    return Classification(x, f"A{depth}", depth, tuple(dims), margins, chain=chain)
+        return Classification(x, "inconclusive", -1, tuple(dims), note, chain)
+    return Classification(x, f"A{depth}", depth, tuple(dims), chain=chain)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +306,6 @@ class StrataResult:
     raw solver outputs before verification, used downstream as seeds.
     """
 
-    scene: Scene
     chains: list
     points: dict
     curves: dict
@@ -359,13 +331,7 @@ def _farthest_subset(points: np.ndarray, count: int) -> list:
     return chosen
 
 
-def compute_strata(
-    scene: Scene,
-    *,
-    max_depth: int | None = None,
-    anchor_count: int = 4,
-    sample_grid: int = 12,
-) -> StrataResult:
+def compute_strata(scene: Scene, *, max_depth: int | None = None) -> StrataResult:
     """Locate, verify, and classify the stratum tower.
 
     Depth 1 comes from the pivot-free corank system (every maximal minor),
@@ -381,7 +347,7 @@ def compute_strata(
     notes: list = []
 
     first = corank_system(scene)
-    opts = scene.solve_options(min(scene.grid, sample_grid), dedup_radius=5e-3)
+    opts = scene.solve_options(min(scene.grid, 12), dedup_radius=5e-3)
     outcome = solve_points(first, opts)
     sigma1 = outcome.coordinates()
     samples = {1: sigma1 if len(sigma1) else np.zeros((0, scene.ambient_dim))}
@@ -391,7 +357,7 @@ def compute_strata(
     points: dict = {}
     if not len(sigma1):
         notes.append("no first-stratum points found")
-        return StrataResult(scene, [], points, curves, samples, notes)
+        return StrataResult([], points, curves, samples, notes)
 
     # classification cost scales with sample count; a farthest-point subset
     # keeps coverage while the full sample set stays available as seeds
@@ -403,13 +369,13 @@ def compute_strata(
         notes.append(f"depth 1: {dropped} sample(s) failed verification")
 
     if depth_cap < 2:
-        return StrataResult(scene, [], points, curves, samples, notes)
+        return StrataResult([], points, curves, samples, notes)
 
     # anchors that make the same depth-1 selection share one chain
-    anchors = samples[1][_farthest_subset(samples[1], anchor_count)]
+    anchors = samples[1][_farthest_subset(samples[1], 4)]
     chains = []
     for anchor in anchors:
-        chain = build_chain(scene, anchor, max_depth=depth_cap, sample_grid=sample_grid)
+        chain = build_chain(scene, anchor, max_depth=depth_cap)
         if chain in chains:
             continue
         chains.append(chain)
@@ -433,9 +399,7 @@ def compute_strata(
             added = 0
             while not covered.all() and added < 8:
                 idx = int(np.argmin(covered))
-                extra = build_chain(
-                    scene, prev[idx], max_depth=depth_cap, sample_grid=sample_grid
-                )
+                extra = build_chain(scene, prev[idx], max_depth=depth_cap)
                 # a chain already listed is already counted in ``covered``
                 if extra not in chains:
                     chains.append(extra)
@@ -492,13 +456,13 @@ def compute_strata(
                 f"depth {k}: rejected {len(stacked) - len(verified)} candidate(s) "
                 "under re-anchored charts"
             )
-    return StrataResult(scene, chains, points, curves, samples, notes)
+    return StrataResult(chains, points, curves, samples, notes)
 
 
 # ---------------------------------------------------------------------------
 # Genericity checks.
 
-def check_corank1(scene: Scene, samples: int = 300) -> dict:
+def check_corank1(scene: Scene) -> dict:
     """Verify the corank-1 conditions over sampled points.
 
     Samples the manifold (Gauss-Newton projection of a seed lattice onto
@@ -518,23 +482,21 @@ def check_corank1(scene: Scene, samples: int = 300) -> dict:
         "sigma1_points": 0,
         "inconclusive": [],
     }
-    per_axis = max(8, int(round(samples ** (1.0 / N))))
+    per_axis = max(8, int(round(300 ** (1.0 / N))))
     opts = scene.solve_options(per_axis, dedup_radius=1e-4)
     if scene.constraints:
         projected = solve_points(scene.constraints, opts)
         pts = projected.coordinates()
     else:
-        pts = grid_seeds(scene.box, per_axis, cap=samples * 4)
+        pts = grid_seeds(scene.box, per_axis, cap=4 * 300)
     report["manifold_samples"] = int(len(pts))
-    cut = scene.tol_rank * _omega_scale(scene)
     constraints = System(scene.constraints, N)
     for p in np.asarray(pts, dtype=float).reshape(-1, N):
         omega_vals = scene.omega_at(p)[0]
         base = constraints.jacobian(p)[0]
         if not (np.all(np.isfinite(omega_vals)) and np.all(np.isfinite(base))):
             continue
-        restriction = omega_vals @ _null_space(base) if len(base) else omega_vals
-        corank, measured = _restriction_corank(restriction, n, cut)
+        corank, measured = _restriction_corank(scene, omega_vals, base)
         if corank >= 2:
             if measured >= TRUST_GAP:
                 report["rank_violations"].append([float(v) for v in p])
@@ -569,9 +531,9 @@ def check_corank1(scene: Scene, samples: int = 300) -> dict:
         hits = solve_points(deep, opts)
         for sp in hits.points:
             omega_vals = scene.omega_at(sp.x)[0]
-            base = constraints.jacobian(sp.x)[0]
-            restriction = omega_vals @ _null_space(base) if len(base) else omega_vals
-            corank, measured = _restriction_corank(restriction, n, cut)
+            corank, measured = _restriction_corank(
+                scene, omega_vals, constraints.jacobian(sp.x)[0]
+            )
             if corank >= 2 and measured >= TRUST_GAP:
                 report["deep_rank_points"].append([float(v) for v in sp.x])
 
@@ -583,12 +545,7 @@ def check_corank1(scene: Scene, samples: int = 300) -> dict:
     return report
 
 
-def check_morin(
-    scene: Scene,
-    k_max: int | None = None,
-    *,
-    strata: StrataResult | None = None,
-) -> dict:
+def check_morin(scene: Scene, *, strata: StrataResult | None = None) -> dict:
     """Decide whether the coframe's degeneracies are all of fold-chain type.
 
     For each depth k: first test whether the depth-k determinant vanishes
@@ -600,8 +557,7 @@ def check_morin(
     witnesses.
     """
     if strata is None:
-        strata = compute_strata(scene, max_depth=k_max)
-    depth_cap = scene.max_depth if k_max is None else min(k_max, scene.n)
+        strata = compute_strata(scene)
     witnesses: list = []
     verdict = "morin"
     counts = {k: len(strata.exact_depth(k)) for k in strata.points}
@@ -609,7 +565,7 @@ def check_morin(
     box = np.array(scene.box, dtype=float)
     probe = rng.uniform(box[:, 0], box[:, 1], size=(64, scene.ambient_dim))
 
-    for k in range(2, depth_cap + 1):
+    for k in range(2, scene.max_depth + 1):
         prev = strata.samples.get(k - 1)
         if prev is None or not len(prev):
             break
@@ -735,10 +691,6 @@ class ZeroRecord:
         }
 
 
-def _covector_exprs(scene: Scene, weights) -> list:
-    return [simplify(e) for e in scene.covector_field(weights)]
-
-
 def _multiplier_system(scene: Scene, equations, xi_exprs) -> list:
     """Equations stating "xi lies in the gradient span of ``equations``".
 
@@ -776,7 +728,7 @@ def find_xi_zeros(scene: Scene, weights) -> list:
     cross-checks each zero: it must lie on the first stratum and must not
     lie on the second. Violations are flagged on the record.
     """
-    xi = _covector_exprs(scene, weights)
+    xi = scene.covector_field(weights)
     system = list(scene.constraints) + xi
     opts = scene.solve_options(min(scene.grid, 14))
     outcome = solve_points(system, opts)
@@ -825,7 +777,7 @@ def find_restricted_zeros(
         raise AnalysisError(f"restriction depth {k} not in 1..{scene.n}")
     if strata is None:
         strata = compute_strata(scene, max_depth=k)
-    xi = _covector_exprs(scene, weights)
+    xi = scene.covector_field(weights)
     N = scene.ambient_dim
     diam = scene.box_diameter()
 
@@ -921,7 +873,7 @@ def nondegeneracy(
     N = scene.ambient_dim
     q = len(record.equations)
     lam = np.asarray(record.multipliers, dtype=float) if record.stratum_depth else np.zeros(q)
-    system = _multiplier_system(scene, record.equations, _covector_exprs(scene, weights))
+    system = _multiplier_system(scene, record.equations, scene.covector_field(weights))
     J = System(system, N + q).jacobian(np.concatenate([record.x, lam]))[0]
     rep = numeric_rank(_unit_rows(J), scene.tol_rank)
     det = determinant(J) if J.shape[0] == J.shape[1] else 0.0
@@ -1012,7 +964,7 @@ class CongruenceReport:
         }
 
 
-def manifold_reaches_boundary(scene: Scene, resolution: int = 48) -> bool:
+def manifold_reaches_boundary(scene: Scene) -> bool:
     """Compactness surrogate: does the manifold approach the box walls?
 
     Scans the constraint residual on a lattice; a cell is suspect when
@@ -1023,6 +975,7 @@ def manifold_reaches_boundary(scene: Scene, resolution: int = 48) -> bool:
     if not scene.constraints:
         return True
     box = scene.box
+    resolution = 48
     pts = lattice_points(cell_centers(box, resolution))
     constraints = System(scene.constraints, scene.ambient_dim)
     vals = np.max(np.abs(constraints.values(pts)), axis=1)
@@ -1052,10 +1005,8 @@ def euler_via_morse(scene: Scene, seed: int = 0) -> int:
         )
     if manifold_reaches_boundary(scene):
         raise AnalysisError("surface reaches the box boundary; count unreliable")
-    g = scene.constraints[0]
     N = 3
-    grad_exprs = [differentiate(g, s) for s in range(N)]
-    gradient = System(grad_exprs, N)
+    gradient = System([differentiate(scene.constraints[0], s) for s in range(N)], N)
     opts = scene.solve_options(min(scene.grid, 12), dedup_radius=1e-5)
     surface = solve_points(scene.constraints, opts).coordinates()
     if not len(surface):
@@ -1063,9 +1014,7 @@ def euler_via_morse(scene: Scene, seed: int = 0) -> int:
 
     for attempt in range(MAX_REDRAWS):
         a = draw_covector(N, seed + attempt)
-        system = [simplify(g)]
-        for s in range(N):
-            system.append(simplify(sub(const(float(a[s])), mul(var(N), grad_exprs[s]))))
+        system = _multiplier_system(scene, scene.constraints, [const(float(v)) for v in a])
         grads = gradient.values(surface)
         lam0 = (grads @ a) / np.maximum(np.einsum("ij,ij->i", grads, grads), 1e-30)
         seeds = np.column_stack([surface, lam0])
@@ -1094,7 +1043,6 @@ def euler_congruence(
     scene: Scene,
     *,
     seed: int | None = None,
-    weights=None,
     strata: StrataResult | None = None,
 ) -> CongruenceReport:
     """Mod-2 comparison of the manifold Euler number with its strata.
@@ -1121,13 +1069,10 @@ def euler_congruence(
     base = scene.rng_seed if seed is None else seed
     # A weight vector fixed in the scene counts as the first draw, but only
     # when the caller did not ask for a specific seed.
-    prefer_scene = weights is None and seed is None and scene.covector is not None
-    attempts = 1 if weights is not None else MAX_REDRAWS
+    prefer_scene = seed is None and scene.covector is not None
     census = None
-    for attempt in range(attempts):
-        if weights is not None:
-            a = np.asarray(weights, dtype=float)
-        elif prefer_scene and attempt == 0:
+    for attempt in range(MAX_REDRAWS):
+        if prefer_scene and attempt == 0:
             a = np.asarray(scene.covector, dtype=float)
         else:
             a = draw_covector(n, base + attempt)

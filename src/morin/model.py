@@ -278,7 +278,9 @@ def parse_scene(text: str, name: str = "scene") -> Scene:
         key, value = (part.strip() for part in line.split("=", 1))
         sections[current].append((lineno, key.lower(), value))
 
-    def single(sec: str, key: str, default=None, required=False):
+    def single(sec: str, key: str, default=None, required=False, convert=str):
+        """The one value of ``key``, through ``convert``; a value it rejects
+        is a SceneError that names its line."""
         found = [(ln, v) for ln, k, v in sections[sec] if k == key]
         if len(found) > 1:
             raise SceneError(f"line {found[1][0]}: duplicate key {key!r}")
@@ -286,70 +288,67 @@ def parse_scene(text: str, name: str = "scene") -> Scene:
             if required:
                 raise SceneError(f"missing {key!r} in section [{sec}]")
             return default
-        return found[0][1]
+        return _checked(*found[0], key, convert)
 
     def check_known(sec: str, known: set):
         for ln, k, _ in sections[sec]:
             if k not in known:
                 raise SceneError(f"line {ln}: unknown key {k!r} in [{sec}]")
 
+    def names(text: str) -> tuple:
+        out = tuple(v.strip() for v in text.split(","))
+        parse("0", out)  # rejects a name that repeats or shadows a function
+        return out
+
+    def expression(text: str) -> Expr:
+        return parse(text, var_names)
+
+    def row(text: str) -> tuple:
+        return tuple(expression(part.strip()) for part in text.split(","))
+
+    def interval(part: str) -> tuple:
+        lo, sep, hi = part.partition(":")
+        if not sep:
+            raise SceneError(f"bad box interval {part.strip()!r}")
+        return float(lo), float(hi)
+
     check_known("scene", {"ambient_dim", "vars"})
     check_known("manifold", {"constraint"})
     check_known("covector", {"a", "rng_seed"})
     check_known("solver", {"box", "tol_residual", "tol_rank", "grid", "max_depth"})
 
-    try:
-        ambient_dim = int(single("scene", "ambient_dim", required=True))
-    except ValueError as e:
-        raise SceneError(f"bad ambient_dim: {e}") from None
-    var_names = tuple(
-        v.strip() for v in single("scene", "vars", required=True).split(",")
-    )
+    ambient_dim = single("scene", "ambient_dim", required=True, convert=int)
+    var_names = single("scene", "vars", required=True, convert=names)
 
-    constraints = tuple(
-        parse(v, var_names) for ln, k, v in sections["manifold"] if k == "constraint"
-    )
+    constraints = tuple(_checked(ln, v, k, expression) for ln, k, v in sections["manifold"])
 
-    n = int(single("coframe", "n", required=True))
+    n = single("coframe", "n", required=True, convert=int)
     mode = single("coframe", "mode", default="coframe").lower()
     omega_keys = {f"omega_{i + 1}" for i in range(n)}
     check_known("coframe", {"n", "mode"} | omega_keys)
     omega = []
     for i in range(n):
-        row_text = single("coframe", f"omega_{i + 1}", required=True)
-        comps = [parse(part.strip(), var_names) for part in row_text.split(",")]
+        comps = single("coframe", f"omega_{i + 1}", required=True, convert=row)
         if len(comps) != ambient_dim:
             raise SceneError(
                 f"omega_{i + 1} has {len(comps)} components, expected {ambient_dim}"
             )
-        omega.append(tuple(comps))
+        omega.append(comps)
 
-    a_text = single("covector", "a")
-    covector = None
-    if a_text is not None:
-        covector = tuple(float(v) for v in a_text.split(","))
-    rng_seed = int(single("covector", "rng_seed", default="0"))
-
-    box_text = single("solver", "box")
-    box: tuple = ()
-    if box_text is not None:
-        pairs = []
-        for part in box_text.split(","):
-            lo, _, hi = part.partition(":")
-            if not _:
-                raise SceneError(f"bad box interval {part.strip()!r}")
-            pairs.append((float(lo), float(hi)))
-        box = tuple(pairs)
+    covector = single(
+        "covector", "a", convert=lambda text: tuple(float(v) for v in text.split(","))
+    )
+    rng_seed = single("covector", "rng_seed", default=0, convert=int)
+    box = single(
+        "solver", "box", default=(), convert=lambda text: tuple(map(interval, text.split(",")))
+    )
 
     hints = {}
     for ln, k, v in sections["hints"]:
         if not k.startswith("delta_"):
             raise SceneError(f"line {ln}: unknown key {k!r} in [hints]")
-        try:
-            depth = int(k.split("_", 1)[1])
-        except ValueError:
-            raise SceneError(f"line {ln}: bad hint key {k!r}") from None
-        hints[depth] = parse(v, var_names)
+        depth = _checked(ln, k.split("_", 1)[1], k, int)
+        hints[depth] = _checked(ln, v, k, expression)
 
     return Scene(
         name=name,
@@ -361,16 +360,21 @@ def parse_scene(text: str, name: str = "scene") -> Scene:
         box=box,
         covector=covector,
         rng_seed=rng_seed,
-        tol_residual=float(single("solver", "tol_residual", default="1e-9")),
-        tol_rank=float(single("solver", "tol_rank", default="1e-8")),
-        grid=int(single("solver", "grid", default="64")),
-        max_depth=(
-            int(single("solver", "max_depth"))
-            if single("solver", "max_depth") is not None
-            else None
-        ),
+        tol_residual=single("solver", "tol_residual", default=1e-9, convert=float),
+        tol_rank=single("solver", "tol_rank", default=1e-8, convert=float),
+        grid=single("solver", "grid", default=64, convert=int),
+        max_depth=single("solver", "max_depth", convert=int),
         hints=hints,
     )
+
+
+def _checked(lineno: int, text: str, key: str, convert):
+    """``convert(text)``; a ``ValueError`` (a ``ParseError`` among them)
+    becomes a SceneError that names the line and the key."""
+    try:
+        return convert(text)
+    except ValueError as err:
+        raise SceneError(f"line {lineno}: bad {key}: {err}") from None
 
 
 def load_scene(path) -> Scene:
@@ -479,7 +483,6 @@ class StratumChart:
     audit_cols: tuple = ()
     samples: np.ndarray | None = None
     hint_used: bool = False
-    hint_note: str | None = None
 
     @property
     def delta(self) -> Expr | None:
@@ -726,7 +729,6 @@ def build_delta(scene: Scene, prev_equations, supplement: SupplementSelection) -
 class ChartChain:
     """Charts for depths 1..K for one depth-1 selection, deepest built last."""
 
-    scene: Scene
     charts: tuple
     complete: bool
     notes: tuple
@@ -769,7 +771,6 @@ def build_chain(
     anchor,
     *,
     max_depth: int | None = None,
-    sample_grid: int = 12,
     hints: Mapping | None = None,
 ) -> ChartChain:
     """Build charts depth by depth from ``anchor``.
@@ -785,10 +786,10 @@ def build_chain(
     The chain stops early (``complete`` False, reason in ``notes``) when a
     stratum yields no usable samples or no supplement qualifies.
 
-    Everything below depth 1 follows from the selection, the depth cap,
-    ``sample_grid`` and the hints, so the chain is built once per scene
-    for each of them: anchors that select alike get the same
-    ``ChartChain``, whose depth-1 chart is the first such anchor's.
+    Everything below depth 1 follows from the selection, the depth cap
+    and the hints, so the chain is built once per scene for each of them:
+    anchors that select alike get the same ``ChartChain``, whose depth-1
+    chart is the first such anchor's.
     """
     anchor = np.asarray(anchor, dtype=float)
     if hints is None:
@@ -804,16 +805,13 @@ def build_chain(
         pivot.cols,
         chart.selected_cols,
         depth_cap,
-        sample_grid,
         tuple(sorted(hints.items())),
     )
-    return scene.memo(
-        key, lambda: _sampled_chain(scene, chart, depth_cap, sample_grid, hints)
-    )
+    return scene.memo(key, lambda: _sampled_chain(scene, chart, depth_cap, hints))
 
 
 def _sampled_chain(
-    scene: Scene, chart: StratumChart, depth_cap: int, sample_grid: int, hints: Mapping
+    scene: Scene, chart: StratumChart, depth_cap: int, hints: Mapping
 ) -> ChartChain:
     """``build_chain`` below its depth-1 chart ``chart``."""
     from .solver import solve_points
@@ -822,17 +820,17 @@ def _sampled_chain(
     notes: list = []
     for k in range(2, depth_cap + 1):
         prev = charts[-1]
-        opts = scene.solve_options(min(scene.grid, sample_grid), dedup_radius=1e-3)
+        opts = scene.solve_options(min(scene.grid, 12), dedup_radius=1e-3)
         outcome = solve_points(prev.equations, opts, audits=prev.audits)
         if not outcome.points:
             notes.append(f"depth {k}: no samples found on the previous stratum")
-            return ChartChain(scene, tuple(charts), False, tuple(notes))
+            return ChartChain(tuple(charts), False, tuple(notes))
         samples = np.array([p.x for p in outcome.points])
         margins = prev.validity_margin(samples)
         ok = margins >= VALIDITY_FACTOR * scene.tol_rank
         if not np.any(ok):
             notes.append(f"depth {k}: every stratum sample fails chart validity")
-            return ChartChain(scene, tuple(charts), False, tuple(notes))
+            return ChartChain(tuple(charts), False, tuple(notes))
         samples, margins = samples[ok], margins[ok]
         order = np.argsort(-margins, kind="stable")
 
@@ -844,13 +842,13 @@ def _sampled_chain(
                 break
         if supplement is None:
             notes.append(f"depth {k}: no coframe supplement qualifies at any anchor")
-            return ChartChain(scene, tuple(charts), False, tuple(notes))
+            return ChartChain(tuple(charts), False, tuple(notes))
 
         if any(c.hint_used for c in charts):
             delta = build_delta(scene, prev.equations, supplement)
         else:
             delta = _chart_delta(scene, prev, supplement)
-        hint_used, hint_note = False, None
+        hint_used = False
         if k in hints:
             accept, hint_note = _audit_hint(scene, hints[k], delta, samples)
             if accept:
@@ -859,12 +857,9 @@ def _sampled_chain(
             notes.append(f"depth {k}: {hint_note}")
 
         charts.append(
-            _next_chart(
-                prev, supplement, delta,
-                samples=samples, hint_used=hint_used, hint_note=hint_note,
-            )
+            _next_chart(prev, supplement, delta, samples=samples, hint_used=hint_used)
         )
-    return ChartChain(scene, tuple(charts), True, tuple(notes))
+    return ChartChain(tuple(charts), True, tuple(notes))
 
 
 def build_chain_at(
@@ -895,10 +890,10 @@ def build_chain_at(
         supplement = select_supplement(scene, base, k, point)
         if supplement is None:
             notes.append(f"depth {k}: no coframe supplement qualifies here")
-            return ChartChain(scene, tuple(charts), False, tuple(notes))
+            return ChartChain(tuple(charts), False, tuple(notes))
         delta = _chart_delta(scene, prev, supplement)
         charts.append(_next_chart(prev, supplement, delta))
-    return ChartChain(scene, tuple(charts), True, tuple(notes))
+    return ChartChain(tuple(charts), True, tuple(notes))
 
 
 def _next_chart(

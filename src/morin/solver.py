@@ -85,6 +85,17 @@ def _compile(system, dim: int) -> System:
     return System([simplify(e) for e in system], dim)
 
 
+def _row_norms(R) -> np.ndarray:
+    """Euclidean norm of each row of ``R``, its squares summed left to
+    right, so a row gets the same bits in any batch (``np.linalg.norm``
+    sums a contiguous row of 8 or more entries pairwise, a strided one left
+    to right, and reduces short contiguous rows about ten times slower)."""
+    sq = np.zeros(len(R))
+    for col in R.T:
+        sq += col * col
+    return np.sqrt(sq)
+
+
 def greedy_dedup(pts, radius: float) -> list:
     """Indices of the points kept by greedy deduplication, in visit order.
 
@@ -169,7 +180,8 @@ def solve_points(
     1/2 ... 1/32 of the failed ones, stacked. A point takes its first step
     that passes and keeps that step's residuals, so no iterate is
     evaluated twice; ``eval_block`` gives a finite row the same bits in
-    any batch, so each decision is that of evaluating the trial alone.
+    any batch, and so does ``_row_norms``, so each decision is that of
+    evaluating the trial alone.
 
     ``stats`` puts every seed in exactly one of ``converged``, ``dropped``
     (not finite, escaped or stalled), ``out_of_iterations``,
@@ -212,7 +224,7 @@ def solve_points(
         """Which trial points cut the residual norm enough, and their rows."""
         Rc = eqs.values(cand)
         ok = np.all(np.isfinite(Rc), axis=1)
-        newnorm = np.where(ok, np.linalg.norm(np.nan_to_num(Rc), axis=1), np.inf)
+        newnorm = np.where(ok, _row_norms(np.nan_to_num(Rc)), np.inf)
         return newnorm <= old * (1.0 - 1e-4 * alpha), Rc
 
     for _ in range(opts.max_iterations):
@@ -258,7 +270,7 @@ def solve_points(
         bad_s = ~np.all(np.isfinite(step), axis=1)
         if np.any(bad_s):
             step[bad_s] = 0.0
-        old = np.linalg.norm(R, axis=1)
+        old = _row_norms(R)
         cand = P - step
         accepted, Rc = passes(cand, old, 1.0)
         X[sub[accepted]] = cand[accepted]
@@ -370,10 +382,10 @@ def _curve_tangent(J: np.ndarray, tol: float) -> np.ndarray | None:
     return vt[-1]
 
 
-def _correct(eqs: System, x, tol, max_iter=10):
+def _correct(eqs: System, x, tol):
     """Project a predictor point back onto the solution set."""
     x = x.copy()
-    for it in range(max_iter):
+    for it in range(10):
         r = eqs.values(x)[0]
         if not np.all(np.isfinite(r)):
             return None, it
@@ -384,10 +396,10 @@ def _correct(eqs: System, x, tol, max_iter=10):
             return None, it
         step, *_ = np.linalg.lstsq(J, r, rcond=None)
         x = x - step
-    return None, max_iter
+    return None, 10
 
 
-def _trace_one(eqs: System, start, direction, opts, h0, max_steps):
+def _trace_one(eqs: System, start, direction, opts, h0):
     """Trace from ``start`` along ``direction`` until closure, exit, or stall.
 
     Returns (vertices list excluding start, closed, boundary, collapsed).
@@ -399,7 +411,7 @@ def _trace_one(eqs: System, start, direction, opts, h0, max_steps):
     t_prev = direction
     h = h0
     closed = boundary = collapsed = False
-    for step_no in range(max_steps):
+    for step_no in range(4000):
         J = eqs.jacobian(x)[0]
         t = _curve_tangent(J, opts.tol_rank)
         if t is None:
@@ -429,30 +441,21 @@ def _trace_one(eqs: System, start, direction, opts, h0, max_steps):
     return path, closed, boundary, collapsed
 
 
-def trace_curves(
-    system,
-    opts: SolveOptions,
-    *,
-    seeds=None,
-    step: float | None = None,
-    max_steps: int = 4000,
-) -> list:
+def trace_curves(system, opts: SolveOptions) -> list:
     """Trace the one-dimensional solution set of ``system`` inside the box.
 
-    Seeds default to a deduplicated Gauss-Newton pass. Each unconsumed
+    Seeds come from a deduplicated Gauss-Newton pass. Each unconsumed
     seed starts a predictor-corrector trace; seeds near an already traced
     component are consumed. Curves come back sorted by their smallest
     vertex, closed loops first as traced.
     """
     dim = len(opts.box)
     eqs = _compile(system, dim)
-    if seeds is None:
-        sample_opts = replace(opts, grid=min(opts.grid, 12), dedup_radius=2e-3)
-        seeds = solve_points(eqs.equations, sample_opts).coordinates()
-    seeds = np.asarray(seeds, dtype=float).reshape(-1, dim)
+    sample_opts = replace(opts, grid=min(opts.grid, 12), dedup_radius=2e-3)
+    seeds = solve_points(eqs.equations, sample_opts).coordinates().reshape(-1, dim)
     if not len(seeds):
         return []
-    h0 = step if step is not None else 5e-3 * opts.diameter
+    h0 = 5e-3 * opts.diameter
 
     consumed = np.zeros(len(seeds), dtype=bool)
     curves = []
@@ -467,12 +470,12 @@ def trace_curves(
         t0 = _curve_tangent(J, opts.tol_rank)
         if t0 is None:
             continue
-        fwd, closed, bnd_f, col_f = _trace_one(eqs, x0, t0, opts, h0, max_steps)
+        fwd, closed, bnd_f, col_f = _trace_one(eqs, x0, t0, opts, h0)
         if closed:
             pts = np.array([x0] + fwd + [x0])
             curve = TracedCurve(pts, True, False, col_f)
         else:
-            bwd, _, bnd_b, col_b = _trace_one(eqs, x0, -t0, opts, h0, max_steps)
+            bwd, _, bnd_b, col_b = _trace_one(eqs, x0, -t0, opts, h0)
             pts = np.array(list(reversed(bwd)) + [x0] + fwd)
             curve = TracedCurve(pts, False, bnd_f and bnd_b, col_f or col_b)
         curves.append(curve)
@@ -641,46 +644,23 @@ def grid_oracle(
         # its leaf cells are too coarse to accept a root
         return np.zeros((0, dim))
     diam = float(np.linalg.norm([hi - lo for lo, hi in box]))
-    reps = _scan_level(
-        eqs,
-        tuple(box),
-        resolution,
-        tol_residual,
-        levels,
-        5e-7 * diam,
-        2e-3 * diam,
-    )
+    reps: list = []
+    work = [(tuple(box), resolution, levels)]
+    while work:
+        sub_box, res, levels_left = work.pop()
+        for item in _scan_clusters(
+            eqs, sub_box, res, tol_residual, levels_left, 5e-7 * diam, 2e-3 * diam
+        ):
+            if isinstance(item, np.ndarray):
+                reps.append(item)
+            else:
+                work.append((*item, levels_left - 1))
     if not reps:
         return np.zeros((0, dim))
     pts = np.array(reps)
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]
     return pts[greedy_dedup(pts, 1e-6 * diam)]
-
-
-def _scan_level(
-    eqs, box, resolution, tol_residual, levels_left, min_half_diag, accept_half_diag
-) -> list:
-    reps: list = []
-    for item in _scan_clusters(
-        eqs, box, resolution, tol_residual, levels_left, min_half_diag, accept_half_diag
-    ):
-        if isinstance(item, np.ndarray):
-            reps.append(item)
-        else:
-            sub_box, child_res = item
-            reps.extend(
-                _scan_level(
-                    eqs,
-                    sub_box,
-                    child_res,
-                    tol_residual,
-                    levels_left - 1,
-                    min_half_diag,
-                    accept_half_diag,
-                )
-            )
-    return reps
 
 
 def _scan_clusters(

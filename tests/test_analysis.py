@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from morin.analysis import (
     TRUST_GAP,
     AnalysisError,
-    _covector_exprs,
     _farthest_subset,
     _intersection_dim,
     _membership,
@@ -313,7 +312,7 @@ def _reference_nondegeneracy(scene, record, weights):
     multipliers solved again when their count disagrees with the chart's:
     the reference for the chart a record keeps. Returns the verdict, the
     bits of the bordered determinant and the flags."""
-    xi = _covector_exprs(scene, weights)
+    xi = scene.covector_field(weights)
     N = scene.ambient_dim
     k = record.stratum_depth
     if k == 0:

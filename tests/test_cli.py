@@ -28,6 +28,15 @@ def test_missing_scene_is_a_usage_error(capsys):
     assert "error:" in out.err and out.out == ""
 
 
+def test_malformed_scene_value_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "bad.scene"
+    path.write_text("[scene]\nambient_dim = 2\nvars = x1, x2\n[coframe]\nn = two\n")
+    code, out = run(capsys, "check", str(path))
+    assert code == 1 and out.out == ""
+    assert out.err.startswith("error: line 5: bad n: ")
+    assert "Traceback" not in out.err
+
+
 def test_stratum_out_of_range(capsys):
     code, out = run(capsys, "zeros", QW, "--stratum", "4")
     assert code == 1 and "out of range" in out.err

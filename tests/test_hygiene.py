@@ -1,8 +1,13 @@
 """Source hygiene of the package, checked with the standard-library ``ast``.
 
-Two kinds of dead code fail here: a ``from``-import that its module never
-reads, and a private module-level name that no module of ``src/morin``
-reads. ``from __future__ import annotations`` is exempt.
+Four kinds of dead code fail here: a ``from``-import that its module never
+reads; a private module-level name that no module of ``src/morin`` reads;
+a defaulted parameter of a ``src/morin`` function that no call in
+``src/morin``, ``tests/`` or ``perfbench/`` sets; and a field of a
+``src/morin`` dataclass that no attribute read in those trees names.
+``from __future__ import annotations`` is exempt. Calls and reads are
+matched by name, so a name shared with another function or attribute
+hides dead code rather than inventing it.
 """
 
 import ast
@@ -10,8 +15,15 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "morin"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "morin"
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+# every tree whose calls and reads count as use of the package
+USERS = list(TREES.values()) + [
+    ast.parse(path.read_text())
+    for tree in ("tests", "perfbench")
+    for path in sorted((ROOT / tree).rglob("*.py"))
+]
 
 
 def _loaded(tree) -> set:
@@ -66,6 +78,84 @@ def unreferenced_private_names(trees: dict) -> list:
     ]
 
 
+def _calls(trees) -> dict:
+    """Calls by the name of their callee: a bare name, or the attribute a
+    dotted callee ends with."""
+    out: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                out.setdefault(name, []).append(node)
+    return out
+
+
+def _sets(call, index, name) -> bool:
+    """Whether ``call`` sets the parameter ``name``: by keyword, by
+    ``*args`` or ``**kwargs``, or by a positional argument at ``index``
+    (None for a keyword-only parameter)."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def unset_parameters(trees: dict, users) -> list:
+    calls = _calls(users)
+    out = []
+    for module, tree in trees.items():
+        methods = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            # a call on an instance passes ``self`` implicitly
+            shift = 1 if id(fn) in methods else 0
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i - shift, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [
+                (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            out += [
+                f"{module}:{fn.name}({name})"
+                for index, name in defaulted
+                if not any(_sets(call, index, name) for call in calls.get(fn.name, []))
+            ]
+    return out
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", None) == "dataclass"
+
+
+def unread_fields(trees: dict, users) -> list:
+    read = {
+        node.attr
+        for tree in users
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{module}:{cls.name}.{stmt.target.id}"
+        for module, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read
+    ]
+
+
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_no_unused_from_imports(module):
     assert unused_from_imports(TREES[module]) == []
@@ -73,6 +163,14 @@ def test_no_unused_from_imports(module):
 
 def test_no_unreferenced_private_names():
     assert unreferenced_private_names(TREES) == []
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    assert unset_parameters(TREES, USERS) == []
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    assert unread_fields(TREES, USERS) == []
 
 
 def test_checks_catch_dead_code():
@@ -86,3 +184,23 @@ def test_checks_catch_dead_code():
     )
     assert unused_from_imports(tree) == ["Sequence"]
     assert unreferenced_private_names({"m.py": tree}) == ["m.py:_cmp_key"]
+    src = ast.parse(
+        "from dataclasses import dataclass\n"
+        "def solve(system, grid=12, *, steps=40, seeds=None): return grid\n"
+        "class Chart:\n"
+        "    def margin(self, points, cap=3): return cap\n"
+        "@dataclass\n"
+        "class Result:\n"
+        "    points: list\n"
+        "    margins: dict\n"
+    )
+    use = ast.parse(
+        "r = Result(solve(eqs, 8), {})\n"
+        "solve(eqs, steps=9)\n"
+        "solve(*args)\n"
+        "chart.margin(r.points)\n"
+    )
+    assert unset_parameters({"m.py": src}, [src, use]) == ["m.py:margin(cap)"]
+    use = ast.parse("solve(eqs, 8, steps=9, seeds=s)\nchart.margin(p, 4)\nr.points\n")
+    assert unset_parameters({"m.py": src}, [src, use]) == []
+    assert unread_fields({"m.py": src}, [src, use]) == ["m.py:Result.margins"]

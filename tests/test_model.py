@@ -93,6 +93,32 @@ def test_parse_rejects_duplicates_and_bad_shapes():
         parse_scene(MINIMAL + "\n[solver]\nbox = 0, 1\n")
 
 
+# (id, scene text, line, key) of one malformed value each
+_MALFORMED = [
+    ("n", MINIMAL.replace("n = 1", "n = one"), 7, "n"),
+    ("a", MINIMAL + "\n[covector]\na = x\n", 11, "a"),
+    ("rng_seed", MINIMAL + "\n[covector]\nrng_seed = 1.5\n", 11, "rng_seed"),
+    ("box", MINIMAL + "\n[solver]\nbox = -5:5, -5:five\n", 11, "box"),
+    ("tol_residual", MINIMAL + "\n[solver]\ntol_residual = tiny\n", 11, "tol_residual"),
+    ("tol_rank", MINIMAL + "\n[solver]\ntol_rank = 1e-8x\n", 11, "tol_rank"),
+    ("grid", MINIMAL + "\n[solver]\ngrid = 64.0\n", 11, "grid"),
+    ("max_depth", MINIMAL + "\n[solver]\nmax_depth = deep\n", 11, "max_depth"),
+    ("repeated_var", MINIMAL.replace("vars = x1, x2", "vars = x1, x1"), 4, "vars"),
+    ("shadowing_var", MINIMAL.replace("vars = x1, x2", "vars = x1, sin"), 4, "vars"),
+    ("constraint", MINIMAL + "\n[manifold]\nconstraint = x1 +\n", 11, "constraint"),
+    ("omega", MINIMAL.replace("2*x1, 2*x2", "2*x1, 2*(x2"), 8, "omega_1"),
+    ("delta", MINIMAL + "\n[hints]\ndelta_2 = x1 *\n", 11, "delta_2"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, line, key", [case[1:] for case in _MALFORMED], ids=[case[0] for case in _MALFORMED]
+)
+def test_parse_names_the_line_of_a_malformed_value(text, line, key):
+    with pytest.raises(SceneError, match=f"^line {line}: bad {key}: "):
+        parse_scene(text)
+
+
 def test_scene_validation_bounds():
     with pytest.raises(SceneError):
         parse_scene(MINIMAL.replace("n = 1", "n = 3"))  # n > m

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from morin import solver
-from morin.expr import eval_block, parse, simplify
-from morin.analysis import _covector_exprs, _multiplier_seeds, _multiplier_system
+from morin.expr import System, eval_block, parse, simplify
+from morin.analysis import _multiplier_seeds, _multiplier_system
 from morin.model import (
     SupplementSelection,
     build_chain,
@@ -37,6 +37,7 @@ from morin.solver import (
     _face_dilation,
     _lattice_chunks,
     _local_slope,
+    _row_norms,
     _scan_box,
     _scan_clusters,
     greedy_dedup,
@@ -411,6 +412,23 @@ def test_eval_block_rows_do_not_depend_on_the_batch(case, data):
     assert canonical(shuffled) == canonical(batch[:, order])
 
 
+def test_residual_norms_do_not_depend_on_the_batch():
+    # 9 equations: from 8 on, numpy sums a strided row in another order
+    # than a contiguous one, and System.values rows are strided
+    names = ("x1", "x2", "x3")
+    system = System(
+        [
+            parse(f"x1^{k % 3 + 1} * {k + 1.3} - sin(x2 * {k + 0.7}) + exp(x3 / {k + 2})", names)
+            for k in range(9)
+        ],
+        3,
+    )
+    points = np.random.default_rng(3).uniform(-2.0, 2.0, size=(50, 3))
+    batch = _row_norms(system.values(points))
+    for i in range(len(points)):
+        assert batch[i].tobytes() == _row_norms(system.values(points[i : i + 1]))[0].tobytes()
+
+
 def test_stats_sort_every_seed_into_one_group():
     torus = load_scene("scenes/torus.scene")
     opts = torus.solve_options(12)
@@ -424,7 +442,7 @@ def test_stats_sort_every_seed_into_one_group():
     assert out.stats["audit_rejected"] > 0
     # the multiplier system of `find_restricted_zeros(torus, 1, ...)`,
     # where some seeds are still iterating when the iterations run out
-    xi = _covector_exprs(torus, draw_covector(2, 42))
+    xi = torus.covector_field(draw_covector(2, 42))
     equations = build_chain_at(torus, samples[0], max_depth=1).chart(1).equations
     seeds = _multiplier_seeds(torus, equations, xi, samples)
     out = solve_points(
