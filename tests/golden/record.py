@@ -1,8 +1,8 @@
 """Record the golden report corpus under ``tests/golden/``.
 
 One JSON file per invocation: the ``--no-timings`` report of ``check``,
-``strata``, ``zeros`` and ``euler`` on each shipped scene, with its argv
-and exit code. ``tests/test_golden.py`` reruns every file and compares.
+``strata``, ``zeros``, ``euler`` and ``zeros --stratum 1`` on each shipped
+scene, with its argv and exit code. ``tests/test_golden.py`` reruns every file and compares.
 Record only from a program whose reports are known good:
 
     PYTHONPATH=src python tests/golden/record.py
@@ -30,15 +30,23 @@ def run(argv):
     return code, (json.loads(text) if text else None)
 
 
-def main_record():
+def invocations():
+    """(file stem, argv) of every golden report."""
     for command in COMMANDS:
         for scene in SCENES:
-            argv = [command, f"scenes/{scene}.scene", "--no-timings"]
-            code, report = run(argv)
-            path = HERE / f"{command}_{scene}.json"
-            record = {"argv": argv, "exit_code": code, "report": report}
-            path.write_text(json.dumps(record, sort_keys=True, indent=1) + "\n")
-            print(f"{path.name}: exit {code}", file=sys.stderr)
+            yield f"{command}_{scene}", [command, f"scenes/{scene}.scene", "--no-timings"]
+    for scene in SCENES:
+        argv = ["zeros", f"scenes/{scene}.scene", "--stratum", "1", "--no-timings"]
+        yield f"zeros_stratum1_{scene}", argv
+
+
+def main_record():
+    for stem, argv in invocations():
+        code, report = run(argv)
+        path = HERE / f"{stem}.json"
+        record = {"argv": argv, "exit_code": code, "report": report}
+        path.write_text(json.dumps(record, sort_keys=True, indent=1) + "\n")
+        print(f"{path.name}: exit {code}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Golden report corpus: every subcommand that classifies, on every scene.
+"""Golden report corpus: every subcommand that classifies, on every scene,
+and the restricted zeros of ``zeros --stratum 1``.
 
 Each file under ``tests/golden/`` holds the argv, exit code and
 ``--no-timings`` report of one CLI run, recorded by
@@ -51,7 +52,9 @@ def _mismatch(expected, actual, path="report"):
 def test_corpus_is_complete():
     names = {p.stem for p in GOLDEN}
     scenes = {p.stem for p in Path("scenes").glob("*.scene")}
-    assert names == {f"{c}_{s}" for c in ("check", "strata", "zeros", "euler") for s in scenes}
+    expected = {f"{c}_{s}" for c in ("check", "strata", "zeros", "euler") for s in scenes}
+    expected |= {f"zeros_stratum1_{s}" for s in scenes}
+    assert names == expected
 
 
 def test_mismatch_tolerates_roundoff_only():
