@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
+import scipy.linalg
 
 from .expr import (
     System,
@@ -33,15 +34,17 @@ from .expr import (
     symbolic_determinant,
     var,
 )
-from .linalg import RankReport, determinant, least_squares, numeric_rank
+from .linalg import RankReport, determinant, least_squares, numeric_rank, numeric_ranks
 from .model import (
     VALIDITY_FACTOR,
     ChartChain,
     Scene,
     build_chain,
     build_chain_at,
+    build_chains_at,
     corank_system,
     draw_covector,
+    index_groups,
 )
 from .solver import (
     cell_centers,
@@ -106,54 +109,94 @@ def _omega_scale(scene: Scene) -> float:
     return scene.memo(("omega_scale",), build)
 
 
-def _restriction_corank(scene: Scene, omega_vals, base_grads) -> tuple:
-    """Corank of the coframe's restriction to the tangent space, with a
-    trust measure.
+def _ranks(mats, tol) -> list:
+    """:func:`numeric_rank` of each matrix of a list, one stacked SVD per
+    shape. Shapes differ where ``_unit_rows`` dropped zero rows; padding
+    them to one shape would change the singular values."""
+    out: list = [None] * len(mats)
+    for group in index_groups([m.shape for m in mats]):
+        reports = numeric_ranks(np.stack([mats[i] for i in group]), tol)
+        for i, rep in zip(group, reports):
+            out[i] = rep
+    return out
+
+
+def _restriction_coranks(scene: Scene, omega_vals, base_grads) -> list:
+    """Corank of the coframe's restriction to the tangent space at each
+    point of a stack, with a trust measure: ``(corank, measured)`` pairs.
 
     A row shrinking to zero is as degenerate as rows becoming parallel, so
     the raw coframe values are projected onto an orthonormal tangent basis
     and their singular values compared against ``tol_rank`` times the
     coframe's own scale over the box. The trust measure is how far the
     nearest singular value stays from that cutoff on either side (the
-    refusal band sits at ``TRUST_GAP``).
+    refusal band sits at ``TRUST_GAP``). The null spaces take one stacked
+    SVD, and the restrictions one per tangent dimension.
     """
     n = scene.n
-    restriction = omega_vals @ _null_space(base_grads) if len(base_grads) else omega_vals
+    # contiguous blocks, laid out as a one-point call lays out its matrices
+    omega_vals = np.ascontiguousarray(omega_vals)
+    base_grads = np.ascontiguousarray(base_grads)
+    if not len(omega_vals):
+        return []
     cut = scene.tol_rank * _omega_scale(scene)
-    sv = np.linalg.svd(restriction, compute_uv=False) if restriction.size else np.zeros(0)
-    sv = np.concatenate([sv, np.zeros(n - len(sv))]) if len(sv) < n else sv
-    rank = int(np.count_nonzero(sv > cut))
-    kept = sv[rank - 1] / cut if rank else math.inf
-    dropped = cut / sv[rank] if rank < n and sv[rank] > 0 else math.inf
-    return n - rank, float(min(kept, dropped))
+    if base_grads.shape[1]:
+        _, sv, vt = np.linalg.svd(base_grads)
+        # the null space of each gradient block: the rows of vt past its rank
+        ranks = np.count_nonzero(sv > 1e-12 * sv[:, :1], axis=1)
+    else:
+        vt, ranks = None, np.zeros(len(omega_vals), dtype=int)
+    out: list = [None] * len(omega_vals)
+    for group in index_groups(ranks.tolist()):
+        restriction = omega_vals[group]
+        if vt is not None:
+            restriction = restriction @ vt[group, ranks[group[0]]:].transpose(0, 2, 1)
+        if restriction.size:
+            values = np.linalg.svd(restriction, compute_uv=False)
+        else:
+            values = np.zeros((len(group), 0))
+        for i, sv in zip(group, values):
+            if len(sv) < n:
+                sv = np.concatenate([sv, np.zeros(n - len(sv))])
+            rank = int(np.count_nonzero(sv > cut))
+            kept = sv[rank - 1] / cut if rank else math.inf
+            dropped = cut / sv[rank] if rank < n and sv[rank] > 0 else math.inf
+            out[i] = (n - rank, float(min(kept, dropped)))
+    return out
 
 
-def _intersection_dim(omega_vals, base_grads, conormal_grads, tol) -> tuple:
-    """dim(span of coframe restrictions ∩ conormal of the previous stratum).
+def _intersection_dims(omega_vals, base_grads, conormal_grads, tol) -> list:
+    """dim(span of coframe restrictions ∩ conormal of the previous stratum)
+    at each point, with its trust: ``(dim, trust)`` pairs.
 
     The coframe restriction to the tangent space kills exactly the part of
     the row span lying in the manifold conormal, so the intrinsic dimension
     is dim(A ∩ W) - dim(A ∩ B) with A the ambient coframe rows, W the
     ambient conormal of the previous stratum and B ⊆ W the manifold
-    conormal. Trust is the weakest of the rank verdicts involved.
+    conormal. Trust is the weakest of the rank verdicts involved. Each
+    kind of rank is taken as one stack per shape.
     """
-    A = _unit_rows(omega_vals)
-    B = _unit_rows(base_grads)
-    W = _unit_rows(conormal_grads)
-    ra = numeric_rank(A, tol)
-    rw = numeric_rank(W, tol)
-    raw = numeric_rank(np.vstack([A, W]) if len(W) else A, tol)
-    reports = [ra, rw, raw]
-    dim_aw = ra.rank + rw.rank - raw.rank
-    if len(B):
-        rb = numeric_rank(B, tol)
-        rab = numeric_rank(np.vstack([A, B]), tol)
-        reports += [rb, rab]
-        dim_ab = ra.rank + rb.rank - rab.rank
-    else:
-        dim_ab = 0
-    trust = "inconclusive" if any(rep.margin < TRUST_GAP for rep in reports) else "yes"
-    return dim_aw - dim_ab, trust
+    A = [_unit_rows(m) for m in omega_vals]
+    B = [_unit_rows(m) for m in base_grads]
+    W = [_unit_rows(m) for m in conormal_grads]
+    ra = _ranks(A, tol)
+    rw = _ranks(W, tol)
+    raw = _ranks([np.vstack([a, w]) if len(w) else a for a, w in zip(A, W)], tol)
+    with_base = [i for i, b in enumerate(B) if len(b)]
+    rb = dict(zip(with_base, _ranks([B[i] for i in with_base], tol)))
+    rab = dict(zip(with_base, _ranks([np.vstack([A[i], B[i]]) for i in with_base], tol)))
+    out = []
+    for i in range(len(A)):
+        reports = [ra[i], rw[i], raw[i]]
+        dim_aw = ra[i].rank + rw[i].rank - raw[i].rank
+        if i in rb:
+            reports += [rb[i], rab[i]]
+            dim_ab = ra[i].rank + rb[i].rank - rab[i].rank
+        else:
+            dim_ab = 0
+        trust = "inconclusive" if any(rep.margin < TRUST_GAP for rep in reports) else "yes"
+        out.append((dim_aw - dim_ab, trust))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,108 +232,173 @@ class Classification:
         }
 
 
-def _membership(scene: Scene, expr, point: np.ndarray) -> tuple:
-    """Tri-state test whether ``expr = 0`` passes through ``point``.
+def _memberships(scene: Scene, exprs, points) -> list:
+    """Tri-state test whether each ``expr = 0`` passes through each point:
+    one list of verdicts per point, in the order of ``exprs``.
 
     Uses the first-order distance |value| / |gradient| relative to the box
     diameter. A vanishing gradient falls back to the absolute residual.
     """
-    system = System([expr], len(point))
-    value = abs(float(system.values(point)[0, 0]))
-    grad = system.jacobian(point)[0, 0]
-    gnorm = float(np.linalg.norm(grad))
+    system = System(exprs, scene.ambient_dim)
+    values = system.values(points)
+    grads = system.jacobian(points)
     diam = scene.box_diameter()
-    if gnorm * diam <= value * 1e-12:
-        verdict = "yes" if value <= 100.0 * scene.tol_residual else "no"
-        return verdict, math.inf if value == 0 else value
-    dist = value / gnorm
-    if dist <= MEMBER_RADIUS * diam:
-        return "yes", dist / diam
-    if dist > REJECT_RADIUS * diam:
-        return "no", dist / diam
-    return "inconclusive", dist / diam
+    out = []
+    for vals, gs in zip(values.tolist(), grads):
+        verdicts = []
+        for value, grad in zip(vals, gs):
+            value = abs(value)
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm * diam <= value * 1e-12:
+                verdicts.append("yes" if value <= 100.0 * scene.tol_residual else "no")
+                continue
+            dist = value / gnorm
+            if dist <= MEMBER_RADIUS * diam:
+                verdicts.append("yes")
+            elif dist > REJECT_RADIUS * diam:
+                verdicts.append("no")
+            else:
+                verdicts.append("inconclusive")
+        out.append(verdicts)
+    return out
 
 
 def classify_point(scene: Scene, point) -> Classification:
-    """Walk the stratum tower at one point and name its type.
+    """:func:`classify_points` at one point."""
+    x = np.asarray(point, dtype=float)
+    return classify_points(scene, x.reshape(1, -1))[0]
+
+
+def classify_points(scene: Scene, points) -> list:
+    """Walk the stratum tower at each point and name its type.
 
     The chart chain is built with every selection made at the point
     itself, so membership is judged by the best-adapted chart available
     (a chart carried over from elsewhere can degenerate here and vouch
-    for points it should reject); the result keeps it. The walk stops at the first depth whose
-    determinant clearly misses the point; a verdict inside the refusal
-    band, an untrusted rank, or an intersection dimension off its
-    expected value yields ``inconclusive``.
+    for points it should reject); the result keeps it. The walk stops at
+    the first depth whose determinant clearly misses the point; a verdict
+    inside the refusal band, an untrusted rank, or an intersection
+    dimension off its expected value yields ``inconclusive``.
+
+    ``points`` has shape (P, N). The coframe, the constraint gradients,
+    the restriction ranks and the pivots of all points are taken in one
+    call each; from there the points whose charts share a selection take
+    one call each for residuals, memberships, ranks and margins, depth by
+    depth. Each point gets the verdict it would get alone.
     """
-    x = np.asarray(point, dtype=float)
-    omega_vals = scene.omega_at(x)[0]
-    base_grads = System(scene.constraints, len(x)).jacobian(x)[0]
-    if not (np.all(np.isfinite(omega_vals)) and np.all(np.isfinite(base_grads))):
-        return Classification(x, "inconclusive", -1, (), note="coframe values not finite here")
-    if len(base_grads):
-        g_rep = numeric_rank(_unit_rows(base_grads), scene.tol_rank)
-        if _trusted(g_rep, scene.num_constraints) != "yes":
-            return Classification(
-                x, "inconclusive", -1, (), note="constraint gradients degenerate here"
-            )
-    corank, measured = _restriction_corank(scene, omega_vals, base_grads)
-    if measured < TRUST_GAP:
-        return Classification(x, "inconclusive", -1, (), note="coframe restriction rank unclear")
-    if corank <= 0:
-        return Classification(x, "regular", 0, ())
-    if corank >= 2:
-        return Classification(
-            x, "inconclusive", -1, (), note=f"coframe corank {corank} exceeds 1"
-        )
+    N = scene.ambient_dim
+    X = np.asarray(points, dtype=float).reshape(-1, N)
+    out: list = [None] * len(X)
 
-    chain = build_chain_at(scene, x)
-    chart1 = chain.chart(1)
-    resid = float(np.max(np.abs(chart1.residuals(x.reshape(1, -1)))))
-    if resid > 1000.0 * scene.tol_residual:
-        for e in chart1.equations:
-            verdict, _ = _membership(scene, e, x)
-            if verdict == "no":
-                return Classification(x, "regular", 0, (), "off the first stratum", chain)
-        return Classification(x, "inconclusive", -1, (), "first chart residual unclear", chain)
+    def stop(i, kind, depth, dims=(), note="", chain=None):
+        out[i] = Classification(X[i], kind, depth, tuple(dims), note, chain)
 
-    depth = 1
-    dims = []
-    inconclusive_note = ""
-    for k in range(1, chain.depth + 1):
-        prev_eqs = scene.constraints if k == 1 else chain.chart(k - 1).equations
-        dim, trust = _intersection_dim(
-            omega_vals, base_grads, System(prev_eqs, len(x)).jacobian(x)[0], scene.tol_rank
-        )
-        dims.append(dim)
-        if trust != "yes" or dim != k - 1:
-            inconclusive_note = (
-                f"intersection dimension {dim} at depth {k} (expected {k - 1})"
-                if trust == "yes"
-                else f"intersection rank untrusted at depth {k}"
-            )
-            break
-        if k == chain.depth:
-            depth = k
-            break
-        nxt = chain.chart(k + 1)
-        verdict, _ = _membership(scene, nxt.delta, x)
-        validity = float(nxt.validity_margin(x.reshape(1, -1))[0])
-        if verdict == "yes" and validity < VALIDITY_FACTOR * scene.tol_rank:
-            inconclusive_note = f"chart invalid at depth {k + 1}"
-            break
-        if verdict == "inconclusive":
-            inconclusive_note = f"membership unclear at depth {k + 1}"
-            break
-        if verdict == "no":
-            depth = k
-            break
-        depth = k + 1
-    if inconclusive_note:
-        return Classification(x, "inconclusive", -1, tuple(dims), inconclusive_note, chain)
-    if not chain.complete and depth == chain.depth and depth < min(scene.max_depth, scene.n):
-        note = "; ".join(chain.notes) or "chain stopped early"
-        return Classification(x, "inconclusive", -1, tuple(dims), note, chain)
-    return Classification(x, f"A{depth}", depth, tuple(dims), chain=chain)
+    omega = scene.omega_at(X)
+    base = System(scene.constraints, N).jacobian(X)
+    finite = np.isfinite(omega).all(axis=(1, 2)) & np.isfinite(base).all(axis=(1, 2))
+    for i in np.flatnonzero(~finite):
+        stop(i, "inconclusive", -1, note="coframe values not finite here")
+    live = np.flatnonzero(finite)
+    # contiguous blocks, laid out as a one-point call lays out its matrices
+    omega = np.ascontiguousarray(omega[live])
+    base = np.ascontiguousarray(base[live])
+    if scene.num_constraints and len(live):
+        reports = _ranks([_unit_rows(g) for g in base], scene.tol_rank)
+        trusted = np.array([_trusted(r, scene.num_constraints) == "yes" for r in reports])
+        for i in live[~trusted]:
+            stop(i, "inconclusive", -1, note="constraint gradients degenerate here")
+        live, omega, base = live[trusted], omega[trusted], base[trusted]
+
+    walk = []
+    for j, (corank, measured) in enumerate(_restriction_coranks(scene, omega, base)):
+        if measured < TRUST_GAP:
+            stop(live[j], "inconclusive", -1, note="coframe restriction rank unclear")
+        elif corank <= 0:
+            stop(live[j], "regular", 0)
+        elif corank >= 2:
+            stop(live[j], "inconclusive", -1, note=f"coframe corank {corank} exceeds 1")
+        else:
+            walk.append(j)
+    if not walk:
+        return out
+    # from here on j numbers the walking points: X[idx[j]], omega[j], chains[j]
+    idx, omega, base = live[walk], omega[walk], base[walk]
+    chains = build_chains_at(scene, X[idx])
+
+    def by_chart(members, depth):
+        """``members`` grouped by their depth-``depth`` chart selection, as
+        (group, chart, points)."""
+        keys = [chains[j].chart(depth).selection for j in members]
+        for group in index_groups(keys):
+            group = [members[g] for g in group]
+            yield group, chains[group[0]].chart(depth), X[idx[group]]
+
+    walking = []
+    for group, chart1, pts in by_chart(range(len(idx)), 1):
+        unclear = np.max(np.abs(chart1.residuals(pts)), axis=1) > 1000.0 * scene.tol_residual
+        walking += [j for j, bad in zip(group, unclear) if not bad]
+        if not unclear.any():
+            continue
+        off = [j for j, bad in zip(group, unclear) if bad]
+        for j, verdicts in zip(off, _memberships(scene, chart1.equations, pts[unclear])):
+            if "no" in verdicts:
+                stop(idx[j], "regular", 0, note="off the first stratum", chain=chains[j])
+            else:
+                note = "first chart residual unclear"
+                stop(idx[j], "inconclusive", -1, note=note, chain=chains[j])
+
+    depths = dict.fromkeys(walking, 1)
+    dims: dict = {j: [] for j in walking}
+    notes = dict.fromkeys(walking, "")
+    k = 1
+    while walking:
+        walking.sort()
+        if k == 1:
+            conormal = base[walking]
+        else:
+            conormal = [None] * len(walking)
+            at = {j: g for g, j in enumerate(walking)}
+            for group, prev, pts in by_chart(walking, k - 1):
+                for j, grads in zip(group, System(prev.equations, N).jacobian(pts)):
+                    conormal[at[j]] = np.ascontiguousarray(grads)
+        found = _intersection_dims(omega[walking], base[walking], conormal, scene.tol_rank)
+        deeper = []
+        for j, (dim, trust) in zip(walking, found):
+            dims[j].append(dim)
+            if trust != "yes":
+                notes[j] = f"intersection rank untrusted at depth {k}"
+            elif dim != k - 1:
+                notes[j] = f"intersection dimension {dim} at depth {k} (expected {k - 1})"
+            elif k == chains[j].depth:
+                depths[j] = k
+            else:
+                deeper.append(j)
+        walking = []
+        for group, nxt, pts in by_chart(deeper, k + 1):
+            verdicts = _memberships(scene, [nxt.delta], pts)
+            margins = nxt.validity_margin(pts).tolist()
+            for j, (verdict,), margin in zip(group, verdicts, margins):
+                if verdict == "yes" and margin < VALIDITY_FACTOR * scene.tol_rank:
+                    notes[j] = f"chart invalid at depth {k + 1}"
+                elif verdict == "inconclusive":
+                    notes[j] = f"membership unclear at depth {k + 1}"
+                elif verdict == "no":
+                    depths[j] = k
+                else:
+                    depths[j] = k + 1
+                    walking.append(j)
+        k += 1
+
+    for j, depth in depths.items():
+        chain = chains[j]
+        if notes[j]:
+            stop(idx[j], "inconclusive", -1, dims[j], notes[j], chain)
+        elif not chain.complete and depth == chain.depth and depth < min(scene.max_depth, scene.n):
+            note = "; ".join(chain.notes) or "chain stopped early"
+            stop(idx[j], "inconclusive", -1, dims[j], note, chain)
+        else:
+            stop(idx[j], f"A{depth}", depth, dims[j], chain=chain)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +446,7 @@ def compute_strata(scene: Scene, *, max_depth: int | None = None) -> StrataResul
     so no chart choice can hide part of it. Deeper strata are proposed by
     chart chains anchored at a farthest-point subset of the depth-1
     samples, each distinct chain listed once, then every candidate is
-    re-verified by :func:`classify_point`, which rebuilds the chain at the
+    re-verified by :func:`classify_points`, which rebuilds the chain at the
     candidate.
     Chart-boundary impostors (points where a foreign chart degenerates)
     fail that re-anchored test and are dropped.
@@ -362,7 +470,7 @@ def compute_strata(scene: Scene, *, max_depth: int | None = None) -> StrataResul
     # classification cost scales with sample count; a farthest-point subset
     # keeps coverage while the full sample set stays available as seeds
     subset = _farthest_subset(sigma1, 120)
-    classified1 = [classify_point(scene, sigma1[i]) for i in subset]
+    classified1 = classify_points(scene, sigma1[subset])
     points[1] = [c for c in classified1 if c.depth >= 1]
     dropped = len(classified1) - len(points[1])
     if dropped:
@@ -427,11 +535,12 @@ def compute_strata(scene: Scene, *, max_depth: int | None = None) -> StrataResul
             best = next((c for c in chains if c.depth >= k), None)
             if best is not None:
                 traced = trace_curves(best.chart(k).equations, opts)
+                probes = [c.points[:: max(1, len(c.points) // 5)] for c in traced]
+                verdicts = iter(classify_points(scene, np.concatenate(probes)) if probes else ())
                 kept_curves = []
-                for curve in traced:
-                    probe = curve.points[:: max(1, len(curve.points) // 5)]
-                    verdicts = [classify_point(scene, q) for q in probe]
-                    if verdicts and all(v.depth >= k for v in verdicts):
+                for curve, probe in zip(traced, probes):
+                    on_stratum = [next(verdicts).depth >= k for _ in probe]
+                    if len(probe) and all(on_stratum):
                         kept_curves.append(curve)
                         raw.extend(probe)
                 if kept_curves:
@@ -445,11 +554,7 @@ def compute_strata(scene: Scene, *, max_depth: int | None = None) -> StrataResul
         stacked = stacked[greedy_dedup(stacked, 1e-6 * diam)]
         stacked = stacked[np.lexsort(stacked.T[::-1])]
         samples[k] = stacked
-        verified = []
-        for p in stacked:
-            cls = classify_point(scene, p)
-            if cls.depth >= k:
-                verified.append(cls)
+        verified = [cls for cls in classify_points(scene, stacked) if cls.depth >= k]
         points[k] = verified
         if len(verified) < len(stacked):
             notes.append(
@@ -491,29 +596,31 @@ def check_corank1(scene: Scene) -> dict:
         pts = grid_seeds(scene.box, per_axis, cap=4 * 300)
     report["manifold_samples"] = int(len(pts))
     constraints = System(scene.constraints, N)
-    for p in np.asarray(pts, dtype=float).reshape(-1, N):
-        omega_vals = scene.omega_at(p)[0]
-        base = constraints.jacobian(p)[0]
-        if not (np.all(np.isfinite(omega_vals)) and np.all(np.isfinite(base))):
-            continue
-        corank, measured = _restriction_corank(scene, omega_vals, base)
+    pts = np.asarray(pts, dtype=float).reshape(-1, N)
+    omega_vals, base = scene.omega_at(pts), constraints.jacobian(pts)
+    finite = np.isfinite(omega_vals).all(axis=(1, 2)) & np.isfinite(base).all(axis=(1, 2))
+    coranks = _restriction_coranks(scene, omega_vals[finite], base[finite])
+    for p, (corank, measured) in zip(pts[finite], coranks):
         if corank >= 2:
             if measured >= TRUST_GAP:
                 report["rank_violations"].append([float(v) for v in p])
             else:
                 report["inconclusive"].append([float(v) for v in p])
 
-    sigma1 = solve_points(corank_system(scene), opts)
-    report["sigma1_points"] = len(sigma1.points)
-    for sp in sigma1.points:
-        chain = build_chain_at(scene, sp.x, max_depth=1)
-        grads = System(chain.chart(1).equations, N).jacobian(sp.x)[0]
-        rep = numeric_rank(_unit_rows(grads), scene.tol_rank)
-        verdict = _trusted(rep, len(chain.chart(1).equations))
+    sigma1 = solve_points(corank_system(scene), opts).coordinates().reshape(-1, N)
+    report["sigma1_points"] = len(sigma1)
+    charts = [chain.chart(1) for chain in build_chains_at(scene, sigma1, max_depth=1)]
+    grads: list = [None] * len(charts)
+    for group in index_groups([chart.selection for chart in charts]):
+        system = System(charts[group[0]].equations, N)
+        for i, g in zip(group, system.jacobian(sigma1[group])):
+            grads[i] = _unit_rows(np.ascontiguousarray(g))
+    for x, chart, rep in zip(sigma1, charts, _ranks(grads, scene.tol_rank)):
+        verdict = _trusted(rep, len(chart.equations))
         if verdict == "no":
-            report["transversality_failures"].append([float(v) for v in sp.x])
+            report["transversality_failures"].append([float(v) for v in x])
         elif verdict == "inconclusive":
-            report["inconclusive"].append([float(v) for v in sp.x])
+            report["inconclusive"].append([float(v) for v in x])
 
     if n >= 2:
         # restriction rank <= n-2 means the stack [coframe; constraint
@@ -528,14 +635,11 @@ def check_corank1(scene: Scene) -> dict:
                 deep.append(
                     symbolic_determinant([[sym_rows[r][c] for c in cols] for r in rows])
                 )
-        hits = solve_points(deep, opts)
-        for sp in hits.points:
-            omega_vals = scene.omega_at(sp.x)[0]
-            corank, measured = _restriction_corank(
-                scene, omega_vals, constraints.jacobian(sp.x)[0]
-            )
+        hits = solve_points(deep, opts).coordinates().reshape(-1, N)
+        coranks = _restriction_coranks(scene, scene.omega_at(hits), constraints.jacobian(hits))
+        for x, (corank, measured) in zip(hits, coranks):
             if corank >= 2 and measured >= TRUST_GAP:
-                report["deep_rank_points"].append([float(v) for v in sp.x])
+                report["deep_rank_points"].append([float(v) for v in x])
 
     report["passed"] = not (
         report["rank_violations"]
@@ -709,14 +813,22 @@ def _multiplier_system(scene: Scene, equations, xi_exprs) -> list:
 
 
 def _multiplier_seeds(scene: Scene, equations, xi_exprs, xs: np.ndarray) -> np.ndarray:
-    """Concatenate least-squares multiplier guesses onto point seeds."""
+    """Concatenate least-squares multiplier guesses onto point seeds.
+
+    Each guess is the solve that :func:`least_squares` makes, without the
+    rank and residual diagnostics it adds, which a seed does not use.
+    """
     if not len(xs):
         return np.zeros((0, scene.ambient_dim + len(equations)))
     xi_vals = eval_block(xi_exprs, xs).T
     grads = System(equations, scene.ambient_dim).jacobian(xs)
+    if len(equations) and not np.all(np.isfinite(xi_vals)):
+        raise ValueError("rhs contains nan or inf")
     seeds = []
     for x, G, xi in zip(xs, grads, xi_vals):
-        lam = least_squares(G.T, xi, scene.tol_rank).solution if len(G) else []
+        lam = []
+        if len(G):
+            lam = scipy.linalg.lstsq(G.T, xi, cond=scene.tol_rank, lapack_driver="gelsy")[0]
         seeds.append(np.concatenate([x, np.asarray(lam, dtype=float)]))
     return np.array(seeds)
 
@@ -733,8 +845,8 @@ def find_xi_zeros(scene: Scene, weights) -> list:
     opts = scene.solve_options(min(scene.grid, 14))
     outcome = solve_points(system, opts)
     records = []
-    for sp in outcome.points:
-        cls = classify_point(scene, sp.x)
+    found = classify_points(scene, outcome.coordinates())
+    for sp, cls in zip(outcome.points, found):
         flags = []
         if cls.kind == "regular":
             flags.append("zero off the first stratum")
@@ -805,20 +917,22 @@ def find_restricted_zeros(
         candidates.extend(np.asarray(p, dtype=float) for p in strata.samples.get(1, []))
 
     kept: list = []
-    for x in candidates:
+    found = classify_points(scene, np.reshape(candidates, (-1, N)))
+    for x, cls in zip(candidates, found):
         if any(np.linalg.norm(x - r.x) <= 1e-6 * diam for r in kept):
             continue
-        rec = _verify_restricted_zero(scene, k, x, xi)
+        rec = _verify_restricted_zero(scene, k, x, xi, cls)
         if rec is not None:
             kept.append(rec)
     kept.sort(key=lambda r: tuple(r.x))
     return kept
 
 
-def _verify_restricted_zero(scene: Scene, k: int, x: np.ndarray, xi_exprs) -> ZeroRecord | None:
+def _verify_restricted_zero(
+    scene: Scene, k: int, x: np.ndarray, xi_exprs, cls: Classification
+) -> ZeroRecord | None:
     """Re-anchored verification of one restricted-zero candidate, on the
-    chain its classification built at ``x``."""
-    cls = classify_point(scene, x)
+    chain its classification ``cls`` built at ``x``."""
     if cls.kind == "regular" or (0 <= cls.depth < k):
         return None
     chain = cls.chain

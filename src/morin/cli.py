@@ -123,8 +123,8 @@ def _load(args) -> Scene:
     scene = load_scene(args.scene)
     updates = {}
     if args.tol is not None:
-        if args.tol <= 0:
-            raise CliError("--tol must be positive")
+        if not 0 < args.tol < math.inf:
+            raise CliError("--tol must be positive and finite")
         updates["tol_residual"] = scene.tol_residual * args.tol
         updates["tol_rank"] = scene.tol_rank * args.tol
     if args.grid is not None:
@@ -141,6 +141,8 @@ def _weights(scene: Scene, args) -> np.ndarray:
             raise CliError(f"bad --a value: {err}") from None
         if len(vals) != scene.n:
             raise CliError(f"--a needs {scene.n} comma-separated weights")
+        if not np.all(np.isfinite(vals)):
+            raise CliError("--a weights must be finite")
         if not np.any(vals):
             raise CliError("--a must be nonzero")
         return vals

@@ -45,7 +45,7 @@ from .expr import (
     simplify,
     symbolic_determinant,
 )
-from .linalg import numeric_rank, numeric_ranks
+from .linalg import numeric_ranks
 
 VALIDITY_FACTOR = 10.0  # margins below VALIDITY_FACTOR * tol_rank are unusable
 
@@ -111,10 +111,13 @@ class Scene:
         if self.covector is not None:
             if len(self.covector) != n:
                 raise SceneError("covector needs one weight per coframe row")
+            if not all(map(math.isfinite, self.covector)):
+                raise SceneError("covector weights must be finite")
             if not any(v != 0.0 for v in self.covector):
                 raise SceneError("covector must be nonzero")
-        if self.tol_residual <= 0 or self.tol_rank <= 0:
-            raise SceneError("tolerances must be positive")
+        # written so that a nan fails too
+        if not (0 < self.tol_residual < math.inf and 0 < self.tol_rank < math.inf):
+            raise SceneError("tolerances must be positive and finite")
         if self.grid < 8:
             raise SceneError("grid resolution must be at least 8")
         depth = self.max_depth if self.max_depth is not None else n
@@ -412,17 +415,23 @@ class PivotSelection:
 
 
 def select_pivot(scene: Scene, point) -> PivotSelection:
-    """Largest-magnitude (n-1)-minor of the coframe matrix at ``point``.
+    """:func:`select_pivots` at one point."""
+    return select_pivots(scene, np.asarray(point, dtype=float).reshape(1, -1))[0]
+
+
+def select_pivots(scene: Scene, points) -> list:
+    """Largest-magnitude (n-1)-minor of the coframe matrix at each point.
 
     Ties are broken lexicographically on (rows, cols), first by iterating
     row subsets, then column subsets, and keeping strict improvements only.
-    All minors are taken in one stacked determinant call.
+    All minors at all points are taken in one stacked determinant call.
     """
     n, N = scene.n, scene.ambient_dim
     k = n - 1
+    pts = np.asarray(points, dtype=float).reshape(-1, N)
     if k == 0:
-        return PivotSelection((), (), 1.0)
-    mat = scene.omega_at(point)[0]
+        return [PivotSelection((), (), 1.0)] * len(pts)
+    mats = scene.omega_at(pts)
     subsets = list(product(combinations(range(n), k), combinations(range(N), k)))
     rows = np.array([r for r, _ in subsets])
     cols = np.array([c for _, c in subsets])
@@ -430,12 +439,15 @@ def select_pivot(scene: Scene, point) -> PivotSelection:
     # way to an exact 0, and a coframe that is not finite here on its way
     # to a nan that loses every comparison below
     with np.errstate(divide="ignore", invalid="ignore"):
-        dets = np.linalg.det(mat[rows[:, :, None], cols[:, None, :]]).tolist()
-    best = None
-    for (r, c), d in zip(subsets, dets):
-        if best is None or abs(d) > abs(best.value):
-            best = PivotSelection(r, c, d)
-    return best
+        dets = np.linalg.det(mats[:, rows[:, :, None], cols[:, None, :]]).tolist()
+    out = []
+    for row in dets:
+        best = None
+        for (r, c), d in zip(subsets, row):
+            if best is None or abs(d) > abs(best.value):
+                best = PivotSelection(r, c, d)
+        out.append(best)
+    return out
 
 
 def bordered_minors(scene: Scene, pivot: PivotSelection) -> tuple:
@@ -487,6 +499,17 @@ class StratumChart:
     @property
     def delta(self) -> Expr | None:
         return self.new_equations[0] if self.depth >= 2 else None
+
+    @property
+    def selection(self) -> tuple:
+        """The pivot, minor columns and supplements that fix this chart's
+        equations; hint-free charts with equal selections share them."""
+        return (
+            self.pivot.rows,
+            self.pivot.cols,
+            self.selected_cols,
+            tuple(s.indices for s in self.supplements),
+        )
 
     def residuals(self, points) -> np.ndarray:
         return System(self.equations, self.scene.ambient_dim).values(points)
@@ -552,17 +575,43 @@ def build_sigma1_chart(scene: Scene, pivot: PivotSelection, anchor) -> StratumCh
     magnitudes tell a regular cut from a degenerate one. The rest become
     audit equations.
     """
-    anchor = np.asarray(anchor, dtype=float)
+    anchor = np.asarray(anchor, dtype=float).reshape(1, -1)
+    return _sigma1_charts(scene, [pivot], anchor)[0]
+
+
+def _sigma1_charts(scene: Scene, pivots, points) -> list:
+    """:func:`build_sigma1_chart` at each point with its pivot; the pivots
+    share rows and columns, so one Jacobian call gives every candidate
+    gradient, and the greedy choice runs per point on those."""
     N = scene.ambient_dim
     need = scene.manifold_dim - scene.n + 1
-    minors = bordered_minors(scene, pivot)
+    minors = bordered_minors(scene, pivots[0])
     if need > len(minors):
         raise SceneError("not enough bordered minors to cut the first stratum")
-
+    c = scene.num_constraints
     candidates = list(scene.constraints) + [e for _, e in minors]
-    grads = System(candidates, N).jacobian(anchor)[0]
-    minor_grads = grads[len(scene.constraints):]
+    charts = []
+    for pivot, grads in zip(pivots, System(candidates, N).jacobian(points)):
+        chosen, remaining = _greedy_minors(grads[:c], grads[c:], need)
+        charts.append(
+            StratumChart(
+                scene=scene,
+                depth=1,
+                equations=tuple(scene.constraints) + tuple(minors[i][1] for i in chosen),
+                new_equations=tuple(minors[i][1] for i in chosen),
+                audits=tuple(minors[i][1] for i in remaining),
+                pivot=pivot,
+                supplements=(),
+                selected_cols=tuple(minors[i][0] for i in chosen),
+                audit_cols=tuple(minors[i][0] for i in remaining),
+            )
+        )
+    return charts
 
+
+def _greedy_minors(constraint_grads, minor_grads, need: int) -> tuple:
+    """Indices of the ``need`` minors chosen by projected gradient norm,
+    ascending, and of the rest in their order."""
     basis: list = []
 
     def extend_basis(g: np.ndarray):
@@ -581,10 +630,10 @@ def build_sigma1_chart(scene: Scene, pivot: PivotSelection, anchor) -> StratumCh
             r = r - (r @ b) * b
         return float(np.linalg.norm(r))
 
-    for g in grads[: len(scene.constraints)]:
+    for g in constraint_grads:
         extend_basis(g)
     chosen: list = []
-    remaining = list(range(len(minors)))
+    remaining = list(range(len(minor_grads)))
     for _ in range(need):
         best_idx, best_score = None, -1.0
         for idx in remaining:
@@ -595,19 +644,7 @@ def build_sigma1_chart(scene: Scene, pivot: PivotSelection, anchor) -> StratumCh
         remaining.remove(best_idx)
         extend_basis(minor_grads[best_idx])
     chosen.sort()
-    equations = tuple(scene.constraints) + tuple(minors[i][1] for i in chosen)
-    audits = tuple(minors[i][1] for i in remaining)
-    return StratumChart(
-        scene=scene,
-        depth=1,
-        equations=equations,
-        new_equations=tuple(minors[i][1] for i in chosen),
-        audits=audits,
-        pivot=pivot,
-        supplements=(),
-        selected_cols=tuple(minors[i][0] for i in chosen),
-        audit_cols=tuple(minors[i][0] for i in remaining),
-    )
+    return chosen, remaining
 
 
 # ---------------------------------------------------------------------------
@@ -664,42 +701,56 @@ def _projected_margins(w, q, scale, tol_rank: float) -> np.ndarray:
 def select_supplement(
     scene: Scene, base_equations, depth: int, anchor
 ) -> SupplementSelection | None:
-    """Pick ``n - depth + 1`` coframe rows independent over the base conormal.
+    """:func:`select_supplements` at one anchor."""
+    anchor = np.asarray(anchor, dtype=float).reshape(1, -1)
+    return select_supplements(scene, base_equations, depth, anchor)[0]
+
+
+def select_supplements(scene: Scene, base_equations, depth: int, points) -> list:
+    """Pick ``n - depth + 1`` coframe rows independent over the base
+    conormal, at each point.
 
     Subsets failing the rank test (stacked rank must exceed the base rank
     by exactly the subset size) are excluded; among the rest the largest
-    margin wins, ties going to the lexicographically first subset. Returns
-    None when no subset qualifies at this anchor, or when the coframe or
-    the base gradients are not finite there. The subsets are ranked and
-    measured as one stack each.
+    margin wins, ties going to the lexicographically first subset. Gives
+    None where no subset qualifies, and where the coframe or the base
+    gradients are not finite. Every subset at every point is ranked in
+    one stack and measured in another.
     """
-    n = scene.n
+    n, N = scene.n, scene.ambient_dim
     r = n - depth + 1
-    anchor = np.asarray(anchor, dtype=float).reshape(1, -1)
-    q = System(base_equations, scene.ambient_dim).jacobian(anchor)
-    omega_vals = scene.omega_at(anchor)
-    if not (np.isfinite(q).all() and np.isfinite(omega_vals).all()):
-        return None
-    base_rank = numeric_rank(q[0], scene.tol_rank).rank if q.size else 0
-    subsets = list(combinations(range(n), r))
-    rows = omega_vals[0][np.array(subsets)]
-    stacks = np.concatenate([np.repeat(q, len(subsets), axis=0), rows], axis=1)
-    ok = [
-        i
-        for i, rep in enumerate(numeric_ranks(stacks, scene.tol_rank))
-        if rep.rank == base_rank + r
-    ]
-    margins = _projected_margins(
-        rows[ok],
-        np.repeat(q, len(ok), axis=0),
-        np.repeat(_coframe_scale(omega_vals), len(ok)),
-        scene.tol_rank,
+    pts = np.asarray(points, dtype=float).reshape(-1, N)
+    q = System(base_equations, N).jacobian(pts)
+    omega_vals = scene.omega_at(pts)
+    out = [None] * len(pts)
+    live = np.flatnonzero(
+        np.isfinite(q).all(axis=(1, 2)) & np.isfinite(omega_vals).all(axis=(1, 2))
     )
-    best = None
-    for i, margin in zip(ok, margins.tolist()):
+    if not len(live):
+        return out
+    q, omega_vals = q[live], omega_vals[live]
+    base_ranks = [rep.rank for rep in numeric_ranks(q, scene.tol_rank)]
+    subsets = list(combinations(range(n), r))
+    rows = omega_vals[:, np.array(subsets)]  # (point, subset, r, N)
+    stacks = np.concatenate([np.repeat(q[:, None], len(subsets), axis=1), rows], axis=2)
+    reports = numeric_ranks(stacks.reshape(-1, *stacks.shape[2:]), scene.tol_rank)
+    ok = [
+        (p, i)
+        for p, base_rank in enumerate(base_ranks)
+        for i in range(len(subsets))
+        if reports[p * len(subsets) + i].rank == base_rank + r
+    ]
+    if not ok:
+        return out
+    at, which = np.array(ok).T
+    margins = _projected_margins(
+        rows[at, which], q[at], _coframe_scale(omega_vals)[at], scene.tol_rank
+    )
+    for (p, i), margin in zip(ok, margins.tolist()):
+        best = out[live[p]]
         if best is None or margin > best.margin:
-            best = SupplementSelection(subsets[i], margin)
-    return best
+            out[live[p]] = SupplementSelection(subsets[i], margin)
+    return out
 
 
 def build_delta(scene: Scene, prev_equations, supplement: SupplementSelection) -> Expr:
@@ -868,32 +919,67 @@ def build_chain_at(
     *,
     max_depth: int | None = None,
 ) -> ChartChain:
-    """Chain with every selection made at one point, without sampling.
+    """:func:`build_chains_at` at one point."""
+    point = np.asarray(point, dtype=float).reshape(1, -1)
+    return build_chains_at(scene, point, max_depth=max_depth)[0]
 
-    Used to re-verify a candidate under the chart best adapted to it: the
-    pivot and every supplement are chosen at ``point`` itself, so the
-    resulting chain has the largest margins available there. No stratum
-    sampling happens and hints are ignored. Charts at the same selections
-    share their minors and determinants through the scene memo.
+
+def build_chains_at(scene: Scene, points, max_depth: int | None = None) -> list:
+    """Chain at each point with every selection made at that point, without
+    sampling.
+
+    Used to re-verify candidates under the chart best adapted to each: the
+    pivot and every supplement are chosen at the point itself, so each
+    chain has the largest margins available there. No stratum sampling
+    happens and hints are ignored. Charts at the same selections share
+    their minors and determinants through the scene memo.
+
+    The pivots of all points come from one stacked call; then the points
+    whose charts so far share a selection choose their next supplement in
+    one call, depth by depth.
     """
-    point = np.asarray(point, dtype=float)
+    N = scene.ambient_dim
+    pts = np.asarray(points, dtype=float).reshape(-1, N)
     depth_cap = scene.max_depth if max_depth is None else max_depth
     depth_cap = min(depth_cap, scene.n)
 
-    pivot = select_pivot(scene, point)
-    chart = build_sigma1_chart(scene, pivot, point)
-    charts = [chart]
-    notes: list = []
+    pivots = select_pivots(scene, pts)
+    charts: list = [None] * len(pts)
+    for group in index_groups([(p.rows, p.cols) for p in pivots]):
+        built = _sigma1_charts(scene, [pivots[i] for i in group], pts[group])
+        for i, chart in zip(group, built):
+            charts[i] = [chart]
+    chains: list = [None] * len(pts)
+    growing = list(range(len(pts)))
     for k in range(2, depth_cap + 1):
-        prev = charts[-1]
-        base = prev.equations[: scene.equation_count(k - 2)]
-        supplement = select_supplement(scene, base, k, point)
-        if supplement is None:
-            notes.append(f"depth {k}: no coframe supplement qualifies here")
-            return ChartChain(tuple(charts), False, tuple(notes))
-        delta = _chart_delta(scene, prev, supplement)
-        charts.append(_next_chart(prev, supplement, delta))
-    return ChartChain(tuple(charts), True, tuple(notes))
+        grown = []
+        for group in index_groups([charts[i][-1].selection for i in growing]):
+            members = [growing[j] for j in group]
+            base = charts[members[0]][-1].equations[: scene.equation_count(k - 2)]
+            supplements = select_supplements(scene, base, k, pts[members])
+            for i, supplement in zip(members, supplements):
+                prev = charts[i][-1]
+                if supplement is None:
+                    note = f"depth {k}: no coframe supplement qualifies here"
+                    chains[i] = ChartChain(tuple(charts[i]), False, (note,))
+                    continue
+                charts[i].append(
+                    _next_chart(prev, supplement, _chart_delta(scene, prev, supplement))
+                )
+                grown.append(i)
+        growing = grown
+    for i in growing:
+        chains[i] = ChartChain(tuple(charts[i]), True, ())
+    return chains
+
+
+def index_groups(keys) -> list:
+    """Positions of equal keys, one int array per key, in order of first
+    appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return [np.array(g) for g in groups.values()]
 
 
 def _next_chart(

@@ -56,6 +56,11 @@ def hyperboloid_strata(hyperboloid_scene):
 
 
 @pytest.fixture(scope="session")
+def swallowtail_strata(swallowtail_scene):
+    return compute_strata(swallowtail_scene)
+
+
+@pytest.fixture(scope="session")
 def torus_sweep(torus_scene, torus_strata):
     return covector_sweep(torus_scene, count=20, seed=7, strata=torus_strata)
 

@@ -20,14 +20,18 @@ from morin.analysis import (
     TRUST_GAP,
     AnalysisError,
     _farthest_subset,
-    _intersection_dim,
-    _membership,
+    _intersection_dims,
+    _memberships,
+    _multiplier_seeds,
     _multiplier_system,
+    _null_space,
+    _omega_scale,
     _trusted,
     _unit_rows,
     check_corank1,
     check_morin,
     classify_point,
+    classify_points,
     compute_strata,
     euler_congruence,
     euler_via_morse,
@@ -40,6 +44,7 @@ from morin.analysis import (
 from morin.expr import System, eval_block
 from morin.linalg import RankReport, determinant, least_squares, numeric_rank
 from morin.model import (
+    VALIDITY_FACTOR,
     build_chain,
     build_chain_at,
     build_sigma1_chart,
@@ -130,6 +135,188 @@ def test_classification_keeps_the_chain_it_walked(
             assert all(a is b for a, b in zip(got, expected))
     # the walk stops before any chain where the coframe is not finite
     assert classify_point(torus_scene, (0.0, 0.0, 0.0)).chain is None
+
+
+# -- the batched walk against the per-point walk it replaced ------------------
+#
+# The reference below is the one-point tower walk that ``classify_points``
+# replaced, with its rank, corank and membership helpers.
+
+
+def _reference_restriction_corank(scene, omega_vals, base_grads):
+    n = scene.n
+    restriction = omega_vals @ _null_space(base_grads) if len(base_grads) else omega_vals
+    cut = scene.tol_rank * _omega_scale(scene)
+    sv = np.linalg.svd(restriction, compute_uv=False) if restriction.size else np.zeros(0)
+    sv = np.concatenate([sv, np.zeros(n - len(sv))]) if len(sv) < n else sv
+    rank = int(np.count_nonzero(sv > cut))
+    kept = sv[rank - 1] / cut if rank else math.inf
+    dropped = cut / sv[rank] if rank < n and sv[rank] > 0 else math.inf
+    return n - rank, float(min(kept, dropped))
+
+
+def _reference_intersection_dim(omega_vals, base_grads, conormal_grads, tol):
+    A = _unit_rows(omega_vals)
+    B = _unit_rows(base_grads)
+    W = _unit_rows(conormal_grads)
+    ra = numeric_rank(A, tol)
+    rw = numeric_rank(W, tol)
+    raw = numeric_rank(np.vstack([A, W]) if len(W) else A, tol)
+    reports = [ra, rw, raw]
+    dim_aw = ra.rank + rw.rank - raw.rank
+    if len(B):
+        rb = numeric_rank(B, tol)
+        rab = numeric_rank(np.vstack([A, B]), tol)
+        reports += [rb, rab]
+        dim_ab = ra.rank + rb.rank - rab.rank
+    else:
+        dim_ab = 0
+    trust = "inconclusive" if any(rep.margin < TRUST_GAP for rep in reports) else "yes"
+    return dim_aw - dim_ab, trust
+
+
+def _reference_membership(scene, expr, point):
+    system = System([expr], len(point))
+    value = abs(float(system.values(point)[0, 0]))
+    gnorm = float(np.linalg.norm(system.jacobian(point)[0, 0]))
+    diam = scene.box_diameter()
+    if gnorm * diam <= value * 1e-12:
+        return "yes" if value <= 100.0 * scene.tol_residual else "no"
+    dist = value / gnorm
+    if dist <= 1e-6 * diam:
+        return "yes"
+    return "no" if dist > 1e-4 * diam else "inconclusive"
+
+
+def _reference_classify(scene, point):
+    """Kind, depth, intersection dimensions, note and chain of the
+    one-point walk."""
+    x = np.asarray(point, dtype=float)
+    omega_vals = scene.omega_at(x)[0]
+    base_grads = System(scene.constraints, len(x)).jacobian(x)[0]
+    if not (np.all(np.isfinite(omega_vals)) and np.all(np.isfinite(base_grads))):
+        return "inconclusive", -1, (), "coframe values not finite here", None
+    if len(base_grads):
+        g_rep = numeric_rank(_unit_rows(base_grads), scene.tol_rank)
+        if _trusted(g_rep, scene.num_constraints) != "yes":
+            return "inconclusive", -1, (), "constraint gradients degenerate here", None
+    corank, measured = _reference_restriction_corank(scene, omega_vals, base_grads)
+    if measured < TRUST_GAP:
+        return "inconclusive", -1, (), "coframe restriction rank unclear", None
+    if corank <= 0:
+        return "regular", 0, (), "", None
+    if corank >= 2:
+        return "inconclusive", -1, (), f"coframe corank {corank} exceeds 1", None
+
+    chain = build_chain_at(scene, x)
+    chart1 = chain.chart(1)
+    resid = float(np.max(np.abs(chart1.residuals(x.reshape(1, -1)))))
+    if resid > 1000.0 * scene.tol_residual:
+        for e in chart1.equations:
+            if _reference_membership(scene, e, x) == "no":
+                return "regular", 0, (), "off the first stratum", chain
+        return "inconclusive", -1, (), "first chart residual unclear", chain
+
+    depth = 1
+    dims = []
+    note = ""
+    for k in range(1, chain.depth + 1):
+        prev_eqs = scene.constraints if k == 1 else chain.chart(k - 1).equations
+        dim, trust = _reference_intersection_dim(
+            omega_vals, base_grads, System(prev_eqs, len(x)).jacobian(x)[0], scene.tol_rank
+        )
+        dims.append(dim)
+        if trust != "yes" or dim != k - 1:
+            note = (
+                f"intersection dimension {dim} at depth {k} (expected {k - 1})"
+                if trust == "yes"
+                else f"intersection rank untrusted at depth {k}"
+            )
+            break
+        if k == chain.depth:
+            depth = k
+            break
+        nxt = chain.chart(k + 1)
+        verdict = _reference_membership(scene, nxt.delta, x)
+        validity = float(nxt.validity_margin(x.reshape(1, -1))[0])
+        if verdict == "yes" and validity < VALIDITY_FACTOR * scene.tol_rank:
+            note = f"chart invalid at depth {k + 1}"
+            break
+        if verdict == "inconclusive":
+            note = f"membership unclear at depth {k + 1}"
+            break
+        if verdict == "no":
+            depth = k
+            break
+        depth = k + 1
+    if note:
+        return "inconclusive", -1, tuple(dims), note, chain
+    if not chain.complete and depth == chain.depth and depth < min(scene.max_depth, scene.n):
+        note = "; ".join(chain.notes) or "chain stopped early"
+        return "inconclusive", -1, tuple(dims), note, chain
+    return f"A{depth}", depth, tuple(dims), "", chain
+
+
+_SPECIAL_POINTS = [
+    (0.0, 0.0, 0.0),  # the torus pole: its coframe is nan
+    (math.nan, 0.0, 1.0),
+    (1.0, math.inf, 0.0),
+    (-math.inf, 2.0, math.nan),
+]
+
+
+@pytest.fixture(scope="module")
+def sample_pools(torus_scene, torus_strata, hyperboloid_scene, hyperboloid_strata,
+                 swallowtail_scene, swallowtail_strata):
+    pools = []
+    for scene, strata in [
+        (torus_scene, torus_strata),
+        (swallowtail_scene, swallowtail_strata),
+        (hyperboloid_scene, hyperboloid_strata),
+    ]:
+        pts = np.vstack([strata.samples[k] for k in sorted(strata.samples)] + [_SPECIAL_POINTS])
+        pools.append((scene, pts))
+    return pools
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_batched_walk_matches_the_per_point_walk(sample_pools, data):
+    scene, pool = data.draw(st.sampled_from(sample_pools))
+    picks = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(pool) - 1),
+                st.sampled_from([0.0, 0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.3]),
+                st.integers(0, scene.ambient_dim - 1),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    # a pool point, or one nudged along an axis off its stratum
+    X = pool[[i for i, _, _ in picks]].copy()
+    for row, (_, step, axis) in enumerate(picks):
+        X[row, axis] += step
+    got = classify_points(scene, X)
+    assert len(got) == len(X)
+    for x, cls in zip(X, got):
+        kind, depth, dims, note, chain = _reference_classify(scene, x)
+        assert (cls.kind, cls.depth, cls.intersection_dims, cls.note) == (kind, depth, dims, note)
+        assert cls.x.tobytes() == x.tobytes()
+        if chain is None:
+            assert cls.chain is None
+            continue
+        assert (cls.chain.depth, cls.chain.complete, cls.chain.notes) == (
+            chain.depth, chain.complete, chain.notes
+        )
+        for a, b in zip(cls.chain.charts, chain.charts):
+            assert len(a.equations) == len(b.equations)
+            assert all(e is f for e, f in zip(a.equations, b.equations))
+
+
+def test_classifying_no_points_gives_no_classifications(torus_scene):
+    assert classify_points(torus_scene, np.zeros((0, 3))) == []
 
 
 # -- stratum towers -----------------------------------------------------------
@@ -359,6 +546,23 @@ def test_nondegeneracy_matches_the_chain_rebuilding_reference(
     _assert_reference_nondegeneracy(scene, records, weights)
 
 
+def test_multiplier_seeds_are_bitwise_the_least_squares_solutions(torus_scene, torus_strata):
+    xi = torus_scene.covector_field([1.0, 0.0])
+    for chain in torus_strata.chains:
+        for k in range(1, chain.depth + 1):
+            equations = chain.chart(k).equations
+            xs = torus_strata.samples[k]
+            seeds = _multiplier_seeds(torus_scene, equations, xi, xs)
+            grads = System(equations, 3).jacobian(xs)
+            xi_vals = eval_block(xi, xs).T
+            for seed, x, G, v in zip(seeds, xs, grads, xi_vals):
+                lam = least_squares(G.T, v, torus_scene.tol_rank).solution
+                assert seed.tobytes() == np.concatenate([x, lam]).tobytes()
+    # the covector is nan on the torus pole
+    with pytest.raises(ValueError, match="rhs contains nan or inf"):
+        _multiplier_seeds(torus_scene, equations, xi, np.zeros((1, 3)))
+
+
 def test_restricted_depth_out_of_range_raises(torus_scene):
     with pytest.raises(AnalysisError):
         find_restricted_zeros(torus_scene, 5, [1.0, 0.0])
@@ -418,19 +622,19 @@ _REPORTS = st.builds(
 def test_trust_rule_matches_the_spelled_out_formulas(reports, rank, with_base):
     for rep in reports:
         assert _trusted(rep, rank) == _reference_trusted(rep, rank)
-    # _intersection_dim ranks three stacks, or five when there is a base
+    # _intersection_dims ranks three stacks, or five when there is a base
     used = reports if with_base else reports[:3]
     base = np.ones((1, 3)) if with_base else np.zeros((0, 3))
-    with patch("morin.analysis.numeric_rank", side_effect=used):
-        _, trust = _intersection_dim(np.eye(3), base, np.ones((2, 3)), 1e-8)
+    with patch("morin.analysis.numeric_ranks", side_effect=[[r] for r in used]):
+        ((_, trust),) = _intersection_dims([np.eye(3)], [base], [np.ones((2, 3))], 1e-8)
     weakest = [r.full_rank_margin if r.full else r.gap_ratio for r in used]
     assert trust == ("inconclusive" if any(m < TRUST_GAP for m in weakest) else "yes")
 
 
 def test_membership_tri_state(torus_scene):
     g = torus_scene.constraints[0]
-    on, _ = _membership(torus_scene, g, np.array([3.0, -3.0, 0.0]))
-    off, _ = _membership(torus_scene, g, np.array([5.0, 5.0, 5.0]))
+    pts = np.array([[3.0, -3.0, 0.0], [5.0, 5.0, 5.0]])
+    (on,), (off,) = _memberships(torus_scene, [g], pts)
     assert on == "yes" and off == "no"
 
 

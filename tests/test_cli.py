@@ -57,6 +57,19 @@ def test_negative_tol_rejected(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tol_rejected(capsys, value):
+    code, out = run(capsys, "strata", QW, "--tol", value)
+    assert code == 1 and "finite" in out.err and out.out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_covector_weight_rejected(capsys, value):
+    code, out = run(capsys, "zeros", QW, "--a", value)
+    assert code == 1 and "finite" in out.err and out.out == ""
+    assert "Traceback" not in out.err
+
+
 def test_oracle_grid_budget(capsys):
     code, out = run(capsys, "oracle", "scenes/swallowtail.scene", "--grid", "300")
     assert code == 1 and "budget" in out.err

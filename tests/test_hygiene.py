@@ -1,5 +1,7 @@
 """Source hygiene of the package, checked with the standard-library ``ast``.
 
+Also checks that every function ``perfbench/tracer.py`` wraps still exists.
+
 Four kinds of dead code fail here: a ``from``-import that its module never
 reads; a private module-level name that no module of ``src/morin`` reads;
 a defaulted parameter of a ``src/morin`` function that no call in
@@ -11,6 +13,8 @@ hides dead code rather than inventing it.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -171,6 +175,24 @@ def test_every_defaulted_parameter_is_set_somewhere():
 
 def test_every_dataclass_field_is_read_somewhere():
     assert unread_fields(TREES, USERS) == []
+
+
+def test_tracer_targets_exist():
+    # loaded by path, with perfbench kept off sys.path; a renamed target
+    # would otherwise fail only a traced benchmark run
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for name, module, attr in tracer.TARGETS:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(name)
+    assert missing == []
+    for module in tracer.MODULES:
+        importlib.import_module(module)
 
 
 def test_checks_catch_dead_code():

@@ -132,6 +132,17 @@ def test_scene_validation_bounds():
         parse_scene(MINIMAL + "\n[covector]\na = 0\n")
 
 
+@pytest.mark.parametrize("field", ["tol_residual", "tol_rank", "covector"])
+def test_scene_rejects_non_finite_tolerances_and_weights(field):
+    sc = parse_scene(MINIMAL)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SceneError, match="finite"):
+            replace(sc, **{field: (value,) if field == "covector" else value})
+    key, section = ("a", "covector") if field == "covector" else (field, "solver")
+    with pytest.raises(SceneError, match="finite"):
+        parse_scene(MINIMAL + f"\n[{section}]\n{key} = nan\n")
+
+
 def test_equation_count_bookkeeping():
     sc = scene("torus")  # N=3, c=1, n=2, m=2
     assert sc.equation_count(0) == 1
