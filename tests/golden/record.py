@@ -2,7 +2,9 @@
 
 One JSON file per invocation: the ``--no-timings`` report of ``check``,
 ``strata``, ``zeros``, ``euler`` and ``zeros --stratum 1`` on each shipped
-scene, with its argv and exit code. ``tests/test_golden.py`` reruns every file and compares.
+scene, and of ``oracle --depth 2 --grid 64`` on the scenes in
+``ORACLE_SCENES``, with its argv and exit code. ``tests/test_golden.py``
+reruns every file and compares.
 Record only from a program whose reports are known good:
 
     PYTHONPATH=src python tests/golden/record.py
@@ -19,6 +21,8 @@ from morin.cli import main
 HERE = Path(__file__).resolve().parent
 COMMANDS = ("check", "strata", "zeros", "euler")
 SCENES = ("hyperboloid", "quadratic_well", "sphere_v", "sphere_w", "swallowtail", "torus")
+# the depth-2 scans that take about a second; the other scenes take 5-10 s
+ORACLE_SCENES = ("hyperboloid", "sphere_w")
 
 
 def run(argv):
@@ -38,6 +42,9 @@ def invocations():
     for scene in SCENES:
         argv = ["zeros", f"scenes/{scene}.scene", "--stratum", "1", "--no-timings"]
         yield f"zeros_stratum1_{scene}", argv
+    for scene in ORACLE_SCENES:
+        argv = ["oracle", f"scenes/{scene}.scene", "--depth", "2", "--grid", "64", "--no-timings"]
+        yield f"oracle_depth2_{scene}", argv
 
 
 def main_record():

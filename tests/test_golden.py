@@ -1,5 +1,6 @@
 """Golden report corpus: every subcommand that classifies, on every scene,
-and the restricted zeros of ``zeros --stratum 1``.
+the restricted zeros of ``zeros --stratum 1``, and the depth-2 oracle scan
+of two scenes.
 
 Each file under ``tests/golden/`` holds the argv, exit code and
 ``--no-timings`` report of one CLI run, recorded by
@@ -54,6 +55,7 @@ def test_corpus_is_complete():
     scenes = {p.stem for p in Path("scenes").glob("*.scene")}
     expected = {f"{c}_{s}" for c in ("check", "strata", "zeros", "euler") for s in scenes}
     expected |= {f"zeros_stratum1_{s}" for s in scenes}
+    expected |= {f"oracle_depth2_{s}" for s in ("hyperboloid", "sphere_w")}
     assert names == expected
 
 
