@@ -302,6 +302,18 @@ def _cmd_oracle(scene: Scene, args, report: dict) -> int:
             f"grid {resolution} in dimension {scene.ambient_dim} exceeds the "
             "scan budget; pass a smaller --grid"
         )
+    stratum_dim = scene.stratum_dim(depth)
+    if stratum_dim > 0:
+        # the scan looks for isolated points; on a curve or surface every
+        # level would rescan the whole box
+        report["results"] = {
+            "depth": depth,
+            "resolution": resolution,
+            "stratum_dim": stratum_dim,
+            "note": "stratum is not zero-dimensional; the scan reports isolated "
+            "solutions only",
+        }
+        return EXIT_INCONCLUSIVE
     chart = None
     if depth == 1:
         system = corank_system(scene)
@@ -328,7 +340,7 @@ def _cmd_oracle(scene: Scene, args, report: dict) -> int:
     report["results"] = {
         "depth": depth,
         "resolution": resolution,
-        "stratum_dim": scene.stratum_dim(depth),
+        "stratum_dim": stratum_dim,
         "raw_roots": roots,
         "raw_count": len(roots),
     }
@@ -341,11 +353,6 @@ def _cmd_oracle(scene: Scene, args, report: dict) -> int:
         roots = roots[keep]
     report["results"]["roots"] = roots
     report["results"]["count"] = len(roots)
-    if scene.stratum_dim(depth) > 0:
-        report["results"]["note"] = (
-            "stratum is not zero-dimensional; the scan reports isolated "
-            "solutions only"
-        )
     if expected is not None:
         report["results"]["solver_match"] = match_point_sets(roots, expected, 1e-3)
     return EXIT_OK

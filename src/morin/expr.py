@@ -1130,6 +1130,63 @@ def _build_plan(exprs: tuple, strict: bool) -> tuple:
     return plan, outputs
 
 
+def _plan(exprs: Sequence[Expr], strict: bool) -> tuple:
+    """The cached ``(steps, outputs)`` plan of ``exprs``."""
+    roots = tuple(exprs)
+    key = (roots, strict)
+    plan = _plans.get(key)
+    if plan is None:
+        plan = (roots, *_build_plan(roots, strict))
+        _plans[key] = plan
+        if len(_plans) > _PLAN_CACHE_SIZE:
+            _plans.popitem(last=False)
+    elif any(map(operator.is_not, plan[0], roots)):
+        # A structurally equal copy matched by walking both trees; key the
+        # plan on the copy, so its next lookups match by identity.
+        del _plans[key]
+        plan = (roots, *plan[1:])
+        _plans[key] = plan
+    else:
+        _plans.move_to_end(key)
+    return plan[1:]
+
+
+def _replay(plan: tuple, columns, shape: tuple) -> np.ndarray:
+    """Run ``plan`` with variable k reading ``columns[k]``; every value
+    broadcasts to ``shape``, and the result has shape ``(len(outputs),
+    *shape)``."""
+    steps, outputs = plan
+    vals: list = []
+    push = vals.append
+    with np.errstate(all="ignore"):
+        for kind, fn, a, b, free in steps:
+            if kind == _BINARY:
+                v = fn(vals[a], vals[b])
+            elif kind == _UNARY:
+                v = fn(vals[a])
+            elif kind == _POW:
+                v = vals[a] ** b
+            elif kind == _VAR:
+                if a >= len(columns):
+                    raise ValueError(
+                        f"expression uses variable index {a} but points "
+                        f"have dimension {len(columns)}"
+                    )
+                v = columns[a]
+            else:
+                v = fn
+            for i in free:
+                vals[i] = None
+            push(v)
+
+        out = np.empty((len(outputs), *shape), dtype=float)
+        for row, (i, free) in enumerate(outputs):
+            out[row] = vals[i]
+            for j in free:
+                vals[j] = None
+    return out
+
+
 def eval_block(exprs: Sequence[Expr], points, strict: bool = False) -> np.ndarray:
     """Evaluate several expressions over a batch of points.
 
@@ -1150,54 +1207,28 @@ def eval_block(exprs: Sequence[Expr], points, strict: bool = False) -> np.ndarra
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
-    npts, dim = pts.shape
-    roots = tuple(exprs)
-    key = (roots, strict)
-    plan = _plans.get(key)
-    if plan is None:
-        plan = (roots, *_build_plan(roots, strict))
-        _plans[key] = plan
-        if len(_plans) > _PLAN_CACHE_SIZE:
-            _plans.popitem(last=False)
-    elif any(map(operator.is_not, plan[0], roots)):
-        # A structurally equal copy matched by walking both trees; key the
-        # plan on the copy, so its next lookups match by identity.
-        del _plans[key]
-        plan = (roots, *plan[1:])
-        _plans[key] = plan
-    else:
-        _plans.move_to_end(key)
-    _, steps, outputs = plan
+    return _replay(_plan(exprs, strict), pts.T, (len(pts),))
 
-    vals: list = []
-    push = vals.append
-    with np.errstate(all="ignore"):
-        for kind, fn, a, b, free in steps:
-            if kind == _BINARY:
-                v = fn(vals[a], vals[b])
-            elif kind == _UNARY:
-                v = fn(vals[a])
-            elif kind == _POW:
-                v = vals[a] ** b
-            elif kind == _VAR:
-                if a >= dim:
-                    raise ValueError(
-                        f"expression uses variable index {a} but points "
-                        f"have dimension {dim}"
-                    )
-                v = pts[:, a]
-            else:
-                v = fn
-            for i in free:
-                vals[i] = None
-            push(v)
 
-        out = np.empty((len(outputs), npts), dtype=float)
-        for row, (i, free) in enumerate(outputs):
-            out[row, :] = vals[i]
-            for j in free:
-                vals[j] = None
-    return out
+def eval_lattice(exprs: Sequence[Expr], axes) -> np.ndarray:
+    """Evaluate several expressions on the lattice spanned by ``axes``.
+
+    Variable k reads ``axes[k]``, shaped to broadcast along lattice axis
+    k, so a subexpression in fewer variables is computed on fewer points.
+    Every operation is elementwise, so each value has the bits
+    ``eval_block`` gives at the same lattice point. Shares the plans of
+    non-strict ``eval_block`` calls.
+
+    Returns
+    -------
+    ndarray, shape (len(exprs), len(axes[0]), ..., len(axes[-1]))
+    """
+    dim = len(axes)
+    columns = [
+        np.asarray(a, dtype=float).reshape((-1,) + (1,) * (dim - 1 - k))
+        for k, a in enumerate(axes)
+    ]
+    return _replay(_plan(exprs, False), columns, tuple(len(c) for c in columns))
 
 
 def evaluate(e: Expr, point, strict: bool = True) -> float:

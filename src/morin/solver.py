@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .expr import System, eval_block, simplify
+from .expr import System, eval_block, eval_lattice, simplify
 from .linalg import RankReport, numeric_ranks
 
 _SEED_CAP = 24_000  # total Gauss-Newton seeds, keeps dense grids tractable
@@ -496,54 +496,37 @@ def trace_curves(system, opts: SolveOptions) -> list:
 # Dense-grid oracle.
 
 _SCAN_CHUNK = 16_384  # lattice points per eval_block call; cache-sized
+_SLAB = 131_072  # lattice points per dense eval_lattice call: 8 planes of 128^2
 _FLOAT_MAX = np.finfo(float).max
 
 
-def _residuals(eqs, pts) -> np.ndarray:
-    """Abs residuals of ``eqs`` at the points ``pts``, shape ``(len(eqs),
-    len(pts))``. Every nan or infinite residual is stored as the largest
-    finite float, so the result holds finite numbers only."""
-    block = eval_block(eqs, pts)
+def _finite_abs(block) -> np.ndarray:
+    """``|block|`` in place, every nan or infinite entry stored as the
+    largest finite float, so the result holds finite numbers only."""
     return np.fmin(np.abs(block, out=block), _FLOAT_MAX, out=block)
 
 
-def _lattice_chunks(axes, chunk=_SCAN_CHUNK):
-    """The whole lattice of ``axes`` in C order, ``chunk`` points at a time.
-
-    Yields ``(start, points)``, where ``points`` is bitwise
-    ``lattice_points(axes, np.arange(start, start + len(points)))``. The
-    points are a view of one template, rebuilt in place for each chunk, so
-    use them before asking for the next. The template holds the lattice
-    of the inner axes, repeated to cover a chunk at any offset; a chunk
-    only refills the outer-axis column.
-    """
-    dim = len(axes)
-    inner = lattice_points(axes[1:]) if dim > 1 else np.zeros((1, 0))
-    size = len(inner)
-    total = len(axes[0]) * size
-    reps = -(-chunk // size) + 1
-    template = np.empty((reps * size, dim))
-    template[:, 1:] = np.tile(inner, (reps, 1))
-    for start in range(0, total, chunk):
-        first, offset = divmod(start, size)
-        outer = axes[0][first : first + reps]
-        template[: len(outer) * size, 0].reshape(len(outer), size)[:] = outer[:, None]
-        yield start, template[offset : offset + min(chunk, total - start)]
+def _slabs(resolution, dim, chunk=_SLAB):
+    """Slices of axis-0 planes covering a ``resolution ** dim`` lattice,
+    each about ``chunk`` points and at least one plane."""
+    planes = max(1, chunk // resolution ** (dim - 1))
+    return [slice(p, p + planes) for p in range(0, resolution, planes)]
 
 
-def _scan_box(eqs, box, resolution, chunk=_SCAN_CHUNK):
-    """Per-equation abs residuals (``_residuals``) on the whole cell-center
+def _scan_box(eqs, box, resolution, chunk=_SLAB):
+    """Per-equation abs residuals (``_finite_abs``) on the whole cell-center
     lattice.
 
     Returns ``(values, axes)``; ``values`` has shape ``(len(eqs),) +
-    (resolution,) * len(box)``. The points are built one chunk at a time,
-    so beyond ``values`` the memory used is a few chunks.
+    (resolution,) * len(box)``. Each ``eval_lattice`` call takes one slab
+    of about ``chunk`` points, so beyond ``values`` the memory used is a
+    few slabs.
     """
     axes = cell_centers(box, resolution)
-    values = np.empty((len(eqs), resolution ** len(box)))
-    for start, pts in _lattice_chunks(axes, chunk):
-        values[:, start : start + len(pts)] = _residuals(eqs, pts)
-    return values.reshape((len(eqs),) + (resolution,) * len(box)), axes
+    values = np.empty((len(eqs),) + (resolution,) * len(box))
+    for slab in _slabs(resolution, len(box), chunk):
+        values[:, slab] = _finite_abs(eval_lattice(eqs, [axes[0][slab], *axes[1:]]))
+    return values, axes
 
 
 def _local_slope(values, box, resolution) -> np.ndarray:
@@ -606,6 +589,30 @@ def _face_dilation(mask) -> np.ndarray:
     return out
 
 
+def _label_clusters(mask) -> tuple:
+    """``ndimage.label`` of ``mask``, face, edge and corner neighbors
+    connected, run on the bounding box of its set cells only.
+
+    Returns ``(corner, labels, objects)``: the box's first cell, the
+    labels of the box, and each label's slices in the whole lattice. C
+    order inside the box keeps the order of the whole lattice, so the
+    numbering is that of labeling the whole mask.
+    """
+    from scipy import ndimage
+
+    coords = np.unravel_index(np.flatnonzero(mask), mask.shape)
+    if not coords[0].size:
+        return (0,) * mask.ndim, np.zeros((0,) * mask.ndim, dtype=int), []
+    corner = tuple(int(k.min()) for k in coords)
+    crop = tuple(slice(c, int(k.max()) + 1) for c, k in zip(corner, coords))
+    labels, _ = ndimage.label(mask[crop], structure=np.ones((3,) * mask.ndim, dtype=int))
+    objects = [
+        tuple(slice(s.start + c, s.stop + c) for s, c in zip(cells, corner))
+        for cells in ndimage.find_objects(labels)
+    ]
+    return corner, labels, objects
+
+
 def grid_oracle(
     system,
     box,
@@ -631,13 +638,16 @@ def grid_oracle(
 
     Each level tests the equations in turn (see ``_scan_clusters``): the
     first on the whole lattice, each later one only where the earlier ones
-    left cells open. The decisions, and so the result, are bitwise those
-    of testing every equation on every cell, in any order of the
+    left cells open. The root scan takes the equations by node count; a
+    rescan takes them by the share of cells each passed in its parent's
+    scan times its node count, so the dense pass goes to a cheap,
+    selective equation. The decisions, and so the result, are bitwise
+    those of testing every equation on every cell, in any order of the
     equations. A level frees its lattice arrays before it rescans its
     clusters, so memory stays at about one level's arrays, whatever the
     depth.
     """
-    eqs = [simplify(e) for e in system]
+    eqs = sorted((simplify(e) for e in system), key=lambda e: e.node_count)
     dim = len(box)
     if not eqs:
         # every cell stays open, so each level rescans the whole box, and
@@ -645,16 +655,17 @@ def grid_oracle(
         return np.zeros((0, dim))
     diam = float(np.linalg.norm([hi - lo for lo, hi in box]))
     reps: list = []
-    work = [(tuple(box), resolution, levels)]
+    work = [(tuple(box), resolution, levels, eqs)]
     while work:
-        sub_box, res, levels_left = work.pop()
+        sub_box, res, levels_left, order = work.pop()
         for item in _scan_clusters(
-            eqs, sub_box, res, tol_residual, levels_left, 5e-7 * diam, 2e-3 * diam
+            order, sub_box, res, tol_residual, levels_left, 5e-7 * diam, 2e-3 * diam
         ):
             if isinstance(item, np.ndarray):
                 reps.append(item)
             else:
-                work.append((*item, levels_left - 1))
+                child_box, child_res, child_order = item
+                work.append((child_box, child_res, levels_left - 1, child_order))
     if not reps:
         return np.zeros((0, dim))
     pts = np.array(reps)
@@ -667,21 +678,23 @@ def _scan_clusters(
     eqs, box, resolution, tol_residual, levels_left, min_half_diag, accept_half_diag
 ) -> list:
     """One scan level's outcome, cluster by cluster in label order: a leaf
-    representative point, or a ``(sub_box, child_resolution)`` to rescan.
+    representative point, or a ``(sub_box, child_resolution, child_eqs)``
+    to rescan.
 
     A cell stays open iff every equation k passes ``values[k] <= 1.5 *
     slope[k] * half_diag + 10 * tol``, and that test reads equation k at
     the cell and at its axis neighbors only. So the equations are tested
-    in turn: the first is evaluated on the whole lattice, each later one
-    only at the cells still open and their axis neighbors (the face
-    dilation of the open mask), and its slope is taken at the open cells.
-    Evaluation is elementwise, ``|b - a|`` is exactly ``|a - b|`` and
-    maxima are exact, so every value and slope read is bitwise the one a
-    whole-lattice scan of every equation gives, and so are the mask, the
-    leaf argmin and the leaf bound. The lattice arrays die when this
-    returns."""
-    from scipy import ndimage
-
+    in turn: the first is evaluated on the whole lattice, one slab of
+    axis-0 planes at a time, and its slope and mask are taken slab by slab
+    with one neighbor plane on each side; each later one is evaluated only
+    at the cells still open and their axis neighbors (the face dilation of
+    the open mask), and its slope is taken at the open cells. Evaluation
+    is elementwise, ``|b - a|`` is exactly ``|a - b|`` and maxima are
+    exact, so every value and slope read is bitwise the one a whole-lattice
+    scan of every equation gives, and so are the mask, the leaf argmin and
+    the leaf bound. ``child_eqs`` is ``eqs`` stably sorted by the share of
+    cells each equation passed here times its node count. The lattice
+    arrays die when this returns."""
     dim = len(box)
     half_diag = 0.5 * math.sqrt(sum(((hi - lo) / resolution) ** 2 for lo, hi in box))
     leaf = levels_left <= 1 or half_diag <= min_half_diag
@@ -692,43 +705,57 @@ def _scan_clusters(
         return []
     shape = (resolution,) * dim
     first, axes = _scan_box(eqs[:1], box, resolution)
+    mask = np.empty(shape, dtype=bool)
+    for slab in _slabs(resolution, dim):
+        # the slab and one neighbor plane on each side, where there is one
+        lo = max(slab.start - 1, 0)
+        slope = _local_slope(first[:, lo : slab.stop + 1], box, resolution)
+        slope = slope[0, slab.start - lo : slab.stop - lo]
+        mask[slab] = first[0, slab] <= 1.5 * slope * half_diag + 10.0 * tol_residual
     # flat per-equation arrays; a later equation's are read only where
-    # they were filled: values at the dilated cells, slopes at open ones
+    # they were filled: at the dilated cells
     values = [first.ravel()]
-    slopes = [_local_slope(first, box, resolution).ravel()]
-    mask = values[0] <= 1.5 * slopes[0] * half_diag + 10.0 * tol_residual
+    mask = mask.ravel()
+    passed = [np.count_nonzero(mask) / mask.size]
     for eq in eqs[1:]:
+        open_cells = np.flatnonzero(mask)
+        if not open_cells.size:
+            break  # no cluster is left to rescan
         needed = np.flatnonzero(_face_dilation(mask.reshape(shape)))
         vals = np.empty(mask.size)
         for start in range(0, len(needed), _SCAN_CHUNK):
             part = needed[start : start + _SCAN_CHUNK]
-            vals[part] = _residuals([eq], lattice_points(axes, part))[0]
-        open_cells = np.flatnonzero(mask)
-        slope = np.empty(mask.size)
-        slope[open_cells] = _cell_slope(vals, open_cells, box, resolution)
-        tau = 1.5 * slope[open_cells] * half_diag + 10.0 * tol_residual
+            vals[part] = _finite_abs(eval_block([eq], lattice_points(axes, part)))[0]
+        slope = _cell_slope(vals, open_cells, box, resolution)
+        tau = 1.5 * slope * half_diag + 10.0 * tol_residual
         mask[open_cells] = vals[open_cells] <= tau
+        passed.append(np.count_nonzero(mask) / open_cells.size)
         values.append(vals)
-        slopes.append(slope)
     mask = mask.reshape(shape)
-    labels, _ = ndimage.label(mask, structure=np.ones((3,) * dim, dtype=int))
+    corner, labels, objects = _label_clusters(mask)
     if leaf:
         # the worst equation at each open cell; no other cell is read
         open_cells = np.flatnonzero(mask)
         worst = np.zeros(mask.size)
         worst[open_cells] = np.max([v[open_cells] for v in values], axis=0)
         worst = worst.reshape(shape)
+    else:
+        child_eqs = [
+            eq for _, eq in sorted(zip(passed, eqs), key=lambda t: t[0] * t[1].node_count)
+        ]
     out: list = []
-    for lab, cells in enumerate(ndimage.find_objects(labels), start=1):
+    for lab, cells in enumerate(objects, start=1):
         if leaf:
             # the first best cell in C order: offsets inside the bounding
             # box keep the order of the whole lattice
-            sub = np.where(labels[cells] == lab, worst[cells], np.inf)
+            box_cells = tuple(slice(s.start - c, s.stop - c) for s, c in zip(cells, corner))
+            sub = np.where(labels[box_cells] == lab, worst[cells], np.inf)
             local = np.unravel_index(int(np.argmin(sub)), sub.shape)
             idx = tuple(s.start + k for s, k in zip(cells, local))
-            j = np.ravel_multi_index(idx, shape)
-            bound = 4.0 * np.array([s[j] for s in slopes]) * half_diag + 50.0 * tol_residual
-            if np.any(np.array([v[j] for v in values]) > bound):
+            j = np.array([np.ravel_multi_index(idx, shape)])
+            slope = np.array([_cell_slope(v, j, box, resolution)[0] for v in values])
+            bound = 4.0 * slope * half_diag + 50.0 * tol_residual
+            if np.any(np.array([v[j[0]] for v in values]) > bound):
                 continue
             out.append(np.array([axes[a][idx[a]] for a in range(dim)]))
             continue
@@ -747,7 +774,7 @@ def _scan_clusters(
             # fixed resolution; finer cells restore progress (thinner mask
             # next level)
             child_res = min(2 * resolution, 128) if shrink > 0.6 else 16
-            out.append((tuple(sub_box), child_res))
+            out.append((tuple(sub_box), child_res, child_eqs))
     return out
 
 

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from morin import cli
 from morin.cli import _clean, main
 
 QW = "scenes/quadratic_well.scene"
@@ -183,6 +184,29 @@ def test_euler_inconclusive_on_open_surface(capsys):
     report = json.loads(out.out)
     assert report["results"]["congruence_holds"] is None
     assert report["exit_code"] == 3
+
+
+def test_oracle_refuses_strata_that_are_not_points(capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned a stratum that is not a point set")
+
+    monkeypatch.setattr(cli, "grid_oracle", no_scan)
+    note = "stratum is not zero-dimensional; the scan reports isolated solutions only"
+    for scene, depth, stratum_dim in (("torus", 1, 1), ("swallowtail", 1, 2), ("swallowtail", 2, 1)):
+        argv = ("oracle", f"scenes/{scene}.scene", "--depth", str(depth), "--grid", "128")
+        code, out = run(capsys, *argv, "--no-timings")
+        assert code == 3
+        assert json.loads(out.out)["results"] == {
+            "depth": depth,
+            "resolution": 128,
+            "stratum_dim": stratum_dim,
+            "note": note,
+        }
+    # the depth and grid-budget checks come first
+    code, out = run(capsys, "oracle", "scenes/torus.scene", "--depth", "3")
+    assert code == 1 and "out of range" in out.err
+    code, out = run(capsys, "oracle", "scenes/torus.scene", "--depth", "1", "--grid", "300")
+    assert code == 1 and "budget" in out.err
 
 
 def test_oracle_first_stratum_quadratic_well(capsys):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from morin import solver
-from morin.expr import System, eval_block, parse, simplify
+from morin.expr import System, eval_block, eval_lattice, parse, simplify
 from morin.analysis import _multiplier_seeds, _multiplier_system
 from morin.model import (
     SupplementSelection,
@@ -31,11 +31,12 @@ from morin.model import (
 )
 from morin.solver import (
     _SCAN_CHUNK,
+    _SLAB,
     SolveOptions,
     TracedCurve,
     _cell_slope,
     _face_dilation,
-    _lattice_chunks,
+    _label_clusters,
     _local_slope,
     _row_norms,
     _scan_box,
@@ -772,6 +773,106 @@ def test_scan_matches_the_implementation_it_replaced(case, chunk):
         assert same_bits(got, want)
 
 
+_LATTICE_TERMS = (*_SCAN_EQS, "exp(x1) - x2", "cos(x1 * x2)", "exp(x2 / x1)", "cos(x1)^2", "0.5")
+_LATTICE_TERMS_3 = ("x3", "x3 - x1 * x2", "1/x3 - x1", "exp(x3) * cos(x1)")
+
+
+@st.composite
+def lattice_exprs(draw, names):
+    """A few scan-style terms joined by arithmetic, maybe inside a
+    function, simplified or as parsed."""
+    terms = _LATTICE_TERMS + (_LATTICE_TERMS_3 if len(names) == 3 else ())
+    text = f"({draw(st.sampled_from(terms))})"
+    for _ in range(draw(st.integers(0, 2))):
+        text += f" {draw(st.sampled_from('+-*/'))} ({draw(st.sampled_from(terms))})"
+    fn = draw(st.sampled_from(["", "exp", "cos", "sin", "sqrt", "log"]))
+    e = parse(f"{fn}({text})" if fn else text, names)
+    return simplify(e) if draw(st.booleans()) else e
+
+
+def lattice_case(texts, box, shape, cuts):
+    return [parse(t, V2) for t in texts], box, shape, cuts
+
+
+@st.composite
+def lattice_cases(draw):
+    # odd counts on boxes symmetric about 0 put a cell center on 0 exactly,
+    # where 1/x1, log(x1^2), sqrt and x1/x1 give inf, -inf and nan
+    dim = draw(st.sampled_from([2, 3]))
+    exprs = draw(st.lists(lattice_exprs(V2 if dim == 2 else _V3), min_size=1, max_size=3))
+    spans = st.sampled_from([(-1.0, 1.0), (-2.0, 2.0), (-0.5, 0.5), (-0.3, 1.4)])
+    box = tuple(draw(spans) for _ in range(dim))
+    shape = tuple(draw(st.sampled_from([1, 3, 5, 7, 9, 16])) for _ in range(dim))
+    cuts = sorted(draw(st.sets(st.integers(1, shape[0] - 1)))) if shape[0] > 1 else []
+    return exprs, box, shape, cuts
+
+
+@given(case=lattice_cases())
+@example(
+    case=lattice_case(
+        ["1/x1 - x2", "log(x1^2) + x2", "sqrt(x1) - x2", "x1/x1 - x2"],
+        ((-1.0, 1.0), (-2.0, 2.0)),
+        (9, 5),
+        [2, 3, 7],
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_lattice_evaluation_is_bitwise_lattice_points(case):
+    exprs, box, shape, cuts = case
+    axes = [cell_centers([span], n)[0] for span, n in zip(box, shape)]
+    want = eval_block(exprs, lattice_points(axes)).reshape(len(exprs), *shape)
+    # uneven slabs of axis-0 planes, as the scan takes them
+    bounds = [0, *cuts, shape[0]]
+    got = np.concatenate(
+        [eval_lattice(exprs, [axes[0][a:b], *axes[1:]]) for a, b in zip(bounds, bounds[1:])],
+        axis=1,
+    )
+    assert same_bits(got, want)
+
+
+def test_lattice_evaluation_rejects_a_missing_variable():
+    axes = cell_centers(((-1.0, 1.0),) * 2, 3)
+    e = parse("x3 - x1", _V3)
+    with pytest.raises(ValueError) as lattice:
+        eval_lattice([e], axes)
+    with pytest.raises(ValueError) as block:
+        eval_block([e], lattice_points(axes))
+    assert str(lattice.value) == str(block.value)
+
+
+@st.composite
+def sparse_masks(draw):
+    dim = draw(st.sampled_from([1, 2, 3]))
+    shape = tuple(draw(st.integers(1, 9)) for _ in range(dim))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, n - 1) for n in shape]), max_size=12))
+    mask = np.zeros(shape, dtype=bool)
+    for cell in cells:
+        mask[cell] = True
+    return mask
+
+
+def faces_mask():
+    # open cells on every face, edge and corner of a 3-D lattice
+    mask = np.zeros((6, 7, 5), dtype=bool)
+    mask[0, 3, 2] = mask[5, 0, 0] = mask[5, 6, 4] = mask[2, 6, 1] = mask[3, 2, 4] = True
+    mask[1:3, 0, 4] = True
+    return mask
+
+
+@given(mask=sparse_masks())
+@example(mask=faces_mask())
+@example(mask=np.ones((4, 3), dtype=bool))
+@example(mask=np.zeros((3, 3, 3), dtype=bool))
+@settings(max_examples=100, deadline=None)
+def test_cluster_labels_on_the_bounding_box_match_the_whole_mask(mask):
+    corner, labels, objects = _label_clusters(mask)
+    full, _ = ndimage.label(mask, structure=np.ones((3,) * mask.ndim, dtype=int))
+    assert objects == ndimage.find_objects(full)
+    placed = np.zeros_like(full)
+    placed[tuple(slice(c, c + n) for c, n in zip(corner, labels.shape))] = labels
+    assert np.array_equal(placed, full)
+
+
 def test_oracle_on_torus_zeros_matches_the_implementation_it_replaced():
     system, sc = torus_zero_system()
     want = old_grid_oracle(system, sc.box, 48)
@@ -785,39 +886,49 @@ def test_cascade_evaluates_later_equations_only_near_open_cells(monkeypatch):
     assert len(eqs) == 3
     resolution, tol = 48, sc.tol_residual
     finite_vals, slope, mask, items = old_scan_level(eqs, sc.box, resolution, tol, 24, 1e-7, 1e-3)
-    points = [0] * len(eqs)
+    dense = [0] * len(eqs)
+    sparse = [0] * len(eqs)
 
-    def counting(exprs, pts, strict=False):
+    def which(exprs):
         (k,) = [k for k, e in enumerate(eqs) if len(exprs) == 1 and exprs[0] is e]
-        points[k] += len(pts)
+        return k
+
+    def counting_lattice(exprs, axes):
+        dense[which(exprs)] += math.prod(map(len, axes))
+        return eval_lattice(exprs, axes)
+
+    def counting_block(exprs, pts, strict=False):
+        sparse[which(exprs)] += len(pts)
         return eval_block(exprs, pts, strict)
 
-    monkeypatch.setattr(solver, "eval_block", counting)
+    monkeypatch.setattr(solver, "eval_lattice", counting_lattice)
+    monkeypatch.setattr(solver, "eval_block", counting_block)
     got = _scan_clusters(eqs, sc.box, resolution, tol, 24, 1e-7, 1e-3)
     assert len(got) == len(items) > 0
     half_diag = 0.5 * math.sqrt(sum(((hi - lo) / resolution) ** 2 for lo, hi in sc.box))
     passes = finite_vals <= 1.5 * slope * half_diag + 10.0 * tol
-    assert points[0] == resolution**3
+    # exactly one equation on the whole lattice, and only through the
+    # broadcast lattice evaluation
+    assert dense == [resolution**3, 0, 0] and sparse[0] == 0
     for k in range(1, len(eqs)):
         open_before = np.all(passes[:k], axis=0)
-        assert 0 < points[k] <= np.count_nonzero(ndimage.binary_dilation(open_before))
+        assert 0 < sparse[k] <= np.count_nonzero(ndimage.binary_dilation(open_before))
     # at this resolution the first equation already closes most cells
-    assert sum(points) < 1.5 * resolution**3
+    assert sum(sparse) < 0.5 * resolution**3
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("resolution", [16, 17, 64, 128])
 def test_dense_chunks_are_bitwise_lattice_points(dim, resolution):
-    axes = cell_centers(((-1.3, 2.0), (0.1, 0.7), (-5.0, -4.9))[:dim], resolution)
-    total = resolution**dim
-    for chunk in sorted({_SCAN_CHUNK, 4097, 7 if total <= 5000 else _SCAN_CHUNK}):
-        covered = 0
-        for start, pts in _lattice_chunks(axes, chunk):
-            assert start == covered and len(pts) == min(chunk, total - start)
-            want = lattice_points(axes, np.arange(start, start + len(pts)))
-            assert pts.shape == want.shape and pts.tobytes() == want.tobytes()
-            covered += len(pts)
-        assert covered == total
+    # the dense pass takes one slab of axis-0 planes per call; read at the
+    # coordinate expressions, the slabs give the lattice points
+    box = ((-1.3, 2.0), (0.1, 0.7), (-5.0, -4.9))[:dim]
+    coords = [parse(name, _V3) for name in _V3[:dim]]
+    axes = cell_centers(box, resolution)
+    want = np.abs(lattice_points(axes)).T.reshape((dim,) + (resolution,) * dim)
+    for chunk in sorted({_SLAB, 4097, 7}):
+        values, _ = _scan_box(coords, box, resolution, chunk=chunk)
+        assert same_bits(values, want)
 
 
 def test_oracle_memory_stays_at_one_level():
