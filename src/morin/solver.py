@@ -752,10 +752,10 @@ def _scan_clusters(
             sub = np.where(labels[box_cells] == lab, worst[cells], np.inf)
             local = np.unravel_index(int(np.argmin(sub)), sub.shape)
             idx = tuple(s.start + k for s, k in zip(cells, local))
-            j = np.array([np.ravel_multi_index(idx, shape)])
-            slope = np.array([_cell_slope(v, j, box, resolution)[0] for v in values])
+            j = np.ravel_multi_index(idx, shape)
+            slope = np.array([_cell_slope(v, np.array([j]), box, resolution)[0] for v in values])
             bound = 4.0 * slope * half_diag + 50.0 * tol_residual
-            if np.any(np.array([v[j[0]] for v in values]) > bound):
+            if np.any(np.array([v[j] for v in values]) > bound):
                 continue
             out.append(np.array([axes[a][idx[a]] for a in range(dim)]))
             continue
