@@ -381,7 +381,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--no-timings", action="store_true", help="omit timing fields")
     common.add_argument(
         "--grid", type=int, default=None,
-        help="override the scene grid (solver seeding and oracle resolution)",
+        help="override the scene grid: the solver's seed grid and the oracle's "
+        "root-level resolution (rescans choose their own, up to 128)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("check", parents=[common], help="corank-1 and fold-chain verdict")

@@ -7,9 +7,12 @@ It provides parsing, structural simplification, differentiation, batched
 numeric evaluation over numpy point arrays, equation systems with their
 Jacobians (``System``), and determinants of symbolic matrices.
 
-Expression trees are immutable. Three properties are load-bearing for the
+Expression trees are immutable. Four properties are load-bearing for the
 callers and are covered by the test suite:
 
+* nodes are interned: building a structure that is alive returns the
+  existing node, with its simplification and derivative caches, so equal
+  trees are one object and ``==`` is identity;
 * ``simplify`` is idempotent, never increases the node count, and preserves
   values (up to roundoff) wherever the expression is defined;
 * structural hashing uses integer tuples only, so hashes and all derived
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from collections import OrderedDict
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -56,18 +60,11 @@ class ParseError(ValueError):
 
 
 class Expr:
-    """Base class for expression nodes. Instances are immutable."""
+    """Base class for expression nodes. Instances are immutable and
+    interned: the constructors of the subclasses return the live node of
+    an equal structure when there is one, so ``==`` is identity."""
 
-    __slots__ = ("node_count", "_hash", "_ordkey", "_simplified", "_deriv")
-
-    def _init_node(self, count: int) -> None:
-        if count > NODE_CAP:
-            raise ExpressionTooLarge(
-                f"expression would have {count} nodes (budget {NODE_CAP})"
-            )
-        self.node_count = count
-        self._simplified = None
-        self._deriv = None
+    __slots__ = ("node_count", "_hash", "_ordkey", "_simplified", "_deriv", "__weakref__")
 
     def _kids(self) -> tuple:
         return ()
@@ -78,27 +75,32 @@ class Expr:
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Expr):
-            return NotImplemented
-        if self._hash != other._hash or self.node_count != other.node_count:
-            return False
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__ or a._scalar() != b._scalar():
-                return False
-            stack.extend(zip(a._kids(), b._kids()))
-        return True
-
     def __repr__(self) -> str:
         if self.node_count <= 60:
             return f"Expr<{format_expr(self)}>"
         return f"Expr<{self.node_count} nodes>"
+
+
+# The interning table: (kind code, scalar payload, child ids) -> node. A
+# node holds its children, so the ids in a live key cannot be reused; an
+# entry goes when its node is freed. The constructors are ``__new__``
+# alone: an ``__init__`` would run again on every hit and wipe the caches.
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _new_node(cls, key: tuple, count: int, hash_: int, *fields) -> Expr:
+    """A new node of ``cls`` entered in the table under ``key``, whose kind
+    code is also the node's sort key; ``fields`` fill the slots of ``cls``
+    in order."""
+    if count > NODE_CAP:
+        raise ExpressionTooLarge(f"expression would have {count} nodes (budget {NODE_CAP})")
+    node = object.__new__(cls)
+    node.node_count, node._hash, node._ordkey = count, hash_, key[0]
+    node._simplified = node._deriv = None
+    for name, value in zip(cls.__slots__, fields):
+        setattr(node, name, value)
+    _TABLE[key] = node
+    return node
 
 
 class Const(Expr):
@@ -110,14 +112,12 @@ class Const(Expr):
 
     __slots__ = ("value",)
 
-    def __init__(self, value):
+    def __new__(cls, value):
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError("constant must be finite")
         v = value if isinstance(value, Fraction) else Fraction(value)
-        self.value = v
-        self._hash = hash((0, v.numerator, v.denominator))
-        self._ordkey = 99  # constants sort last among siblings
-        self._init_node(1)
+        key = (99, v.numerator, v.denominator)  # constants sort last among siblings
+        return _TABLE.get(key) or _new_node(cls, key, 1, hash((0, v.numerator, v.denominator)), v)
 
     def _scalar(self):
         return (self.value.numerator, self.value.denominator)
@@ -128,13 +128,11 @@ class Var(Expr):
 
     __slots__ = ("index",)
 
-    def __init__(self, index: int):
+    def __new__(cls, index: int):
         if not isinstance(index, int) or index < 0:
             raise ValueError("variable index must be a nonnegative integer")
-        self.index = index
-        self._hash = hash((1, index))
-        self._ordkey = 1
-        self._init_node(1)
+        key = (1, index)
+        return _TABLE.get(key) or _new_node(cls, key, 1, hash(key), index)
 
     def _scalar(self):
         return self.index
@@ -145,15 +143,14 @@ class Unary(Expr):
 
     __slots__ = ("op", "child")
 
-    def __init__(self, op: str, child: Expr):
+    def __new__(cls, op: str, child: Expr):
         code = _UNARY_CODE.get(op)
         if code is None:
             raise ValueError(f"unknown unary operation {op!r}")
-        self.op = op
-        self.child = child
-        self._hash = hash((code, child._hash))
-        self._ordkey = code
-        self._init_node(1 + child.node_count)
+        key = (code, id(child))
+        return _TABLE.get(key) or _new_node(
+            cls, key, 1 + child.node_count, hash((code, child._hash)), op, child
+        )
 
     def _kids(self):
         return (self.child,)
@@ -167,16 +164,15 @@ class Binary(Expr):
 
     __slots__ = ("op", "left", "right")
 
-    def __init__(self, op: str, left: Expr, right: Expr):
+    def __new__(cls, op: str, left: Expr, right: Expr):
         code = _BINARY_CODE.get(op)
         if code is None:
             raise ValueError(f"unknown binary operation {op!r}")
-        self.op = op
-        self.left = left
-        self.right = right
-        self._hash = hash((code, left._hash, right._hash))
-        self._ordkey = code
-        self._init_node(1 + left.node_count + right.node_count)
+        key = (code, id(left), id(right))
+        count = 1 + left.node_count + right.node_count
+        return _TABLE.get(key) or _new_node(
+            cls, key, count, hash((code, left._hash, right._hash)), op, left, right
+        )
 
     def _kids(self):
         return (self.left, self.right)
@@ -190,14 +186,13 @@ class Pow(Expr):
 
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: int):
+    def __new__(cls, base: Expr, exponent: int):
         if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        self.base = base
-        self.exponent = exponent
-        self._hash = hash((12, exponent, base._hash))
-        self._ordkey = 12
-        self._init_node(1 + base.node_count)
+        key = (12, exponent, id(base))
+        return _TABLE.get(key) or _new_node(
+            cls, key, 1 + base.node_count, hash((12, exponent, base._hash)), base, exponent
+        )
 
     def _kids(self):
         return (self.base,)
@@ -1029,14 +1024,14 @@ def variables_used(e: Expr) -> set:
 # list, which later calls replay. A step is (kind, fn, a, b, free): ``fn``
 # is the operation, or a constant's value; ``a`` and ``b`` are argument
 # slots, except that a variable's column is ``a`` and a power's exponent
-# is ``b``. Structurally equal subtrees, shared or not, get one step, so
-# a repeated subexpression is computed once; every operation is
-# deterministic, so the values are the bits a node-by-node walk gives.
+# is ``b``. Each node gets one step, and interning makes equal subtrees
+# one node, so a repeated subexpression is computed once; every operation
+# is deterministic, so the values are the bits a node-by-node walk gives.
 # The value of step i lands in slot i, and ``free`` lists the slots whose
 # last use is that step. The plan's outputs pair each root's slot with the
 # slots freed after it is copied out. Plans are keyed by the expression
-# tuple, a structural key (hashes are cached on the nodes), and evicted
-# least recently used first.
+# tuple, which matches by identity (equal trees are one object), and
+# evicted least recently used first.
 _PLAN_CACHE_SIZE = 512
 
 _CONST, _VAR, _POW, _UNARY, _BINARY = range(5)
@@ -1085,32 +1080,27 @@ def _const_value(c: Const) -> np.float64:
 
 
 def _build_plan(exprs: tuple, strict: bool) -> tuple:
-    # Bottom-up, so equal subtrees have equal keys by the time their
-    # parents are keyed: (kind, operation or payload, *argument slots).
     ops = _STRICT_OPS if strict else _OPS
     slot_of: dict = {}
-    step_of: dict = {}
     steps: list = []
-    uses: list = []
+    uses: list = []  # the argument slots of each step
     for n in _postorder(exprs):
         if isinstance(n, Const):
-            key, step = (_CONST, n._scalar()), (_CONST, _const_value(n), 0, 0)
+            step, used = (_CONST, _const_value(n), 0, 0), ()
         elif isinstance(n, Var):
-            key, step = (_VAR, n.index), (_VAR, None, n.index, 0)
+            step, used = (_VAR, None, n.index, 0), ()
         elif isinstance(n, Pow):
             a = slot_of[id(n.base)]
-            key, step = (_POW, n.exponent, a), (_POW, None, a, n.exponent)
+            step, used = (_POW, None, a, n.exponent), (a,)
         elif isinstance(n, Unary):
             a = slot_of[id(n.child)]
-            key, step = (_UNARY, n.op, a), (_UNARY, ops[n.op], a, 0)
+            step, used = (_UNARY, ops[n.op], a, 0), (a,)
         else:
             a, b = slot_of[id(n.left)], slot_of[id(n.right)]
-            key, step = (_BINARY, n.op, a, b), (_BINARY, ops[n.op], a, b)
-        i = step_of.setdefault(key, len(steps))
-        if i == len(steps):
-            steps.append(step)
-            uses.append(key[2:])
-        slot_of[id(n)] = i
+            step, used = (_BINARY, ops[n.op], a, b), (a, b)
+        slot_of[id(n)] = len(steps)
+        steps.append(step)
+        uses.append(used)
 
     out_slots = [slot_of[id(r)] for r in exprs]
     refs = [0] * len(steps)
@@ -1132,23 +1122,15 @@ def _build_plan(exprs: tuple, strict: bool) -> tuple:
 
 def _plan(exprs: Sequence[Expr], strict: bool) -> tuple:
     """The cached ``(steps, outputs)`` plan of ``exprs``."""
-    roots = tuple(exprs)
-    key = (roots, strict)
+    key = (tuple(exprs), strict)
     plan = _plans.get(key)
     if plan is None:
-        plan = (roots, *_build_plan(roots, strict))
-        _plans[key] = plan
+        plan = _plans[key] = _build_plan(key[0], strict)
         if len(_plans) > _PLAN_CACHE_SIZE:
             _plans.popitem(last=False)
-    elif any(map(operator.is_not, plan[0], roots)):
-        # A structurally equal copy matched by walking both trees; key the
-        # plan on the copy, so its next lookups match by identity.
-        del _plans[key]
-        plan = (roots, *plan[1:])
-        _plans[key] = plan
     else:
         _plans.move_to_end(key)
-    return plan[1:]
+    return plan
 
 
 def _replay(plan: tuple, columns, shape: tuple) -> np.ndarray:

@@ -182,8 +182,9 @@ class Scene:
     def covector_field(self, weights) -> list:
         """Components of the weighted covector combination, as expressions.
 
-        Weights are folded in as exact constants so repeated runs with the
-        same weights build identical trees.
+        Weights are folded in as exact constants, so while the result of a
+        call lives, a call with the same weights returns the same interned
+        nodes, with their simplification and derivative caches.
         """
         from .expr import Const, add, mul
 
@@ -230,10 +231,9 @@ class Scene:
 
         For pieces that depend on the scene alone: bordered minors, depth
         determinants, the coframe scale, the chart chain of each depth-1
-        selection. Charts built at the same selections then share one
-        expression object, so derivative and evaluation-plan caches hit by
-        identity. ``dataclasses.replace`` starts a new scene with an empty
-        memo.
+        selection. It saves computation only: equal expressions are one
+        interned object whether or not they come from the memo.
+        ``dataclasses.replace`` starts a new scene with an empty memo.
         """
         try:
             return self._memo[key]
@@ -999,8 +999,9 @@ def _next_chart(
 
 
 def _chart_delta(scene: Scene, prev: StratumChart, supplement: SupplementSelection) -> Expr:
-    """``build_delta`` over a hint-free chart ``prev``, built once per scene:
-    the pivot, the selected minors and the supplements fix the equations."""
+    """``build_delta`` over a hint-free chart ``prev``, computed once per
+    scene: the pivot, the selected minors and the supplements fix the
+    equations. A rebuild would give the same interned node."""
     key = (
         "delta",
         prev.depth + 1,

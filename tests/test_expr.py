@@ -1,7 +1,10 @@
 """Tests for the symbolic expression kernel."""
 
+import gc
+import json
 import math
 import operator
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -357,9 +360,11 @@ def test_eval_block_is_bit_identical_to_reference(a, b):
 
 
 def test_eval_block_on_structural_copy():
+    # a second parse of the corpus is not a copy: interning returns the
+    # same objects, so its plans hit by identity
     exprs = [parse(t, NAMES) for t in CORPUS]
     copies = [parse(t, NAMES) for t in CORPUS]
-    assert copies == exprs and not any(c is e for c, e in zip(copies, exprs))
+    assert all(c is e for c, e in zip(copies, exprs))
     first = eval_block(exprs, PTS)
     assert np.array_equal(eval_block(copies, PTS), first, equal_nan=True)
     assert np.array_equal(eval_block(exprs, PTS), first, equal_nan=True)
@@ -399,54 +404,43 @@ def test_eval_block_plan_cache_is_bounded():
 
 
 def test_equality_compares_operations_below_the_root():
-    # Forge hash collisions: equality must still tell the operations apart,
-    # because it is what keys the plan cache.
+    # Forge hash collisions: the plan cache must still tell the operations
+    # apart, and it does, because equality is identity.
     x = var(0)
     pairs = [
         (Binary("add", Unary("sin", x), const(1)), Binary("add", Unary("cos", x), const(1))),
         (Binary("mul", x, x), Binary("add", x, x)),
     ]
     for a, b in pairs:
+        kept = b._hash
         b._hash = a._hash
-        assert a != b and b != a
-        pts = PTS[:5, :1]
-        got = [eval_block([e], pts)[0] for e in (a, b)]
-        assert np.array_equal(got[0], reference_eval([a], pts)[0])
-        assert np.array_equal(got[1], reference_eval([b], pts)[0])
-    assert Binary("add", Unary("sin", x), const(1)) == parse("sin(x1) + 1", NAMES)
-
-
-def rebuild(e):
-    """A structurally equal copy of ``e`` that shares no node with it."""
-    if isinstance(e, Const):
-        return Const(e.value)
-    if isinstance(e, Var):
-        return Var(e.index)
-    if isinstance(e, Pow):
-        return Pow(rebuild(e.base), e.exponent)
-    if isinstance(e, Unary):
-        return Unary(e.op, rebuild(e.child))
-    return Binary(e.op, rebuild(e.left), rebuild(e.right))
+        try:
+            assert a is not b and a != b and b != a
+            pts = PTS[:5, :1]
+            got = [eval_block([e], pts)[0] for e in (a, b)]
+            assert np.array_equal(got[0], reference_eval([a], pts)[0])
+            assert np.array_equal(got[1], reference_eval([b], pts)[0])
+        finally:
+            b._hash = kept  # b is interned: later builds of it get this node
+    assert Binary("add", Unary("sin", x), const(1)) is parse("sin(x1) + 1", NAMES)
 
 
 def test_plan_shares_structurally_equal_subtrees():
     e = parse("sin(x1 + x2) * sin(x1 + x2)", NAMES)
-    assert e.left is not e.right
+    assert e.left is e.right
     steps, _ = expr_module._build_plan((e,), False)
     assert len(steps) == 5  # x2, x1, x1 + x2, sin, product
     f = parse("cos(x1 + x2) - sin(x1 + x2)", NAMES)
-    steps, outputs = expr_module._build_plan((e, f, rebuild(f)), False)
+    steps, outputs = expr_module._build_plan((e, f, f), False)
     assert len(steps) == 7  # and cos, difference
     assert outputs[1][0] == outputs[2][0]
-    assert np.array_equal(
-        eval_block([e, f, rebuild(f)], PTS), reference_eval([e, f, rebuild(f)], PTS)
-    )
+    assert np.array_equal(eval_block([e, f, f], PTS), reference_eval([e, f, f], PTS))
 
 
 @given(_random_exprs, _random_exprs)
 @settings(max_examples=120, deadline=None)
 def test_shared_steps_are_bit_identical_to_reference(a, b):
-    exprs = [a, rebuild(a), Binary("sub", b, rebuild(a)), Binary("mul", a, rebuild(a)), b]
+    exprs = [a, a, Binary("sub", b, a), Binary("mul", a, a), b]
     want = reference_eval(exprs, PTS[:12])
     assert np.array_equal(eval_block(exprs, PTS[:12]), want, equal_nan=True)
 
@@ -480,7 +474,7 @@ def strict_reference(exprs, pts):
 @given(_random_exprs, _random_exprs)
 @settings(max_examples=120, deadline=None)
 def test_shared_steps_raise_the_same_strict_error(a, b):
-    exprs = [b, rebuild(a), Binary("add", a, rebuild(b)), a]
+    exprs = [b, a, Binary("add", a, b), a]
     want = strict_reference(exprs, PTS[:12])
     if isinstance(want, str):
         with pytest.raises(EvalDomainError) as err:
@@ -692,5 +686,140 @@ def test_structural_hash_is_process_independent():
 def test_structural_equality_and_hash_agree():
     a = parse(TORUS, NAMES)
     b = parse(TORUS, NAMES)
-    assert a == b and hash(a) == hash(b)
-    assert a != parse("x1", NAMES)
+    assert a is b and hash(a) == hash(b)
+    assert a is not parse("x1", NAMES)
+
+
+# -- interning --------------------------------------------------------------
+
+
+def test_building_twice_returns_the_same_node():
+    x, y = var(0), var(1)
+    assert var(0) is x and const(Fraction(6, 4)) is const(1.5)
+    assert Binary("add", x, y) is Binary("add", x, y)
+    assert Binary("add", x, y) is not Binary("add", y, x)
+    assert Pow(x, 2) is Pow(var(0), 2) and Unary("sin", x) is Unary("sin", x)
+    assert all(parse(t, NAMES) is parse(t, NAMES) for t in CORPUS)
+
+
+def test_building_again_keeps_the_caches():
+    e = parse("x1*x2 + x1*x2 - sin(x3)^2", NAMES)
+    s, d = simplify(e), differentiate(e, 2)
+    again = parse("x1*x2 + x1*x2 - sin(x3)^2", NAMES)
+    assert again is e
+    assert again._simplified is s and again._deriv[2] is d
+
+
+def test_node_cap_overflow_leaves_no_table_entry():
+    e = parse("x1 + x2", NAMES)
+    while 2 * e.node_count + 1 <= NODE_CAP:
+        e = Binary("add", e, e)
+    size = len(expr_module._TABLE)
+    with pytest.raises(ExpressionTooLarge):
+        Binary("mul", e, e)
+    assert len(expr_module._TABLE) == size
+    assert (expr_module._BINARY_CODE["mul"], id(e), id(e)) not in expr_module._TABLE
+
+
+def test_table_shrinks_back_when_an_expression_is_dropped():
+    # variables no other test uses, so every node above them is new and
+    # nothing older holds one through its caches
+    gc.collect()
+    size = len(expr_module._TABLE)
+    e = Var(40)
+    for k in range(1, 400):
+        e = Binary("add", e, Unary("sin", Binary("mul", Var(40 + k % 3), const(k))))
+    simplify(differentiate(e, 41))
+    assert len(expr_module._TABLE) > size + 2000
+    del e
+    gc.collect()
+    assert len(expr_module._TABLE) == size
+
+
+_FNS = ("sqrt", "sin", "cos", "exp", "log")
+
+
+def _seeded_expr(rng):
+    """A random tree in the shape of ``_random_exprs`` that reuses earlier
+    subtrees as children now and then."""
+    built = []
+
+    def grow(budget):
+        if built and rng.random() < 0.2:
+            return rng.choice(built)
+        if budget <= 1 or rng.random() < 0.25:
+            e = const(rng.randint(-9, 9)) if rng.random() < 0.5 else var(rng.randint(0, 2))
+        else:
+            kind = rng.randrange(4)
+            if kind == 0:
+                k = rng.randint(1, budget - 1)
+                op = rng.choice(["add", "sub", "mul", "div"])
+                e = Binary(op, grow(k), grow(budget - k))
+            elif kind == 1:
+                e = Unary("neg", grow(budget - 1))
+            elif kind == 2:
+                e = Pow(grow(budget - 1), rng.randint(0, 4))
+            else:
+                e = Unary(rng.choice(_FNS), grow(budget - 1))
+        built.append(e)
+        return e
+
+    return grow(rng.randint(1, 25))
+
+
+def _source(e) -> str:
+    """Python source that builds ``e`` with the node constructors."""
+    if isinstance(e, Const):
+        return f"Const(Fraction({e.value.numerator}, {e.value.denominator}))"
+    if isinstance(e, Var):
+        return f"Var({e.index})"
+    if isinstance(e, Pow):
+        return f"Pow({_source(e.base)}, {e.exponent})"
+    if isinstance(e, Unary):
+        return f"Unary({e.op!r}, {_source(e.child)})"
+    return f"Binary({e.op!r}, {_source(e.left)}, {_source(e.right)})"
+
+
+# Simplifies each expression read from stdin with every node of the ones
+# before it freed, so no cache of an earlier expression is left to hit.
+_ALONE = """
+import gc, json, sys
+sys.path.insert(0, sys.argv[1])
+from fractions import Fraction
+import morin.expr as m
+from morin.expr import Binary, Const, Pow, Unary, Var, format_expr, simplify
+gc.collect()
+size = len(m._TABLE)
+out = []
+for src in json.load(sys.stdin):
+    out.append(format_expr(simplify(eval(src))))
+    gc.collect()
+    assert len(m._TABLE) == size
+print(json.dumps(out))
+"""
+
+
+def test_simplify_does_not_depend_on_history():
+    # Interned nodes carry their simplification across scenes and commands;
+    # the canonical form must be the one a fresh interpreter gives.
+    rng = random.Random(20261018)
+    exprs = [_seeded_expr(rng) for _ in range(240)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    alone = subprocess.run(
+        [sys.executable, "-c", _ALONE, str(src)],
+        input=json.dumps([_source(e) for e in exprs]),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    want = json.loads(alone.stdout)
+    got = []
+    for e in exprs:
+        # warm up: random subexpressions of e, then unrelated expressions
+        parts = expr_module._postorder([e])
+        for n in rng.sample(parts, min(len(parts), 4)):
+            simplify(n)
+        for _ in range(2):
+            simplify(_seeded_expr(rng))
+        got.append(format_expr(simplify(e)))
+    assert got == want

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard-library ``ast``.
 
-Also checks that every function ``perfbench/tracer.py`` wraps still exists.
+Also checks that every function ``perfbench/tracer.py`` wraps still exists,
+and that no expression node class defines ``__init__`` or ``__eq__``.
 
 Four kinds of dead code fail here: a ``from``-import that its module never
 reads; a private module-level name that no module of ``src/morin`` reads;
@@ -175,6 +176,36 @@ def test_every_defaulted_parameter_is_set_somewhere():
 
 def test_every_dataclass_field_is_read_somewhere():
     assert unread_fields(TREES, USERS) == []
+
+
+def expr_node_methods(tree) -> list:
+    """``__init__`` and ``__eq__`` methods of ``Expr`` and the classes
+    deriving from it. Nodes are interned, so an ``__init__`` would run
+    again on every table hit and wipe the node's caches, and an ``__eq__``
+    would bring back a tree walk where identity is equality."""
+    nodes = {"Expr"}
+    out = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if cls.name in nodes or any(getattr(b, "id", None) in nodes for b in cls.bases):
+            nodes.add(cls.name)
+            out += [
+                f"{cls.name}.{fn.name}"
+                for fn in cls.body
+                if isinstance(fn, ast.FunctionDef) and fn.name in ("__init__", "__eq__")
+            ]
+    return out
+
+
+def test_expr_nodes_define_no_init_or_eq():
+    assert expr_node_methods(TREES["expr.py"]) == []
+    forged = ast.parse(
+        "class Expr:\n    def __eq__(self, other): return True\n"
+        "class Var(Expr):\n    def __init__(self, i): pass\n"
+        "class System:\n    def __init__(self): pass\n"
+    )
+    assert expr_node_methods(forged) == ["Expr.__eq__", "Var.__init__"]
 
 
 def test_tracer_targets_exist():
