@@ -47,6 +47,7 @@ from .model import (
     index_groups,
 )
 from .solver import (
+    capped_resolution,
     cell_centers,
     greedy_dedup,
     grid_seeds,
@@ -119,6 +120,34 @@ def _ranks(mats, tol) -> list:
         for i, rep in zip(group, reports):
             out[i] = rep
     return out
+
+
+def _jacobians(equation_sets, points) -> list:
+    """Jacobian of each point's equations at that point, one
+    ``System.jacobian`` call per distinct equations and point dimension.
+    Each block is C-contiguous, laid out as a one-point call lays it out."""
+    keys = [(tuple(eqs), len(x)) for eqs, x in zip(equation_sets, points)]
+    out: list = [None] * len(keys)
+    for group in index_groups(keys):
+        equations, dim = keys[group[0]]
+        blocks = System(equations, dim).jacobian(np.array([points[i] for i in group]))
+        for i, block in zip(group, blocks):
+            out[i] = np.ascontiguousarray(block)
+    return out
+
+
+def _gradient_verdicts(scene: Scene, equation_sets, points) -> list:
+    """Whether each point's equations have full-rank stacked gradients
+    there: ``(verdict, report, det)`` per point, with the :func:`_trusted`
+    verdict on the rank report of the unit rows, and the determinant of the
+    raw gradients when they are square (None otherwise). The ranks take
+    one stack per shape."""
+    grads = _jacobians(equation_sets, points)
+    reports = _ranks([_unit_rows(g) for g in grads], scene.tol_rank)
+    return [
+        (_trusted(rep, len(eqs)), rep, determinant(g) if g.shape[0] == g.shape[1] else None)
+        for eqs, g, rep in zip(equation_sets, grads, reports)
+    ]
 
 
 def _restriction_coranks(scene: Scene, omega_vals, base_grads) -> list:
@@ -356,11 +385,8 @@ def classify_points(scene: Scene, points) -> list:
         if k == 1:
             conormal = base[walking]
         else:
-            conormal = [None] * len(walking)
-            at = {j: g for g, j in enumerate(walking)}
-            for group, prev, pts in by_chart(walking, k - 1):
-                for j, grads in zip(group, System(prev.equations, N).jacobian(pts)):
-                    conormal[at[j]] = np.ascontiguousarray(grads)
+            equations = [chains[j].chart(k - 1).equations for j in walking]
+            conormal = _jacobians(equations, X[idx[walking]])
         found = _intersection_dims(omega[walking], base[walking], conormal, scene.tol_rank)
         deeper = []
         for j, (dim, trust) in zip(walking, found):
@@ -609,14 +635,9 @@ def check_corank1(scene: Scene) -> dict:
 
     sigma1 = solve_points(corank_system(scene), opts).coordinates().reshape(-1, N)
     report["sigma1_points"] = len(sigma1)
-    charts = [chain.chart(1) for chain in build_chains_at(scene, sigma1, max_depth=1)]
-    grads: list = [None] * len(charts)
-    for group in index_groups([chart.selection for chart in charts]):
-        system = System(charts[group[0]].equations, N)
-        for i, g in zip(group, system.jacobian(sigma1[group])):
-            grads[i] = _unit_rows(np.ascontiguousarray(g))
-    for x, chart, rep in zip(sigma1, charts, _ranks(grads, scene.tol_rank)):
-        verdict = _trusted(rep, len(chart.equations))
+    chains = build_chains_at(scene, sigma1, max_depth=1)
+    verdicts = _gradient_verdicts(scene, [c.chart(1).equations for c in chains], sigma1)
+    for x, (verdict, _, _) in zip(sigma1, verdicts):
         if verdict == "no":
             report["transversality_failures"].append([float(v) for v in x])
         elif verdict == "inconclusive":
@@ -702,17 +723,11 @@ def check_morin(scene: Scene, *, strata: StrataResult | None = None) -> dict:
         if verdict == "not_morin":
             break
 
-        for cls in strata.exact_depth(k):
-            # the walk that found depth k ran on a chain reaching it
-            equations = cls.chain.chart(k).equations
-            grads = System(equations, scene.ambient_dim).jacobian(cls.x)[0]
-            rep = numeric_rank(_unit_rows(grads), scene.tol_rank)
-            trust = _trusted(rep, len(equations))
-            det = (
-                determinant(grads)
-                if grads.shape[0] == grads.shape[1]
-                else None
-            )
+        found = strata.exact_depth(k)
+        # the walk that found depth k ran on a chain reaching it
+        equations = [cls.chain.chart(k).equations for cls in found]
+        verdicts = _gradient_verdicts(scene, equations, [cls.x for cls in found])
+        for cls, (trust, rep, det) in zip(found, verdicts):
             if trust == "no":
                 verdict = "not_morin"
                 witnesses.append(
@@ -916,14 +931,11 @@ def find_restricted_zeros(
         # stratum is zero-dimensional and every point of it is a zero
         candidates.extend(np.asarray(p, dtype=float) for p in strata.samples.get(1, []))
 
-    kept: list = []
     found = classify_points(scene, np.reshape(candidates, (-1, N)))
-    for x, cls in zip(candidates, found):
-        if any(np.linalg.norm(x - r.x) <= 1e-6 * diam for r in kept):
-            continue
-        rec = _verify_restricted_zero(scene, k, x, xi, cls)
-        if rec is not None:
-            kept.append(rec)
+    verified = [_verify_restricted_zero(scene, k, x, xi, c) for x, c in zip(candidates, found)]
+    verified = [rec for rec in verified if rec is not None]
+    xs = np.reshape([rec.x for rec in verified], (-1, N))
+    kept = [verified[i] for i in greedy_dedup(xs, 1e-6 * diam)]
     kept.sort(key=lambda r: tuple(r.x))
     return kept
 
@@ -969,12 +981,8 @@ def _verify_restricted_zero(
     )
 
 
-def nondegeneracy(
-    scene: Scene,
-    record: ZeroRecord,
-    weights,
-) -> ZeroRecord:
-    """Bordered-determinant nondegeneracy verdict for one zero record.
+def nondegeneracy(scene: Scene, records, weights) -> list:
+    """Bordered-determinant nondegeneracy verdict for each zero record.
 
     The multiplier system's Jacobian in the joint point-multiplier space
     is exactly the bordered matrix (covector Jacobian minus multiplier
@@ -982,16 +990,19 @@ def nondegeneracy(
     nondegenerate precisely when that square matrix has full rank with a
     trusted margin. The raw determinant is recorded alongside. The chart
     is the one the zero was verified on; at depth 0 the multipliers are
-    zero. Returns a new record; the input is not mutated.
+    zero. Returns new records in input order; the inputs are not mutated.
     """
-    N = scene.ambient_dim
-    q = len(record.equations)
-    lam = np.asarray(record.multipliers, dtype=float) if record.stratum_depth else np.zeros(q)
-    system = _multiplier_system(scene, record.equations, scene.covector_field(weights))
-    J = System(system, N + q).jacobian(np.concatenate([record.x, lam]))[0]
-    rep = numeric_rank(_unit_rows(J), scene.tol_rank)
-    det = determinant(J) if J.shape[0] == J.shape[1] else 0.0
-    return replace(record, nondegenerate=_trusted(rep, N + q), bordered_det=float(det))
+    xi = scene.covector_field(weights)
+    systems, points = [], []
+    for rec in records:
+        q = len(rec.equations)
+        lam = np.asarray(rec.multipliers, dtype=float) if rec.stratum_depth else np.zeros(q)
+        systems.append(_multiplier_system(scene, rec.equations, xi))
+        points.append(np.concatenate([rec.x, lam]))
+    return [
+        replace(rec, nondegenerate=verdict, bordered_det=0.0 if det is None else float(det))
+        for rec, (verdict, _, det) in zip(records, _gradient_verdicts(scene, systems, points))
+    ]
 
 
 def zero_census(
@@ -1007,13 +1018,11 @@ def zero_census(
     """
     if strata is None:
         strata = compute_strata(scene)
-    unrestricted = [
-        nondegeneracy(scene, r, weights) for r in find_xi_zeros(scene, weights)
-    ]
+    unrestricted = nondegeneracy(scene, find_xi_zeros(scene, weights), weights)
     restricted = {}
     for k in range(1, scene.n):
         records = find_restricted_zeros(scene, k, weights, strata=strata)
-        restricted[k] = [nondegeneracy(scene, r, weights) for r in records]
+        restricted[k] = nondegeneracy(scene, records, weights)
     return {"unrestricted": unrestricted, "restricted": restricted}
 
 
@@ -1081,15 +1090,17 @@ class CongruenceReport:
 def manifold_reaches_boundary(scene: Scene) -> bool:
     """Compactness surrogate: does the manifold approach the box walls?
 
-    Scans the constraint residual on a lattice; a cell is suspect when
-    the residual could vanish inside it (same local-slope bound the scan
-    oracle uses). True when any suspect cell sits within five percent of
-    a wall. Unconstrained scenes fill space and always return True.
+    Scans the constraint residual on a lattice of 48 cells per axis,
+    coarser where that would pass 48^3 cells (as :func:`grid_seeds` caps
+    its seeds); a cell is suspect when the residual could vanish inside it
+    (same local-slope bound the scan oracle uses). True when any suspect
+    cell sits within five percent of a wall, or in the outermost cell layer.
+    Unconstrained scenes fill space and always return True.
     """
     if not scene.constraints:
         return True
     box = scene.box
-    resolution = 48
+    resolution = capped_resolution(len(box), 48, 48 ** 3)
     pts = lattice_points(cell_centers(box, resolution))
     constraints = System(scene.constraints, scene.ambient_dim)
     vals = np.max(np.abs(constraints.values(pts)), axis=1)
@@ -1099,7 +1110,8 @@ def manifold_reaches_boundary(scene: Scene) -> bool:
     suspect = vals <= 1.5 * grads * half_diag + 10.0 * scene.tol_residual
     shell = np.zeros(len(pts), dtype=bool)
     for axis, (lo, hi) in enumerate(box):
-        margin = BOUNDARY_FRACTION * (hi - lo)
+        # a coarse lattice puts no cell center within five percent of a wall
+        margin = max(BOUNDARY_FRACTION * (hi - lo), cell[axis])
         shell |= (pts[:, axis] <= lo + margin) | (pts[:, axis] >= hi - margin)
     return bool(np.any(suspect & shell))
 

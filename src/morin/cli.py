@@ -246,7 +246,7 @@ def _cmd_zeros(scene: Scene, args, report: dict) -> int:
         records = find_xi_zeros(scene, weights)
     else:
         records = find_restricted_zeros(scene, k, weights, strata=strata)
-    records = [nondegeneracy(scene, r, weights) for r in records]
+    records = nondegeneracy(scene, records, weights)
 
     deepest = np.array([c.x for c in strata.exact_depth(scene.max_depth)])
     distances = []

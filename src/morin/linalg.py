@@ -58,11 +58,9 @@ class RankReport:
     Attributes
     ----------
     rank : int
-        Number of singular values above ``tolerance_used * sigma_max``.
+        Number of singular values above ``tol * sigma_max``.
     singular_values : ndarray
         All singular values, descending.
-    tolerance_used : float
-        The relative threshold that produced ``rank``.
     gap_ratio : float
         ``sigma[rank-1] / sigma[rank]``; infinite when the matrix has full
         rank (nothing rejected), zero when the rank is zero.
@@ -74,7 +72,6 @@ class RankReport:
 
     rank: int
     singular_values: np.ndarray
-    tolerance_used: float
     gap_ratio: float
     full_rank_margin: float
 
@@ -102,7 +99,7 @@ def numeric_rank(a, tol: float = DEFAULT_RANK_TOL) -> RankReport:
         raise ValueError("tol must be positive")
     m = as_matrix(a)
     if m.size == 0:
-        return RankReport(0, np.empty(0), tol, math.inf, math.inf)
+        return RankReport(0, np.empty(0), math.inf, math.inf)
     return _rank_report(np.linalg.svd(m, compute_uv=False), tol)
 
 
@@ -122,7 +119,7 @@ def numeric_ranks(a, tol: float = DEFAULT_RANK_TOL) -> list:
         raise ValueError(f"expected a matrix stack, got array of ndim {m.ndim}")
     _checked(m, False)
     if m.shape[1] * m.shape[2] == 0:
-        return [RankReport(0, np.empty(0), tol, math.inf, math.inf) for _ in m]
+        return [RankReport(0, np.empty(0), math.inf, math.inf) for _ in m]
     return [_rank_report(sv, tol) for sv in np.linalg.svd(m, compute_uv=False)]
 
 
@@ -130,7 +127,7 @@ def _rank_report(sv: np.ndarray, tol: float) -> RankReport:
     """The rank decision for descending singular values ``sv``."""
     smax = sv[0]
     if smax == 0.0:
-        return RankReport(0, sv, tol, 0.0, 0.0)
+        return RankReport(0, sv, 0.0, 0.0)
     rank = int(np.count_nonzero(sv > tol * smax))
     if rank == len(sv):
         gap = math.inf
@@ -141,7 +138,7 @@ def _rank_report(sv: np.ndarray, tol: float) -> RankReport:
         with np.errstate(over="ignore"):
             gap = math.inf if sv[rank] == 0.0 else float(sv[rank - 1] / sv[rank])
     margin = float(sv[-1] / (tol * smax))
-    return RankReport(rank, sv, tol, gap, margin)
+    return RankReport(rank, sv, gap, margin)
 
 
 def determinant(a) -> float:

@@ -492,7 +492,6 @@ class StratumChart:
     pivot: PivotSelection
     supplements: tuple  # SupplementSelection per depth 2..depth
     selected_cols: tuple = ()
-    audit_cols: tuple = ()
     samples: np.ndarray | None = None
     hint_used: bool = False
 
@@ -603,7 +602,6 @@ def _sigma1_charts(scene: Scene, pivots, points) -> list:
                 pivot=pivot,
                 supplements=(),
                 selected_cols=tuple(minors[i][0] for i in chosen),
-                audit_cols=tuple(minors[i][0] for i in remaining),
             )
         )
     return charts
@@ -885,12 +883,9 @@ def _sampled_chain(
         samples, margins = samples[ok], margins[ok]
         order = np.argsort(-margins, kind="stable")
 
-        supplement = None
         base = prev.equations[: scene.equation_count(k - 2)]
-        for idx in order[:8]:
-            supplement = select_supplement(scene, base, k, samples[idx])
-            if supplement is not None:
-                break
+        supplements = select_supplements(scene, base, k, samples[order[:8]])
+        supplement = next((s for s in supplements if s is not None), None)
         if supplement is None:
             notes.append(f"depth {k}: no coframe supplement qualifies at any anchor")
             return ChartChain(tuple(charts), False, tuple(notes))

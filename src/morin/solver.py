@@ -5,7 +5,7 @@ cross-checked:
 
 * ``solve_points``: batched damped Gauss-Newton from a deterministic seed
   grid (or caller-provided seeds), with strict residual rechecks, box and
-  audit filters, per-point Jacobian rank reports, and deduplication.
+  audit filters, and deduplication.
 * ``trace_curves``: predictor-corrector continuation along one-dimensional
   solution sets, detecting closed loops and box exits.
 * ``grid_oracle``: a dense multi-level scan that never uses derivatives,
@@ -24,7 +24,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .expr import System, eval_block, eval_lattice, simplify
-from .linalg import RankReport, numeric_ranks
 
 _SEED_CAP = 24_000  # total Gauss-Newton seeds, keeps dense grids tractable
 _ESCAPE_FACTOR = 20.0  # drop iterates this many diameters from the box center
@@ -66,7 +65,6 @@ class SolveOptions:
 class SolvedPoint:
     x: np.ndarray
     residual: float
-    jacobian_rank: RankReport
     iterations: int
 
 
@@ -137,16 +135,17 @@ def lattice_points(axes, flat=None) -> np.ndarray:
     return np.stack([a[i] for a, i in zip(axes, np.unravel_index(flat, shape))], axis=-1)
 
 
-def grid_seeds(box, grid: int, cap: int = _SEED_CAP) -> np.ndarray:
-    """Cell-center seed lattice over the box, capped in total size.
+def capped_resolution(dim: int, grid: int, cap: int) -> int:
+    """Per-axis count of a ``grid``-per-axis lattice in ``dim`` dimensions,
+    reduced (never below 8) until the full lattice fits under ``cap``."""
+    return min(grid, max(8, int(round(cap ** (1.0 / dim)))))
 
-    The per-axis count is reduced (never below 8) until the full lattice
-    fits under ``cap``, keeping seeding deterministic and affordable in
-    any dimension.
-    """
-    dim = len(box)
-    per_axis = min(grid, max(8, int(round(cap ** (1.0 / dim)))))
-    return lattice_points(cell_centers(box, per_axis))
+
+def grid_seeds(box, grid: int, cap: int = _SEED_CAP) -> np.ndarray:
+    """Cell-center seed lattice over the box, capped in total size by
+    :func:`capped_resolution`, keeping seeding deterministic and affordable
+    in any dimension."""
+    return lattice_points(cell_centers(box, capped_resolution(len(box), grid, cap)))
 
 
 def in_box(points, box, slack: float = 0.0) -> np.ndarray:
@@ -333,14 +332,8 @@ def solve_points(
 
     order = np.lexsort(pts.T[::-1])
     pts, res, its = pts[order], res[order], its[order]
-    ranks = numeric_ranks(eqs.jacobian(pts), opts.tol_rank)
     points = [
-        SolvedPoint(
-            x=pts[i],
-            residual=float(res[i]),
-            jacobian_rank=ranks[i],
-            iterations=int(its[i]),
-        )
+        SolvedPoint(x=pts[i], residual=float(res[i]), iterations=int(its[i]))
         for i in range(len(pts))
     ]
     stats["converged"] = len(points)
@@ -355,15 +348,13 @@ class TracedCurve:
     """Polyline along a one-dimensional solution component.
 
     ``closed`` means the trace returned to its start; closed curves repeat
-    the first vertex at the end. ``reached_boundary`` marks components
-    that leave the box (both ends, after stitching the reverse trace).
-    ``step_collapsed`` flags an abandoned trace whose corrector forced the
-    step below the useful minimum; treat the component as unresolved.
+    the first vertex at the end. ``step_collapsed`` flags an abandoned
+    trace whose corrector forced the step below the useful minimum; treat
+    the component as unresolved.
     """
 
     points: np.ndarray
     closed: bool
-    reached_boundary: bool = False
     step_collapsed: bool = False
 
     @property
@@ -402,7 +393,7 @@ def _correct(eqs: System, x, tol):
 def _trace_one(eqs: System, start, direction, opts, h0):
     """Trace from ``start`` along ``direction`` until closure, exit, or stall.
 
-    Returns (vertices list excluding start, closed, boundary, collapsed).
+    Returns (vertices list excluding start, closed, collapsed).
     """
     tol = 10.0 * opts.tol_residual
     h_min = 1e-6 * opts.diameter
@@ -410,7 +401,7 @@ def _trace_one(eqs: System, start, direction, opts, h0):
     x = start.copy()
     t_prev = direction
     h = h0
-    closed = boundary = collapsed = False
+    closed = collapsed = False
     for step_no in range(4000):
         J = eqs.jacobian(x)[0]
         t = _curve_tangent(J, opts.tol_rank)
@@ -433,12 +424,11 @@ def _trace_one(eqs: System, start, direction, opts, h0):
         x, t_prev = moved, t
         path.append(x.copy())
         if not in_box(x.reshape(1, -1), opts.box)[0]:
-            boundary = True
             break
         if step_no >= 4 and np.linalg.norm(x - start) < 1.3 * h0:
             closed = True
             break
-    return path, closed, boundary, collapsed
+    return path, closed, collapsed
 
 
 def trace_curves(system, opts: SolveOptions) -> list:
@@ -470,14 +460,13 @@ def trace_curves(system, opts: SolveOptions) -> list:
         t0 = _curve_tangent(J, opts.tol_rank)
         if t0 is None:
             continue
-        fwd, closed, bnd_f, col_f = _trace_one(eqs, x0, t0, opts, h0)
+        fwd, closed, col_f = _trace_one(eqs, x0, t0, opts, h0)
         if closed:
-            pts = np.array([x0] + fwd + [x0])
-            curve = TracedCurve(pts, True, False, col_f)
+            curve = TracedCurve(np.array([x0] + fwd + [x0]), True, col_f)
         else:
-            bwd, _, bnd_b, col_b = _trace_one(eqs, x0, -t0, opts, h0)
+            bwd, _, col_b = _trace_one(eqs, x0, -t0, opts, h0)
             pts = np.array(list(reversed(bwd)) + [x0] + fwd)
-            curve = TracedCurve(pts, False, bnd_f and bnd_b, col_f or col_b)
+            curve = TracedCurve(pts, False, col_f or col_b)
         curves.append(curve)
         todo = np.flatnonzero(~consumed)
         if todo.size:

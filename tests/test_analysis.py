@@ -20,6 +20,7 @@ from morin.analysis import (
     TRUST_GAP,
     AnalysisError,
     _farthest_subset,
+    _gradient_verdicts,
     _intersection_dims,
     _memberships,
     _multiplier_seeds,
@@ -49,6 +50,7 @@ from morin.model import (
     build_chain_at,
     build_sigma1_chart,
     draw_covector,
+    parse_scene,
     select_pivot,
 )
 from morin.solver import match_point_sets, solve_points
@@ -453,8 +455,7 @@ def test_torus_zero_census_golden(torus_scene, torus_strata):
 
 
 def test_unrestricted_zero_bordered_dets(torus_scene):
-    records = find_xi_zeros(torus_scene, [1.0, 0.0])
-    records = [nondegeneracy(torus_scene, r, [1.0, 0.0]) for r in records]
+    records = nondegeneracy(torus_scene, find_xi_zeros(torus_scene, [1.0, 0.0]), [1.0, 0.0])
     dets = sorted(abs(r.bordered_det) for r in records)
     assert dets[0] == pytest.approx(16.0 / 3.0, rel=1e-6)
     assert dets[-1] == pytest.approx(16.0, rel=1e-6)
@@ -462,7 +463,7 @@ def test_unrestricted_zero_bordered_dets(torus_scene):
 
 def test_nondegeneracy_returns_new_record(torus_scene):
     record = find_xi_zeros(torus_scene, [1.0, 0.0])[0]
-    out = nondegeneracy(torus_scene, record, [1.0, 0.0])
+    (out,) = nondegeneracy(torus_scene, [record], [1.0, 0.0])
     assert out is not record
     assert record.nondegenerate == "inconclusive"
     assert out.nondegenerate == "yes"
@@ -525,8 +526,7 @@ def _reference_nondegeneracy(scene, record, weights):
 
 def _assert_reference_nondegeneracy(scene, records, weights):
     assert records
-    for record in records:
-        out = nondegeneracy(scene, record, weights)
+    for record, out in zip(records, nondegeneracy(scene, records, weights)):
         got = (out.nondegenerate, np.float64(out.bordered_det).tobytes(), out.flags)
         assert got == _reference_nondegeneracy(scene, record, weights)
 
@@ -544,6 +544,48 @@ def test_nondegeneracy_matches_the_chain_rebuilding_reference(
     weights = scene.covector or draw_covector(scene.n, scene.rng_seed)
     records = find_restricted_zeros(scene, 1, weights, strata=compute_strata(scene))
     _assert_reference_nondegeneracy(scene, records, weights)
+
+
+def _one_point_verdict(scene, equations, x):
+    """The gradient verdict of one point spelled out: the reference for
+    ``_gradient_verdicts``."""
+    J = System(equations, len(x)).jacobian(x)[0]
+    rep = numeric_rank(_unit_rows(J), scene.tol_rank)
+    det = determinant(J) if J.shape[0] == J.shape[1] else None
+    return _trusted(rep, len(equations)), rep, det
+
+
+def _verdict_bits(verdict, rep, det):
+    return (
+        verdict,
+        rep.rank,
+        rep.singular_values.tobytes(),
+        np.float64(rep.gap_ratio).tobytes(),
+        np.float64(rep.full_rank_margin).tobytes(),
+        None if det is None else np.float64(det).tobytes(),
+    )
+
+
+def test_gradient_verdicts_are_bitwise_the_one_point_path(torus_scene, torus_strata):
+    # chart equations at their samples (3 columns, 2 or 3 rows) and the
+    # multiplier systems at seeded point-multiplier pairs (3 + q columns),
+    # interleaved so that every group takes points from across the list
+    xi = torus_scene.covector_field([1.0, 0.0])
+    items = []
+    for chain in torus_strata.chains:
+        for k in range(1, chain.depth + 1):
+            equations = chain.chart(k).equations
+            xs = torus_strata.samples[k][:6]
+            items += [(equations, x) for x in xs]
+            system = _multiplier_system(torus_scene, equations, xi)
+            items += [(system, p) for p in _multiplier_seeds(torus_scene, equations, xi, xs)]
+    items = items[::2] + items[1::2]
+    assert len({(len(eqs), len(x)) for eqs, x in items}) >= 3
+    got = _gradient_verdicts(torus_scene, [eqs for eqs, _ in items], [x for _, x in items])
+    assert len(got) == len(items)
+    for (equations, x), out in zip(items, got):
+        want = _one_point_verdict(torus_scene, equations, x)
+        assert _verdict_bits(*out) == _verdict_bits(*want)
 
 
 def test_multiplier_seeds_are_bitwise_the_least_squares_solutions(torus_scene, torus_strata):
@@ -601,6 +643,41 @@ def test_boundary_surrogate(torus_scene, hyperboloid_scene):
     assert manifold_reaches_boundary(hyperboloid_scene)
 
 
+def _flat_scene(dim, constraint, box):
+    names = ", ".join(f"x{i + 1}" for i in range(dim))
+    return parse_scene(
+        f"[scene]\nambient_dim = {dim}\nvars = {names}\n"
+        f"[manifold]\nconstraint = {constraint}\n"
+        f"[coframe]\nn = 1\nomega_1 = {', '.join(['1'] + ['0'] * (dim - 1))}\n"
+        f"[solver]\nbox = {', '.join([box] * dim)}\n"
+    )
+
+
+def test_boundary_scan_lattice_is_capped(monkeypatch):
+    seen = []
+
+    class Counting(System):
+        def values(self, points):
+            seen.append(len(points))
+            return super().values(points)
+
+        def jacobian(self, points):
+            seen.append(len(points))
+            return super().jacobian(points)
+
+    monkeypatch.setattr("morin.analysis.System", Counting)
+    sphere = _flat_scene(4, "x1^2 + x2^2 + x3^2 + x4^2 - 1", "-2:2")
+    assert not manifold_reaches_boundary(sphere)
+    # 18 cells per axis: the largest count whose lattice fits under 48^3
+    assert seen == [18**4, 18**4]
+    # at 8 cells per axis no cell center lies within five percent of a
+    # wall; the outermost layer still counts as the boundary shell
+    seen.clear()
+    plane = _flat_scene(6, "x1 + x2 + x3 + x4 + x5 + x6", "-1:1")
+    assert manifold_reaches_boundary(plane)
+    assert seen == [8**6, 8**6]
+
+
 # -- helpers ------------------------------------------------------------------
 
 
@@ -609,7 +686,7 @@ _MARGINS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
 )
 _REPORTS = st.builds(
-    lambda rank, size, gap, margin: RankReport(rank, np.ones(size), 1e-8, gap, margin),
+    lambda rank, size, gap, margin: RankReport(rank, np.ones(size), gap, margin),
     st.integers(0, 4),
     st.integers(0, 4),
     _MARGINS,

@@ -7,7 +7,8 @@ Four kinds of dead code fail here: a ``from``-import that its module never
 reads; a private module-level name that no module of ``src/morin`` reads;
 a defaulted parameter of a ``src/morin`` function that no call in
 ``src/morin``, ``tests/`` or ``perfbench/`` sets; and a field of a
-``src/morin`` dataclass that no attribute read in those trees names.
+``src/morin`` dataclass that no attribute read in ``src/morin`` or
+``perfbench/`` names (a field only tests read is an output nobody uses).
 ``from __future__ import annotations`` is exempt. Calls and reads are
 matched by name, so a name shared with another function or attribute
 hides dead code rather than inventing it.
@@ -23,12 +24,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "morin"
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-# every tree whose calls and reads count as use of the package
-USERS = list(TREES.values()) + [
-    ast.parse(path.read_text())
-    for tree in ("tests", "perfbench")
-    for path in sorted((ROOT / tree).rglob("*.py"))
-]
+
+
+def _parsed(root: Path, *trees) -> list:
+    paths = [path for tree in trees for path in sorted((root / tree).rglob("*.py"))]
+    return [ast.parse(path.read_text()) for path in paths]
+
+
+# the trees whose attribute reads count as use of a dataclass field
+PROGRAM_TREES = ("src/morin", "perfbench")
+PROGRAM = _parsed(ROOT, *PROGRAM_TREES)
+# every tree whose calls count as use of a parameter
+USERS = PROGRAM + _parsed(ROOT, "tests")
 
 
 def _loaded(tree) -> set:
@@ -175,7 +182,7 @@ def test_every_defaulted_parameter_is_set_somewhere():
 
 
 def test_every_dataclass_field_is_read_somewhere():
-    assert unread_fields(TREES, USERS) == []
+    assert unread_fields(TREES, PROGRAM) == []
 
 
 def expr_node_methods(tree) -> list:
@@ -226,7 +233,7 @@ def test_tracer_targets_exist():
         importlib.import_module(module)
 
 
-def test_checks_catch_dead_code():
+def test_checks_catch_dead_code(tmp_path):
     tree = ast.parse(
         "from __future__ import annotations\n"
         "from typing import Mapping, Sequence\n"
@@ -257,3 +264,14 @@ def test_checks_catch_dead_code():
     use = ast.parse("solve(eqs, 8, steps=9, seeds=s)\nchart.margin(p, 4)\nr.points\n")
     assert unset_parameters({"m.py": src}, [src, use]) == []
     assert unread_fields({"m.py": src}, [src, use]) == ["m.py:Result.margins"]
+    # a field that only a test reads is an output nobody uses
+    for rel, text in [
+        ("src/morin/m.py", ast.unparse(src)),
+        ("perfbench/run.py", "r.points\n"),
+        ("tests/test_m.py", "assert r.margins == {}\n"),
+    ]:
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text)
+    program = _parsed(tmp_path, *PROGRAM_TREES)
+    assert unread_fields({"m.py": src}, program) == ["m.py:Result.margins"]
+    assert unread_fields({"m.py": src}, program + _parsed(tmp_path, "tests")) == []

@@ -261,7 +261,7 @@ def test_sigma1_chart_picks_regular_minor():
     chart = build_sigma1_chart(sc, select_pivot(sc, (1.0, 2.0, 0.0)), (1.0, 2.0, 0.0))
     assert len(chart.equations) == 2
     assert chart.selected_cols == (2,)
-    assert chart.audit_cols == (1,)
+    assert chart.audits == tuple(e for j, e in bordered_minors(sc, chart.pivot) if j == 1)
     # selected minor is x1 * (2 x1 - x2) up to sign
     vals = [evaluate(chart.new_equations[0], p) for p in [(1.0, 2.0, 0.0), (2.0, 4.0, 1.0)]]
     assert vals == pytest.approx([0.0, 0.0], abs=1e-12)

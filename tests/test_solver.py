@@ -116,7 +116,6 @@ def test_solves_plane_intersection():
     out = solve_points(eqs, opts)
     assert out.coordinates() == pytest.approx(np.array([[-3.0, -4.0], [4.0, 3.0]]))
     assert all(p.residual <= opts.tol_residual for p in out.points)
-    assert all(p.jacobian_rank.full for p in out.points)
     assert out.stats["seeds"] == 64 and out.stats["converged"] == 2
 
 
@@ -308,9 +307,8 @@ def _reference_solve_points(system, opts, *, seeds, audits=(), var_dim=None):
     pts, res, its = pts[kept], res[kept], its[kept]
     order = np.lexsort(pts.T[::-1])
     pts, res, its = pts[order], res[order], its[order]
-    ranks = solver.numeric_ranks(eqs.jacobian(pts), opts.tol_rank)
     stats["converged"] = len(pts)
-    return [(pts[i], res[i], its[i], ranks[i]) for i in range(len(pts))], stats
+    return [(pts[i], res[i], its[i]) for i in range(len(pts))], stats
 
 
 def _swallowtail_chart():
@@ -351,16 +349,6 @@ def _assert_stats_add_up(stats):
     assert sum(stats[key] for key in _STAT_GROUPS) == stats["seeds"], stats
 
 
-def _rank_bits(rep):
-    return (
-        rep.rank,
-        rep.singular_values.tobytes(),
-        np.float64(rep.tolerance_used).tobytes(),
-        np.float64(rep.gap_ratio).tobytes(),
-        np.float64(rep.full_rank_margin).tobytes(),
-    )
-
-
 @pytest.mark.parametrize("case", sorted(_GN_CASES))
 @given(
     picks=st.one_of(st.none(), st.lists(st.integers(0, 10**6), min_size=1, max_size=300)),
@@ -378,11 +366,10 @@ def test_gauss_newton_rounds_are_bitwise_the_sequential_loop(case, picks, max_it
     assert {key: out.stats[key] for key in want_stats} == want_stats
     _assert_stats_add_up(out.stats)
     assert len(out.points) == len(want)
-    for got, (x, res, its, rank) in zip(out.points, want):
+    for got, (x, res, its) in zip(out.points, want):
         assert got.x.tobytes() == x.tobytes()
         assert np.float64(got.residual).tobytes() == np.float64(res).tobytes()
         assert got.iterations == its
-        assert _rank_bits(got.jacobian_rank) == _rank_bits(rank)
 
 
 def _special_floats():
@@ -466,7 +453,7 @@ def test_traces_circle_closed():
     assert len(curves) == 1
     c = curves[0]
     assert isinstance(c, TracedCurve)
-    assert c.closed and not c.reached_boundary
+    assert c.closed
     assert c.length == pytest.approx(4 * math.pi, rel=1e-3)
     assert np.allclose(np.linalg.norm(c.points, axis=1), 2.0, atol=1e-6)
 
@@ -477,7 +464,9 @@ def test_traces_open_segment_to_boundary():
     curves = trace_curves(eqs, opts)
     assert len(curves) == 1
     c = curves[0]
-    assert not c.closed and c.reached_boundary
+    assert not c.closed
+    # both ends traced out of the box
+    assert not in_box(c.points[[0, -1]], opts.box).any()
     assert c.length == pytest.approx(2 * math.sqrt(2.0), rel=1e-2)
 
 
