@@ -518,34 +518,66 @@ def _scan_box(eqs, box, resolution, chunk=_SLAB):
     return values, axes
 
 
-def _local_slope(values, box, resolution) -> np.ndarray:
-    """Per-cell, per-equation slope estimate: the largest finite
-    difference to any axis neighbor, divided by the cell size along that
-    axis. The leading axis of ``values`` indexes equations, and
-    ``values`` must be finite."""
-    out = np.zeros_like(values)
+def _side_max(line, ax, a, b) -> np.ndarray:
+    """At positions ``a`` to ``b - 1`` along axis ``ax`` of ``line``, the
+    larger of the absolute differences to the two neighbors along ``ax``;
+    a side with no neighbor gives 0."""
+    n = line.shape[ax]
+
+    def at(s):
+        return (slice(None),) * ax + (s,)
+
+    if n == 1:
+        return np.zeros(line.shape)
+    step = np.diff(line, axis=ax)
+    np.abs(step, out=step)
+    out = np.empty(line[at(slice(a, b))].shape)
+    inner = slice(max(a, 1), min(b, n - 1))  # positions with both neighbors
+    np.maximum(
+        step[at(slice(inner.start - 1, inner.stop - 1))],
+        step[at(inner)],
+        out=out[at(slice(inner.start - a, inner.stop - a))],
+    )
+    if a == 0:
+        out[at(0)] = step[at(0)]
+    if b == n:
+        out[at(b - 1 - a)] = step[at(n - 2)]
+    return out
+
+
+def _local_slope(values, planes, box, resolution) -> np.ndarray:
+    """Per-cell, per-equation slope estimate on the axis-0 planes
+    ``planes`` (a slice) of the lattice: the largest finite difference to
+    any axis neighbor, divided by the cell size along that axis.
+
+    The leading axis of ``values`` indexes equations, and ``values`` must
+    be finite and nonnegative. The axis-0 differences read the planes next
+    to ``planes``, where there are any; every other axis reads ``planes``
+    only. Dividing by a positive size keeps the order, so the maximum of
+    the two sides is divided once per axis, with the bits of dividing each.
+    """
+    n = values.shape[1]
+    start, stop, _ = planes.indices(n)
+    window = slice(max(start - 1, 0), min(stop + 1, n))
     for ax, (lo, hi) in enumerate(box, start=1):
-        step = np.diff(values, axis=ax)
-        np.abs(step, out=step)
+        if ax == 1:
+            side = _side_max(values[:, window], ax, start - window.start, stop - window.start)
+        else:
+            side = _side_max(values[:, start:stop], ax, 0, values.shape[ax])
         # a difference near the largest float over a cell size below 1
         # overflows to inf, the slope meant there
         with np.errstate(over="ignore"):
-            step /= (hi - lo) / resolution
-        # each cell is the low end of one difference and the high end of
-        # another; dividing by a positive size keeps the order, so this is
-        # the maximum of the scaled differences on both sides
-        n = values.shape[ax]
-        for part in (slice(0, n - 1), slice(1, n)):
-            view = out[(slice(None),) * ax + (part,)]
-            np.maximum(view, step, out=view)
+            side /= (hi - lo) / resolution
+        out = side if ax == 1 else np.maximum(out, side, out=out)
     return out
 
 
 def _cell_slope(values, cells, box, resolution) -> np.ndarray:
     """``_local_slope`` of one equation at the lattice cells with C-order
-    flat indices ``cells`` only. ``values`` is that equation's flat array
-    of finite residuals; it is read at ``cells`` and at their axis
-    neighbors, nowhere else."""
+    flat indices ``cells`` only. ``values[flat]`` gives that equation's
+    finite residuals at flat indices: a flat lattice array, or a ``_Band``
+    holding the cells and their axis neighbors. It is read at ``cells``
+    and at their axis neighbors, nowhere else."""
     dim = len(box)
     coords = np.unravel_index(cells, (resolution,) * dim)
     here = values[cells]
@@ -563,6 +595,21 @@ def _cell_slope(values, cells, box, resolution) -> np.ndarray:
                 step /= (hi - lo) / resolution
             np.maximum(out, step, out=out)
     return out
+
+
+class _Band:
+    """One equation's finite residuals at the sorted flat lattice indices
+    ``cells`` only (a narrow band around the open cells); ``band[flat]``
+    reads them at flat indices that lie in ``cells``."""
+
+    __slots__ = ("cells", "values")
+
+    def __init__(self, cells, values):
+        self.cells = cells
+        self.values = values
+
+    def __getitem__(self, flat):
+        return self.values[np.searchsorted(self.cells, flat)]
 
 
 def _face_dilation(mask) -> np.ndarray:
@@ -632,9 +679,9 @@ def grid_oracle(
     scan times its node count, so the dense pass goes to a cheap,
     selective equation. The decisions, and so the result, are bitwise
     those of testing every equation on every cell, in any order of the
-    equations. A level frees its lattice arrays before it rescans its
-    clusters, so memory stays at about one level's arrays, whatever the
-    depth.
+    equations. A level holds one full-lattice float array, and frees it
+    before it rescans its clusters, so memory stays at about that one
+    array, whatever the depth.
     """
     eqs = sorted((simplify(e) for e in system), key=lambda e: e.node_count)
     dim = len(box)
@@ -673,17 +720,22 @@ def _scan_clusters(
     A cell stays open iff every equation k passes ``values[k] <= 1.5 *
     slope[k] * half_diag + 10 * tol``, and that test reads equation k at
     the cell and at its axis neighbors only. So the equations are tested
-    in turn: the first is evaluated on the whole lattice, one slab of
-    axis-0 planes at a time, and its slope and mask are taken slab by slab
-    with one neighbor plane on each side; each later one is evaluated only
-    at the cells still open and their axis neighbors (the face dilation of
-    the open mask), and its slope is taken at the open cells. Evaluation
-    is elementwise, ``|b - a|`` is exactly ``|a - b|`` and maxima are
-    exact, so every value and slope read is bitwise the one a whole-lattice
-    scan of every equation gives, and so are the mask, the leaf argmin and
-    the leaf bound. ``child_eqs`` is ``eqs`` stably sorted by the share of
-    cells each equation passed here times its node count. The lattice
-    arrays die when this returns."""
+    in turn, and the level holds one full-lattice float array. The first
+    equation is evaluated into it on the whole lattice, one slab of axis-0
+    planes at a time, and its slope and mask are taken slab by slab. Each
+    later one is evaluated only at the cells still open and their axis
+    neighbors (the face dilation of the open mask), written into the same
+    array there, and its slope is taken at the open cells; its test reads
+    nowhere else. Evaluation is elementwise, ``|b - a|`` is exactly ``|a -
+    b|`` and maxima are exact, so every value and slope read is bitwise the
+    one a whole-lattice scan of every equation gives, and so is the mask.
+
+    At a leaf each equation's values are kept on the face dilation of the
+    cells open after its test (a ``_Band``), which holds the final open
+    cells and their axis neighbors: all that the leaf argmin and the leaf
+    bound read, bitwise as before. ``child_eqs`` is ``eqs`` stably sorted
+    by the share of cells each equation passed here times its node count.
+    The lattice array dies before the clusters are labelled."""
     dim = len(box)
     half_diag = 0.5 * math.sqrt(sum(((hi - lo) / resolution) ** 2 for lo, hi in box))
     leaf = levels_left <= 1 or half_diag <= min_half_diag
@@ -696,58 +748,50 @@ def _scan_clusters(
     first, axes = _scan_box(eqs[:1], box, resolution)
     mask = np.empty(shape, dtype=bool)
     for slab in _slabs(resolution, dim):
-        # the slab and one neighbor plane on each side, where there is one
-        lo = max(slab.start - 1, 0)
-        slope = _local_slope(first[:, lo : slab.stop + 1], box, resolution)
-        slope = slope[0, slab.start - lo : slab.stop - lo]
+        slope = _local_slope(first, slab, box, resolution)[0]
         mask[slab] = first[0, slab] <= 1.5 * slope * half_diag + 10.0 * tol_residual
-    # flat per-equation arrays; a later equation's are read only where
-    # they were filled: at the dilated cells
-    values = [first.ravel()]
+    values = first.ravel()
     mask = mask.ravel()
     passed = [np.count_nonzero(mask) / mask.size]
+    bands = []
     for eq in eqs[1:]:
         open_cells = np.flatnonzero(mask)
         if not open_cells.size:
             break  # no cluster is left to rescan
         needed = np.flatnonzero(_face_dilation(mask.reshape(shape)))
-        vals = np.empty(mask.size)
+        if leaf:
+            bands.append(_Band(needed, values[needed]))
         for start in range(0, len(needed), _SCAN_CHUNK):
             part = needed[start : start + _SCAN_CHUNK]
-            vals[part] = _finite_abs(eval_block([eq], lattice_points(axes, part)))[0]
-        slope = _cell_slope(vals, open_cells, box, resolution)
+            values[part] = _finite_abs(eval_block([eq], lattice_points(axes, part)))[0]
+        slope = _cell_slope(values, open_cells, box, resolution)
         tau = 1.5 * slope * half_diag + 10.0 * tol_residual
-        mask[open_cells] = vals[open_cells] <= tau
+        mask[open_cells] = values[open_cells] <= tau
         passed.append(np.count_nonzero(mask) / open_cells.size)
-        values.append(vals)
     mask = mask.reshape(shape)
-    corner, labels, objects = _label_clusters(mask)
     if leaf:
-        # the worst equation at each open cell; no other cell is read
+        needed = np.flatnonzero(_face_dilation(mask))
+        bands.append(_Band(needed, values[needed]))
+    del first, values
+    _, labels, objects = _label_clusters(mask)
+    if leaf:
+        # per cluster, the open cell of least worst residual, the first in
+        # C order on ties: the argmin over the cluster's bounding box
         open_cells = np.flatnonzero(mask)
-        worst = np.zeros(mask.size)
-        worst[open_cells] = np.max([v[open_cells] for v in values], axis=0)
-        worst = worst.reshape(shape)
-    else:
-        child_eqs = [
-            eq for _, eq in sorted(zip(passed, eqs), key=lambda t: t[0] * t[1].node_count)
-        ]
+        worst = np.max([band[open_cells] for band in bands], axis=0)
+        label = labels[labels > 0]  # C order in the box keeps the lattice's
+        order = np.lexsort((worst, label))
+        j = open_cells[order[np.flatnonzero(np.diff(label[order], prepend=0))]]
+        slope = np.array([_cell_slope(band, j, box, resolution) for band in bands])
+        bound = 4.0 * slope * half_diag + 50.0 * tol_residual
+        kept = j[~np.any(np.array([band[j] for band in bands]) > bound, axis=0)]
+        idx = np.unravel_index(kept, shape)
+        return list(np.stack([axes[a][idx[a]] for a in range(dim)], axis=1))
+    child_eqs = [
+        eq for _, eq in sorted(zip(passed, eqs), key=lambda t: t[0] * t[1].node_count)
+    ]
     out: list = []
-    for lab, cells in enumerate(objects, start=1):
-        if leaf:
-            # the first best cell in C order: offsets inside the bounding
-            # box keep the order of the whole lattice
-            box_cells = tuple(slice(s.start - c, s.stop - c) for s, c in zip(cells, corner))
-            sub = np.where(labels[box_cells] == lab, worst[cells], np.inf)
-            local = np.unravel_index(int(np.argmin(sub)), sub.shape)
-            idx = tuple(s.start + k for s, k in zip(cells, local))
-            j = np.ravel_multi_index(idx, shape)
-            slope = np.array([_cell_slope(v, np.array([j]), box, resolution)[0] for v in values])
-            bound = 4.0 * slope * half_diag + 50.0 * tol_residual
-            if np.any(np.array([v[j] for v in values]) > bound):
-                continue
-            out.append(np.array([axes[a][idx[a]] for a in range(dim)]))
-            continue
+    for cells in objects:
         sub_box = []
         shrink = 0.0
         for (lo, hi), s in zip(box, cells):

@@ -30,6 +30,7 @@ from morin.model import (
     load_scene,
 )
 from morin.solver import (
+    _FLOAT_MAX,
     _SCAN_CHUNK,
     _SLAB,
     SolveOptions,
@@ -723,6 +724,15 @@ def scan_case(texts, box, resolution, levels):
 # sqrt(x1) three roots on its edge
 @example(case=scan_case(["1/x1 - x2", "x1^2 + x2^2 - 1"], ((-1.0, 1.0),) * 2, 15, 6), chunk=64)
 @example(case=scan_case(["sqrt(x1) - x2", "sin(3*x1) - x2"], ((-2.0, 2.0),) * 2, 15, 10), chunk=5)
+# a leaf level whose two clusters each hold two open cells of equal worst
+# residual, so the first in C order is the one kept
+@example(
+    case=scan_case(["(x1 - 0.05) * (x1 + 0.05)", "x2 - x1 / 2"], ((-0.5, 0.5),) * 2, 32, 1),
+    chunk=_SCAN_CHUNK,
+)
+# one leaf level with 121 clusters (the pole case's 36 leaves come from 22
+# leaf levels of at most two clusters each)
+@example(case=scan_case(["sin(8*x1)", "sin(8*x2)"], ((-2.0, 2.0),) * 2, 32, 1), chunk=64)
 @settings(max_examples=60, deadline=None)
 def test_scan_matches_the_implementation_it_replaced(case, chunk):
     eqs, box, resolution, levels = case
@@ -732,7 +742,7 @@ def test_scan_matches_the_implementation_it_replaced(case, chunk):
     values, axes = _scan_box(eqs, box, resolution, chunk=chunk)
     assert same_bits(values, finite_vals)
     assert np.all(np.isfinite(values))
-    assert same_bits(_local_slope(values, box, resolution), slope)
+    assert same_bits(_local_slope(values, slice(None), box, resolution), slope)
     half_diag = 0.5 * math.sqrt(sum(((hi - lo) / resolution) ** 2 for lo, hi in box))
     passes = finite_vals <= 1.5 * slope * half_diag + 10.0 * tol
     assert same_bits(np.all(passes, axis=0), mask)
@@ -760,6 +770,57 @@ def test_scan_matches_the_implementation_it_replaced(case, chunk):
     for order in itertools.permutations(eqs):
         got = grid_oracle(list(order), box, resolution, tol_residual=tol, levels=levels)
         assert same_bits(got, want)
+
+
+@st.composite
+def slope_cases(draw):
+    """Finite nonnegative values, as the scan holds them, on a lattice of
+    ``resolution`` cells per axis in a box whose sides differ, and the
+    axis-0 slabs to take the slope on: uneven cuts, or runs of ``planes``
+    planes whose last one may be short or overrun the lattice, as
+    ``_slabs`` gives them."""
+    dim = draw(st.integers(1, 3))
+    resolution = draw(st.integers(1, 9 if dim == 3 else 17))
+    spans = st.sampled_from([(-1.0, 1.0), (-2.0, 2.0), (-0.3, 1.4), (0.0, 1e-3), (-1e3, 1e3)])
+    box = tuple(draw(spans) for _ in range(dim))
+    # 0 next to the largest float overflows the slope to inf on small cells
+    elements = st.one_of(
+        st.sampled_from([0.0, _FLOAT_MAX, 1e300, 5e-324]), st.floats(0.0, 10.0)
+    )
+    shape = (draw(st.integers(1, 2)),) + (resolution,) * dim
+    values = draw(hnp.arrays(float, shape, elements=elements))
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.sets(st.integers(1, resolution - 1)))) if resolution > 1 else []
+        bounds = [0, *cuts, resolution]
+        slabs = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    else:
+        planes = draw(st.integers(1, resolution + 1))
+        slabs = [slice(p, p + planes) for p in range(0, resolution, planes)]
+    return values, box, resolution, slabs
+
+
+def slope_case(values, box, cuts):
+    resolution = values.shape[1]
+    bounds = [0, *cuts, resolution]
+    return values, box, resolution, [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+@given(case=slope_cases())
+# one-plane slabs first, inside and last, on a non-cubic box
+@example(
+    case=slope_case(
+        np.array([0.0, _FLOAT_MAX, 3.0, 0.0, 1e300] * 25).reshape(1, 5, 5, 5),
+        ((0.0, 1e-3), (-1.0, 1.0), (-0.3, 1.4)),
+        [1, 2, 4],
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_slab_slope_is_bitwise_the_whole_lattice_slope(case):
+    values, box, resolution, slabs = case
+    want = old_local_slope(values, box, resolution)
+    for slab in slabs:
+        got = _local_slope(values, slab, box, resolution)
+        assert same_bits(got, np.ascontiguousarray(want[:, slab]))
 
 
 _LATTICE_TERMS = (*_SCAN_EQS, "exp(x1) - x2", "cos(x1 * x2)", "exp(x2 / x1)", "cos(x1)^2", "0.5")
@@ -869,6 +930,15 @@ def test_oracle_on_torus_zeros_matches_the_implementation_it_replaced():
     assert same_bits(grid_oracle(system, sc.box, 48), want)
 
 
+def test_oracle_root_level_above_128_matches_the_implementation_it_replaced():
+    # a root lattice finer than any rescan takes, with rescans below it
+    eqs = system2("x1^2 + x2^2 - 1", "x2 - x1 / 2")
+    box = ((-1.5, 1.5), (-1.2, 1.3))
+    want = old_grid_oracle(eqs, box, 300, levels=3)
+    assert len(want) == 2
+    assert same_bits(grid_oracle(eqs, box, 300, levels=3), want)
+
+
 def test_cascade_evaluates_later_equations_only_near_open_cells(monkeypatch):
     chart, sc = torus_depth2()
     eqs = [simplify(e) for e in chart.equations]
@@ -935,6 +1005,23 @@ def test_oracle_memory_stays_at_one_level():
         tracemalloc.stop()
     assert reps.shape == (0, 3)
     assert peak < 6 * one_level, peak / one_level
+
+
+def test_oracle_scan_of_the_torus_cusps_holds_under_three_lattice_arrays():
+    # The benchmark's scan: the torus depth-2 chart at 128 cells per axis,
+    # whose rescans climb back to 128^3 levels. A level holds one
+    # full-lattice float array; later equations and the leaf live on the
+    # face dilation of the open cells, a few percent of the lattice.
+    chart, sc = torus_depth2()
+    one_array = 8 * 128**3
+    tracemalloc.start()
+    try:
+        reps = grid_oracle(chart.equations, sc.box, resolution=128, tol_residual=sc.tol_residual)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reps) > 0
+    assert peak < 3 * one_array, peak / one_array
 
 
 # -- deduplication -----------------------------------------------------------
