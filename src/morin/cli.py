@@ -336,7 +336,6 @@ def _cmd_oracle(scene: Scene, args, report: dict) -> int:
         chart = best.chart(depth)
         system = chart.equations
     roots = grid_oracle(system, scene.box, resolution, tol_residual=scene.tol_residual)
-    roots = roots[np.lexsort(roots.T[::-1])] if len(roots) else roots
     report["results"] = {
         "depth": depth,
         "resolution": resolution,

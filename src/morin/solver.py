@@ -489,10 +489,12 @@ _SLAB = 131_072  # lattice points per dense eval_lattice call: 8 planes of 128^2
 _FLOAT_MAX = np.finfo(float).max
 
 
-def _finite_abs(block) -> np.ndarray:
-    """``|block|`` in place, every nan or infinite entry stored as the
-    largest finite float, so the result holds finite numbers only."""
-    return np.fmin(np.abs(block, out=block), _FLOAT_MAX, out=block)
+def _finite_abs(block, out=None) -> np.ndarray:
+    """``|block|``, in place or into ``out``, every nan or infinite entry
+    stored as the largest finite float, so the result holds finite numbers
+    only."""
+    out = np.abs(block, out=block if out is None else out)
+    return np.fmin(out, _FLOAT_MAX, out=out)
 
 
 def _slabs(resolution, dim, chunk=_SLAB):
@@ -502,50 +504,83 @@ def _slabs(resolution, dim, chunk=_SLAB):
     return [slice(p, p + planes) for p in range(0, resolution, planes)]
 
 
-def _scan_box(eqs, box, resolution, chunk=_SLAB):
-    """Per-equation abs residuals (``_finite_abs``) on the whole cell-center
-    lattice.
+def _window(s, n) -> tuple:
+    """The first and past-the-last axis-0 planes of slab ``s`` of an
+    ``n``-plane lattice with one neighbour plane on each side, clipped to
+    the lattice."""
+    return max(s.start - 1, 0), min(s.stop + 1, n)
 
-    Returns ``(values, axes)``; ``values`` has shape ``(len(eqs),) +
-    (resolution,) * len(box)``. Each ``eval_lattice`` call takes one slab
-    of about ``chunk`` points, so beyond ``values`` the memory used is a
-    few slabs.
+
+def _dense_windows(eqs, axes, slabs):
+    """For each slab of ``slabs`` (``_slabs``), ``(window, planes)``: the
+    equations' finite abs residuals (``_finite_abs``) on the slab's
+    ``_window``, shape ``(len(eqs), window planes) + lattice plane``, and
+    the slab's planes as a slice of the window.
+
+    Each lattice point is evaluated once: the planes a window shares with
+    the one before it are moved over, not evaluated again. Every window is
+    a view of one buffer, which the next step overwrites.
     """
-    axes = cell_centers(box, resolution)
-    values = np.empty((len(eqs),) + (resolution,) * len(box))
-    for slab in _slabs(resolution, len(box), chunk):
-        values[:, slab] = _finite_abs(eval_lattice(eqs, [axes[0][slab], *axes[1:]]))
-    return values, axes
+    n = len(axes[0])
+    rows = min(slabs[0].stop + 2, n)  # the most planes a window holds
+    buf = np.empty((len(eqs), rows) + tuple(map(len, axes[1:])))
+    lo = done = 0  # the buffer holds planes lo to done - 1
+    for s in slabs:
+        new_lo, hi = _window(s, n)
+        buf[:, : done - new_lo] = buf[:, new_lo - lo : done - lo]
+        if hi > done:
+            lattice = [axes[0][done:hi], *axes[1:]]
+            _finite_abs(eval_lattice(eqs, lattice), out=buf[:, done - new_lo : hi - new_lo])
+        lo, done = new_lo, hi
+        yield buf[:, : hi - lo], slice(s.start - lo, min(s.stop, n) - lo)
 
 
-def _side_max(line, ax, a, b) -> np.ndarray:
-    """At positions ``a`` to ``b - 1`` along axis ``ax`` of ``line``, the
-    larger of the absolute differences to the two neighbors along ``ax``;
-    a side with no neighbor gives 0."""
+def _along(ax, s) -> tuple:
+    """The index taking ``s`` along axis ``ax`` and everything before it."""
+    return (slice(None),) * ax + (s,)
+
+
+def _steps(line, ax, step) -> np.ndarray:
+    """Into ``step``: the absolute differences of neighbors along axis
+    ``ax`` of ``line``."""
+    np.subtract(line[_along(ax, slice(1, None))], line[_along(ax, slice(None, -1))], out=step)
+    return np.abs(step, out=step)
+
+
+def _side_max(line, ax, a, b, step, out) -> None:
+    """Into ``out``: at positions ``a`` to ``b - 1`` along axis ``ax`` of
+    ``line``, the larger of the absolute differences to the two neighbors
+    along ``ax``; a side with no neighbor gives 0. ``step`` is scratch of
+    the shape of ``line`` less one position along ``ax``."""
     n = line.shape[ax]
-
-    def at(s):
-        return (slice(None),) * ax + (s,)
-
     if n == 1:
-        return np.zeros(line.shape)
-    step = np.diff(line, axis=ax)
-    np.abs(step, out=step)
-    out = np.empty(line[at(slice(a, b))].shape)
+        out[...] = 0.0
+        return
+    _steps(line, ax, step)
     inner = slice(max(a, 1), min(b, n - 1))  # positions with both neighbors
     np.maximum(
-        step[at(slice(inner.start - 1, inner.stop - 1))],
-        step[at(inner)],
-        out=out[at(slice(inner.start - a, inner.stop - a))],
+        step[_along(ax, slice(inner.start - 1, inner.stop - 1))],
+        step[_along(ax, inner)],
+        out=out[_along(ax, slice(inner.start - a, inner.stop - a))],
     )
     if a == 0:
-        out[at(0)] = step[at(0)]
+        out[_along(ax, 0)] = step[_along(ax, 0)]
     if b == n:
-        out[at(b - 1 - a)] = step[at(n - 2)]
-    return out
+        out[_along(ax, b - 1 - a)] = step[_along(ax, n - 2)]
 
 
-def _local_slope(values, planes, box, resolution) -> np.ndarray:
+def _fold_steps(out, line, ax, step, size=None) -> None:
+    """Raise ``out`` to the absolute difference of each position of
+    ``line`` to either neighbor along axis ``ax``, divided by ``size`` when
+    given. ``step`` is scratch as for ``_side_max``."""
+    _steps(line, ax, step)
+    if size is not None:
+        step /= size
+    for side in (slice(None, -1), slice(1, None)):
+        np.maximum(out[_along(ax, side)], step, out=out[_along(ax, side)])
+
+
+def _local_slope(values, planes, box, resolution, work=None) -> np.ndarray:
     """Per-cell, per-equation slope estimate on the axis-0 planes
     ``planes`` (a slice) of the lattice: the largest finite difference to
     any axis neighbor, divided by the cell size along that axis.
@@ -553,42 +588,62 @@ def _local_slope(values, planes, box, resolution) -> np.ndarray:
     The leading axis of ``values`` indexes equations, and ``values`` must
     be finite and nonnegative. The axis-0 differences read the planes next
     to ``planes``, where there are any; every other axis reads ``planes``
-    only. Dividing by a positive size keeps the order, so the maximum of
-    the two sides is divided once per axis, with the bits of dividing each.
+    only. Dividing by a positive size keeps the order, so a maximum of
+    differences divided once has the bits of dividing each: the axes with
+    the first axis's cell size are divided together, the others one by one.
+
+    ``work``, a flat float buffer of at least twice the size of the
+    planes read, holds the differences and the result, which is then a
+    view of it; by default a new one is taken.
     """
     n = values.shape[1]
     start, stop, _ = planes.indices(n)
-    window = slice(max(start - 1, 0), min(stop + 1, n))
-    for ax, (lo, hi) in enumerate(box, start=1):
-        if ax == 1:
-            side = _side_max(values[:, window], ax, start - window.start, stop - window.start)
-        else:
-            side = _side_max(values[:, start:stop], ax, 0, values.shape[ax])
-        # a difference near the largest float over a cell size below 1
-        # overflows to inf, the slope meant there
-        with np.errstate(over="ignore"):
-            side /= (hi - lo) / resolution
-        out = side if ax == 1 else np.maximum(out, side, out=out)
+    w0, w1 = _window(slice(start, stop), n)
+    shape = (values.shape[0], stop - start) + values.shape[2:]
+    size = math.prod(shape)
+    if work is None:
+        work = np.empty(2 * values[:, w0:w1].size)
+
+    def step(line, ax):
+        less = line.shape[:ax] + (line.shape[ax] - 1,) + line.shape[ax + 1 :]
+        return work[size : size + math.prod(less)].reshape(less)
+
+    cell = [(hi - lo) / resolution for lo, hi in box]
+    out = work[:size].reshape(shape)
+    window = values[:, w0:w1]
+    _side_max(window, 1, start - w0, stop - w0, step(window, 1), out)
+    line = values[:, start:stop]
+    later = [ax for ax in range(2, len(box) + 1) if line.shape[ax] > 1]
+    # a difference near the largest float over a cell size below 1
+    # overflows to inf, the slope meant there
+    with np.errstate(over="ignore"):
+        for ax in later:
+            if cell[ax - 1] == cell[0]:
+                _fold_steps(out, line, ax, step(line, ax))
+        out /= cell[0]
+        for ax in later:
+            if cell[ax - 1] != cell[0]:
+                _fold_steps(out, line, ax, step(line, ax), cell[ax - 1])
     return out
 
 
-def _cell_slope(values, cells, box, resolution) -> np.ndarray:
-    """``_local_slope`` of one equation at the lattice cells with C-order
-    flat indices ``cells`` only. ``values[flat]`` gives that equation's
-    finite residuals at flat indices: a flat lattice array, or a ``_Band``
-    holding the cells and their axis neighbors. It is read at ``cells``
-    and at their axis neighbors, nowhere else."""
-    dim = len(box)
-    coords = np.unravel_index(cells, (resolution,) * dim)
+def _cell_slope(values, cells, box, resolution, shape) -> np.ndarray:
+    """``_local_slope`` of one equation at the cells with C-order flat
+    indices ``cells`` of an array of ``shape``, from ``values``, that
+    equation's finite residuals on the array, flattened. It is read at
+    ``cells`` and at their axis neighbors, nowhere else. The array is a run
+    of axis-0 planes of the lattice, and ``cells`` lie on its first or last
+    plane only where that is the lattice's first or last."""
+    coords = np.unravel_index(cells, shape)
     here = values[cells]
     out = np.zeros(len(cells))
     for ax, (lo, hi) in enumerate(box):
-        stride = resolution ** (dim - 1 - ax)
+        stride = math.prod(shape[ax + 1 :])
         at = coords[ax]
         # a cell with no neighbor on one side stands in for it: a zero
         # difference, which leaves the maximum as it is; |b - a| is
         # exactly |a - b|, so each difference has the bits of the dense one
-        for nb in (cells - stride * (at > 0), cells + stride * (at < resolution - 1)):
+        for nb in (cells - stride * (at > 0), cells + stride * (at < shape[ax] - 1)):
             step = values[nb] - here
             np.abs(step, out=step)
             with np.errstate(over="ignore"):
@@ -597,29 +652,13 @@ def _cell_slope(values, cells, box, resolution) -> np.ndarray:
     return out
 
 
-class _Band:
-    """One equation's finite residuals at the sorted flat lattice indices
-    ``cells`` only (a narrow band around the open cells); ``band[flat]``
-    reads them at flat indices that lie in ``cells``."""
-
-    __slots__ = ("cells", "values")
-
-    def __init__(self, cells, values):
-        self.cells = cells
-        self.values = values
-
-    def __getitem__(self, flat):
-        return self.values[np.searchsorted(self.cells, flat)]
-
-
 def _face_dilation(mask) -> np.ndarray:
     """``mask`` with every axis neighbor of a set cell set too, clipped to
     the lattice: ``ndimage.binary_dilation`` with its default structure,
     about 20 times faster on a 128^3 mask."""
     out = mask.copy()
     for ax in range(mask.ndim):
-        low = (slice(None),) * ax + (slice(0, -1),)
-        high = (slice(None),) * ax + (slice(1, None),)
+        low, high = _along(ax, slice(0, -1)), _along(ax, slice(1, None))
         out[low] |= mask[high]
         out[high] |= mask[low]
     return out
@@ -629,24 +668,24 @@ def _label_clusters(mask) -> tuple:
     """``ndimage.label`` of ``mask``, face, edge and corner neighbors
     connected, run on the bounding box of its set cells only.
 
-    Returns ``(corner, labels, objects)``: the box's first cell, the
-    labels of the box, and each label's slices in the whole lattice. C
-    order inside the box keeps the order of the whole lattice, so the
-    numbering is that of labeling the whole mask.
+    Returns ``(labels, objects)``: the labels of the box, and each label's
+    slices in the whole lattice. C order inside the box keeps the order of
+    the whole lattice, so the numbering is that of labeling the whole mask.
     """
     from scipy import ndimage
 
-    coords = np.unravel_index(np.flatnonzero(mask), mask.shape)
-    if not coords[0].size:
-        return (0,) * mask.ndim, np.zeros((0,) * mask.ndim, dtype=int), []
-    corner = tuple(int(k.min()) for k in coords)
-    crop = tuple(slice(c, int(k.max()) + 1) for c, k in zip(corner, coords))
-    labels, _ = ndimage.label(mask[crop], structure=np.ones((3,) * mask.ndim, dtype=int))
+    crop = []
+    for ax in range(mask.ndim):
+        hit = np.flatnonzero(mask.any(axis=tuple(a for a in range(mask.ndim) if a != ax)))
+        if not hit.size:
+            return np.zeros((0,) * mask.ndim, dtype=int), []
+        crop.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    labels, _ = ndimage.label(mask[tuple(crop)], structure=np.ones((3,) * mask.ndim, dtype=int))
     objects = [
-        tuple(slice(s.start + c, s.stop + c) for s, c in zip(cells, corner))
+        tuple(slice(s.start + c.start, s.stop + c.start) for s, c in zip(cells, crop))
         for cells in ndimage.find_objects(labels)
     ]
-    return corner, labels, objects
+    return labels, objects
 
 
 def grid_oracle(
@@ -669,8 +708,8 @@ def grid_oracle(
     (re-labeled, so merged clusters split), and a leaf survives only if
     its best residual has shrunk in proportion to the final cell size,
     again equation by equation. Roots that stay in one cluster through
-    every level merge into one answer. Only meaningful for systems whose
-    solution set is a finite point set.
+    every level merge into one answer, and the answers come lexsorted.
+    Only meaningful for systems whose solution set is a finite point set.
 
     Each level tests the equations in turn (see ``_scan_clusters``): the
     first on the whole lattice, each later one only where the earlier ones
@@ -679,9 +718,10 @@ def grid_oracle(
     scan times its node count, so the dense pass goes to a cheap,
     selective equation. The decisions, and so the result, are bitwise
     those of testing every equation on every cell, in any order of the
-    equations. A level holds one full-lattice float array, and frees it
-    before it rescans its clusters, so memory stays at about that one
-    array, whatever the depth.
+    equations. A level streams its lattice slab by slab and holds no
+    full-lattice float array, only the lattice's bool mask of open cells,
+    and frees its buffers before it rescans its clusters, so memory stays
+    at about one level's mask and cluster labels, whatever the depth.
     """
     eqs = sorted((simplify(e) for e in system), key=lambda e: e.node_count)
     dim = len(box)
@@ -710,8 +750,156 @@ def grid_oracle(
     return pts[greedy_dedup(pts, 1e-6 * diam)]
 
 
+def _needed(cells, shape) -> tuple:
+    """The cells with C-order flat indices ``cells`` (at least one) of an
+    array of ``shape`` and their axis neighbors: ``(box, need)``, where
+    ``box`` is the cells' bounding box grown by one cell each way and
+    clipped to the array, as slices, and ``need`` is ``_face_dilation`` of
+    the cells over it."""
+    coords = np.unravel_index(cells, shape)
+    box = tuple(
+        slice(max(int(c.min()) - 1, 0), min(int(c.max()) + 2, n)) for c, n in zip(coords, shape)
+    )
+    need = np.zeros(tuple(s.stop - s.start for s in box), dtype=bool)
+    need[tuple(c - s.start for c, s in zip(coords, box))] = True
+    return box, _face_dilation(need)
+
+
+class _Cascade:
+    """The tests of one scan level's later equations, slab by slab in
+    lattice order.
+
+    Each later equation is evaluated only at the cells still open before
+    its test and their axis neighbors, in ``scratch`` over the slab's
+    ``_window``. Its values on the two planes the window shares with the
+    next one are carried over, so no cell is evaluated twice. Every slab
+    but the last spans two planes or more, so the planes a window shares
+    with the one before it and with the one after it are apart.
+    """
+
+    def __init__(self, eqs, axes, box, resolution, tol_residual, half_diag, leaf, mask, scratch):
+        self.eqs, self.axes, self.box, self.resolution = eqs, axes, box, resolution
+        self.tol_residual, self.half_diag, self.leaf = tol_residual, half_diag, leaf
+        self.flat_mask = mask.reshape(-1)
+        self.scratch = scratch
+        self.plane = resolution ** (len(box) - 1)
+        m = len(eqs)
+        self.opened = [0] * m  # cells open before each equation's test
+        self.kept = [0] * m  # cells open after it
+        # per equation, where on the next window's first two planes it is
+        # known (a bool array and its flat indices), and its values there
+        self.carried: list = [None] * m
+        self.finals: list = []
+
+    def test(self, planes, cells, worst, good) -> None:
+        """Test the cells with flat lattice indices ``cells`` on the axis-0
+        planes ``planes``, which the first equation left open, against
+        every later equation, and clear those that fail in the level's
+        mask. At a leaf ``worst`` and ``good`` give each cell's residual
+        and whether it passes the leaf bound; otherwise they are None."""
+        plane, hd, tol, n = self.plane, self.half_diag, self.tol_residual, self.resolution
+        lo, hi = _window(planes, n)
+        shape = (hi - lo,) + (n,) * (len(self.box) - 1)
+        shared = planes.stop - 1 - lo if planes.stop < n else None  # the rows the next window shares
+        cells = cells - lo * plane  # flat indices in the window
+        window = self.scratch[: math.prod(shape)]
+        for k in range(1, len(self.eqs)):
+            self.opened[k] += cells.size
+            carried, self.carried[k] = self.carried[k], None
+            if not cells.size:
+                continue
+            box, need = _needed(cells, shape)
+            rows = box[0]
+            fresh = need
+            if carried is not None:
+                known, at, values = carried
+                window[at] = values
+                if rows.start < 2:
+                    end = min(rows.stop, 2)
+                    fresh = need.copy()
+                    fresh[: end - rows.start] &= ~known[(slice(rows.start, end),) + box[1:]]
+            at = np.unravel_index(np.flatnonzero(fresh), fresh.shape)
+            new = np.ravel_multi_index(tuple(a + s.start for a, s in zip(at, box)), shape)
+            del at  # as large as the cells to evaluate, three times over
+            for start in range(0, new.size, _SCAN_CHUNK):
+                part = new[start : start + _SCAN_CHUNK]
+                block = eval_block([self.eqs[k]], lattice_points(self.axes, part + lo * plane))
+                window[part] = _finite_abs(block)[0]
+            if shared is not None and shared + 2 > rows.start and shared < rows.stop:
+                a, b = max(shared, rows.start), min(shared + 2, rows.stop)
+                known = np.zeros((2,) + shape[1:], dtype=bool)
+                known[(slice(a - shared, b - shared),) + box[1:]] = need[a - rows.start : b - rows.start]
+                at = np.flatnonzero(known)
+                self.carried[k] = (known, at, window[at + shared * plane])
+            v = window[cells]
+            slope = _cell_slope(window, cells, self.box, self.resolution, shape)
+            ok = v <= 1.5 * slope * hd + 10.0 * tol
+            self.flat_mask[cells[~ok] + lo * plane] = False
+            cells = cells[ok]
+            if self.leaf:
+                v, slope = v[ok], slope[ok]
+                worst = np.maximum(worst[ok], v)
+                good = good[ok] & (v <= 4.0 * slope * hd + 50.0 * tol)
+            self.kept[k] += cells.size
+        if self.leaf:
+            self.finals.append((cells + lo * plane, worst, good))
+
+
+def _open_cells(eqs, box, resolution, tol_residual, half_diag, leaf, chunk=_SLAB) -> tuple:
+    """The open cells of one scan level, taken in one pass over slabs of
+    ``chunk`` lattice points (``_slabs``).
+
+    Returns ``(mask, passed, finals)``. ``mask`` is the lattice's bool mask
+    of open cells; ``passed[k]`` is the share of the cells open before
+    equation k's test that passed it. At a leaf ``finals`` is ``(flat,
+    worst, good)`` over the open cells in C order: their flat indices,
+    their largest residual over the equations, and whether every equation
+    there passes the leaf bound; otherwise it is None.
+
+    On each slab the first equation is evaluated at every cell
+    (``_dense_windows``), and its slope and test are taken there. The open
+    cells of two slabs at a time then go through the later equations
+    (``_Cascade``), which halves the calls there; the window of two slabs
+    fits in the slope's work buffer, which their tests use. The slopes of
+    the tests give the leaf bound too. Every float buffer is the size of a
+    few windows and dies with the call.
+    """
+    dim = len(box)
+    axes = cell_centers(box, resolution)
+    plane = resolution ** (dim - 1)
+    slabs = _slabs(resolution, dim, chunk)
+    work = np.empty(2 * min(slabs[0].stop + 2, resolution) * plane)  # twice the largest window
+    mask = np.empty((resolution,) * dim, dtype=bool)
+    cascade = _Cascade(eqs, axes, box, resolution, tol_residual, half_diag, leaf, mask, work)
+    first, pending = 0, []  # the slabs not yet sent on: first plane, open cells
+    for i, (s, (window, planes)) in enumerate(zip(slabs, _dense_windows(eqs[:1], axes, slabs))):
+        slope = _local_slope(window, planes, box, resolution, work)[0]
+        here = window[0, planes]
+        tau = np.multiply(slope, 1.5, out=work[slope.size : 2 * slope.size].reshape(slope.shape))
+        tau *= half_diag
+        tau += 10.0 * tol_residual
+        np.less_equal(here, tau, out=mask[s])
+        cells = np.flatnonzero(mask[s])
+        cascade.opened[0] += here.size
+        cascade.kept[0] += cells.size
+        worst = good = None
+        if leaf:
+            worst = here.reshape(-1)[cells]
+            good = worst <= 4.0 * slope.reshape(-1)[cells] * half_diag + 50.0 * tol_residual
+        pending.append((cells + s.start * plane, worst, good))
+        stop = min(s.stop, resolution)
+        if i % 2 or stop == resolution:
+            parts = (None if p[0] is None else np.concatenate(p) for p in zip(*pending))
+            cascade.test(slice(first, stop), *parts)
+            first, pending = stop, []
+    passed = [n / m if m else 0.0 for n, m in zip(cascade.kept, cascade.opened)]
+    if not leaf:
+        return mask, passed, None
+    return mask, passed, tuple(np.concatenate(part) for part in zip(*cascade.finals))
+
+
 def _scan_clusters(
-    eqs, box, resolution, tol_residual, levels_left, min_half_diag, accept_half_diag
+    eqs, box, resolution, tol_residual, levels_left, min_half_diag, accept_half_diag, chunk=_SLAB
 ) -> list:
     """One scan level's outcome, cluster by cluster in label order: a leaf
     representative point, or a ``(sub_box, child_resolution, child_eqs)``
@@ -719,23 +907,19 @@ def _scan_clusters(
 
     A cell stays open iff every equation k passes ``values[k] <= 1.5 *
     slope[k] * half_diag + 10 * tol``, and that test reads equation k at
-    the cell and at its axis neighbors only. So the equations are tested
-    in turn, and the level holds one full-lattice float array. The first
-    equation is evaluated into it on the whole lattice, one slab of axis-0
-    planes at a time, and its slope and mask are taken slab by slab. Each
-    later one is evaluated only at the cells still open and their axis
-    neighbors (the face dilation of the open mask), written into the same
-    array there, and its slope is taken at the open cells; its test reads
-    nowhere else. Evaluation is elementwise, ``|b - a|`` is exactly ``|a -
-    b|`` and maxima are exact, so every value and slope read is bitwise the
-    one a whole-lattice scan of every equation gives, and so is the mask.
+    the cell and at its axis neighbors only. So ``_open_cells`` tests the
+    equations in turn, slab by slab of ``chunk`` lattice points: the first
+    on every cell, each later one only near the cells still open.
+    Evaluation is elementwise, ``|b - a|`` is exactly ``|a - b|`` and
+    maxima are exact, so every value and slope read is bitwise the one a
+    whole-lattice scan of every equation gives, and so is the mask.
 
-    At a leaf each equation's values are kept on the face dilation of the
-    cells open after its test (a ``_Band``), which holds the final open
-    cells and their axis neighbors: all that the leaf argmin and the leaf
-    bound read, bitwise as before. ``child_eqs`` is ``eqs`` stably sorted
-    by the share of cells each equation passed here times its node count.
-    The lattice array dies before the clusters are labelled."""
+    At a leaf, each cluster's representative is its open cell of least
+    worst residual, the first in C order on ties, kept iff every equation
+    there passes ``values[k] <= 4 * slope[k] * half_diag + 50 * tol``.
+    ``child_eqs`` is ``eqs`` stably sorted by the share of cells each
+    equation passed here times its node count.
+    """
     dim = len(box)
     half_diag = 0.5 * math.sqrt(sum(((hi - lo) / resolution) ** 2 for lo, hi in box))
     leaf = levels_left <= 1 or half_diag <= min_half_diag
@@ -744,48 +928,15 @@ def _scan_clusters(
         # while a positive minimum of some V fails once the cell is small;
         # clusters whose cells never got small are plateaus, not roots
         return []
-    shape = (resolution,) * dim
-    first, axes = _scan_box(eqs[:1], box, resolution)
-    mask = np.empty(shape, dtype=bool)
-    for slab in _slabs(resolution, dim):
-        slope = _local_slope(first, slab, box, resolution)[0]
-        mask[slab] = first[0, slab] <= 1.5 * slope * half_diag + 10.0 * tol_residual
-    values = first.ravel()
-    mask = mask.ravel()
-    passed = [np.count_nonzero(mask) / mask.size]
-    bands = []
-    for eq in eqs[1:]:
-        open_cells = np.flatnonzero(mask)
-        if not open_cells.size:
-            break  # no cluster is left to rescan
-        needed = np.flatnonzero(_face_dilation(mask.reshape(shape)))
-        if leaf:
-            bands.append(_Band(needed, values[needed]))
-        for start in range(0, len(needed), _SCAN_CHUNK):
-            part = needed[start : start + _SCAN_CHUNK]
-            values[part] = _finite_abs(eval_block([eq], lattice_points(axes, part)))[0]
-        slope = _cell_slope(values, open_cells, box, resolution)
-        tau = 1.5 * slope * half_diag + 10.0 * tol_residual
-        mask[open_cells] = values[open_cells] <= tau
-        passed.append(np.count_nonzero(mask) / open_cells.size)
-    mask = mask.reshape(shape)
+    mask, passed, finals = _open_cells(eqs, box, resolution, tol_residual, half_diag, leaf, chunk)
+    labels, objects = _label_clusters(mask)
     if leaf:
-        needed = np.flatnonzero(_face_dilation(mask))
-        bands.append(_Band(needed, values[needed]))
-    del first, values
-    _, labels, objects = _label_clusters(mask)
-    if leaf:
-        # per cluster, the open cell of least worst residual, the first in
-        # C order on ties: the argmin over the cluster's bounding box
-        open_cells = np.flatnonzero(mask)
-        worst = np.max([band[open_cells] for band in bands], axis=0)
+        flat, worst, good = finals
         label = labels[labels > 0]  # C order in the box keeps the lattice's
         order = np.lexsort((worst, label))
-        j = open_cells[order[np.flatnonzero(np.diff(label[order], prepend=0))]]
-        slope = np.array([_cell_slope(band, j, box, resolution) for band in bands])
-        bound = 4.0 * slope * half_diag + 50.0 * tol_residual
-        kept = j[~np.any(np.array([band[j] for band in bands]) > bound, axis=0)]
-        idx = np.unravel_index(kept, shape)
+        first = order[np.flatnonzero(np.diff(label[order], prepend=0))]
+        idx = np.unravel_index(flat[first[good[first]]], mask.shape)
+        axes = cell_centers(box, resolution)
         return list(np.stack([axes[a][idx[a]] for a in range(dim)], axis=1))
     child_eqs = [
         eq for _, eq in sorted(zip(passed, eqs), key=lambda t: t[0] * t[1].node_count)

@@ -36,12 +36,14 @@ from morin.solver import (
     SolveOptions,
     TracedCurve,
     _cell_slope,
+    _dense_windows,
     _face_dilation,
     _label_clusters,
     _local_slope,
     _row_norms,
-    _scan_box,
     _scan_clusters,
+    _slabs,
+    _window,
     greedy_dedup,
     grid_oracle,
     cell_centers,
@@ -739,10 +741,17 @@ def test_scan_matches_the_implementation_it_replaced(case, chunk):
     tol = 1e-9
     # accept leaves with coarse cells too, so the leaf test runs at level 1
     finite_vals, slope, mask, items = old_scan_level(eqs, box, resolution, tol, levels, 1e-7, 0.5)
-    values, axes = _scan_box(eqs, box, resolution, chunk=chunk)
-    assert same_bits(values, finite_vals)
-    assert np.all(np.isfinite(values))
-    assert same_bits(_local_slope(values, slice(None), box, resolution), slope)
+    # the dense pass: each slab with its neighbour planes, and its slope,
+    # in a work buffer that every slab reuses
+    slabs = _slabs(resolution, len(box), chunk)
+    work = np.empty(2 * finite_vals.size)
+    for s, (window, planes) in zip(slabs, _dense_windows(eqs, cell_centers(box, resolution), slabs)):
+        lo, hi = _window(s, resolution)
+        assert same_bits(window, finite_vals[:, lo:hi])
+        assert np.all(np.isfinite(window))
+        got = _local_slope(window, planes, box, resolution, work)
+        assert same_bits(got, np.ascontiguousarray(slope[:, s]))
+    assert same_bits(_local_slope(finite_vals, slice(None), box, resolution), slope)
     half_diag = 0.5 * math.sqrt(sum(((hi - lo) / resolution) ** 2 for lo, hi in box))
     passes = finite_vals <= 1.5 * slope * half_diag + 10.0 * tol
     assert same_bits(np.all(passes, axis=0), mask)
@@ -756,16 +765,20 @@ def test_scan_matches_the_implementation_it_replaced(case, chunk):
         known = np.where(dilated, finite_vals[k], np.nan).ravel()
         cells = np.flatnonzero(open_before)
         assert same_bits(
-            _cell_slope(known, cells, box, resolution), slope[k].ravel()[cells]
+            _cell_slope(known, cells, box, resolution, mask.shape), slope[k].ravel()[cells]
         )
         open_before &= passes[k]
-    got = _scan_clusters(eqs, box, resolution, tol, levels, 1e-7, 0.5)
-    assert len(got) == len(items)
-    for g, w in zip(got, items):
-        if isinstance(w, np.ndarray):
-            assert same_bits(g, w)
-        else:
-            assert same_bits(np.array(g[0]), np.array(w[0])) and g[1] == w[1]
+    # the level at slabs of the drawn size, of one plane, of two, and of
+    # uneven runs, so open cells lie on slab edges and halo planes
+    plane = resolution ** (len(box) - 1)
+    for slab in (chunk, plane, 2 * plane, (resolution // 2 + 1) * plane):
+        got = _scan_clusters(eqs, box, resolution, tol, levels, 1e-7, 0.5, chunk=slab)
+        assert len(got) == len(items)
+        for g, w in zip(got, items):
+            if isinstance(w, np.ndarray):
+                assert same_bits(g, w)
+            else:
+                assert same_bits(np.array(g[0]), np.array(w[0])) and g[1] == w[1]
     want = old_grid_oracle(eqs, box, resolution, tol_residual=tol, levels=levels)
     for order in itertools.permutations(eqs):
         got = grid_oracle(list(order), box, resolution, tol_residual=tol, levels=levels)
@@ -915,12 +928,16 @@ def faces_mask():
 @example(mask=np.zeros((3, 3, 3), dtype=bool))
 @settings(max_examples=100, deadline=None)
 def test_cluster_labels_on_the_bounding_box_match_the_whole_mask(mask):
-    corner, labels, objects = _label_clusters(mask)
+    labels, objects = _label_clusters(mask)
     full, _ = ndimage.label(mask, structure=np.ones((3,) * mask.ndim, dtype=int))
     assert objects == ndimage.find_objects(full)
-    placed = np.zeros_like(full)
-    placed[tuple(slice(c, c + n) for c, n in zip(corner, labels.shape))] = labels
-    assert np.array_equal(placed, full)
+    # the labels of the set cells, in C order, on a box that just holds them
+    assert np.array_equal(labels[labels > 0], full[full > 0])
+    if objects:
+        hull = [max(c[ax].stop for c in objects) - min(c[ax].start for c in objects) for ax in range(mask.ndim)]
+        assert labels.shape == tuple(hull)
+    else:
+        assert labels.size == 0
 
 
 def test_oracle_on_torus_zeros_matches_the_implementation_it_replaced():
@@ -986,8 +1003,22 @@ def test_dense_chunks_are_bitwise_lattice_points(dim, resolution):
     axes = cell_centers(box, resolution)
     want = np.abs(lattice_points(axes)).T.reshape((dim,) + (resolution,) * dim)
     for chunk in sorted({_SLAB, 4097, 7}):
-        values, _ = _scan_box(coords, box, resolution, chunk=chunk)
-        assert same_bits(values, want)
+        slabs = _slabs(resolution, dim, chunk)
+        for s, (window, planes) in zip(slabs, _dense_windows(coords, axes, slabs)):
+            lo, hi = _window(s, resolution)
+            assert same_bits(window, want[:, lo:hi])
+            assert same_bits(window[:, planes], want[:, s])
+
+
+def traced_peak(scan):
+    """``scan()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = scan()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def test_oracle_memory_stays_at_one_level():
@@ -996,32 +1027,35 @@ def test_oracle_memory_stays_at_one_level():
     # run out; a scan that kept each level's arrays would grow with depth.
     box = ((-1.0, 1.0),) * 3
     eqs = [parse("x1 - x2", _V3)]
-    one_level = 8 * len(eqs) * 128**3  # the values array of one level
-    tracemalloc.start()
-    try:
-        reps = grid_oracle(eqs, box, resolution=128, levels=5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    one_level = 8 * len(eqs) * 128**3  # a float array over one level
+    reps, peak = traced_peak(lambda: grid_oracle(eqs, box, resolution=128, levels=5))
     assert reps.shape == (0, 3)
-    assert peak < 6 * one_level, peak / one_level
+    assert peak < one_level, peak / one_level
 
 
-def test_oracle_scan_of_the_torus_cusps_holds_under_three_lattice_arrays():
+def test_oracle_scan_of_the_torus_cusps_holds_under_one_lattice_array():
     # The benchmark's scan: the torus depth-2 chart at 128 cells per axis,
-    # whose rescans climb back to 128^3 levels. A level holds one
-    # full-lattice float array; later equations and the leaf live on the
-    # face dilation of the open cells, a few percent of the lattice.
+    # whose rescans climb back to 128^3 levels. A level streams its lattice
+    # slab by slab and holds no float array over it: only its bool mask,
+    # its cluster labels and buffers a few planes thick.
     chart, sc = torus_depth2()
     one_array = 8 * 128**3
-    tracemalloc.start()
-    try:
-        reps = grid_oracle(chart.equations, sc.box, resolution=128, tol_residual=sc.tol_residual)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    reps, peak = traced_peak(
+        lambda: grid_oracle(chart.equations, sc.box, resolution=128, tol_residual=sc.tol_residual)
+    )
     assert len(reps) > 0
-    assert peak < 3 * one_array, peak / one_array
+    assert peak < one_array, peak / one_array
+
+
+def test_oracle_root_level_at_256_cells_per_axis_holds_under_one_lattice_array():
+    # The largest 3-D lattice the CLI's 2^24-cell budget admits. The plane
+    # x1 = x2 keeps cells open across the whole box, so the clusters'
+    # bounding box is the whole lattice too, and the one level is a leaf.
+    box = ((-1.0, 1.0),) * 3
+    one_array = 8 * 256**3
+    reps, peak = traced_peak(lambda: grid_oracle([parse("x1 - x2", _V3)], box, 256, levels=1))
+    assert reps.shape == (1, 3)
+    assert peak < one_array, peak / one_array
 
 
 # -- deduplication -----------------------------------------------------------
