@@ -1015,11 +1015,6 @@ def _postorder(roots: Iterable[Expr]) -> list:
     return order
 
 
-def variables_used(e: Expr) -> set:
-    """Indices of all variables occurring in ``e``."""
-    return {n.index for n in _postorder([e]) if isinstance(n, Var)}
-
-
 # Evaluation plans: each expression list is walked once into a flat step
 # list, which later calls replay. A step is (kind, fn, a, b, free): ``fn``
 # is the operation, or a constant's value; ``a`` and ``b`` are argument

@@ -414,11 +414,6 @@ class PivotSelection:
     value: float
 
 
-def select_pivot(scene: Scene, point) -> PivotSelection:
-    """:func:`select_pivots` at one point."""
-    return select_pivots(scene, np.asarray(point, dtype=float).reshape(1, -1))[0]
-
-
 def select_pivots(scene: Scene, points) -> list:
     """Largest-magnitude (n-1)-minor of the coframe matrix at each point.
 
@@ -563,25 +558,20 @@ def _coframe_scale(omega_vals: np.ndarray) -> np.ndarray:
     return scale
 
 
-def build_sigma1_chart(scene: Scene, pivot: PivotSelection, anchor) -> StratumChart:
-    """Depth-1 chart: constraints plus a greedy transversal minor subset.
+def _sigma1_charts(scene: Scene, pivots, points) -> list:
+    """Depth-1 charts, one at each row of ``points`` (shape (P, N)) with
+    its pivot: constraints plus a greedy transversal minor subset.
 
     Candidates are the bordered minors. Each is scored by the norm of its
-    raw gradient at the anchor after projecting off the span of the
+    raw gradient at the point after projecting off the span of the
     constraint gradients and previously chosen minors; the top
     ``m - n + 1`` scores win. Raw (unnormalized) gradients matter: near a
     chart boundary all candidate gradients become parallel and only their
     magnitudes tell a regular cut from a degenerate one. The rest become
-    audit equations.
+    audit equations. The pivots share rows and columns, so one Jacobian
+    call gives every candidate gradient, and the greedy choice runs per
+    point on those.
     """
-    anchor = np.asarray(anchor, dtype=float).reshape(1, -1)
-    return _sigma1_charts(scene, [pivot], anchor)[0]
-
-
-def _sigma1_charts(scene: Scene, pivots, points) -> list:
-    """:func:`build_sigma1_chart` at each point with its pivot; the pivots
-    share rows and columns, so one Jacobian call gives every candidate
-    gradient, and the greedy choice runs per point on those."""
     N = scene.ambient_dim
     need = scene.manifold_dim - scene.n + 1
     minors = bordered_minors(scene, pivots[0])
@@ -840,14 +830,14 @@ def build_chain(
     anchors that select alike get the same ``ChartChain``, whose depth-1
     chart is the first such anchor's.
     """
-    anchor = np.asarray(anchor, dtype=float)
+    anchor = np.asarray(anchor, dtype=float).reshape(1, -1)
     if hints is None:
         hints = scene.hints
     depth_cap = scene.max_depth if max_depth is None else max_depth
     depth_cap = min(depth_cap, scene.n)
 
-    pivot = select_pivot(scene, anchor)
-    chart = build_sigma1_chart(scene, pivot, anchor)
+    pivot = select_pivots(scene, anchor)[0]
+    chart = _sigma1_charts(scene, [pivot], anchor)[0]
     key = (
         "chain",
         pivot.rows,

@@ -505,34 +505,10 @@ def _slabs(resolution, dim, chunk=_SLAB):
 
 
 def _window(s, n) -> tuple:
-    """The first and past-the-last axis-0 planes of slab ``s`` of an
-    ``n``-plane lattice with one neighbour plane on each side, clipped to
-    the lattice."""
+    """The first and past-the-last axis-0 planes of the run of planes
+    ``s`` (a slab or two) of an ``n``-plane lattice with one neighbour
+    plane on each side, clipped to the lattice."""
     return max(s.start - 1, 0), min(s.stop + 1, n)
-
-
-def _dense_windows(eqs, axes, slabs):
-    """For each slab of ``slabs`` (``_slabs``), ``(window, planes)``: the
-    equations' finite abs residuals (``_finite_abs``) on the slab's
-    ``_window``, shape ``(len(eqs), window planes) + lattice plane``, and
-    the slab's planes as a slice of the window.
-
-    Each lattice point is evaluated once: the planes a window shares with
-    the one before it are moved over, not evaluated again. Every window is
-    a view of one buffer, which the next step overwrites.
-    """
-    n = len(axes[0])
-    rows = min(slabs[0].stop + 2, n)  # the most planes a window holds
-    buf = np.empty((len(eqs), rows) + tuple(map(len, axes[1:])))
-    lo = done = 0  # the buffer holds planes lo to done - 1
-    for s in slabs:
-        new_lo, hi = _window(s, n)
-        buf[:, : done - new_lo] = buf[:, new_lo - lo : done - lo]
-        if hi > done:
-            lattice = [axes[0][done:hi], *axes[1:]]
-            _finite_abs(eval_lattice(eqs, lattice), out=buf[:, done - new_lo : hi - new_lo])
-        lo, done = new_lo, hi
-        yield buf[:, : hi - lo], slice(s.start - lo, min(s.stop, n) - lo)
 
 
 def _along(ax, s) -> tuple:
@@ -631,9 +607,10 @@ def _cell_slope(values, cells, box, resolution, shape) -> np.ndarray:
     """``_local_slope`` of one equation at the cells with C-order flat
     indices ``cells`` of an array of ``shape``, from ``values``, that
     equation's finite residuals on the array, flattened. It is read at
-    ``cells`` and at their axis neighbors, nowhere else. The array is a run
-    of axis-0 planes of the lattice, and ``cells`` lie on its first or last
-    plane only where that is the lattice's first or last."""
+    ``cells`` and at their axis neighbors, nowhere else. The array is a scan
+    window, a run of axis-0 planes of the lattice (``_window``), and
+    ``cells`` lie on its first or last plane only where that is the
+    lattice's first or last."""
     coords = np.unravel_index(cells, shape)
     here = values[cells]
     out = np.zeros(len(cells))
@@ -718,10 +695,11 @@ def grid_oracle(
     scan times its node count, so the dense pass goes to a cheap,
     selective equation. The decisions, and so the result, are bitwise
     those of testing every equation on every cell, in any order of the
-    equations. A level streams its lattice slab by slab and holds no
-    full-lattice float array, only the lattice's bool mask of open cells,
-    and frees its buffers before it rescans its clusters, so memory stays
-    at about one level's mask and cluster labels, whatever the depth.
+    equations. A level is one pass over windows of two slabs of axis-0
+    planes (``_open_cells``) and holds no full-lattice float array, only
+    the lattice's bool mask of open cells, and it frees its buffers before
+    it rescans its clusters, so memory stays at about one level's mask and
+    cluster labels, whatever the depth.
     """
     eqs = sorted((simplify(e) for e in system), key=lambda e: e.node_count)
     dim = len(box)
@@ -750,104 +728,9 @@ def grid_oracle(
     return pts[greedy_dedup(pts, 1e-6 * diam)]
 
 
-def _needed(cells, shape) -> tuple:
-    """The cells with C-order flat indices ``cells`` (at least one) of an
-    array of ``shape`` and their axis neighbors: ``(box, need)``, where
-    ``box`` is the cells' bounding box grown by one cell each way and
-    clipped to the array, as slices, and ``need`` is ``_face_dilation`` of
-    the cells over it."""
-    coords = np.unravel_index(cells, shape)
-    box = tuple(
-        slice(max(int(c.min()) - 1, 0), min(int(c.max()) + 2, n)) for c, n in zip(coords, shape)
-    )
-    need = np.zeros(tuple(s.stop - s.start for s in box), dtype=bool)
-    need[tuple(c - s.start for c, s in zip(coords, box))] = True
-    return box, _face_dilation(need)
-
-
-class _Cascade:
-    """The tests of one scan level's later equations, slab by slab in
-    lattice order.
-
-    Each later equation is evaluated only at the cells still open before
-    its test and their axis neighbors, in ``scratch`` over the slab's
-    ``_window``. Its values on the two planes the window shares with the
-    next one are carried over, so no cell is evaluated twice. Every slab
-    but the last spans two planes or more, so the planes a window shares
-    with the one before it and with the one after it are apart.
-    """
-
-    def __init__(self, eqs, axes, box, resolution, tol_residual, half_diag, leaf, mask, scratch):
-        self.eqs, self.axes, self.box, self.resolution = eqs, axes, box, resolution
-        self.tol_residual, self.half_diag, self.leaf = tol_residual, half_diag, leaf
-        self.flat_mask = mask.reshape(-1)
-        self.scratch = scratch
-        self.plane = resolution ** (len(box) - 1)
-        m = len(eqs)
-        self.opened = [0] * m  # cells open before each equation's test
-        self.kept = [0] * m  # cells open after it
-        # per equation, where on the next window's first two planes it is
-        # known (a bool array and its flat indices), and its values there
-        self.carried: list = [None] * m
-        self.finals: list = []
-
-    def test(self, planes, cells, worst, good) -> None:
-        """Test the cells with flat lattice indices ``cells`` on the axis-0
-        planes ``planes``, which the first equation left open, against
-        every later equation, and clear those that fail in the level's
-        mask. At a leaf ``worst`` and ``good`` give each cell's residual
-        and whether it passes the leaf bound; otherwise they are None."""
-        plane, hd, tol, n = self.plane, self.half_diag, self.tol_residual, self.resolution
-        lo, hi = _window(planes, n)
-        shape = (hi - lo,) + (n,) * (len(self.box) - 1)
-        shared = planes.stop - 1 - lo if planes.stop < n else None  # the rows the next window shares
-        cells = cells - lo * plane  # flat indices in the window
-        window = self.scratch[: math.prod(shape)]
-        for k in range(1, len(self.eqs)):
-            self.opened[k] += cells.size
-            carried, self.carried[k] = self.carried[k], None
-            if not cells.size:
-                continue
-            box, need = _needed(cells, shape)
-            rows = box[0]
-            fresh = need
-            if carried is not None:
-                known, at, values = carried
-                window[at] = values
-                if rows.start < 2:
-                    end = min(rows.stop, 2)
-                    fresh = need.copy()
-                    fresh[: end - rows.start] &= ~known[(slice(rows.start, end),) + box[1:]]
-            at = np.unravel_index(np.flatnonzero(fresh), fresh.shape)
-            new = np.ravel_multi_index(tuple(a + s.start for a, s in zip(at, box)), shape)
-            del at  # as large as the cells to evaluate, three times over
-            for start in range(0, new.size, _SCAN_CHUNK):
-                part = new[start : start + _SCAN_CHUNK]
-                block = eval_block([self.eqs[k]], lattice_points(self.axes, part + lo * plane))
-                window[part] = _finite_abs(block)[0]
-            if shared is not None and shared + 2 > rows.start and shared < rows.stop:
-                a, b = max(shared, rows.start), min(shared + 2, rows.stop)
-                known = np.zeros((2,) + shape[1:], dtype=bool)
-                known[(slice(a - shared, b - shared),) + box[1:]] = need[a - rows.start : b - rows.start]
-                at = np.flatnonzero(known)
-                self.carried[k] = (known, at, window[at + shared * plane])
-            v = window[cells]
-            slope = _cell_slope(window, cells, self.box, self.resolution, shape)
-            ok = v <= 1.5 * slope * hd + 10.0 * tol
-            self.flat_mask[cells[~ok] + lo * plane] = False
-            cells = cells[ok]
-            if self.leaf:
-                v, slope = v[ok], slope[ok]
-                worst = np.maximum(worst[ok], v)
-                good = good[ok] & (v <= 4.0 * slope * hd + 50.0 * tol)
-            self.kept[k] += cells.size
-        if self.leaf:
-            self.finals.append((cells + lo * plane, worst, good))
-
-
 def _open_cells(eqs, box, resolution, tol_residual, half_diag, leaf, chunk=_SLAB) -> tuple:
     """The open cells of one scan level, taken in one pass over slabs of
-    ``chunk`` lattice points (``_slabs``).
+    ``chunk`` lattice points (``_slabs``), two slabs at a time.
 
     Returns ``(mask, passed, finals)``. ``mask`` is the lattice's bool mask
     of open cells; ``passed[k]`` is the share of the cells open before
@@ -856,46 +739,97 @@ def _open_cells(eqs, box, resolution, tol_residual, half_diag, leaf, chunk=_SLAB
     their largest residual over the equations, and whether every equation
     there passes the leaf bound; otherwise it is None.
 
-    On each slab the first equation is evaluated at every cell
-    (``_dense_windows``), and its slope and test are taken there. The open
-    cells of two slabs at a time then go through the later equations
-    (``_Cascade``), which halves the calls there; the window of two slabs
-    fits in the slope's work buffer, which their tests use. The slopes of
+    Each pair of slabs is tested on its ``_window``, whose open cells are
+    the bool array ``open_``. The first equation is evaluated at every
+    cell, slab by slab, in a buffer of one slab's window that keeps the
+    planes it shares with the next one, so no plane is evaluated twice; its
+    slope and test are taken in ``work``. Each later equation is then
+    evaluated in ``work`` over the whole window, at the open cells and
+    their axis neighbours only, which is all its test reads, and the cells
+    that fail it are closed. Its values on the window's last two planes,
+    and where they are set, are copied for the next window, whose first two
+    planes they are, so no cell is evaluated twice either. The slopes of
     the tests give the leaf bound too. Every float buffer is the size of a
     few windows and dies with the call.
     """
-    dim = len(box)
-    axes = cell_centers(box, resolution)
-    plane = resolution ** (dim - 1)
-    slabs = _slabs(resolution, dim, chunk)
-    work = np.empty(2 * min(slabs[0].stop + 2, resolution) * plane)  # twice the largest window
-    mask = np.empty((resolution,) * dim, dtype=bool)
-    cascade = _Cascade(eqs, axes, box, resolution, tol_residual, half_diag, leaf, mask, work)
-    first, pending = 0, []  # the slabs not yet sent on: first plane, open cells
-    for i, (s, (window, planes)) in enumerate(zip(slabs, _dense_windows(eqs[:1], axes, slabs))):
-        slope = _local_slope(window, planes, box, resolution, work)[0]
-        here = window[0, planes]
-        tau = np.multiply(slope, 1.5, out=work[slope.size : 2 * slope.size].reshape(slope.shape))
-        tau *= half_diag
-        tau += 10.0 * tol_residual
-        np.less_equal(here, tau, out=mask[s])
-        cells = np.flatnonzero(mask[s])
-        cascade.opened[0] += here.size
-        cascade.kept[0] += cells.size
-        worst = good = None
+    dim, n = len(box), resolution
+    axes = cell_centers(box, n)
+    lanes = (n,) * (dim - 1)  # the shape of one axis-0 plane
+    plane = n ** (dim - 1)
+    slabs = _slabs(n, dim, chunk)
+    rows = min(slabs[0].stop + 2, n)  # the most planes a slab's window holds
+    dense = np.empty((1, rows) + lanes)
+    work = np.empty(2 * rows * plane)  # holds the window of two slabs
+    # per later equation, its values on the last two planes of the window
+    # before, and where they are set
+    carried = np.empty((len(eqs) - 1, 2 * plane))
+    known = np.empty((len(eqs) - 1, 2) + lanes, dtype=bool)
+    mask = np.empty((n,) * dim, dtype=bool)
+    left = [0] * len(eqs)  # the cells open after each equation's test
+    finals = []
+    d_lo = d_hi = 0  # ``dense`` holds planes d_lo to d_hi - 1
+    for i in range(0, len(slabs), 2):
+        pair = slabs[i : i + 2]
+        first, last = pair[0].start, min(pair[-1].stop, n)
+        lo, hi = _window(slice(first, last), n)
+        open_ = np.zeros((hi - lo,) + lanes, dtype=bool)
+        flat_open = open_.reshape(-1)
+        worst, good = [], []
+        for s in pair:
+            w0, w1 = _window(s, n)
+            dense[:, : d_hi - w0] = dense[:, w0 - d_lo : d_hi - d_lo]
+            if w1 > d_hi:
+                lattice = [axes[0][d_hi:w1], *axes[1:]]
+                _finite_abs(eval_lattice(eqs[:1], lattice), out=dense[:, d_hi - w0 : w1 - w0])
+            d_lo, d_hi = w0, w1
+            planes = slice(s.start - w0, min(s.stop, n) - w0)
+            slope = _local_slope(dense[:, : w1 - w0], planes, box, n, work)[0]
+            here = dense[0, planes]
+            tau = np.multiply(slope, 1.5, out=work[slope.size : 2 * slope.size].reshape(slope.shape))
+            tau *= half_diag
+            tau += 10.0 * tol_residual
+            test = open_[s.start - lo : min(s.stop, n) - lo]
+            np.less_equal(here, tau, out=test)
+            if leaf:
+                worst.append(here[test])
+                good.append(worst[-1] <= 4.0 * slope[test] * half_diag + 50.0 * tol_residual)
         if leaf:
-            worst = here.reshape(-1)[cells]
-            good = worst <= 4.0 * slope.reshape(-1)[cells] * half_diag + 50.0 * tol_residual
-        pending.append((cells + s.start * plane, worst, good))
-        stop = min(s.stop, resolution)
-        if i % 2 or stop == resolution:
-            parts = (None if p[0] is None else np.concatenate(p) for p in zip(*pending))
-            cascade.test(slice(first, stop), *parts)
-            first, pending = stop, []
-    passed = [n / m if m else 0.0 for n, m in zip(cascade.kept, cascade.opened)]
+            worst, good = np.concatenate(worst), np.concatenate(good)
+        window = work[: flat_open.size]
+        for k in range(1, len(eqs)):
+            need = _face_dilation(open_)
+            if lo:  # the first two planes are the last two of the window before
+                window[: 2 * plane] = carried[k - 1]
+                need[:2] &= ~known[k - 1]
+            at = np.flatnonzero(need)
+            for start in range(0, at.size, _SCAN_CHUNK):
+                part = at[start : start + _SCAN_CHUNK]
+                block = eval_block([eqs[k]], lattice_points(axes, part + lo * plane))
+                window[part] = _finite_abs(block)[0]
+            # a window with one after it holds two slabs and their two
+            # neighbour planes, four planes or more, so the two planes it
+            # carries on are not the two trimmed above
+            carried[k - 1] = window[-2 * plane :]
+            known[k - 1] = need[-2:]
+            cells = np.flatnonzero(flat_open)
+            left[k - 1] += cells.size
+            v = window[cells]
+            slope = _cell_slope(window, cells, box, n, open_.shape)
+            ok = v <= 1.5 * slope * half_diag + 10.0 * tol_residual
+            flat_open[cells[~ok]] = False
+            if leaf:
+                v, slope = v[ok], slope[ok]
+                worst = np.maximum(worst[ok], v)
+                good = good[ok] & (v <= 4.0 * slope * half_diag + 50.0 * tol_residual)
+        cells = np.flatnonzero(flat_open)
+        left[-1] += cells.size
+        mask[first:last] = open_[first - lo : last - lo]
+        if leaf:
+            finals.append((cells + lo * plane, worst, good))
+    passed = [a / b if b else 0.0 for a, b in zip(left, [n**dim] + left[:-1])]
     if not leaf:
         return mask, passed, None
-    return mask, passed, tuple(np.concatenate(part) for part in zip(*cascade.finals))
+    return mask, passed, tuple(np.concatenate(part) for part in zip(*finals))
 
 
 def _scan_clusters(
@@ -908,8 +842,9 @@ def _scan_clusters(
     A cell stays open iff every equation k passes ``values[k] <= 1.5 *
     slope[k] * half_diag + 10 * tol``, and that test reads equation k at
     the cell and at its axis neighbors only. So ``_open_cells`` tests the
-    equations in turn, slab by slab of ``chunk`` lattice points: the first
-    on every cell, each later one only near the cells still open.
+    equations in turn on each window of two slabs of ``chunk`` lattice
+    points: the first on every cell, each later one only at the cells
+    still open and their axis neighbors.
     Evaluation is elementwise, ``|b - a|`` is exactly ``|a - b|`` and
     maxima are exact, so every value and slope read is bitwise the one a
     whole-lattice scan of every equation gives, and so is the mask.

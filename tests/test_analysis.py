@@ -46,12 +46,12 @@ from morin.expr import System, eval_block
 from morin.linalg import RankReport, determinant, least_squares, numeric_rank
 from morin.model import (
     VALIDITY_FACTOR,
+    _sigma1_charts,
     build_chain,
     build_chain_at,
-    build_sigma1_chart,
     draw_covector,
     parse_scene,
-    select_pivot,
+    select_pivots,
 )
 from morin.solver import match_point_sets, solve_points
 
@@ -355,8 +355,8 @@ def test_anchors_with_one_selection_share_one_chain(torus_scene, torus_strata):
     sigma1 = torus_strata.samples[1]
     groups: dict = {}
     for anchor in sigma1[_farthest_subset(sigma1, 4)]:
-        pivot = select_pivot(scene, anchor)
-        selected = build_sigma1_chart(scene, pivot, anchor).selected_cols
+        (pivot,) = select_pivots(scene, [anchor])
+        selected = _sigma1_charts(scene, [pivot], [anchor])[0].selected_cols
         groups.setdefault((pivot.rows, pivot.cols, selected), []).append(anchor)
     assert len(groups) == 2 and max(len(g) for g in groups.values()) >= 2
     chains = [build_chain(scene, group[0]) for group in groups.values()]

@@ -36,7 +36,6 @@ from morin.expr import (
     simplify,
     symbolic_determinant,
     var,
-    variables_used,
 )
 
 NAMES = ("x1", "x2", "x3")
@@ -558,10 +557,6 @@ def test_derivative_of_constant_in_variable():
     e = parse("x1^2 + 4", NAMES)
     assert differentiate(e, 2) == Const(0)
     assert differentiate(parse("x1^0", NAMES), 0) == Const(0)
-
-
-def test_variables_used():
-    assert variables_used(parse("x1*x3 + 2", NAMES)) == {0, 2}
 
 
 # -- systems ----------------------------------------------------------------

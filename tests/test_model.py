@@ -29,16 +29,16 @@ from morin.model import (
     _audit_hint,
     _coframe_scale,
     _projected_margins,
+    _sigma1_charts,
     bordered_minors,
     build_chain,
     build_chain_at,
     build_delta,
-    build_sigma1_chart,
     corank_system,
     draw_covector,
     load_scene,
     parse_scene,
-    select_pivot,
+    select_pivots,
     select_supplement,
 )
 
@@ -213,26 +213,26 @@ def test_covector_field_mixes_rows():
 
 def test_pivot_on_sphere_v():
     sc = scene("sphere_v")
-    sel = select_pivot(sc, (0.0, 1.0, 0.0))
+    sel = select_pivots(sc, [(0.0, 1.0, 0.0)])[0]
     assert sel == PivotSelection(rows=(0,), cols=(0,), value=-2.0)
 
 
 def test_pivot_on_torus_at_oblique_point():
     # On the outer circle at angle pi/6 the largest entry is row 1, col 0.
     x = (-3 * math.sin(math.pi / 6), 3 * math.sin(math.pi / 6), 3 * math.cos(math.pi / 6))
-    sel = select_pivot(scene("torus"), x)
+    sel = select_pivots(scene("torus"), [x])[0]
     assert sel.rows == (1,) and sel.cols == (0,)
     assert sel.value == pytest.approx(-math.sqrt(3.0))
 
 
 def test_pivot_for_one_form_is_empty():
-    sel = select_pivot(scene("quadratic_well"), (1.0, 2.0))
+    sel = select_pivots(scene("quadratic_well"), [(1.0, 2.0)])[0]
     assert sel.rows == () and sel.cols == () and sel.value == 1.0
 
 
 def test_pivot_prefers_largest_minor():
     sc = scene("swallowtail")
-    sel = select_pivot(sc, (0.0, 0.0, 2.0))  # third row = (4, 2, 34)
+    sel = select_pivots(sc, [(0.0, 0.0, 2.0)])[0]  # third row = (4, 2, 34)
     assert sel.rows == (0, 1) or 2 in sel.rows
     mat = sc.omega_at((0.0, 0.0, 2.0))[0]
     sub = mat[np.ix_(sel.rows, sel.cols)]
@@ -244,7 +244,7 @@ def test_pivot_prefers_largest_minor():
 
 def test_bordered_minor_formulas_hyperboloid():
     sc = scene("hyperboloid")
-    pivot = select_pivot(sc, (1.0, 2.0, 0.0))
+    pivot = select_pivots(sc, [(1.0, 2.0, 0.0)])[0]
     assert pivot == PivotSelection(rows=(0,), cols=(0,), value=1.0)
     minors = bordered_minors(sc, pivot)
     cols = [j for j, _ in minors]
@@ -258,7 +258,7 @@ def test_bordered_minor_formulas_hyperboloid():
 
 def test_sigma1_chart_picks_regular_minor():
     sc = scene("hyperboloid")
-    chart = build_sigma1_chart(sc, select_pivot(sc, (1.0, 2.0, 0.0)), (1.0, 2.0, 0.0))
+    chart = _sigma1_charts(sc, select_pivots(sc, [(1.0, 2.0, 0.0)]), [(1.0, 2.0, 0.0)])[0]
     assert len(chart.equations) == 2
     assert chart.selected_cols == (2,)
     assert chart.audits == tuple(e for j, e in bordered_minors(sc, chart.pivot) if j == 1)
@@ -272,13 +272,13 @@ def test_sigma1_chart_near_chart_boundary_uses_raw_magnitudes():
     # gradients; only the raw magnitude identifies the transversal one.
     sc = scene("torus")
     x = (1.2614e-05, -1.2615e-05, 3.0)
-    chart = build_sigma1_chart(sc, select_pivot(sc, x), x)
+    chart = _sigma1_charts(sc, select_pivots(sc, [x]), [x])[0]
     assert chart.selected_cols == (1,)
 
 
 def test_one_form_chart_equations_are_components():
     sc = scene("quadratic_well")
-    chart = build_sigma1_chart(sc, select_pivot(sc, (1.0, 1.0)), (1.0, 1.0))
+    chart = _sigma1_charts(sc, select_pivots(sc, [(1.0, 1.0)]), [(1.0, 1.0)])[0]
     assert len(chart.equations) == 2  # both components of the one-form
     assert [evaluate(e, (0.0, 0.0)) for e in chart.equations] == [0.0, 0.0]
 
@@ -295,7 +295,7 @@ n = 1
 omega_1 = 1, 0
 """
     )
-    chart = build_sigma1_chart(sc, select_pivot(sc, (0.3, 0.4)), (0.3, 0.4))
+    chart = _sigma1_charts(sc, select_pivots(sc, [(0.3, 0.4)]), [(0.3, 0.4)])[0]
     vals = [evaluate(e, (0.1, 2.0)) for e in chart.equations]
     assert max(abs(v) for v in vals) == 1.0  # one equation is the constant 1
 
@@ -306,7 +306,7 @@ omega_1 = 1, 0
 def test_supplement_on_hyperboloid():
     sc = scene("hyperboloid")
     anchor = (1.0, 2.0, 0.0)
-    chart = build_sigma1_chart(sc, select_pivot(sc, anchor), anchor)
+    chart = _sigma1_charts(sc, select_pivots(sc, [anchor]), [anchor])[0]
     sup = select_supplement(sc, chart.equations[:1], 2, anchor)
     assert sup is not None and sup.indices == (0,)
     assert sup.margin > 0.9
@@ -378,7 +378,7 @@ omega_2 = 4*x1, 4*x2, 4*x3
 def test_delta_requires_square_stack():
     sc = scene("hyperboloid")
     anchor = (1.0, 2.0, 0.0)
-    chart = build_sigma1_chart(sc, select_pivot(sc, anchor), anchor)
+    chart = _sigma1_charts(sc, select_pivots(sc, [anchor]), [anchor])[0]
     sup = select_supplement(sc, chart.equations[:1], 2, anchor)
     build_delta(sc, chart.equations, sup)
     with pytest.raises(ValueError, match="rows"):
@@ -388,7 +388,7 @@ def test_delta_requires_square_stack():
 def test_delta_formula_hyperboloid():
     sc = scene("hyperboloid")
     anchor = (1.0, 2.0, 0.0)
-    chart = build_sigma1_chart(sc, select_pivot(sc, anchor), anchor)
+    chart = _sigma1_charts(sc, select_pivots(sc, [anchor]), [anchor])[0]
     sup = select_supplement(sc, chart.equations[:1], 2, anchor)
     delta = build_delta(sc, chart.equations, sup)
     expect = parse(
@@ -477,7 +477,7 @@ def test_corank_system_covers_all_charts():
 def _hint_fixture():
     sc = scene("hyperboloid")
     anchor = (1.0, 2.0, 0.0)
-    chart = build_sigma1_chart(sc, select_pivot(sc, anchor), anchor)
+    chart = _sigma1_charts(sc, select_pivots(sc, [anchor]), [anchor])[0]
     sup = select_supplement(sc, chart.equations[:1], 2, anchor)
     auto = build_delta(sc, chart.equations, sup)
     ts = np.linspace(1.0, 3.0, 30)
@@ -660,8 +660,8 @@ def test_chart_kernels_are_bitwise_the_per_point_loops(points):
     for chart in chain.charts:
         got = chart.validity_margin(points)
         assert got.tobytes() == _reference_validity(chart, points).tobytes()
-    for p in points:
-        got, want = select_pivot(sc, p), _reference_pivot(sc, p)
+    for p, got in zip(points, select_pivots(sc, points)):
+        want = _reference_pivot(sc, p)
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
     for p in points:
@@ -681,8 +681,8 @@ def test_chart_kernels_are_bitwise_the_per_point_loops(points):
 def test_pivot_and_supplement_are_bitwise_the_loops_on_swallowtail(points):
     sc = scene("swallowtail")
     chain = build_chain_at(sc, (0.0, 0.0, 0.0))
-    for p in points:
-        got, want = select_pivot(sc, p), _reference_pivot(sc, p)
+    for p, got in zip(points, select_pivots(sc, points)):
+        want = _reference_pivot(sc, p)
         assert (got.rows, got.cols, got.value) == (want.rows, want.cols, want.value)
         for depth in (2, 3):
             base = chain.chart(depth - 1).equations[: sc.equation_count(depth - 2)]

@@ -36,10 +36,10 @@ from morin.solver import (
     SolveOptions,
     TracedCurve,
     _cell_slope,
-    _dense_windows,
     _face_dilation,
     _label_clusters,
     _local_slope,
+    _open_cells,
     _row_norms,
     _scan_clusters,
     _slabs,
@@ -686,6 +686,39 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def level_with_dense_windows(eqs, box, resolution, tol, half_diag, chunk, want):
+    """``_open_cells`` of a non-leaf level as ``(mask, passed)``, checking
+    that the dense equation's window on each slab, the slab and its
+    neighbour planes, is bitwise ``want`` there and all finite."""
+    slabs = iter(_slabs(resolution, len(box), chunk))
+
+    def dense_slope(values, planes, *args):
+        s = next(slabs)
+        lo, hi = _window(s, resolution)
+        assert same_bits(values, want[:, lo:hi])
+        assert same_bits(values[:, planes], want[:, s])
+        assert np.all(np.isfinite(values))
+        return _local_slope(values, planes, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_local_slope", dense_slope)
+        mask, passed, finals = _open_cells(eqs, box, resolution, tol, half_diag, False, chunk)
+    assert next(slabs, None) is None and finals is None
+    return mask, passed
+
+
+def pass_shares(passes) -> list:
+    """Per equation, the share of the cells the equations before it left
+    open that pass it too, as a scan level reports it."""
+    open_ = np.ones(passes.shape[1:], dtype=bool)
+    shares = []
+    for p in passes:
+        before = np.count_nonzero(open_)
+        open_ &= p
+        shares.append(np.count_nonzero(open_) / before if before else 0.0)
+    return shares
+
+
 # Equations with nan (sqrt, log and 0/0 off their domains), +inf and -inf
 # (1/x1 and log(x1^2) on a lattice through x1 = 0) next to smooth ones.
 _SCAN_EQS = (
@@ -741,20 +774,28 @@ def test_scan_matches_the_implementation_it_replaced(case, chunk):
     tol = 1e-9
     # accept leaves with coarse cells too, so the leaf test runs at level 1
     finite_vals, slope, mask, items = old_scan_level(eqs, box, resolution, tol, levels, 1e-7, 0.5)
-    # the dense pass: each slab with its neighbour planes, and its slope,
-    # in a work buffer that every slab reuses
+    # the dense slope: each slab with its neighbour planes, in a work
+    # buffer that every slab reuses
     slabs = _slabs(resolution, len(box), chunk)
     work = np.empty(2 * finite_vals.size)
-    for s, (window, planes) in zip(slabs, _dense_windows(eqs, cell_centers(box, resolution), slabs)):
+    for s in slabs:
         lo, hi = _window(s, resolution)
-        assert same_bits(window, finite_vals[:, lo:hi])
-        assert np.all(np.isfinite(window))
-        got = _local_slope(window, planes, box, resolution, work)
+        planes = slice(s.start - lo, min(s.stop, resolution) - lo)
+        got = _local_slope(finite_vals[:, lo:hi], planes, box, resolution, work)
         assert same_bits(got, np.ascontiguousarray(slope[:, s]))
     assert same_bits(_local_slope(finite_vals, slice(None), box, resolution), slope)
     half_diag = 0.5 * math.sqrt(sum(((hi - lo) / resolution) ** 2 for lo, hi in box))
     passes = finite_vals <= 1.5 * slope * half_diag + 10.0 * tol
     assert same_bits(np.all(passes, axis=0), mask)
+    # the level's loop with each equation taking the dense pass: its window
+    # on each slab holds the old values, all finite, and the mask and the
+    # pass shares are those of testing every equation on every cell
+    for j in range(len(eqs)):
+        mask_j, passed = level_with_dense_windows(
+            eqs[j:] + eqs[:j], box, resolution, tol, half_diag, chunk, finite_vals[j : j + 1]
+        )
+        assert same_bits(mask_j, mask)
+        assert passed == pass_shares(np.concatenate([passes[j:], passes[:j]]))
     # the cascade: equation k is known only on the face dilation of the
     # cells the equations before it left open, and its slope there must
     # still be the old one at every open cell
@@ -962,8 +1003,8 @@ def test_cascade_evaluates_later_equations_only_near_open_cells(monkeypatch):
     assert len(eqs) == 3
     resolution, tol = 48, sc.tol_residual
     finite_vals, slope, mask, items = old_scan_level(eqs, sc.box, resolution, tol, 24, 1e-7, 1e-3)
-    dense = [0] * len(eqs)
-    sparse = [0] * len(eqs)
+    half_diag = 0.5 * math.sqrt(sum(((hi - lo) / resolution) ** 2 for lo, hi in sc.box))
+    passes = finite_vals <= 1.5 * slope * half_diag + 10.0 * tol
 
     def which(exprs):
         (k,) = [k for k, e in enumerate(eqs) if len(exprs) == 1 and exprs[0] is e]
@@ -979,35 +1020,48 @@ def test_cascade_evaluates_later_equations_only_near_open_cells(monkeypatch):
 
     monkeypatch.setattr(solver, "eval_lattice", counting_lattice)
     monkeypatch.setattr(solver, "eval_block", counting_block)
-    got = _scan_clusters(eqs, sc.box, resolution, tol, 24, 1e-7, 1e-3)
-    assert len(got) == len(items) > 0
-    half_diag = 0.5 * math.sqrt(sum(((hi - lo) / resolution) ** 2 for lo, hi in sc.box))
-    passes = finite_vals <= 1.5 * slope * half_diag + 10.0 * tol
-    # exactly one equation on the whole lattice, and only through the
-    # broadcast lattice evaluation
-    assert dense == [resolution**3, 0, 0] and sparse[0] == 0
-    for k in range(1, len(eqs)):
-        open_before = np.all(passes[:k], axis=0)
-        assert 0 < sparse[k] <= np.count_nonzero(ndimage.binary_dilation(open_before))
-    # at this resolution the first equation already closes most cells
-    assert sum(sparse) < 0.5 * resolution**3
+    # the whole lattice in one slab, and slabs of one, two and seven
+    # planes, whose windows carry the later equations' values over
+    for chunk in (_SLAB, 48**2, 2 * 48**2, 7 * 48**2):
+        dense = [0] * len(eqs)
+        sparse = [0] * len(eqs)
+        got = _scan_clusters(eqs, sc.box, resolution, tol, 24, 1e-7, 1e-3, chunk=chunk)
+        assert len(got) == len(items) > 0
+        # exactly one equation on the whole lattice, and only through the
+        # broadcast lattice evaluation
+        assert dense == [resolution**3, 0, 0] and sparse[0] == 0
+        # each later one once at every open cell and axis neighbour, and
+        # nowhere else
+        for k in range(1, len(eqs)):
+            open_before = np.all(passes[:k], axis=0)
+            assert 0 < sparse[k] == np.count_nonzero(ndimage.binary_dilation(open_before))
+        # at this resolution the first equation already closes most cells
+        assert sum(sparse) < 0.5 * resolution**3
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("resolution", [16, 17, 64, 128])
 def test_dense_chunks_are_bitwise_lattice_points(dim, resolution):
     # the dense pass takes one slab of axis-0 planes per call; read at the
-    # coordinate expressions, the slabs give the lattice points
+    # coordinate expressions, with each coordinate taking the dense pass,
+    # each slab's window gives the lattice points, and the level's mask and
+    # pass shares are those of testing every coordinate on the lattice
     box = ((-1.3, 2.0), (0.1, 0.7), (-5.0, -4.9))[:dim]
     coords = [parse(name, _V3) for name in _V3[:dim]]
     axes = cell_centers(box, resolution)
     want = np.abs(lattice_points(axes)).T.reshape((dim,) + (resolution,) * dim)
+    # wide enough that |x1| and |x2| pass in a band of planes each
+    half_diag, tol = 0.1, 1e-9
+    slope = np.concatenate([old_local_slope(want[k : k + 1], box, resolution) for k in range(dim)])
+    passes = want <= 1.5 * slope * half_diag + 10.0 * tol
+    assert np.any(passes[0]) and np.any(passes[1])
     for chunk in sorted({_SLAB, 4097, 7}):
-        slabs = _slabs(resolution, dim, chunk)
-        for s, (window, planes) in zip(slabs, _dense_windows(coords, axes, slabs)):
-            lo, hi = _window(s, resolution)
-            assert same_bits(window, want[:, lo:hi])
-            assert same_bits(window[:, planes], want[:, s])
+        for j in range(dim):
+            mask, passed = level_with_dense_windows(
+                coords[j:] + coords[:j], box, resolution, tol, half_diag, chunk, want[j : j + 1]
+            )
+            assert same_bits(mask, np.all(passes, axis=0))
+            assert passed == pass_shares(np.concatenate([passes[j:], passes[:j]]))
 
 
 def traced_peak(scan):
