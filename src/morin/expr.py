@@ -46,11 +46,6 @@ class ExpressionTooLarge(Exception):
     """Raised when an expression would exceed ``NODE_CAP`` nodes."""
 
 
-class EvalDomainError(ArithmeticError):
-    """Raised by strict evaluation on division by zero, sqrt of a negative
-    value, or log of a nonpositive value."""
-
-
 class ParseError(ValueError):
     """Syntax error with a character offset into the source text."""
 
@@ -1017,9 +1012,10 @@ def _postorder(roots: Iterable[Expr]) -> list:
 
 # Evaluation plans: each expression list is walked once into a flat step
 # list, which later calls replay. A step is (kind, fn, a, b, free): ``fn``
-# is the operation, or a constant's value; ``a`` and ``b`` are argument
-# slots, except that a variable's column is ``a`` and a power's exponent
-# is ``b``. Each node gets one step, and interning makes equal subtrees
+# is the operation from ``_OPS``, which gives nan or inf quietly outside
+# its domain, or a constant's value; ``a`` and ``b`` are argument slots,
+# except that a variable's column is ``a`` and a power's exponent is
+# ``b``. Each node gets one step, and interning makes equal subtrees
 # one node, so a repeated subexpression is computed once; every operation
 # is deterministic, so the values are the bits a node-by-node walk gives.
 # The value of step i lands in slot i, and ``free`` lists the slots whose
@@ -1030,25 +1026,6 @@ def _postorder(roots: Iterable[Expr]) -> list:
 _PLAN_CACHE_SIZE = 512
 
 _CONST, _VAR, _POW, _UNARY, _BINARY = range(5)
-
-
-def _strict_sqrt(c):
-    if np.any(c < 0):
-        raise EvalDomainError("square root of a negative value")
-    return np.sqrt(c)
-
-
-def _strict_log(c):
-    if np.any(c <= 0):
-        raise EvalDomainError("log of a nonpositive value")
-    return np.log(c)
-
-
-def _strict_div(l, r):
-    if np.any(r == 0):
-        raise EvalDomainError("division by zero")
-    return l / r
-
 
 _OPS = {
     "neg": operator.neg,
@@ -1062,7 +1039,6 @@ _OPS = {
     "mul": operator.mul,
     "div": operator.truediv,
 }
-_STRICT_OPS = {**_OPS, "sqrt": _strict_sqrt, "log": _strict_log, "div": _strict_div}
 
 _plans: OrderedDict = OrderedDict()
 
@@ -1074,8 +1050,7 @@ def _const_value(c: Const) -> np.float64:
         return np.float64(math.inf if c.value > 0 else -math.inf)
 
 
-def _build_plan(exprs: tuple, strict: bool) -> tuple:
-    ops = _STRICT_OPS if strict else _OPS
+def _build_plan(exprs: tuple) -> tuple:
     slot_of: dict = {}
     steps: list = []
     uses: list = []  # the argument slots of each step
@@ -1089,10 +1064,10 @@ def _build_plan(exprs: tuple, strict: bool) -> tuple:
             step, used = (_POW, None, a, n.exponent), (a,)
         elif isinstance(n, Unary):
             a = slot_of[id(n.child)]
-            step, used = (_UNARY, ops[n.op], a, 0), (a,)
+            step, used = (_UNARY, _OPS[n.op], a, 0), (a,)
         else:
             a, b = slot_of[id(n.left)], slot_of[id(n.right)]
-            step, used = (_BINARY, ops[n.op], a, b), (a, b)
+            step, used = (_BINARY, _OPS[n.op], a, b), (a, b)
         slot_of[id(n)] = len(steps)
         steps.append(step)
         uses.append(used)
@@ -1115,12 +1090,12 @@ def _build_plan(exprs: tuple, strict: bool) -> tuple:
     return plan, outputs
 
 
-def _plan(exprs: Sequence[Expr], strict: bool) -> tuple:
+def _plan(exprs: Sequence[Expr]) -> tuple:
     """The cached ``(steps, outputs)`` plan of ``exprs``."""
-    key = (tuple(exprs), strict)
+    key = tuple(exprs)
     plan = _plans.get(key)
     if plan is None:
-        plan = _plans[key] = _build_plan(key[0], strict)
+        plan = _plans[key] = _build_plan(key)
         if len(_plans) > _PLAN_CACHE_SIZE:
             _plans.popitem(last=False)
     else:
@@ -1164,18 +1139,17 @@ def _replay(plan: tuple, columns, shape: tuple) -> np.ndarray:
     return out
 
 
-def eval_block(exprs: Sequence[Expr], points, strict: bool = False) -> np.ndarray:
+def eval_block(exprs: Sequence[Expr], points) -> np.ndarray:
     """Evaluate several expressions over a batch of points.
+
+    Division by zero, sqrt of a negative value and log of a nonpositive
+    value give nan or inf quietly; callers test the values for finiteness.
 
     Parameters
     ----------
     exprs : sequence of Expr
     points : array-like, shape (P, D) or (D,)
         Rows are points; column k feeds variable index k.
-    strict : bool
-        When true, raise :class:`EvalDomainError` on division by zero,
-        sqrt of a negative value, or log of a nonpositive value. When
-        false those produce nan or inf quietly.
 
     Returns
     -------
@@ -1184,7 +1158,7 @@ def eval_block(exprs: Sequence[Expr], points, strict: bool = False) -> np.ndarra
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
-    return _replay(_plan(exprs, strict), pts.T, (len(pts),))
+    return _replay(_plan(exprs), pts.T, (len(pts),))
 
 
 def eval_lattice(exprs: Sequence[Expr], axes) -> np.ndarray:
@@ -1193,8 +1167,8 @@ def eval_lattice(exprs: Sequence[Expr], axes) -> np.ndarray:
     Variable k reads ``axes[k]``, shaped to broadcast along lattice axis
     k, so a subexpression in fewer variables is computed on fewer points.
     Every operation is elementwise, so each value has the bits
-    ``eval_block`` gives at the same lattice point. Shares the plans of
-    non-strict ``eval_block`` calls.
+    ``eval_block`` gives at the same lattice point, and the plans are
+    shared with ``eval_block``.
 
     Returns
     -------
@@ -1205,12 +1179,7 @@ def eval_lattice(exprs: Sequence[Expr], axes) -> np.ndarray:
         np.asarray(a, dtype=float).reshape((-1,) + (1,) * (dim - 1 - k))
         for k, a in enumerate(axes)
     ]
-    return _replay(_plan(exprs, False), columns, tuple(len(c) for c in columns))
-
-
-def evaluate(e: Expr, point, strict: bool = True) -> float:
-    """Evaluate a single expression at a single point."""
-    return float(eval_block([e], np.asarray(point, dtype=float), strict=strict)[0, 0])
+    return _replay(_plan(exprs), columns, tuple(len(c) for c in columns))
 
 
 class System:

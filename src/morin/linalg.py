@@ -160,9 +160,7 @@ class LstsqResult:
 
     solution: np.ndarray
     residual_norm: float
-    rank: int
     rank_deficient: bool
-    gap_ratio: float
 
 
 def least_squares(a, b, tol: float = DEFAULT_RANK_TOL) -> LstsqResult:
@@ -185,12 +183,9 @@ def least_squares(a, b, tol: float = DEFAULT_RANK_TOL) -> LstsqResult:
     if rhs.size and not np.all(np.isfinite(rhs)):
         raise ValueError("rhs contains nan or inf")
     x, _, _, _ = scipy.linalg.lstsq(m, rhs, cond=tol, lapack_driver="gelsy")
-    report = numeric_rank(m, tol)
     resid = float(np.linalg.norm(m @ x - rhs))
     return LstsqResult(
         solution=x,
         residual_norm=resid,
-        rank=report.rank,
-        rank_deficient=report.rank < m.shape[1],
-        gap_ratio=report.gap_ratio,
+        rank_deficient=numeric_rank(m, tol).rank < m.shape[1],
     )

@@ -53,8 +53,9 @@ class SolveOptions:
                 raise ValueError(f"bad box interval {lo}:{hi}")
         if self.grid < 8:
             raise ValueError("grid resolution must be at least 8")
-        if self.tol_residual <= 0 or self.tol_rank <= 0:
-            raise ValueError("tolerances must be positive")
+        # written so that a nan fails too
+        if not (0 < self.tol_residual < math.inf and 0 < self.tol_rank < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
     @property
     def diameter(self) -> float:
@@ -682,11 +683,13 @@ def grid_oracle(
     steepest equation mask the whole box); a nan or infinite residual
     counts as the largest finite float. Candidate cells form clusters,
     every cluster's bounding box is rescanned at higher resolution
-    (re-labeled, so merged clusters split), and a leaf survives only if
-    its best residual has shrunk in proportion to the final cell size,
-    again equation by equation. Roots that stay in one cluster through
-    every level merge into one answer, and the answers come lexsorted.
-    Only meaningful for systems whose solution set is a finite point set.
+    (re-labeled, so merged clusters split), and at the last level each
+    cluster gives one point, provided its cells have become small: the
+    candidate test itself then bounds every residual there in proportion
+    to the cell size, equation by equation. Roots that stay in one cluster
+    through every level merge into one answer, and the answers come
+    lexsorted. Only meaningful for systems whose solution set is a finite
+    point set; ``tol_residual`` must be positive and finite.
 
     Each level tests the equations in turn (see ``_scan_clusters``): the
     first on the whole lattice, each later one only where the earlier ones
@@ -701,6 +704,9 @@ def grid_oracle(
     it rescans its clusters, so memory stays at about one level's mask and
     cluster labels, whatever the depth.
     """
+    # written so that a nan fails too
+    if not 0 < tol_residual < math.inf:
+        raise ValueError("tol_residual must be positive and finite")
     eqs = sorted((simplify(e) for e in system), key=lambda e: e.node_count)
     dim = len(box)
     if not eqs:
@@ -735,9 +741,8 @@ def _open_cells(eqs, box, resolution, tol_residual, half_diag, leaf, chunk=_SLAB
     Returns ``(mask, passed, finals)``. ``mask`` is the lattice's bool mask
     of open cells; ``passed[k]`` is the share of the cells open before
     equation k's test that passed it. At a leaf ``finals`` is ``(flat,
-    worst, good)`` over the open cells in C order: their flat indices,
-    their largest residual over the equations, and whether every equation
-    there passes the leaf bound; otherwise it is None.
+    worst)`` over the open cells in C order: their flat indices and their
+    largest residual over the equations; otherwise it is None.
 
     Each pair of slabs is tested on its ``_window``, whose open cells are
     the bool array ``open_``. The first equation is evaluated at every
@@ -748,9 +753,8 @@ def _open_cells(eqs, box, resolution, tol_residual, half_diag, leaf, chunk=_SLAB
     their axis neighbours only, which is all its test reads, and the cells
     that fail it are closed. Its values on the window's last two planes,
     and where they are set, are copied for the next window, whose first two
-    planes they are, so no cell is evaluated twice either. The slopes of
-    the tests give the leaf bound too. Every float buffer is the size of a
-    few windows and dies with the call.
+    planes they are, so no cell is evaluated twice either. Every float
+    buffer is the size of a few windows and dies with the call.
     """
     dim, n = len(box), resolution
     axes = cell_centers(box, n)
@@ -774,7 +778,7 @@ def _open_cells(eqs, box, resolution, tol_residual, half_diag, leaf, chunk=_SLAB
         lo, hi = _window(slice(first, last), n)
         open_ = np.zeros((hi - lo,) + lanes, dtype=bool)
         flat_open = open_.reshape(-1)
-        worst, good = [], []
+        worst = []
         for s in pair:
             w0, w1 = _window(s, n)
             dense[:, : d_hi - w0] = dense[:, w0 - d_lo : d_hi - d_lo]
@@ -792,9 +796,8 @@ def _open_cells(eqs, box, resolution, tol_residual, half_diag, leaf, chunk=_SLAB
             np.less_equal(here, tau, out=test)
             if leaf:
                 worst.append(here[test])
-                good.append(worst[-1] <= 4.0 * slope[test] * half_diag + 50.0 * tol_residual)
         if leaf:
-            worst, good = np.concatenate(worst), np.concatenate(good)
+            worst = np.concatenate(worst)
         window = work[: flat_open.size]
         for k in range(1, len(eqs)):
             need = _face_dilation(open_)
@@ -818,14 +821,12 @@ def _open_cells(eqs, box, resolution, tol_residual, half_diag, leaf, chunk=_SLAB
             ok = v <= 1.5 * slope * half_diag + 10.0 * tol_residual
             flat_open[cells[~ok]] = False
             if leaf:
-                v, slope = v[ok], slope[ok]
-                worst = np.maximum(worst[ok], v)
-                good = good[ok] & (v <= 4.0 * slope * half_diag + 50.0 * tol_residual)
+                worst = np.maximum(worst[ok], v[ok])
         cells = np.flatnonzero(flat_open)
         left[-1] += cells.size
         mask[first:last] = open_[first - lo : last - lo]
         if leaf:
-            finals.append((cells + lo * plane, worst, good))
+            finals.append((cells + lo * plane, worst))
     passed = [a / b if b else 0.0 for a, b in zip(left, [n**dim] + left[:-1])]
     if not leaf:
         return mask, passed, None
@@ -850,8 +851,8 @@ def _scan_clusters(
     whole-lattice scan of every equation gives, and so is the mask.
 
     At a leaf, each cluster's representative is its open cell of least
-    worst residual, the first in C order on ties, kept iff every equation
-    there passes ``values[k] <= 4 * slope[k] * half_diag + 50 * tol``.
+    worst residual, the first in C order on ties; the test that kept the
+    cell open already bounds every residual there by the cell size.
     ``child_eqs`` is ``eqs`` stably sorted by the share of cells each
     equation passed here times its node count.
     """
@@ -866,11 +867,11 @@ def _scan_clusters(
     mask, passed, finals = _open_cells(eqs, box, resolution, tol_residual, half_diag, leaf, chunk)
     labels, objects = _label_clusters(mask)
     if leaf:
-        flat, worst, good = finals
+        flat, worst = finals
         label = labels[labels > 0]  # C order in the box keeps the lattice's
         order = np.lexsort((worst, label))
         first = order[np.flatnonzero(np.diff(label[order], prepend=0))]
-        idx = np.unravel_index(flat[first[good[first]]], mask.shape)
+        idx = np.unravel_index(flat[first], mask.shape)
         axes = cell_centers(box, resolution)
         return list(np.stack([axes[a][idx[a]] for a in range(dim)], axis=1))
     child_eqs = [

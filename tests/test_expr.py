@@ -20,7 +20,6 @@ from morin.expr import (
     NODE_CAP,
     Binary,
     Const,
-    EvalDomainError,
     ExpressionTooLarge,
     ParseError,
     Pow,
@@ -30,7 +29,6 @@ from morin.expr import (
     const,
     differentiate,
     eval_block,
-    evaluate,
     format_expr,
     parse,
     simplify,
@@ -79,7 +77,7 @@ def test_parse_function_call():
 
 def test_minus_binds_to_base_before_exponent():
     # "-2^2" is (-2)^2 in this grammar, not -(2^2).
-    assert evaluate(parse("-2^2", ()), []) == 4.0
+    assert eval_block([parse("-2^2", ())], [])[0, 0] == 4.0
 
 
 def test_decimal_literals_are_exact():
@@ -125,9 +123,9 @@ def test_variable_names_validated():
 
 def test_evaluate_known_values():
     f = parse(TORUS, NAMES)
-    assert evaluate(f, [1.0, 2.0, 0.0]) == pytest.approx(8.0, abs=1e-14)
+    assert eval_block([f], [1.0, 2.0, 0.0])[0, 0] == pytest.approx(8.0, abs=1e-14)
     # (3, -3, 0) lies on the surface.
-    assert evaluate(f, [3.0, -3.0, 0.0]) == pytest.approx(0.0, abs=1e-14)
+    assert eval_block([f], [3.0, -3.0, 0.0])[0, 0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_eval_block_matches_pointwise_evaluate():
@@ -136,9 +134,7 @@ def test_eval_block_matches_pointwise_evaluate():
     assert block.shape == (4, len(PTS))
     for i, e in enumerate(exprs):
         for j in (0, 7, 23):
-            assert block[i, j] == pytest.approx(
-                evaluate(e, PTS[j], strict=False), rel=1e-14
-            )
+            assert block[i, j] == pytest.approx(eval_block([e], PTS[j])[0, 0], rel=1e-14)
 
 
 def test_eval_block_rejects_short_points():
@@ -146,19 +142,10 @@ def test_eval_block_rejects_short_points():
         eval_block([parse("x3", NAMES)], np.zeros((4, 2)))
 
 
-def test_strict_domain_errors():
-    with pytest.raises(EvalDomainError):
-        evaluate(parse("sqrt(0 - 1)", ()), [])
-    with pytest.raises(EvalDomainError):
-        evaluate(parse("log(0)", ()), [])
-    with pytest.raises(EvalDomainError):
-        evaluate(parse("1/(x1 - x1)", NAMES), [1.0, 0.0, 0.0])
-
-
 def test_non_strict_evaluation_is_quiet():
-    v = evaluate(parse("sqrt(0 - 1)", ()), [], strict=False)
+    v = eval_block([parse("sqrt(0 - 1)", ())], [])[0, 0]
     assert np.isnan(v)
-    v = evaluate(parse("1/(x1 - x1)", NAMES), [1.0, 0.0, 0.0], strict=False)
+    v = eval_block([parse("1/(x1 - x1)", NAMES)], [1.0, 0.0, 0.0])[0, 0]
     assert not np.isfinite(v)
 
 
@@ -199,8 +186,7 @@ def test_simplify_identities(a, b):
 def test_division_by_literal_zero_never_folds():
     s = canon("x1/0")
     assert isinstance(s, Binary) and s.op == "div"
-    with pytest.raises(EvalDomainError):
-        evaluate(s, [1.0, 0.0, 0.0])
+    assert np.isposinf(eval_block([s], [1.0, 0.0, 0.0])[0, 0])
 
 
 def test_simplify_value_preservation_on_corpus():
@@ -302,7 +288,7 @@ def test_negated_sum_factor_is_a_sum():
 
 
 def test_terms_dividing_by_literal_zero_never_cancel():
-    assert np.isnan(evaluate(canon("0/0 - 0/0"), [0.0, 0.0, 0.0], strict=False))
+    assert np.isnan(eval_block([canon("0/0 - 0/0")], [0.0, 0.0, 0.0])[0, 0])
     assert format_expr(canon("2 * (x1 / 0)")) == "2 * x1 / 0"
 
 
@@ -375,15 +361,8 @@ def test_eval_block_errors_survive_caching():
     for exprs in (bad, [parse("x1 + x3", NAMES), parse("log(x1 - x1)", NAMES)]):
         with pytest.raises(ValueError, match="variable index 2 but points have dimension 2"):
             eval_block(exprs, np.zeros((3, 2)))
-        with pytest.raises(EvalDomainError, match="log of a nonpositive value"):
-            eval_block(exprs, np.zeros((3, 3)), strict=True)
-        # the quiet plan for the same list stays quiet
+        # the cached plan survives the error and evaluates quietly
         assert np.isneginf(eval_block(exprs, np.zeros((3, 3)))[1]).all()
-    for text in ("sqrt(0 - x1)", "1/(x1 - x1)"):
-        e = parse(text, NAMES)
-        for _ in range(2):
-            with pytest.raises(EvalDomainError):
-                eval_block([e], np.ones((2, 3)), strict=True)
 
 
 def test_eval_block_plan_cache_is_bounded():
@@ -394,12 +373,12 @@ def test_eval_block_plan_cache_is_bounded():
         eval_block(exprs, PTS[:2])
     plans = expr_module._plans
     assert len(plans) == cap
-    assert (tuple(lists[19]), False) not in plans
+    assert tuple(lists[19]) not in plans
     # least recently used goes first: touching the oldest plan keeps it
     eval_block(lists[20], PTS[:2])
     eval_block([Binary("add", x, const(-1))], PTS[:2])
     assert len(plans) == cap
-    assert (tuple(lists[20]), False) in plans and (tuple(lists[21]), False) not in plans
+    assert tuple(lists[20]) in plans and tuple(lists[21]) not in plans
 
 
 def test_equality_compares_operations_below_the_root():
@@ -427,10 +406,10 @@ def test_equality_compares_operations_below_the_root():
 def test_plan_shares_structurally_equal_subtrees():
     e = parse("sin(x1 + x2) * sin(x1 + x2)", NAMES)
     assert e.left is e.right
-    steps, _ = expr_module._build_plan((e,), False)
+    steps, _ = expr_module._build_plan((e,))
     assert len(steps) == 5  # x2, x1, x1 + x2, sin, product
     f = parse("cos(x1 + x2) - sin(x1 + x2)", NAMES)
-    steps, outputs = expr_module._build_plan((e, f, f), False)
+    steps, outputs = expr_module._build_plan((e, f, f))
     assert len(steps) == 7  # and cos, difference
     assert outputs[1][0] == outputs[2][0]
     assert np.array_equal(eval_block([e, f, f], PTS), reference_eval([e, f, f], PTS))
@@ -442,45 +421,6 @@ def test_shared_steps_are_bit_identical_to_reference(a, b):
     exprs = [a, a, Binary("sub", b, a), Binary("mul", a, a), b]
     want = reference_eval(exprs, PTS[:12])
     assert np.array_equal(eval_block(exprs, PTS[:12]), want, equal_nan=True)
-
-
-def strict_reference(exprs, pts):
-    """Strict node-by-node evaluation in plan order, with no shared steps:
-    the values, or the message of the first domain error."""
-    memo = {}
-    try:
-        with np.errstate(all="ignore"):
-            for n in expr_module._postorder(exprs):
-                if isinstance(n, (Const, Var)):
-                    memo[id(n)] = reference_eval([n], pts)[0]
-                    continue
-                kids = [memo[id(k)] for k in n._kids()]
-                if isinstance(n, Pow):
-                    memo[id(n)] = kids[0] ** n.exponent
-                    continue
-                if n.op == "sqrt" and np.any(kids[0] < 0):
-                    raise EvalDomainError("square root of a negative value")
-                if n.op == "log" and np.any(kids[0] <= 0):
-                    raise EvalDomainError("log of a nonpositive value")
-                if n.op == "div" and np.any(kids[1] == 0):
-                    raise EvalDomainError("division by zero")
-                memo[id(n)] = _REFERENCE_OPS[n.op](*kids)
-    except EvalDomainError as err:
-        return str(err)
-    return np.array([memo[id(e)] for e in exprs])
-
-
-@given(_random_exprs, _random_exprs)
-@settings(max_examples=120, deadline=None)
-def test_shared_steps_raise_the_same_strict_error(a, b):
-    exprs = [b, a, Binary("add", a, b), a]
-    want = strict_reference(exprs, PTS[:12])
-    if isinstance(want, str):
-        with pytest.raises(EvalDomainError) as err:
-            eval_block(exprs, PTS[:12], strict=True)
-        assert str(err.value) == want
-    else:
-        assert np.array_equal(eval_block(exprs, PTS[:12], strict=True), want, equal_nan=True)
 
 
 def test_format_round_trip_values():
@@ -525,7 +465,7 @@ def test_derivative_golden_value():
     # 2*(3-2)*(3/3) = 2 exactly.
     f = parse(TORUS, NAMES)
     d3 = differentiate(f, 2)
-    assert evaluate(d3, [0.0, 0.0, 3.0]) == pytest.approx(2.0, abs=1e-12)
+    assert eval_block([d3], [0.0, 0.0, 3.0])[0, 0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_derivative_is_cached():
@@ -537,7 +477,7 @@ def _central_difference(e, p, i, h=1e-6):
     hi, lo = p.copy(), p.copy()
     hi[i] += h
     lo[i] -= h
-    return (evaluate(e, hi, strict=False) - evaluate(e, lo, strict=False)) / (2 * h)
+    return (eval_block([e], hi)[0, 0] - eval_block([e], lo)[0, 0]) / (2 * h)
 
 
 def test_derivatives_match_finite_differences():
@@ -546,7 +486,7 @@ def test_derivatives_match_finite_differences():
         for i in range(3):
             d = differentiate(e, i)
             for p in PTS[:10]:
-                exact = evaluate(d, p, strict=False)
+                exact = eval_block([d], p)[0, 0]
                 approx = _central_difference(e, p, i)
                 if not (np.isfinite(exact) and np.isfinite(approx)):
                     continue
@@ -648,8 +588,8 @@ def test_determinant_matches_numpy_on_symbolic_matrix():
     m = [[parse(t, NAMES) for t in row] for row in entries]
     d = symbolic_determinant(m)
     for p in PTS[:8]:
-        num = np.array([[evaluate(e, p) for e in row] for row in m])
-        assert evaluate(d, p) == pytest.approx(np.linalg.det(num), rel=1e-10, abs=1e-10)
+        num = np.array([[eval_block([e], p)[0, 0] for e in row] for row in m])
+        assert eval_block([d], p)[0, 0] == pytest.approx(np.linalg.det(num), rel=1e-10, abs=1e-10)
 
 
 # -- hashing ----------------------------------------------------------------

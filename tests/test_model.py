@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morin.expr import const, differentiate, eval_block, evaluate, mul, parse, simplify
+from morin.expr import const, differentiate, eval_block, mul, parse, simplify
 from morin.linalg import numeric_rank
 from morin.model import (
     HINT_AUDIT_SAMPLES,
@@ -195,7 +195,7 @@ def test_covector_field_folds_weights():
     rows = sc.omega_at(pts)[:, 0, :]
     for s in range(3):
         for p in range(2):
-            assert evaluate(xi[s], pts[p]) == pytest.approx(rows[p, s], rel=1e-12)
+            assert eval_block([xi[s]], pts[p])[0, 0] == pytest.approx(rows[p, s], rel=1e-12)
 
 
 def test_covector_field_mixes_rows():
@@ -204,7 +204,7 @@ def test_covector_field_mixes_rows():
     pt = (0.4, -0.7, 1.1)
     om = sc.omega_at(pt)[0]
     expect = 1.0 * om[0] + 0.5 * om[1] + 0.25 * om[2]
-    got = [evaluate(c, pt) for c in xi]
+    got = [eval_block([c], pt)[0, 0] for c in xi]
     assert got == pytest.approx(list(expect), rel=1e-12)
 
 
@@ -253,7 +253,7 @@ def test_bordered_minor_formulas_hyperboloid():
     om = scene("hyperboloid").omega_at(x)[0]
     for j, expr in minors:
         expect = om[0, 0] * om[1, j] - om[0, j] * om[1, 0]
-        assert evaluate(expr, x) == pytest.approx(expect, rel=1e-12)
+        assert eval_block([expr], x)[0, 0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_sigma1_chart_picks_regular_minor():
@@ -263,7 +263,8 @@ def test_sigma1_chart_picks_regular_minor():
     assert chart.selected_cols == (2,)
     assert chart.audits == tuple(e for j, e in bordered_minors(sc, chart.pivot) if j == 1)
     # selected minor is x1 * (2 x1 - x2) up to sign
-    vals = [evaluate(chart.new_equations[0], p) for p in [(1.0, 2.0, 0.0), (2.0, 4.0, 1.0)]]
+    e = chart.new_equations[0]
+    vals = [eval_block([e], p)[0, 0] for p in [(1.0, 2.0, 0.0), (2.0, 4.0, 1.0)]]
     assert vals == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
@@ -280,7 +281,7 @@ def test_one_form_chart_equations_are_components():
     sc = scene("quadratic_well")
     chart = _sigma1_charts(sc, select_pivots(sc, [(1.0, 1.0)]), [(1.0, 1.0)])[0]
     assert len(chart.equations) == 2  # both components of the one-form
-    assert [evaluate(e, (0.0, 0.0)) for e in chart.equations] == [0.0, 0.0]
+    assert [eval_block([e], (0.0, 0.0))[0, 0] for e in chart.equations] == [0.0, 0.0]
 
 
 def test_constant_coframe_has_empty_stratum():
@@ -296,7 +297,7 @@ omega_1 = 1, 0
 """
     )
     chart = _sigma1_charts(sc, select_pivots(sc, [(0.3, 0.4)]), [(0.3, 0.4)])[0]
-    vals = [evaluate(e, (0.1, 2.0)) for e in chart.equations]
+    vals = [eval_block([e], (0.1, 2.0))[0, 0] for e in chart.equations]
     assert max(abs(v) for v in vals) == 1.0  # one equation is the constant 1
 
 
@@ -396,7 +397,8 @@ def test_delta_formula_hyperboloid():
         sc.var_names,
     )
     for p in [(0.5, -1.1, 0.8), (2.0, 4.0, 1.7), (-1.0, -2.0, 0.0)]:
-        assert evaluate(delta, p) == pytest.approx(evaluate(expect, p), rel=1e-12)
+        got, want = eval_block([delta, expect], p)[:, 0]
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 # -- chains -------------------------------------------------------------------
@@ -408,7 +410,7 @@ def test_full_chain_on_swallowtail():
     assert chain.complete and chain.depth == 3
     c3 = chain.chart(3)
     x = (0.3, -0.9, 0.7)
-    got = [evaluate(e, x) for e in c3.equations]
+    got = [eval_block([e], x)[0, 0] for e in c3.equations]
     expect = [
         x[1] + 2 * x[0] * x[2] + 4 * x[2] ** 3,
         2 * x[0] + 12 * x[2] ** 2,
@@ -430,8 +432,8 @@ def test_chain_at_point_rejects_torus_impostor():
     chain_i = build_chain_at(sc, impostor)
     chain_g = build_chain_at(sc, genuine)
     assert chain_i.complete and chain_g.complete
-    di = evaluate(chain_i.chart(2).delta, impostor)
-    dg = evaluate(chain_g.chart(2).delta, genuine)
+    di = eval_block([chain_i.chart(2).delta], impostor)[0, 0]
+    dg = eval_block([chain_g.chart(2).delta], genuine)[0, 0]
     assert abs(di) > 1.0  # clearly nonzero: not on the deeper stratum
     assert abs(dg) < 1e-9
 
@@ -467,7 +469,7 @@ def test_corank_system_covers_all_charts():
     eqs = corank_system(sc)
     assert len(eqs) == 1 + 3  # constraint + C(3, 2) maximal minors
     for p in [(0.0, 0.0, 3.0), (3.0, -3.0, 0.0), (0.0, 0.0, 1.0)]:
-        vals = [evaluate(e, p) for e in eqs]
+        vals = [eval_block([e], p)[0, 0] for e in eqs]
         assert max(abs(v) for v in vals) < 1e-9
 
 

@@ -91,6 +91,11 @@ def test_options_validation():
         SolveOptions(box=((-1.0, 1.0),), grid=4)
     with pytest.raises(ValueError):
         SolveOptions(box=((-1.0, 1.0),), tol_residual=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SolveOptions(box=((-1.0, 1.0),), tol_residual=bad)
+        with pytest.raises(ValueError):
+            SolveOptions(box=((-1.0, 1.0),), tol_rank=bad)
     opts = SolveOptions(box=((-3.0, 3.0), (-4.0, 4.0)))
     assert opts.diameter == pytest.approx(10.0)
 
@@ -537,6 +542,13 @@ def test_oracle_empty_system_set():
 
 def test_oracle_of_no_equations_is_empty():
     assert grid_oracle([], ((-1.0, 1.0),) * 2, resolution=8, levels=3).shape == (0, 2)
+
+
+def test_oracle_tolerance_must_be_positive_and_finite():
+    eqs = [parse("x1 - x2", ("x1", "x2"))]
+    for bad in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol_residual"):
+            grid_oracle(eqs, ((-1.0, 1.0),) * 2, resolution=8, tol_residual=bad)
 
 
 POLE_SYSTEM = ("1/x1 - x2", "x1^2 + x2^2 - 1")
@@ -1014,9 +1026,9 @@ def test_cascade_evaluates_later_equations_only_near_open_cells(monkeypatch):
         dense[which(exprs)] += math.prod(map(len, axes))
         return eval_lattice(exprs, axes)
 
-    def counting_block(exprs, pts, strict=False):
+    def counting_block(exprs, pts):
         sparse[which(exprs)] += len(pts)
-        return eval_block(exprs, pts, strict)
+        return eval_block(exprs, pts)
 
     monkeypatch.setattr(solver, "eval_lattice", counting_lattice)
     monkeypatch.setattr(solver, "eval_block", counting_block)
