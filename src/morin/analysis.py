@@ -43,6 +43,7 @@ from .model import (
     build_chain_at,
     build_chains_at,
     corank_system,
+    covector_weights,
     draw_covector,
     index_groups,
 )
@@ -508,14 +509,19 @@ def compute_strata(scene: Scene, *, max_depth: int | None = None) -> StrataResul
     # anchors that make the same depth-1 selection share one chain
     anchors = samples[1][_farthest_subset(samples[1], 4)]
     chains = []
-    for anchor in anchors:
-        chain = build_chain(scene, anchor, max_depth=depth_cap)
+
+    def adopt(chain) -> bool:
+        """List ``chain`` and its notes not yet taken, unless it is listed."""
         if chain in chains:
-            continue
+            return False
         chains.append(chain)
         for note in chain.notes:
             if note not in notes:
                 notes.append(note)
+        return True
+
+    for anchor in anchors:
+        adopt(build_chain(scene, anchor, max_depth=depth_cap))
 
     diam = scene.box_diameter()
     for k in range(2, depth_cap + 1):
@@ -535,14 +541,9 @@ def compute_strata(scene: Scene, *, max_depth: int | None = None) -> StrataResul
                 idx = int(np.argmin(covered))
                 extra = build_chain(scene, prev[idx], max_depth=depth_cap)
                 # a chain already listed is already counted in ``covered``
-                if extra not in chains:
-                    chains.append(extra)
-                    for note in extra.notes:
-                        if note not in notes:
-                            notes.append(note)
-                    if extra.depth >= k:
-                        active.append(extra)
-                        covered |= extra.chart(k).validity_margin(prev) >= 1e-2
+                if adopt(extra) and extra.depth >= k:
+                    active.append(extra)
+                    covered |= extra.chart(k).validity_margin(prev) >= 1e-2
                 covered[idx] = True
                 added += 1
         # Grid seeds alone can all fall into a foreign chart's spurious zero
@@ -1192,16 +1193,9 @@ def euler_congruence(
         strata = compute_strata(scene)
 
     n = scene.n
-    base = scene.rng_seed if seed is None else seed
-    # A weight vector fixed in the scene counts as the first draw, but only
-    # when the caller did not ask for a specific seed.
-    prefer_scene = seed is None and scene.covector is not None
     census = None
     for attempt in range(MAX_REDRAWS):
-        if prefer_scene and attempt == 0:
-            a = np.asarray(scene.covector, dtype=float)
-        else:
-            a = draw_covector(n, base + attempt)
+        a = covector_weights(scene, seed, attempt)
         trial = zero_census(scene, a, strata=strata)
         problems = []
         for rec in trial["unrestricted"] + [
@@ -1264,7 +1258,8 @@ def euler_congruence(
         independent[f"depth_{n}"] = len(deepest)
     if scene.ambient_dim == 3 and scene.num_constraints == 1:
         try:
-            independent["manifold_morse"] = euler_via_morse(scene, seed=base)
+            morse_seed = scene.rng_seed if seed is None else seed
+            independent["manifold_morse"] = euler_via_morse(scene, seed=morse_seed)
         except AnalysisError as err:
             notes.append(f"surface Morse count unavailable: {err}")
     if "manifold_morse" in independent:

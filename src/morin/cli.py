@@ -37,7 +37,7 @@ from .analysis import (
     find_xi_zeros,
     nondegeneracy,
 )
-from .model import Scene, SceneError, corank_system, draw_covector, load_scene
+from .model import Scene, SceneError, corank_system, covector_weights, load_scene
 from .solver import grid_oracle, match_point_sets
 
 SCHEMA_VERSION = "1"
@@ -120,6 +120,8 @@ def _envelope(command: str, scene: Scene, args, started: float) -> dict:
 
 
 def _load(args) -> Scene:
+    if args.seed is not None and args.seed < 0:
+        raise CliError("--seed must be nonnegative")
     scene = load_scene(args.scene)
     updates = {}
     if args.tol is not None:
@@ -146,9 +148,7 @@ def _weights(scene: Scene, args) -> np.ndarray:
         if not np.any(vals):
             raise CliError("--a must be nonzero")
         return vals
-    if args.seed is None and scene.covector is not None:
-        return np.array(scene.covector, dtype=float)
-    return draw_covector(scene.n, scene.rng_seed if args.seed is None else args.seed)
+    return covector_weights(scene, args.seed)
 
 
 def _classification_rows(result) -> dict:

@@ -118,6 +118,8 @@ class Scene:
         # written so that a nan fails too
         if not (0 < self.tol_residual < math.inf and 0 < self.tol_rank < math.inf):
             raise SceneError("tolerances must be positive and finite")
+        if self.rng_seed < 0:
+            raise SceneError("covector seed must be nonnegative")
         if self.grid < 8:
             raise SceneError("grid resolution must be at least 8")
         depth = self.max_depth if self.max_depth is not None else n
@@ -395,6 +397,16 @@ def draw_covector(n: int, seed: int) -> np.ndarray:
         norm = np.linalg.norm(v)
         if norm > 1e-3:
             return v / norm
+
+
+def covector_weights(scene: Scene, seed: int | None, attempt: int = 0) -> np.ndarray:
+    """The weights of covector draw ``attempt``: the scene's own weights
+    when no ``seed`` is given and the scene fixes them, as its first draw;
+    else a draw from ``seed`` + ``attempt``, the scene's ``rng_seed`` taking
+    the place of a missing ``seed``."""
+    if seed is None and scene.covector is not None and attempt == 0:
+        return np.array(scene.covector, dtype=float)
+    return draw_covector(scene.n, (scene.rng_seed if seed is None else seed) + attempt)
 
 
 # ---------------------------------------------------------------------------

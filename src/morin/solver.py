@@ -517,42 +517,14 @@ def _along(ax, s) -> tuple:
     return (slice(None),) * ax + (s,)
 
 
-def _steps(line, ax, step) -> np.ndarray:
-    """Into ``step``: the absolute differences of neighbors along axis
-    ``ax`` of ``line``."""
-    np.subtract(line[_along(ax, slice(1, None))], line[_along(ax, slice(None, -1))], out=step)
-    return np.abs(step, out=step)
-
-
-def _side_max(line, ax, a, b, step, out) -> None:
-    """Into ``out``: at positions ``a`` to ``b - 1`` along axis ``ax`` of
-    ``line``, the larger of the absolute differences to the two neighbors
-    along ``ax``; a side with no neighbor gives 0. ``step`` is scratch of
-    the shape of ``line`` less one position along ``ax``."""
-    n = line.shape[ax]
-    if n == 1:
-        out[...] = 0.0
-        return
-    _steps(line, ax, step)
-    inner = slice(max(a, 1), min(b, n - 1))  # positions with both neighbors
-    np.maximum(
-        step[_along(ax, slice(inner.start - 1, inner.stop - 1))],
-        step[_along(ax, inner)],
-        out=out[_along(ax, slice(inner.start - a, inner.stop - a))],
-    )
-    if a == 0:
-        out[_along(ax, 0)] = step[_along(ax, 0)]
-    if b == n:
-        out[_along(ax, b - 1 - a)] = step[_along(ax, n - 2)]
-
-
-def _fold_steps(out, line, ax, step, size=None) -> None:
+def _fold_steps(out, line, ax, step, size) -> None:
     """Raise ``out`` to the absolute difference of each position of
-    ``line`` to either neighbor along axis ``ax``, divided by ``size`` when
-    given. ``step`` is scratch as for ``_side_max``."""
-    _steps(line, ax, step)
-    if size is not None:
-        step /= size
+    ``line`` to either neighbor along axis ``ax``, divided by ``size``.
+    ``step`` is scratch of the shape of ``line`` less one position along
+    ``ax``."""
+    np.subtract(line[_along(ax, slice(1, None))], line[_along(ax, slice(None, -1))], out=step)
+    np.abs(step, out=step)
+    step /= size
     for side in (slice(None, -1), slice(1, None)):
         np.maximum(out[_along(ax, side)], step, out=out[_along(ax, side)])
 
@@ -563,45 +535,34 @@ def _local_slope(values, planes, box, resolution, work=None) -> np.ndarray:
     any axis neighbor, divided by the cell size along that axis.
 
     The leading axis of ``values`` indexes equations, and ``values`` must
-    be finite and nonnegative. The axis-0 differences read the planes next
-    to ``planes``, where there are any; every other axis reads ``planes``
-    only. Dividing by a positive size keeps the order, so a maximum of
-    differences divided once has the bits of dividing each: the axes with
-    the first axis's cell size are divided together, the others one by one.
+    be finite and nonnegative. The axis-0 differences are folded over the
+    window of ``planes`` (``_window``), so they read the planes next to
+    ``planes`` where there are any; every other axis reads ``planes``
+    only. The differences are nonnegative, so folding them into zeros
+    leaves their maximum as it is.
 
     ``work``, a flat float buffer of at least twice the size of the
-    planes read, holds the differences and the result, which is then a
-    view of it; by default a new one is taken.
+    window, holds the window's differences and scratch; the result is a
+    view of it. By default a new one is taken.
     """
     n = values.shape[1]
     start, stop, _ = planes.indices(n)
     w0, w1 = _window(slice(start, stop), n)
-    shape = (values.shape[0], stop - start) + values.shape[2:]
-    size = math.prod(shape)
-    if work is None:
-        work = np.empty(2 * values[:, w0:w1].size)
-
-    def step(line, ax):
-        less = line.shape[:ax] + (line.shape[ax] - 1,) + line.shape[ax + 1 :]
-        return work[size : size + math.prod(less)].reshape(less)
-
-    cell = [(hi - lo) / resolution for lo, hi in box]
-    out = work[:size].reshape(shape)
     window = values[:, w0:w1]
-    _side_max(window, 1, start - w0, stop - w0, step(window, 1), out)
-    line = values[:, start:stop]
-    later = [ax for ax in range(2, len(box) + 1) if line.shape[ax] > 1]
+    if work is None:
+        work = np.empty(2 * window.size)
+    out = work[: window.size].reshape(window.shape)
+    out[...] = 0.0
+    slab = slice(start - w0, stop - w0)
     # a difference near the largest float over a cell size below 1
     # overflows to inf, the slope meant there
     with np.errstate(over="ignore"):
-        for ax in later:
-            if cell[ax - 1] == cell[0]:
-                _fold_steps(out, line, ax, step(line, ax))
-        out /= cell[0]
-        for ax in later:
-            if cell[ax - 1] != cell[0]:
-                _fold_steps(out, line, ax, step(line, ax), cell[ax - 1])
-    return out
+        for ax, (lo, hi) in enumerate(box, 1):
+            line, into = (window, out) if ax == 1 else (window[:, slab], out[:, slab])
+            less = line.shape[:ax] + (line.shape[ax] - 1,) + line.shape[ax + 1 :]
+            step = work[window.size : window.size + math.prod(less)].reshape(less)
+            _fold_steps(into, line, ax, step, (hi - lo) / resolution)
+    return out[:, slab]
 
 
 def _cell_slope(values, cells, box, resolution, shape) -> np.ndarray:
@@ -689,7 +650,9 @@ def grid_oracle(
     to the cell size, equation by equation. Roots that stay in one cluster
     through every level merge into one answer, and the answers come
     lexsorted. Only meaningful for systems whose solution set is a finite
-    point set; ``tol_residual`` must be positive and finite.
+    point set. ``resolution`` must be at least 2 (a lone cell has no
+    neighbor to take a slope from), ``levels`` at least 1 and
+    ``tol_residual`` positive and finite.
 
     Each level tests the equations in turn (see ``_scan_clusters``): the
     first on the whole lattice, each later one only where the earlier ones
@@ -704,6 +667,10 @@ def grid_oracle(
     it rescans its clusters, so memory stays at about one level's mask and
     cluster labels, whatever the depth.
     """
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    if levels < 1:
+        raise ValueError("levels must be at least 1")
     # written so that a nan fails too
     if not 0 < tol_residual < math.inf:
         raise ValueError("tol_residual must be positive and finite")
@@ -718,14 +685,11 @@ def grid_oracle(
     work = [(tuple(box), resolution, levels, eqs)]
     while work:
         sub_box, res, levels_left, order = work.pop()
-        for item in _scan_clusters(
+        points, rescans = _scan_clusters(
             order, sub_box, res, tol_residual, levels_left, 5e-7 * diam, 2e-3 * diam
-        ):
-            if isinstance(item, np.ndarray):
-                reps.append(item)
-            else:
-                child_box, child_res, child_order = item
-                work.append((child_box, child_res, levels_left - 1, child_order))
+        )
+        reps += points
+        work += [(sub, sub_res, levels_left - 1, sub_eqs) for sub, sub_res, sub_eqs in rescans]
     if not reps:
         return np.zeros((0, dim))
     pts = np.array(reps)
@@ -734,15 +698,13 @@ def grid_oracle(
     return pts[greedy_dedup(pts, 1e-6 * diam)]
 
 
-def _open_cells(eqs, box, resolution, tol_residual, half_diag, leaf, chunk=_SLAB) -> tuple:
+def _open_cells(eqs, box, resolution, tol_residual, half_diag, chunk=_SLAB) -> tuple:
     """The open cells of one scan level, taken in one pass over slabs of
     ``chunk`` lattice points (``_slabs``), two slabs at a time.
 
-    Returns ``(mask, passed, finals)``. ``mask`` is the lattice's bool mask
-    of open cells; ``passed[k]`` is the share of the cells open before
-    equation k's test that passed it. At a leaf ``finals`` is ``(flat,
-    worst)`` over the open cells in C order: their flat indices and their
-    largest residual over the equations; otherwise it is None.
+    Returns ``(mask, passed)``: the lattice's bool mask of open cells, and
+    per equation k the share of the cells open before its test that
+    passed it.
 
     Each pair of slabs is tested on its ``_window``, whose open cells are
     the bool array ``open_``. The first equation is evaluated at every
@@ -770,7 +732,6 @@ def _open_cells(eqs, box, resolution, tol_residual, half_diag, leaf, chunk=_SLAB
     known = np.empty((len(eqs) - 1, 2) + lanes, dtype=bool)
     mask = np.empty((n,) * dim, dtype=bool)
     left = [0] * len(eqs)  # the cells open after each equation's test
-    finals = []
     d_lo = d_hi = 0  # ``dense`` holds planes d_lo to d_hi - 1
     for i in range(0, len(slabs), 2):
         pair = slabs[i : i + 2]
@@ -778,7 +739,6 @@ def _open_cells(eqs, box, resolution, tol_residual, half_diag, leaf, chunk=_SLAB
         lo, hi = _window(slice(first, last), n)
         open_ = np.zeros((hi - lo,) + lanes, dtype=bool)
         flat_open = open_.reshape(-1)
-        worst = []
         for s in pair:
             w0, w1 = _window(s, n)
             dense[:, : d_hi - w0] = dense[:, w0 - d_lo : d_hi - d_lo]
@@ -789,15 +749,11 @@ def _open_cells(eqs, box, resolution, tol_residual, half_diag, leaf, chunk=_SLAB
             planes = slice(s.start - w0, min(s.stop, n) - w0)
             slope = _local_slope(dense[:, : w1 - w0], planes, box, n, work)[0]
             here = dense[0, planes]
-            tau = np.multiply(slope, 1.5, out=work[slope.size : 2 * slope.size].reshape(slope.shape))
+            # past the window's block of ``work``, which holds the slope
+            tau = np.multiply(slope, 1.5, out=work[-slope.size :].reshape(slope.shape))
             tau *= half_diag
             tau += 10.0 * tol_residual
-            test = open_[s.start - lo : min(s.stop, n) - lo]
-            np.less_equal(here, tau, out=test)
-            if leaf:
-                worst.append(here[test])
-        if leaf:
-            worst = np.concatenate(worst)
+            np.less_equal(here, tau, out=open_[s.start - lo : min(s.stop, n) - lo])
         window = work[: flat_open.size]
         for k in range(1, len(eqs)):
             need = _face_dilation(open_)
@@ -820,25 +776,19 @@ def _open_cells(eqs, box, resolution, tol_residual, half_diag, leaf, chunk=_SLAB
             slope = _cell_slope(window, cells, box, n, open_.shape)
             ok = v <= 1.5 * slope * half_diag + 10.0 * tol_residual
             flat_open[cells[~ok]] = False
-            if leaf:
-                worst = np.maximum(worst[ok], v[ok])
-        cells = np.flatnonzero(flat_open)
-        left[-1] += cells.size
+        left[-1] += np.count_nonzero(flat_open)
         mask[first:last] = open_[first - lo : last - lo]
-        if leaf:
-            finals.append((cells + lo * plane, worst))
     passed = [a / b if b else 0.0 for a, b in zip(left, [n**dim] + left[:-1])]
-    if not leaf:
-        return mask, passed, None
-    return mask, passed, tuple(np.concatenate(part) for part in zip(*finals))
+    return mask, passed
 
 
 def _scan_clusters(
     eqs, box, resolution, tol_residual, levels_left, min_half_diag, accept_half_diag, chunk=_SLAB
-) -> list:
-    """One scan level's outcome, cluster by cluster in label order: a leaf
-    representative point, or a ``(sub_box, child_resolution, child_eqs)``
-    to rescan.
+) -> tuple:
+    """One scan level's outcome, ``(points, rescans)``, cluster by cluster
+    in label order: at a leaf, one representative point per cluster and no
+    rescans; otherwise no points and a ``(sub_box, child_resolution,
+    child_eqs)`` per cluster to rescan.
 
     A cell stays open iff every equation k passes ``values[k] <= 1.5 *
     slope[k] * half_diag + 10 * tol``, and that test reads equation k at
@@ -852,7 +802,10 @@ def _scan_clusters(
 
     At a leaf, each cluster's representative is its open cell of least
     worst residual, the first in C order on ties; the test that kept the
-    cell open already bounds every residual there by the cell size.
+    cell open already bounds every residual there by the cell size. The
+    worst residuals are evaluated after the level at its open cells, with
+    ``eval_block``, whose values at a point are bitwise those the level's
+    own evaluation took there.
     ``child_eqs`` is ``eqs`` stably sorted by the share of cells each
     equation passed here times its node count.
     """
@@ -863,17 +816,22 @@ def _scan_clusters(
         # a root cell satisfies V <= slope * half_diag for every equation,
         # while a positive minimum of some V fails once the cell is small;
         # clusters whose cells never got small are plateaus, not roots
-        return []
-    mask, passed, finals = _open_cells(eqs, box, resolution, tol_residual, half_diag, leaf, chunk)
+        return [], []
+    mask, passed = _open_cells(eqs, box, resolution, tol_residual, half_diag, chunk)
     labels, objects = _label_clusters(mask)
     if leaf:
-        flat, worst = finals
+        axes = cell_centers(box, resolution)
+        flat = np.flatnonzero(mask)
+        worst = np.empty(flat.size)
+        for start in range(0, flat.size, _SCAN_CHUNK):
+            part = flat[start : start + _SCAN_CHUNK]
+            block = eval_block(eqs, lattice_points(axes, part))
+            worst[start : start + part.size] = _finite_abs(block).max(axis=0)
         label = labels[labels > 0]  # C order in the box keeps the lattice's
         order = np.lexsort((worst, label))
         first = order[np.flatnonzero(np.diff(label[order], prepend=0))]
         idx = np.unravel_index(flat[first], mask.shape)
-        axes = cell_centers(box, resolution)
-        return list(np.stack([axes[a][idx[a]] for a in range(dim)], axis=1))
+        return list(np.stack([axes[a][idx[a]] for a in range(dim)], axis=1)), []
     child_eqs = [
         eq for _, eq in sorted(zip(passed, eqs), key=lambda t: t[0] * t[1].node_count)
     ]
@@ -895,7 +853,7 @@ def _scan_clusters(
             # next level)
             child_res = min(2 * resolution, 128) if shrink > 0.6 else 16
             out.append((tuple(sub_box), child_res, child_eqs))
-    return out
+    return [], out
 
 
 def match_point_sets(found, expected, tol: float) -> dict:

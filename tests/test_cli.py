@@ -71,6 +71,13 @@ def test_non_finite_covector_weight_rejected(capsys, value):
     assert "Traceback" not in out.err
 
 
+def test_negative_seed_rejected(capsys):
+    # numpy's default_rng would raise on it with a traceback
+    code, out = run(capsys, "euler", "scenes/torus.scene", "--seed", "-1")
+    assert code == 1 and out.out == ""
+    assert out.err == "error: --seed must be nonnegative\n"
+
+
 def test_oracle_grid_budget(capsys):
     code, out = run(capsys, "oracle", "scenes/swallowtail.scene", "--grid", "300")
     assert code == 1 and "budget" in out.err

@@ -35,6 +35,7 @@ from morin.model import (
     build_chain_at,
     build_delta,
     corank_system,
+    covector_weights,
     draw_covector,
     load_scene,
     parse_scene,
@@ -141,6 +142,27 @@ def test_scene_rejects_non_finite_tolerances_and_weights(field):
     key, section = ("a", "covector") if field == "covector" else (field, "solver")
     with pytest.raises(SceneError, match="finite"):
         parse_scene(MINIMAL + f"\n[{section}]\n{key} = nan\n")
+
+
+def test_scene_rejects_a_negative_covector_seed():
+    # numpy's default_rng raises on a negative seed, but only once a
+    # command draws a covector, seconds into its work
+    with pytest.raises(SceneError, match="seed must be nonnegative"):
+        parse_scene(MINIMAL + "\n[covector]\nrng_seed = -1\n")
+    with pytest.raises(SceneError, match="seed must be nonnegative"):
+        replace(parse_scene(MINIMAL), rng_seed=-3)
+    assert replace(parse_scene(MINIMAL), rng_seed=0).rng_seed == 0
+
+
+def test_covector_weights_take_the_scene_block_only_as_the_unseeded_first_draw():
+    fixed = parse_scene(MINIMAL + "\n[covector]\na = 2\nrng_seed = 5\n")
+    drawn = replace(fixed, covector=None)
+    assert covector_weights(fixed, None).tolist() == [2.0]
+    for sc in (fixed, drawn):
+        assert np.array_equal(covector_weights(sc, None, 1), draw_covector(1, 6))
+        assert np.array_equal(covector_weights(sc, 3), draw_covector(1, 3))
+        assert np.array_equal(covector_weights(sc, 3, 2), draw_covector(1, 5))
+    assert np.array_equal(covector_weights(drawn, None), draw_covector(1, 5))
 
 
 def test_equation_count_bookkeeping():

@@ -551,6 +551,25 @@ def test_oracle_tolerance_must_be_positive_and_finite():
             grid_oracle(eqs, ((-1.0, 1.0),) * 2, resolution=8, tol_residual=bad)
 
 
+def test_oracle_resolution_and_levels_must_leave_a_slope_and_a_level():
+    # one cell per axis has no neighbor, so every slope was 0 and the root
+    # at (0.3, -0.2) went unseen; zero cells divided by zero, and zero
+    # levels scanned nothing
+    eqs = system2("x1 - 0.3", "x2 + 0.2")
+    box = ((-1.0, 1.0),) * 2
+    for bad in (1, 0, -3):
+        with pytest.raises(ValueError, match="resolution"):
+            grid_oracle(eqs, box, resolution=bad)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="levels"):
+            grid_oracle(eqs, box, resolution=8, levels=bad)
+    root = np.array([[0.3, -0.2]])
+    assert match_point_sets(grid_oracle(eqs, box, resolution=2), root, tol=1e-6)["bijective"]
+    # one level, a leaf, with cells small enough to accept a root
+    reps = grid_oracle(eqs, box, resolution=256, levels=1)
+    assert match_point_sets(reps, root, tol=1e-2)["bijective"]
+
+
 POLE_SYSTEM = ("1/x1 - x2", "x1^2 + x2^2 - 1")
 
 
@@ -699,7 +718,7 @@ def same_bits(a, b) -> bool:
 
 
 def level_with_dense_windows(eqs, box, resolution, tol, half_diag, chunk, want):
-    """``_open_cells`` of a non-leaf level as ``(mask, passed)``, checking
+    """``_open_cells`` of a level as ``(mask, passed)``, checking
     that the dense equation's window on each slab, the slab and its
     neighbour planes, is bitwise ``want`` there and all finite."""
     slabs = iter(_slabs(resolution, len(box), chunk))
@@ -714,8 +733,8 @@ def level_with_dense_windows(eqs, box, resolution, tol, half_diag, chunk, want):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_local_slope", dense_slope)
-        mask, passed, finals = _open_cells(eqs, box, resolution, tol, half_diag, False, chunk)
-    assert next(slabs, None) is None and finals is None
+        mask, passed = _open_cells(eqs, box, resolution, tol, half_diag, chunk)
+    assert next(slabs, None) is None
     return mask, passed
 
 
@@ -822,10 +841,18 @@ def test_scan_matches_the_implementation_it_replaced(case, chunk):
         )
         open_before &= passes[k]
     # the level at slabs of the drawn size, of one plane, of two, and of
-    # uneven runs, so open cells lie on slab edges and halo planes
+    # uneven runs, so open cells lie on slab edges and halo planes; then at
+    # the drawn size with every eval_block call, the later equations' and
+    # the leaf's, cut into chunks of 5 points
     plane = resolution ** (len(box) - 1)
-    for slab in (chunk, plane, 2 * plane, (resolution // 2 + 1) * plane):
-        got = _scan_clusters(eqs, box, resolution, tol, levels, 1e-7, 0.5, chunk=slab)
+    runs = [(slab, _SCAN_CHUNK) for slab in (chunk, plane, 2 * plane, (resolution // 2 + 1) * plane)]
+    for slab, scan_chunk in runs + [(chunk, 5)]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_SCAN_CHUNK", scan_chunk)
+            points, rescans = _scan_clusters(eqs, box, resolution, tol, levels, 1e-7, 0.5, chunk=slab)
+        # a level is a leaf or it is not
+        assert not (points and rescans)
+        got = points + rescans
         assert len(got) == len(items)
         for g, w in zip(got, items):
             if isinstance(w, np.ndarray):
@@ -836,6 +863,9 @@ def test_scan_matches_the_implementation_it_replaced(case, chunk):
     for order in itertools.permutations(eqs):
         got = grid_oracle(list(order), box, resolution, tol_residual=tol, levels=levels)
         assert same_bits(got, want)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_SCAN_CHUNK", 5)
+        assert same_bits(grid_oracle(eqs, box, resolution, tol_residual=tol, levels=levels), want)
 
 
 @st.composite
@@ -1037,8 +1067,8 @@ def test_cascade_evaluates_later_equations_only_near_open_cells(monkeypatch):
     for chunk in (_SLAB, 48**2, 2 * 48**2, 7 * 48**2):
         dense = [0] * len(eqs)
         sparse = [0] * len(eqs)
-        got = _scan_clusters(eqs, sc.box, resolution, tol, 24, 1e-7, 1e-3, chunk=chunk)
-        assert len(got) == len(items) > 0
+        points, rescans = _scan_clusters(eqs, sc.box, resolution, tol, 24, 1e-7, 1e-3, chunk=chunk)
+        assert points == [] and len(rescans) == len(items) > 0
         # exactly one equation on the whole lattice, and only through the
         # broadcast lattice evaluation
         assert dense == [resolution**3, 0, 0] and sparse[0] == 0
