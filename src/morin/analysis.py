@@ -46,6 +46,7 @@ from .model import (
     covector_weights,
     draw_covector,
     index_groups,
+    scene_seed,
 )
 from .solver import (
     capped_resolution,
@@ -1045,7 +1046,7 @@ def covector_sweep(
     """
     if strata is None:
         strata = compute_strata(scene)
-    base = scene.rng_seed if seed is None else seed
+    base = scene_seed(scene, seed)
     out = []
     for i in range(count):
         weights = draw_covector(scene.n, base + i)
@@ -1258,8 +1259,7 @@ def euler_congruence(
         independent[f"depth_{n}"] = len(deepest)
     if scene.ambient_dim == 3 and scene.num_constraints == 1:
         try:
-            morse_seed = scene.rng_seed if seed is None else seed
-            independent["manifold_morse"] = euler_via_morse(scene, seed=morse_seed)
+            independent["manifold_morse"] = euler_via_morse(scene, seed=scene_seed(scene, seed))
         except AnalysisError as err:
             notes.append(f"surface Morse count unavailable: {err}")
     if "manifold_morse" in independent:

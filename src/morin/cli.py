@@ -136,7 +136,7 @@ def _load(args) -> Scene:
 
 def _weights(scene: Scene, args) -> np.ndarray:
     """Effective covector weights: --a, then the scene block, then a draw."""
-    if getattr(args, "a", None):
+    if args.a is not None:
         try:
             vals = np.array([float(v) for v in args.a.split(",")], dtype=float)
         except ValueError as err:

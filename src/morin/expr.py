@@ -61,6 +61,8 @@ class Expr:
 
     __slots__ = ("node_count", "_hash", "_ordkey", "_simplified", "_deriv", "__weakref__")
 
+    op = None  # the operation of a Unary or Binary node, whose slot shadows this
+
     def _kids(self) -> tuple:
         return ()
 
@@ -464,6 +466,29 @@ def parse(text: str, var_names: Sequence[str] = ()) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# Tree walks.
+
+def _postorder(roots: Sequence[Expr], skip=None) -> list:
+    """Every node below ``roots`` once, children before parents. A node for
+    which ``skip`` holds is left out, with whatever only it reaches."""
+    order = []
+    seen = set()
+    stack = [(r, False) for r in reversed(roots)]
+    while stack:
+        n, expanded = stack.pop()
+        if expanded:
+            order.append(n)
+            continue
+        if id(n) in seen or (skip is not None and skip(n)):
+            continue
+        seen.add(id(n))
+        stack.append((n, True))
+        for k in n._kids():
+            stack.append((k, False))
+    return order
+
+
+# ---------------------------------------------------------------------------
 # Formatting. Output reparses to an expression with identical values whose
 # simplification equals that of the original (exact structural round-trips
 # are impossible because the grammar has no fractional literals).
@@ -505,16 +530,7 @@ def format_expr(e: Expr, var_names: Sequence[str] | None = None) -> str:
         return wrap(child, min_prec)
 
     strs: dict = {}
-    stack = [(e, False)]
-    while stack:
-        n, expanded = stack.pop()
-        if id(n) in strs:
-            continue
-        if not expanded:
-            stack.append((n, True))
-            for k in n._kids():
-                stack.append((k, False))
-            continue
+    for n in _postorder([e]):
         if isinstance(n, Const):
             v = n.value
             s = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
@@ -561,61 +577,44 @@ class _OpaqueDiv(Exception):
     """Internal: a division by a literal zero was met during factoring."""
 
 
-def _sum_leaves(root: Expr, memo: dict) -> tuple:
-    """Flatten the add/sub/neg chain at ``root`` to (sign, leaf) pairs."""
+_CHAIN = {"add": "sum", "sub": "sum", "neg": "sum", "mul": "prod", "div": "prod"}
+
+
+def _chain_kind(n: Expr) -> str | None:
+    """``"sum"`` for add, sub and neg, ``"prod"`` for mul and div, else None."""
+    return _CHAIN.get(n.op)
+
+
+def _leaves(root: Expr, memo: dict, kind: str) -> tuple:
+    """Flatten the ``kind`` chain at ``root`` to (sign, leaf) pairs and count
+    its operations. The sign is -1 on a subtracted, negated or dividing
+    leaf; a node in ``memo`` other than ``root`` is a leaf."""
     out = []
     ops = 0
     stack = [(root, 1)]
     while stack:
         n, s = stack.pop()
-        if n is not root and id(n) in memo:
+        if _chain_kind(n) != kind or (n is not root and id(n) in memo):
             out.append((s, n))
-        elif isinstance(n, Binary) and n.op in ("add", "sub"):
-            ops += 1
-            stack.append((n.right, -s if n.op == "sub" else s))
-            stack.append((n.left, s))
-        elif isinstance(n, Unary) and n.op == "neg":
-            ops += 1
-            stack.append((n.child, -s))
-        else:
-            out.append((s, n))
-    return out, ops
-
-
-def _prod_leaves(root: Expr, memo: dict) -> tuple:
-    """Flatten the mul/div chain at ``root`` to (direction, leaf) pairs."""
-    out = []
-    ops = 0
-    stack = [(root, 1)]
-    while stack:
-        n, d = stack.pop()
-        if n is not root and id(n) in memo:
-            out.append((d, n))
-        elif isinstance(n, Binary) and n.op in ("mul", "div"):
-            ops += 1
-            stack.append((n.right, -d if n.op == "div" else d))
-            stack.append((n.left, d))
-        else:
-            out.append((d, n))
-    return out, ops
-
-
-def _terms_of(canon: Expr) -> list:
-    """Split an already-canonical expression into (sign, term) pairs."""
-    out = []
-    stack = [(canon, 1)]
-    while stack:
-        n, s = stack.pop()
-        if isinstance(n, Binary) and n.op in ("add", "sub"):
-            stack.append((n.right, -s if n.op == "sub" else s))
-            stack.append((n.left, s))
-        elif isinstance(n, Unary) and n.op == "neg":
-            stack.append((n.child, -s))
-        elif _is_const(n, 0):
             continue
+        ops += 1
+        if n.op == "neg":
+            stack.append((n.child, -s))
         else:
-            out.append((s, n))
-    return out
+            stack.append((n.right, -s if n.op in ("sub", "div") else s))
+            stack.append((n.left, s))
+    return out, ops
+
+
+_BASE_KEY = cmp_to_key(lambda p, q: _cmp(p[0], q[0]))
+
+
+def _split(nets: dict) -> tuple:
+    """The (base, exponent) pairs of the positive and of the negative net
+    exponents in ``nets``, each sorted canonically."""
+    num = tuple(sorted(((b, e) for b, e in nets.items() if e > 0), key=_BASE_KEY))
+    den = tuple(sorted(((b, -e) for b, e in nets.items() if e < 0), key=_BASE_KEY))
+    return num, den
 
 
 def _peel(t: Expr) -> tuple:
@@ -650,10 +649,7 @@ def _peel(t: Expr) -> tuple:
             nets[n.base] = nets.get(n.base, 0) + d * n.exponent
         else:
             nets[n] = nets.get(n, 0) + d
-    fkey = cmp_to_key(lambda p, q: _cmp(p[0], q[0]))
-    num = tuple(sorted(((b, e) for b, e in nets.items() if e > 0), key=fkey))
-    den = tuple(sorted(((b, -e) for b, e in nets.items() if e < 0), key=fkey))
-    return coeff, num, den
+    return (coeff, *_split(nets))
 
 
 def _balanced(op: str, items: list) -> Expr:
@@ -682,45 +678,27 @@ def _rebuild_term(cabs: Fraction, num: tuple, den: tuple) -> Expr:
     return top
 
 
-def _rebuild_chain(root: Expr, memo: dict, prod: bool) -> Expr:
-    """Reproduce the chain at ``root`` with simplified leaves substituted."""
-
-    def is_chain(n: Expr) -> bool:
-        if n is not root and id(n) in memo:
-            return False
-        if prod:
-            return isinstance(n, Binary) and n.op in ("mul", "div")
-        return (isinstance(n, Binary) and n.op in ("add", "sub")) or (
-            isinstance(n, Unary) and n.op == "neg"
-        )
-
+def _rebuild_chain(root: Expr, memo: dict, kind: str) -> Expr:
+    """Reproduce the ``kind`` chain at ``root`` with simplified leaves
+    substituted."""
     done: dict = {}
-    stack = [(root, False)]
-    while stack:
-        n, expanded = stack.pop()
-        if id(n) in done:
-            continue
-        if not is_chain(n):
-            done[id(n)] = memo[id(n)]
-            continue
-        if not expanded:
-            stack.append((n, True))
-            for k in n._kids():
-                stack.append((k, False))
-        else:
-            ks = [done[id(k)] for k in n._kids()]
-            if isinstance(n, Binary):
-                done[id(n)] = Binary(n.op, ks[0], ks[1])
-            else:
-                done[id(n)] = Unary("neg", ks[0])
+
+    def leaf(n: Expr) -> bool:
+        return _chain_kind(n) != kind or (n is not root and id(n) in memo)
+
+    for n in _postorder([root], leaf):
+        ks = [done[id(k)] if id(k) in done else memo[id(k)] for k in n._kids()]
+        done[id(n)] = Binary(n.op, *ks) if isinstance(n, Binary) else Unary("neg", ks[0])
     return done[id(root)]
 
 
-def _build_sum(node: Expr, leaves: list, ops: int, memo: dict) -> Expr:
+def _build_sum(leaves: list, memo: dict) -> Expr:
     acc: dict = {}
     parts: dict = {}
     for sign, leaf in leaves:
-        for s2, t in _terms_of(memo[id(leaf)]):
+        for s2, t in _leaves(memo[id(leaf)], {}, "sum")[0]:
+            if _is_const(t, 0):
+                continue
             try:
                 c, num, den = _peel(t)
                 key = (num, den)
@@ -736,30 +714,25 @@ def _build_sum(node: Expr, leaves: list, ops: int, memo: dict) -> Expr:
             parts[key] = (num, den)
     entries = [(c, *parts[k]) for k, c in acc.items() if c != 0]
     if not entries:
-        res = _ZERO
-    else:
-        built = [(c > 0, _rebuild_term(abs(c), num, den)) for c, num, den in entries]
-        built.sort(key=cmp_to_key(lambda p, q: _cmp(p[1], q[1])))
-        pos = [e for positive, e in built if positive]
-        negs = [e for positive, e in built if not positive]
-        if pos and negs:
-            res = Binary("sub", _balanced("add", pos), _balanced("add", negs))
-        elif pos:
-            res = _balanced("add", pos)
-        elif len(negs) == 1 and isinstance(negs[0], Const):
-            res = Const(-negs[0].value)
-        else:
-            res = Unary("neg", _balanced("add", negs))
-    naive = ops + sum(memo[id(leaf)].node_count for _, leaf in leaves)
-    if res.node_count > naive:
-        res = _rebuild_chain(node, memo, prod=False)
-    return res
+        return _ZERO
+    built = [(c > 0, _rebuild_term(abs(c), num, den)) for c, num, den in entries]
+    built.sort(key=cmp_to_key(lambda p, q: _cmp(p[1], q[1])))
+    pos = [e for positive, e in built if positive]
+    negs = [e for positive, e in built if not positive]
+    if pos and negs:
+        return Binary("sub", _balanced("add", pos), _balanced("add", negs))
+    if pos:
+        return _balanced("add", pos)
+    if len(negs) == 1 and isinstance(negs[0], Const):
+        return Const(-negs[0].value)
+    return Unary("neg", _balanced("add", negs))
 
 
-def _build_prod(node: Expr, leaves: list, ops: int, memo: dict) -> Expr:
+def _build_prod(leaves: list, memo: dict):
+    """The canonical product of ``leaves``, or None when a leaf divides by
+    an expression that simplifies to zero."""
     coeff = Fraction(1)
     nets: dict = {}
-    bail = False
     zeros = 0  # divisions by a literal zero, kept as a final "/ 0" each
     for d, leaf in leaves:
         canon = memo[id(leaf)]
@@ -778,32 +751,19 @@ def _build_prod(node: Expr, leaves: list, ops: int, memo: dict) -> Expr:
         except _OpaqueDiv:
             c, num, den = Fraction(1), ((canon, 1),), ()
         if d < 0 and c == 0:
-            bail = True
-            break
-        if d > 0:
-            coeff *= c
-            for b, e in num:
-                nets[b] = nets.get(b, 0) + e
-            for b, e in den:
-                nets[b] = nets.get(b, 0) - e
-        else:
-            coeff /= c
-            for b, e in num:
-                nets[b] = nets.get(b, 0) - e
-            for b, e in den:
-                nets[b] = nets.get(b, 0) + e
-    if bail:
-        return _rebuild_chain(node, memo, prod=True)
+            return None
+        coeff = coeff * c if d > 0 else coeff / c
+        for b, e in num:
+            nets[b] = nets.get(b, 0) + d * e
+        for b, e in den:
+            nets[b] = nets.get(b, 0) - d * e
     if coeff == 0 and not zeros:
         return _ZERO
-    fkey = cmp_to_key(lambda p, q: _cmp(p[0], q[0]))
-    num = tuple(sorted(((b, e) for b, e in nets.items() if e > 0), key=fkey))
-    den = tuple(sorted(((b, -e) for b, e in nets.items() if e < 0), key=fkey))
-    core = _rebuild_term(abs(coeff), num, den) if coeff else _ZERO
+    core = _rebuild_term(abs(coeff), *_split(nets)) if coeff else _ZERO
     if coeff < 0:
         if isinstance(core, Const):
             res = Const(coeff)
-        elif _is_sum_kind(core):
+        elif _chain_kind(core) == "sum":
             # a negated sum is canonical only as the sum of negated terms
             res = simplify(Unary("neg", core))
         else:
@@ -812,9 +772,6 @@ def _build_prod(node: Expr, leaves: list, ops: int, memo: dict) -> Expr:
         res = core
     for _ in range(zeros):
         res = Binary("div", res, _ZERO)
-    naive = ops + sum(memo[id(leaf)].node_count for _, leaf in leaves)
-    if res.node_count > naive:
-        res = _rebuild_chain(node, memo, prod=True)
     return res
 
 
@@ -855,16 +812,6 @@ def _build_fn(node: Unary, memo: dict) -> Expr:
     return Unary(node.op, child)
 
 
-def _is_sum_kind(n: Expr) -> bool:
-    return (isinstance(n, Binary) and n.op in ("add", "sub")) or (
-        isinstance(n, Unary) and n.op == "neg"
-    )
-
-
-def _is_prod_kind(n: Expr) -> bool:
-    return isinstance(n, Binary) and n.op in ("mul", "div")
-
-
 def simplify(e: Expr) -> Expr:
     """Return the canonical form of ``e``.
 
@@ -883,20 +830,15 @@ def simplify(e: Expr) -> Expr:
             if node._simplified is not None:
                 memo[id(node)] = node._simplified
                 continue
-            if isinstance(node, (Const, Var)):
+            kind = _chain_kind(node)
+            if kind is not None:
+                leaves, ops = _leaves(node, memo, kind)
+                pending = {id(n): n for _, n in leaves if id(n) not in memo}
+                stack.append((kind, node, (leaves, ops)))
+                for n in pending.values():
+                    stack.append(("visit", n, None))
+            elif isinstance(node, (Const, Var)):
                 memo[id(node)] = node
-            elif _is_sum_kind(node):
-                leaves, ops = _sum_leaves(node, memo)
-                pending = {id(n): n for _, n in leaves if id(n) not in memo}
-                stack.append(("sum", node, (leaves, ops)))
-                for n in pending.values():
-                    stack.append(("visit", n, None))
-            elif _is_prod_kind(node):
-                leaves, ops = _prod_leaves(node, memo)
-                pending = {id(n): n for _, n in leaves if id(n) not in memo}
-                stack.append(("prod", node, (leaves, ops)))
-                for n in pending.values():
-                    stack.append(("visit", n, None))
             elif isinstance(node, Pow):
                 stack.append(("pow", node, None))
                 stack.append(("visit", node.base, None))
@@ -904,16 +846,17 @@ def simplify(e: Expr) -> Expr:
                 stack.append(("fn", node, None))
                 stack.append(("visit", node.child, None))
             continue
-        if tag == "sum":
-            leaves, ops = payload
-            res = _build_sum(node, leaves, ops, memo)
-        elif tag == "prod":
-            leaves, ops = payload
-            res = _build_prod(node, leaves, ops, memo)
-        elif tag == "pow":
+        if tag == "pow":
             res = _build_pow(node, memo)
-        else:
+        elif tag == "fn":
             res = _build_fn(node, memo)
+        else:
+            leaves, ops = payload
+            res = (_build_sum if tag == "sum" else _build_prod)(leaves, memo)
+            # keep the chain's shape when the canonical form is larger
+            naive = ops + sum(memo[id(leaf)].node_count for _, leaf in leaves)
+            if res is None or res.node_count > naive:
+                res = _rebuild_chain(node, memo, tag)
         memo[id(node)] = res
         node._simplified = res
         res._simplified = res
@@ -931,27 +874,16 @@ def differentiate(e: Expr, var_index: int) -> Expr:
     The result is built with the light folding of the construction helpers;
     callers that need a canonical form should ``simplify`` it.
     """
-    if e._deriv is not None and var_index in e._deriv:
-        return e._deriv[var_index]
-    order = []
-    seen = set()
-    stack = [(e, False)]
-    while stack:
-        n, expanded = stack.pop()
-        if expanded:
-            order.append(n)
-            continue
-        if id(n) in seen or (n._deriv is not None and var_index in n._deriv):
-            continue
-        seen.add(id(n))
-        stack.append((n, True))
-        for k in n._kids():
-            stack.append((k, False))
-    for n in order:
-        d = _diff_node(n, var_index)
-        if n._deriv is None:
-            n._deriv = {}
-        n._deriv[var_index] = d
+
+    def cached(n: Expr) -> bool:
+        return n._deriv is not None and var_index in n._deriv
+
+    if not cached(e):
+        for n in _postorder([e], cached):
+            d = _diff_node(n, var_index)
+            if n._deriv is None:
+                n._deriv = {}
+            n._deriv[var_index] = d
     return e._deriv[var_index]
 
 
@@ -991,24 +923,6 @@ def _diff_node(n: Expr, v: int) -> Expr:
 
 # ---------------------------------------------------------------------------
 # Evaluation.
-
-def _postorder(roots: Iterable[Expr]) -> list:
-    order = []
-    seen = set()
-    stack = [(r, False) for r in reversed(list(roots))]
-    while stack:
-        n, expanded = stack.pop()
-        if expanded:
-            order.append(n)
-            continue
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        stack.append((n, True))
-        for k in n._kids():
-            stack.append((k, False))
-    return order
-
 
 # Evaluation plans: each expression list is walked once into a flat step
 # list, which later calls replay. A step is (kind, fn, a, b, free): ``fn``

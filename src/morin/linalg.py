@@ -87,7 +87,8 @@ class RankReport:
 
 
 def numeric_rank(a, tol: float = DEFAULT_RANK_TOL) -> RankReport:
-    """Numeric rank of ``a`` with gap diagnostics.
+    """Numeric rank of ``a`` with gap diagnostics: :func:`numeric_ranks` of
+    the one-matrix stack of ``a``.
 
     Parameters
     ----------
@@ -95,12 +96,7 @@ def numeric_rank(a, tol: float = DEFAULT_RANK_TOL) -> RankReport:
     tol : float
         Relative singular-value threshold, must be positive.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    m = as_matrix(a)
-    if m.size == 0:
-        return RankReport(0, np.empty(0), math.inf, math.inf)
-    return _rank_report(np.linalg.svd(m, compute_uv=False), tol)
+    return numeric_ranks(as_matrix(a)[None], tol)[0]
 
 
 def numeric_ranks(a, tol: float = DEFAULT_RANK_TOL) -> list:
@@ -108,9 +104,8 @@ def numeric_ranks(a, tol: float = DEFAULT_RANK_TOL) -> list:
     ``(P, m, n)``, from one stacked SVD.
 
     LAPACK factors a stack one matrix at a time, so each report holds the
-    bits that :func:`numeric_rank` gives for its matrix alone. The checks
-    are those of :func:`numeric_rank` too: one oversized or non-finite
-    matrix makes the whole call raise the same ValueError.
+    bits that its matrix gives alone. One oversized or non-finite matrix
+    makes the whole call raise a ValueError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

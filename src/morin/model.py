@@ -399,14 +399,19 @@ def draw_covector(n: int, seed: int) -> np.ndarray:
             return v / norm
 
 
+def scene_seed(scene: Scene, seed: int | None) -> int:
+    """The seed of a seeded draw: ``seed``, or the scene's ``rng_seed`` when
+    ``seed`` is None."""
+    return scene.rng_seed if seed is None else seed
+
+
 def covector_weights(scene: Scene, seed: int | None, attempt: int = 0) -> np.ndarray:
     """The weights of covector draw ``attempt``: the scene's own weights
     when no ``seed`` is given and the scene fixes them, as its first draw;
-    else a draw from ``seed`` + ``attempt``, the scene's ``rng_seed`` taking
-    the place of a missing ``seed``."""
+    else a draw from ``scene_seed(scene, seed)`` + ``attempt``."""
     if seed is None and scene.covector is not None and attempt == 0:
         return np.array(scene.covector, dtype=float)
-    return draw_covector(scene.n, (scene.rng_seed if seed is None else seed) + attempt)
+    return draw_covector(scene.n, scene_seed(scene, seed) + attempt)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +499,6 @@ class StratumChart:
     scene: Scene
     depth: int
     equations: tuple
-    new_equations: tuple
     audits: tuple
     pivot: PivotSelection
     supplements: tuple  # SupplementSelection per depth 2..depth
@@ -504,7 +508,7 @@ class StratumChart:
 
     @property
     def delta(self) -> Expr | None:
-        return self.new_equations[0] if self.depth >= 2 else None
+        return self.equations[-1] if self.depth >= 2 else None
 
     @property
     def selection(self) -> tuple:
@@ -599,7 +603,6 @@ def _sigma1_charts(scene: Scene, pivots, points) -> list:
                 scene=scene,
                 depth=1,
                 equations=tuple(scene.constraints) + tuple(minors[i][1] for i in chosen),
-                new_equations=tuple(minors[i][1] for i in chosen),
                 audits=tuple(minors[i][1] for i in remaining),
                 pivot=pivot,
                 supplements=(),
@@ -989,7 +992,6 @@ def _next_chart(
         prev,
         depth=prev.depth + 1,
         equations=prev.equations + (delta,),
-        new_equations=(delta,),
         supplements=prev.supplements + (supplement,),
         **fields,
     )

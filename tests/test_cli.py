@@ -53,6 +53,13 @@ def test_zero_covector_rejected(capsys):
     assert code == 1 and "nonzero" in out.err
 
 
+def test_empty_covector_weights_rejected(capsys):
+    # an empty --a used to fall through to the scene's weights
+    code, out = run(capsys, "zeros", QW, "--a", "")
+    assert code == 1 and out.out == ""
+    assert out.err.startswith("error: bad --a value: ")
+
+
 def test_negative_tol_rejected(capsys):
     code, out = run(capsys, "strata", QW, "--tol", "-2")
     assert code == 1

@@ -1,6 +1,7 @@
 """Tests for the symbolic expression kernel."""
 
 import gc
+import hashlib
 import json
 import math
 import operator
@@ -649,6 +650,9 @@ def test_node_cap_overflow_leaves_no_table_entry():
     e = parse("x1 + x2", NAMES)
     while 2 * e.node_count + 1 <= NODE_CAP:
         e = Binary("add", e, e)
+    # a simplified node refers to itself, so only a collection frees it;
+    # one that runs between the two counts must find nothing left to free
+    gc.collect()
     size = len(expr_module._TABLE)
     with pytest.raises(ExpressionTooLarge):
         Binary("mul", e, e)
@@ -713,6 +717,26 @@ def _source(e) -> str:
     if isinstance(e, Unary):
         return f"Unary({e.op!r}, {_source(e.child)})"
     return f"Binary({e.op!r}, {_source(e.left)}, {_source(e.right)})"
+
+
+# sha256 of the trees below. Every equation morin solves is simplified and
+# differentiated, so a kernel change that moves this digest changes the
+# trees those equations are evaluated from.
+_CANONICAL_DIGEST = "20020cae7abf6ce02eb84e9ec8b19da19b6cf2fa91d7a44863ddecb1514b8225"
+
+
+def test_canonical_forms_are_pinned():
+    # Each tree's simplification, then each partial derivative and its
+    # simplification: a rewrite of the kernel must build the same trees.
+    rng = random.Random(20261019)
+    lines = []
+    for _ in range(2000):
+        e = _seeded_expr(rng)
+        lines.append(_source(simplify(e)))
+        for v in range(3):
+            d = differentiate(e, v)
+            lines += [_source(d), _source(simplify(d))]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _CANONICAL_DIGEST
 
 
 # Simplifies each expression read from stdin with every node of the ones

@@ -3,12 +3,14 @@
 Also checks that every function ``perfbench/tracer.py`` wraps still exists,
 and that no expression node class defines ``__init__`` or ``__eq__``.
 
-Four kinds of dead code fail here: a ``from``-import that its module never
+Five kinds of dead code fail here: a ``from``-import that its module never
 reads; a private module-level name that no module of ``src/morin`` reads;
 a defaulted parameter of a ``src/morin`` function that no call in
-``src/morin``, ``tests/`` or ``perfbench/`` sets; and a field of a
-``src/morin`` dataclass that no attribute read in ``src/morin`` or
-``perfbench/`` names (a field only tests read is an output nobody uses).
+``src/morin``, ``tests/`` or ``perfbench/`` sets; a defaulted field of a
+``src/morin`` dataclass that no call of its class and no ``replace(...)``
+there sets; and a field of a ``src/morin`` dataclass that no attribute
+read in ``src/morin`` or ``perfbench/`` names (a field only tests read is
+an output nobody uses).
 ``from __future__ import annotations`` is exempt. Calls and reads are
 matched by name, so a name shared with another function or attribute
 hides dead code rather than inventing it.
@@ -149,6 +151,77 @@ def _is_dataclass(decorator) -> bool:
     return getattr(target, "id", None) == "dataclass"
 
 
+def _init_fields(cls) -> list:
+    """The ``__init__`` fields of a dataclass body in order, as (name,
+    defaulted) pairs; a ``field(init=False)`` is not one."""
+    out = []
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and any(
+            kw.arg == "init" and getattr(kw.value, "value", True) is False
+            for kw in value.keywords
+        ):
+            continue
+        out.append((stmt.target.id, value is not None))
+    return out
+
+
+def _passed_on(users) -> dict:
+    """Keyword names that reach a call through the ``**`` parameter of the
+    function the call is in, by the id of the call: the keywords of every
+    call of that function."""
+    calls = _calls(users)
+    out = {}
+    for tree in users:
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.args.kwarg is None:
+                continue
+            names = {kw.arg for call in calls.get(fn.name, []) for kw in call.keywords}
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and any(
+                    kw.arg is None and getattr(kw.value, "id", None) == fn.args.kwarg.arg
+                    for kw in call.keywords
+                ):
+                    out[id(call)] = names
+    return out
+
+
+def unset_fields(trees: dict, users) -> list:
+    """Defaulted dataclass fields that no call of their class and no
+    ``replace(...)`` sets. A keyword sets its field, and so does a
+    positional argument of a class call. A ``**`` argument that passes on
+    the ``**`` parameter of the function it is in sets what the calls of
+    that function pass; any other ``*`` or ``**`` argument sets every field
+    in a class call and none in a ``replace``, which takes any dataclass,
+    so one ``replace(x, **updates)`` does not hide every field."""
+    calls = _calls(users)
+    passed = _passed_on(users)
+    out = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))):
+                continue
+            fields = _init_fields(cls)
+            own = calls.get(cls.name, [])
+            named = set()
+            for call in own + calls.get("replace", []):
+                named.update(kw.arg for kw in call.keywords)
+                named.update(passed.get(id(call), ()))
+            for call in own:
+                opaque = any(isinstance(a, ast.Starred) for a in call.args) or (
+                    id(call) not in passed and any(kw.arg is None for kw in call.keywords)
+                )
+                named.update(name for name, _ in fields[: None if opaque else len(call.args)])
+            out += [
+                f"{module}:{cls.name}.{name}"
+                for name, defaulted in fields
+                if defaulted and name not in named
+            ]
+    return out
+
+
 def unread_fields(trees: dict, users) -> list:
     read = {
         node.attr
@@ -179,6 +252,10 @@ def test_no_unreferenced_private_names():
 
 def test_every_defaulted_parameter_is_set_somewhere():
     assert unset_parameters(TREES, USERS) == []
+
+
+def test_every_defaulted_dataclass_field_is_set_somewhere():
+    assert unset_fields(TREES, USERS) == []
 
 
 def test_every_dataclass_field_is_read_somewhere():
@@ -275,3 +352,32 @@ def test_checks_catch_dead_code(tmp_path):
     program = _parsed(tmp_path, *PROGRAM_TREES)
     assert unread_fields({"m.py": src}, program) == ["m.py:Result.margins"]
     assert unread_fields({"m.py": src}, program + _parsed(tmp_path, "tests")) == []
+
+
+def test_field_check_catches_unset_defaults():
+    src = ast.parse(
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\n"
+        "class Options:\n"
+        "    grid: int\n"
+        "    steps: int = 40\n"
+        "    seeds: list = field(default_factory=list)\n"
+        "    cache: dict = field(default_factory=dict, init=False)\n"
+        "    tol: float = 1e-9\n"
+    )
+    # positional arguments count in field order, past the init=False field
+    use = ast.parse("o = Options(8, 9)\n")
+    assert unset_fields({"m.py": src}, [src, use]) == ["m.py:Options.seeds", "m.py:Options.tol"]
+    use = ast.parse("o = Options(8, 9)\nreplace(o, seeds=[1])\nOptions(grid=3, tol=0.1)\n")
+    assert unset_fields({"m.py": src}, [src, use]) == []
+    assert unset_fields({"m.py": src}, [ast.parse("Options(**fields)\n")]) == []
+    # replace takes any dataclass: a ``**`` argument there names no field,
+    # unless it passes on a function's own ``**`` parameter
+    use = ast.parse(
+        "def step(o, **changes): return replace(o, **changes)\n"
+        "step(Options(8, 9), seeds=[1])\n"
+        "replace(o, **updates)\n"
+    )
+    assert unset_fields({"m.py": src}, [src, use]) == ["m.py:Options.tol"]
+    use = ast.parse("def make(**given): return Options(8, **given)\nmake(tol=0.1)\n")
+    assert unset_fields({"m.py": src}, [src, use]) == ["m.py:Options.steps", "m.py:Options.seeds"]

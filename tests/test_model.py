@@ -39,6 +39,7 @@ from morin.model import (
     draw_covector,
     load_scene,
     parse_scene,
+    scene_seed,
     select_pivots,
     select_supplement,
 )
@@ -163,6 +164,8 @@ def test_covector_weights_take_the_scene_block_only_as_the_unseeded_first_draw()
         assert np.array_equal(covector_weights(sc, 3), draw_covector(1, 3))
         assert np.array_equal(covector_weights(sc, 3, 2), draw_covector(1, 5))
     assert np.array_equal(covector_weights(drawn, None), draw_covector(1, 5))
+    # a seed of 0 is a seed: the scene's rng_seed stands in for None only
+    assert scene_seed(fixed, None) == 5 and scene_seed(fixed, 0) == 0
 
 
 def test_equation_count_bookkeeping():
@@ -285,7 +288,7 @@ def test_sigma1_chart_picks_regular_minor():
     assert chart.selected_cols == (2,)
     assert chart.audits == tuple(e for j, e in bordered_minors(sc, chart.pivot) if j == 1)
     # selected minor is x1 * (2 x1 - x2) up to sign
-    e = chart.new_equations[0]
+    e = chart.equations[-1]
     vals = [eval_block([e], p)[0, 0] for p in [(1.0, 2.0, 0.0), (2.0, 4.0, 1.0)]]
     assert vals == pytest.approx([0.0, 0.0], abs=1e-12)
 
