@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
 from .expr import (
     System,
@@ -34,7 +33,14 @@ from .expr import (
     symbolic_determinant,
     var,
 )
-from .linalg import RankReport, determinant, least_squares, numeric_rank, numeric_ranks
+from .linalg import (
+    RankReport,
+    determinant,
+    gelsy_solve,
+    least_squares,
+    numeric_rank,
+    numeric_ranks,
+)
 from .model import (
     VALIDITY_FACTOR,
     ChartChain,
@@ -832,8 +838,9 @@ def _multiplier_system(scene: Scene, equations, xi_exprs) -> list:
 def _multiplier_seeds(scene: Scene, equations, xi_exprs, xs: np.ndarray) -> np.ndarray:
     """Concatenate least-squares multiplier guesses onto point seeds.
 
-    Each guess is the solve that :func:`least_squares` makes, without the
-    rank and residual diagnostics it adds, which a seed does not use.
+    Each guess is :func:`morin.linalg.gelsy_solve`, the solve that
+    :func:`least_squares` makes, without the rank and residual diagnostics
+    it adds, which a seed does not use.
     """
     if not len(xs):
         return np.zeros((0, scene.ambient_dim + len(equations)))
@@ -845,7 +852,7 @@ def _multiplier_seeds(scene: Scene, equations, xi_exprs, xs: np.ndarray) -> np.n
     for x, G, xi in zip(xs, grads, xi_vals):
         lam = []
         if len(G):
-            lam = scipy.linalg.lstsq(G.T, xi, cond=scene.tol_rank, lapack_driver="gelsy")[0]
+            lam = gelsy_solve(G.T, xi, scene.tol_rank)
         seeds.append(np.concatenate([x, np.asarray(lam, dtype=float)]))
     return np.array(seeds)
 

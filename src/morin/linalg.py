@@ -2,10 +2,12 @@
 
 Thin wrappers around LAPACK (through numpy and scipy) for the three
 operations the geometry code needs: numeric rank with a gap diagnostic,
-determinants, and least squares with rank-deficiency reporting. Matrices
-are capped at 64 rows/columns; everything here is small and dense, and the
-cap turns an upstream logic error (a runaway system builder) into a clear
-failure.
+determinants, and least squares with rank-deficiency reporting. Only the
+least-squares solve needs scipy; :func:`gelsy_solve` imports
+``scipy.linalg`` on its first call, so importing this module loads no
+scipy. Matrices are capped at 64 rows/columns; everything here is small
+and dense, and the cap turns an upstream logic error (a runaway system
+builder) into a clear failure.
 
 Rank decisions follow the usual SVD convention: singular values above
 ``tol * sigma_max`` count. The quality of that decision is reported, not
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 MAX_DIM = 64
 
@@ -96,7 +97,7 @@ def numeric_rank(a, tol: float = DEFAULT_RANK_TOL) -> RankReport:
     tol : float
         Relative singular-value threshold, must be positive.
     """
-    return numeric_ranks(as_matrix(a)[None], tol)[0]
+    return _stack_reports(as_matrix(a)[None], tol)[0]
 
 
 def numeric_ranks(a, tol: float = DEFAULT_RANK_TOL) -> list:
@@ -107,12 +108,17 @@ def numeric_ranks(a, tol: float = DEFAULT_RANK_TOL) -> list:
     bits that its matrix gives alone. One oversized or non-finite matrix
     makes the whole call raise a ValueError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     m = np.asarray(a, dtype=float)
     if m.ndim != 3:
         raise ValueError(f"expected a matrix stack, got array of ndim {m.ndim}")
-    _checked(m, False)
+    return _stack_reports(_checked(m, False), tol)
+
+
+def _stack_reports(m: np.ndarray, tol: float) -> list:
+    """The reports of :func:`numeric_ranks` for a stack ``m`` that passed
+    :func:`_checked`."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     if m.shape[1] * m.shape[2] == 0:
         return [RankReport(0, np.empty(0), math.inf, math.inf) for _ in m]
     return [_rank_report(sv, tol) for sv in np.linalg.svd(m, compute_uv=False)]
@@ -177,10 +183,22 @@ def least_squares(a, b, tol: float = DEFAULT_RANK_TOL) -> LstsqResult:
         )
     if rhs.size and not np.all(np.isfinite(rhs)):
         raise ValueError("rhs contains nan or inf")
-    x, _, _, _ = scipy.linalg.lstsq(m, rhs, cond=tol, lapack_driver="gelsy")
+    x = gelsy_solve(m, rhs, tol)
     resid = float(np.linalg.norm(m @ x - rhs))
     return LstsqResult(
         solution=x,
         residual_norm=resid,
         rank_deficient=numeric_rank(m, tol).rank < m.shape[1],
     )
+
+
+def gelsy_solve(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """A minimizer of ``|a @ x - b|`` from LAPACK's complete orthogonal
+    factorization with column pivoting (gelsy), singular values below
+    ``tol * sigma_max`` treated as zero. ``scipy.linalg`` is imported here,
+    on the first call, because most commands never solve least squares and
+    the import is slow (0.22-0.29 s in a fresh process on a 2-CPU machine,
+    scipy 1.17)."""
+    import scipy.linalg
+
+    return scipy.linalg.lstsq(a, b, cond=tol, lapack_driver="gelsy")[0]

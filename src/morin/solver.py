@@ -21,12 +21,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .expr import System, eval_block, eval_lattice, simplify
 
 _SEED_CAP = 24_000  # total Gauss-Newton seeds, keeps dense grids tractable
 _ESCAPE_FACTOR = 20.0  # drop iterates this many diameters from the box center
+_PAIR_BLOCK = 1 << 12  # candidate pairs per greedy_dedup block
 
 
 @dataclass(frozen=True)
@@ -100,25 +100,59 @@ def greedy_dedup(pts, radius: float) -> list:
 
     Points are visited in order; a point is kept iff
     ``np.linalg.norm(pts[i] - pts[j]) > radius`` for every point ``j`` kept
-    before it. Each kept point asks a KD-tree for its ball at a slightly
-    inflated radius, so roundoff in the tree's own distances never hides a
-    neighbour, and every later neighbour is confirmed with that exact
-    expression before it is marked covered. Only kept points query, so the
-    cost follows the number of distinct points, not its square. Points
-    must be finite.
+    before it. Points must be finite.
+
+    Candidates come from a sweep over the sorted coordinate of widest
+    spread: a pair within the radius differs there by at most the radius,
+    and the window is widened by a few ulps of the radius and of the
+    coordinate so that no rounding hides a neighbour. The points not yet
+    covered are taken in visit order in blocks of at most ``_PAIR_BLOCK``
+    candidate pairs (a single point's window may hold more), and a block's
+    pairs get their distances at once. Small blocks waste few windows on
+    points that an earlier point of their block covers, and keep memory
+    bounded however many points coincide. A distance outside a band of
+    ``(dim + 4) * eps * radius`` around the radius decides its pair as
+    ``np.linalg.norm`` would, since both are a sum of ``dim`` squares
+    rounded within that band (Higham 2002, section 3.1); one inside the
+    band is confirmed with that exact expression.
     """
     pts = np.asarray(pts, dtype=float)
-    tree = cKDTree(pts)
+    if not len(pts):
+        return []
+    rel = (pts.shape[1] + 4) * np.finfo(float).eps
+    # outside these radii a square may under- or overflow, so every
+    # candidate is confirmed
+    band = rel * radius if 2.0**-500 <= radius <= 2.0**500 else math.inf
+    key = pts[:, int(np.argmax(np.ptp(pts, axis=0)))]
+    w = max(radius, 2.0**-500) * (1 + rel)
+    w += 2 * np.spacing(np.max(np.abs(key)) + w)
+    order = np.argsort(key, kind="stable")
+    lo = np.searchsorted(key[order], key - w, "left")
+    count = np.searchsorted(key[order], key + w, "right") - lo
     covered = np.zeros(len(pts), dtype=bool)
     kept = []
-    for i in range(len(pts)):
-        if covered[i]:
-            continue
-        kept.append(i)
-        for j in tree.query_ball_point(pts[i], radius * (1.0 + 1e-9)):
-            if j > i and not covered[j] and np.linalg.norm(pts[j] - pts[i]) <= radius:
-                covered[j] = True
-    return kept
+    start = 0
+    while True:
+        todo = start + np.flatnonzero(~covered[start:])
+        if not len(todo):
+            return kept
+        block = todo[: max(1, np.searchsorted(np.cumsum(count[todo]), _PAIR_BLOCK, "right"))]
+        start = block[-1] + 1
+        c = count[block]
+        I = np.repeat(block, c)
+        J = order[np.arange(len(I)) + np.repeat(lo[block] - np.cumsum(c) + c, c)]
+        later = J > I
+        I, J = I[later], J[later]
+        dist = _row_norms(pts[J] - pts[I])
+        close = dist < radius - band
+        for k in np.flatnonzero(~close & (dist <= radius + band)):
+            close[k] = np.linalg.norm(pts[J[k]] - pts[I[k]]) <= radius
+        I, J = I[close], J[close]
+        ends = np.searchsorted(I, block, "right").tolist()
+        for i, a, b in zip(block.tolist(), np.searchsorted(I, block).tolist(), ends):
+            if not covered[i]:
+                kept.append(i)
+                covered[J[a:b]] = True
 
 
 def cell_centers(box, resolution: int) -> list:

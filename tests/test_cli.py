@@ -6,6 +6,10 @@ scene here because its whole tower is one point.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from morin import cli
 from morin.cli import _clean, main
 
 QW = "scenes/quadratic_well.scene"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -230,6 +235,44 @@ def test_oracle_first_stratum_quadratic_well(capsys):
     assert results["count"] == 1 and results["stratum_dim"] == 0
     root = results["roots"][0]
     assert abs(root[0]) < 1e-4 and abs(root[1]) < 1e-4
+
+
+# -- start-up -----------------------------------------------------------------
+
+# Prints, as JSON pairs, the scipy modules loaded after ``import morin.cli``
+# and after each command of the argv list given as its argument.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from morin.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = [["import morin.cli", scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(argv + ["--no-timings"])
+    loaded.append([" ".join(argv), scipy_modules()])
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_only_where_it_is_used():
+    # every command runs in a fresh process, so a module loaded at import
+    # is start-up paid on every run; only least squares (zeros --stratum,
+    # euler) and the oracle's labelling and matching need scipy
+    argvs = [[cmd, f"scenes/{s}.scene"] for s in ("quadratic_well", "hyperboloid")
+             for cmd in ("check", "strata", "zeros")]
+    argvs.append(["zeros", QW, "--stratum", "1"])
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    *numpy_only, (_, stratum) = json.loads(probe.stdout)
+    assert [step for step, modules in numpy_only if modules] == []
+    assert len(numpy_only) == 7 and "scipy.linalg" in stratum
 
 
 # -- serialization helper -----------------------------------------------------

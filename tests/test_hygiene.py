@@ -14,6 +14,11 @@ an output nobody uses).
 ``from __future__ import annotations`` is exempt. Calls and reads are
 matched by name, so a name shared with another function or attribute
 hides dead code rather than inventing it.
+
+A module-level ``import scipy...`` or ``from scipy...`` in ``src/morin``
+fails too: every command runs in a fresh process, and scipy would load at
+``import morin.cli`` whether the command needs it or not, so scipy is
+imported inside the functions that use it.
 """
 
 import ast
@@ -69,6 +74,26 @@ def unused_from_imports(tree) -> list:
         for alias in node.names
         if (alias.asname or alias.name) not in loaded
     ]
+
+
+def module_level_scipy_imports(tree) -> list:
+    """Line numbers of the imports of scipy outside any function."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    stack, out = list(tree.body), []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, functions):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if not node.level else []
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            out.append(node.lineno)
+    return sorted(out)
 
 
 def _module_names(tree) -> list:
@@ -246,6 +271,11 @@ def test_no_unused_from_imports(module):
     assert unused_from_imports(TREES[module]) == []
 
 
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_module_level_scipy_import(module):
+    assert module_level_scipy_imports(TREES[module]) == []
+
+
 def test_no_unreferenced_private_names():
     assert unreferenced_private_names(TREES) == []
 
@@ -321,6 +351,15 @@ def test_checks_catch_dead_code(tmp_path):
     )
     assert unused_from_imports(tree) == ["Sequence"]
     assert unreferenced_private_names({"m.py": tree}) == ["m.py:_cmp_key"]
+    imports = ast.parse(
+        "import numpy as np\n"
+        "import scipy.linalg\n"
+        "try:\n    from scipy.spatial import cKDTree\nexcept ImportError:\n    pass\n"
+        "from .scipy_free import x\n"
+        "class Solver:\n    import scipy as sp\n"
+        "def lazy():\n    from scipy import ndimage\n    import scipy.optimize\n"
+    )
+    assert module_level_scipy_imports(imports) == [2, 4, 9]
     src = ast.parse(
         "from dataclasses import dataclass\n"
         "def solve(system, grid=12, *, steps=40, seeds=None): return grid\n"

@@ -1167,24 +1167,76 @@ def greedy_loop(pts, radius):
 
 
 @given(
-    centers=st.lists(
-        st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=6
-    ),
+    dim=st.integers(1, 6),
+    centers=st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6), min_size=1, max_size=6),
     count=st.sampled_from([1, 2, 40, 1000]),
     spread=st.sampled_from([0.0, 1e-12, 1e-9, 0.3]),
-    radius=st.sampled_from([1e-6, 0.5, 1.0]),
+    radius=st.sampled_from([1e-7, 1e-6, 1e-3, 0.5, 1.0]),
+    offset=st.sampled_from([0.0, 100.0, -100.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=60, deadline=None)
-def test_greedy_dedup_matches_loop(centers, count, spread, radius, seed):
+@settings(max_examples=120, deadline=None)
+@example(dim=3, centers=[[0] * 6, [1] * 6], count=1000, spread=1e-9, radius=1e-6, offset=100.0, seed=0)
+def test_greedy_dedup_matches_loop(dim, centers, count, spread, radius, offset, seed):
     # Centers on a lattice of half the radius put many pairs at exactly
     # the radius (and at zero distance); a small spread makes dense
     # clusters of near-coincident points and pairs a hair either side.
+    # Near +-100 a coordinate's ulp (1.4e-14) exceeds 1e-9 of a 1e-6 radius.
     rng = np.random.default_rng(seed)
-    lattice = np.array(centers, dtype=float) * (0.5 * radius)
+    lattice = offset + np.array(centers, dtype=float)[:, :dim] * (0.5 * radius)
     pts = lattice[rng.integers(len(lattice), size=count)]
     pts = pts + spread * radius * rng.standard_normal(pts.shape)
     assert greedy_dedup(pts, radius) == greedy_loop(pts, radius)
+
+
+@given(
+    dim=st.integers(1, 6),
+    radius=st.sampled_from([1e-7, 1e-6, 1e-3, 1.0]),
+    offset=st.sampled_from([0.0, 0.7, 100.0, -100.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_greedy_dedup_matches_loop_at_the_band_edges(dim, radius, offset, seed):
+    # Pairs a few ulps either side of the radius and of the edges of the
+    # band that ``greedy_dedup`` decides without ``np.linalg.norm``, along
+    # an axis and in random directions, in either visit order. The pairs
+    # lie eight radii apart, so ``greedy_loop`` keeps a pair's second point
+    # iff the pair is farther apart than the radius.
+    rng = np.random.default_rng(seed)
+    eps = np.finfo(float).eps
+    scales = [1 + (e + k) * eps for e in (0, dim + 4, -(dim + 4)) for k in range(-3, 4)]
+    dirs = rng.standard_normal((300, dim))
+    dirs[:20] = np.eye(dim)[rng.integers(dim, size=20)]
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    first = offset + radius * rng.uniform(-1, 1, (300, dim))
+    first[:, 0] += 8 * radius * np.arange(300)
+    second = first + dirs * (radius * rng.choice(scales, size=(300, 1)))
+    pairs = np.stack([first, second], axis=1)
+    swap = rng.random(300) < 0.5
+    pairs[swap] = pairs[swap, ::-1]
+    pts = pairs.reshape(-1, dim)
+    want = [k for k in range(len(pts)) if k % 2 == 0 or np.linalg.norm(pts[k] - pts[k - 1]) > radius]
+    assert greedy_dedup(pts, radius) == want
+    assert greedy_loop(pts[:80], radius) == [k for k in want if k < 80]
+
+
+def test_greedy_dedup_covers_a_difference_rounded_down_onto_the_radius():
+    # 1 - 2**-53 - (-2**-52) is 1 + 2**-53, a tie that rounds to even: 1.0,
+    # so the pair is one radius apart, while -2**-52 + 1 rounds to
+    # 1 - 2**-52, below the second point; a window of exactly the radius
+    # around the first point misses it
+    pts = np.array([[-(2.0**-52)], [1 - 2.0**-53]])
+    assert np.linalg.norm(pts[1] - pts[0]) == 1.0 and pts[0, 0] + 1.0 < pts[1, 0]
+    assert greedy_dedup(pts, 1.0) == greedy_loop(pts, 1.0) == [0]
+
+
+def test_greedy_dedup_memory_stays_bounded_on_coincident_points():
+    # thousands of seeds converging to one point: the candidate pairs of one
+    # block, never those of all points, are held at once
+    pts = np.tile([0.25, -1.5, 3.0], (24_000, 1))
+    kept, peak = traced_peak(lambda: greedy_dedup(pts, 1e-6))
+    assert kept == [0]
+    assert peak < 8 * 24_000**2 / 1000, peak
 
 
 def test_greedy_dedup_radius_is_inclusive():
