@@ -17,6 +17,7 @@ Everything here is deterministic: no randomness, stable orderings.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -521,6 +522,7 @@ def trace_curves(system, opts: SolveOptions) -> list:
 
 _SCAN_CHUNK = 16_384  # lattice points per eval_block call; cache-sized
 _SLAB = 131_072  # lattice points per dense eval_lattice call: 8 planes of 128^2
+_RUN_BLOCK = 16_384  # runs whose neighbor rows _label_clusters searches at once
 _FLOAT_MAX = np.finfo(float).max
 
 
@@ -637,28 +639,83 @@ def _face_dilation(mask) -> np.ndarray:
     return out
 
 
-def _label_clusters(mask) -> tuple:
-    """``ndimage.label`` of ``mask``, face, edge and corner neighbors
-    connected, run on the bounding box of its set cells only.
+def _hook(parent, a, b) -> np.ndarray:
+    """``parent`` with the trees of the nodes ``a[i]`` and ``b[i]`` joined
+    for every ``i``.
 
-    Returns ``(labels, objects)``: the labels of the box, and each label's
-    slices in the whole lattice. C order inside the box keeps the order of
-    the whole lattice, so the numbering is that of labeling the whole mask.
+    ``parent`` is a forest in which every node points at its root, the
+    least node of its tree. Each round hooks the larger root of every edge
+    that still joins two trees onto the least root it meets
+    (``np.minimum.at``), then jumps pointers (``parent[parent]``) until
+    every node points at its root again, which is still the least node of
+    its tree. An edge once joined stays joined, and every round joins at
+    least one more.
     """
-    from scipy import ndimage
+    while True:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            return parent
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
 
-    crop = []
-    for ax in range(mask.ndim):
-        hit = np.flatnonzero(mask.any(axis=tuple(a for a in range(mask.ndim) if a != ax)))
-        if not hit.size:
-            return np.zeros((0,) * mask.ndim, dtype=int), []
-        crop.append(slice(int(hit[0]), int(hit[-1]) + 1))
-    labels, _ = ndimage.label(mask[tuple(crop)], structure=np.ones((3,) * mask.ndim, dtype=int))
-    objects = [
-        tuple(slice(s.start + c.start, s.stop + c.start) for s, c in zip(cells, crop))
-        for cells in ndimage.find_objects(labels)
-    ]
-    return labels, objects
+
+def _label_clusters(mask) -> tuple:
+    """``ndimage.label`` and ``ndimage.find_objects`` of ``mask``, face,
+    edge and corner neighbors connected, computed from its set cells alone,
+    so memory scales with the set cells, not their bounding box.
+
+    Returns ``(labels, objects)``: the label of each set cell in C order,
+    the clusters numbered from 1 by their first cell in C order, and each
+    label's slices in the lattice.
+
+    The set cells fall into runs, stretches of consecutive cells along the
+    last axis. A run meets, in each of the ``(3^(d-1) - 1) / 2`` rows
+    next to its own that follow it in C order, the runs there that overlap
+    it widened by one cell at either end: a contiguous range of runs, found
+    with ``np.searchsorted`` on the runs' first and last cells. The runs are
+    addressed in the lattice padded by one cell at both ends of every axis,
+    so a row outside the lattice holds no run rather than wrapping onto the
+    next one. ``_hook`` joins the runs ``_RUN_BLOCK`` at a time, and a
+    cluster's slices span the first and last cells of its runs.
+    """
+    shape, dim = mask.shape, mask.ndim
+    flat = np.flatnonzero(mask)
+    if not flat.size:
+        return flat, []
+    start = np.empty(flat.size, dtype=bool)
+    start[0] = True
+    np.not_equal(flat[1:], flat[:-1] + 1, out=start[1:])
+    start |= flat % shape[-1] == 0
+    heads = np.flatnonzero(start)
+    first = np.stack(np.unravel_index(flat[heads], shape), axis=1)
+    last = np.stack(np.unravel_index(flat[np.append(heads[1:], flat.size) - 1], shape), axis=1)
+    stride = np.cumprod([1] + [n + 2 for n in shape[:0:-1]])[::-1]
+    begin, end = (first + 1) @ stride, (last + 1) @ stride
+    # the padded offsets from a row to the neighbor rows after it, one per
+    # row of ``steps``
+    rows = [np.dot(p, stride[:-1]) for p in itertools.product((-1, 0, 1), repeat=dim - 1)]
+    steps = np.array([r for r in rows if r > 0], dtype=np.intp)[:, None]
+    parent = np.arange(heads.size)
+    for lo in range(0, heads.size if steps.size else 0, _RUN_BLOCK):
+        runs = np.arange(lo, min(lo + _RUN_BLOCK, heads.size))
+        # per neighbor row and run, the ``count`` runs from ``meet`` on
+        meet = np.searchsorted(end, begin[runs] + (steps - 1)).ravel()
+        count = np.searchsorted(begin, end[runs] + (steps + 1), "right").ravel() - meet
+        np.maximum(count, 0, out=count)
+        a = np.repeat(np.tile(runs, len(steps)), count)
+        b = np.arange(a.size) + np.repeat(meet - (np.cumsum(count) - count), count)
+        parent = _hook(parent, a, b)
+    roots = np.cumsum(parent == np.arange(heads.size))
+    cluster = roots[parent] - 1
+    low = np.full((roots[-1], dim), max(shape))
+    np.minimum.at(low, cluster, first)
+    high = np.zeros((roots[-1], dim), dtype=np.intp)
+    np.maximum.at(high, cluster, last + 1)
+    objects = [tuple(map(slice, lo, hi)) for lo, hi in zip(low.tolist(), high.tolist())]
+    return cluster[np.cumsum(start) - 1] + 1, objects
 
 
 def grid_oracle(
@@ -697,9 +754,11 @@ def grid_oracle(
     those of testing every equation on every cell, in any order of the
     equations. A level is one pass over windows of two slabs of axis-0
     planes (``_open_cells``) and holds no full-lattice float array, only
-    the lattice's bool mask of open cells, and it frees its buffers before
-    it rescans its clusters, so memory stays at about one level's mask and
-    cluster labels, whatever the depth.
+    the lattice's bool mask of open cells; its cluster labels
+    (``_label_clusters``) are arrays over the open cells, not over their
+    bounding box. It frees its buffers before it rescans its clusters, so
+    memory stays at about one level's mask and open cells, whatever the
+    depth.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -833,6 +892,9 @@ def _scan_clusters(
     Evaluation is elementwise, ``|b - a|`` is exactly ``|a - b|`` and
     maxima are exact, so every value and slope read is bitwise the one a
     whole-lattice scan of every equation gives, and so is the mask.
+    ``_label_clusters`` labels the open cells alone, in arrays that scale
+    with them, not with their bounding box, numbered as ``ndimage.label``
+    numbers the whole mask.
 
     At a leaf, each cluster's representative is its open cell of least
     worst residual, the first in C order on ties; the test that kept the
@@ -861,9 +923,8 @@ def _scan_clusters(
             part = flat[start : start + _SCAN_CHUNK]
             block = eval_block(eqs, lattice_points(axes, part))
             worst[start : start + part.size] = _finite_abs(block).max(axis=0)
-        label = labels[labels > 0]  # C order in the box keeps the lattice's
-        order = np.lexsort((worst, label))
-        first = order[np.flatnonzero(np.diff(label[order], prepend=0))]
+        order = np.lexsort((worst, labels))
+        first = order[np.flatnonzero(np.diff(labels[order], prepend=0))]
         idx = np.unravel_index(flat[first], mask.shape)
         return list(np.stack([axes[a][idx[a]] for a in range(dim)], axis=1)), []
     child_eqs = [
@@ -890,14 +951,61 @@ def _scan_clusters(
     return [], out
 
 
+def _least_sum_assignment(cost) -> np.ndarray:
+    """The column of each row in an assignment of least sum on the square
+    ``cost`` matrix.
+
+    The shortest augmenting path method with row and column potentials
+    (Kuhn-Munkres in its O(n^3) form), the method behind scipy's
+    ``linear_sum_assignment``: row by row, the cheapest path in reduced
+    costs from the new row to a free column, Dijkstra style, then a flip of
+    the assignment along it. Raises ``ValueError`` on a nan or -inf entry,
+    or when infinite entries leave no finite assignment.
+    """
+    n = len(cost)
+    if not np.all(cost > -math.inf):
+        raise ValueError("cost matrix holds nan or -inf")
+    # rows and columns count from 1; column 0 starts every path
+    u, v = np.zeros(n + 1), np.zeros(n + 1)
+    owner = np.zeros(n + 1, dtype=int)  # the row of each column, 0 if none
+    for row in range(1, n + 1):
+        owner[0] = row
+        gap = np.full(n + 1, math.inf)  # least reduced cost into each column
+        via = np.zeros(n + 1, dtype=int)  # the column before it on that path
+        done = np.zeros(n + 1, dtype=bool)
+        j = 0
+        while owner[j]:
+            done[j] = True
+            reduced = cost[owner[j] - 1] - u[owner[j]] - v[1:]
+            closer = ~done[1:] & (reduced < gap[1:])
+            gap[1:][closer] = reduced[closer]
+            via[1:][closer] = j
+            free = np.flatnonzero(~done)
+            j_next = free[np.argmin(gap[free])]
+            delta = gap[j_next]
+            if delta == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            u[owner[done]] += delta
+            v[done] -= delta
+            gap[~done] -= delta
+            j = j_next
+        while j:
+            owner[j] = owner[via[j]]
+            j = via[j]
+    cols = np.empty(n, dtype=int)
+    cols[owner[1:] - 1] = np.arange(n)
+    return cols
+
+
 def match_point_sets(found, expected, tol: float) -> dict:
     """Optimal one-to-one matching report between two point sets.
 
-    ``bijective`` is True when the sets have equal size and the optimal
-    assignment pairs every point within ``tol``.
+    The assignment is one of least summed Euclidean distance
+    (``_least_sum_assignment``); ``max_distance`` is its largest distance.
+    ``bijective`` is True when the sets have equal size and that assignment
+    pairs every point within ``tol``. A nan coordinate raises
+    ``ValueError``.
     """
-    from scipy.optimize import linear_sum_assignment
-
     report = {
         "found": len(found),
         "expected": len(expected),
@@ -913,8 +1021,7 @@ def match_point_sets(found, expected, tol: float) -> dict:
     A = np.asarray(found, dtype=float).reshape(len(found), -1)
     B = np.asarray(expected, dtype=float).reshape(len(expected), -1)
     cost = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    worst = float(cost[rows, cols].max())
+    worst = float(cost[np.arange(len(cost)), _least_sum_assignment(cost)].max())
     report["max_distance"] = worst
     report["bijective"] = bool(worst <= tol)
     return report

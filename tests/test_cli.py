@@ -259,10 +259,13 @@ print(json.dumps(loaded))
 
 def test_scipy_loads_only_where_it_is_used():
     # every command runs in a fresh process, so a module loaded at import
-    # is start-up paid on every run; only least squares (zeros --stratum,
-    # euler) and the oracle's labelling and matching need scipy
+    # is start-up paid on every run; only the gelsy least-squares solve of
+    # zeros --stratum and euler needs scipy, and the oracle's cluster
+    # labels and matching are numpy
     argvs = [[cmd, f"scenes/{s}.scene"] for s in ("quadratic_well", "hyperboloid")
              for cmd in ("check", "strata", "zeros")]
+    argvs += [["oracle", "scenes/torus.scene", "--depth", "2", "--grid", "32"],
+              ["oracle", QW, "--depth", "1", "--grid", "32"]]
     argvs.append(["zeros", QW, "--stratum", "1"])
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     probe = subprocess.run(
@@ -272,7 +275,7 @@ def test_scipy_loads_only_where_it_is_used():
     )
     *numpy_only, (_, stratum) = json.loads(probe.stdout)
     assert [step for step, modules in numpy_only if modules] == []
-    assert len(numpy_only) == 7 and "scipy.linalg" in stratum
+    assert len(numpy_only) == 9 and "scipy.linalg" in stratum
 
 
 # -- serialization helper -----------------------------------------------------

@@ -15,10 +15,11 @@ an output nobody uses).
 matched by name, so a name shared with another function or attribute
 hides dead code rather than inventing it.
 
-A module-level ``import scipy...`` or ``from scipy...`` in ``src/morin``
-fails too: every command runs in a fresh process, and scipy would load at
-``import morin.cli`` whether the command needs it or not, so scipy is
-imported inside the functions that use it.
+An ``import scipy...`` or ``from scipy...`` anywhere in ``src/morin``
+fails too, except inside ``linalg.gelsy_solve``, whose LAPACK driver
+numpy lacks: every command runs in a fresh process, scipy's package
+import alone takes a fresh process a quarter of a second and more, and a
+module-level import would pay it at ``import morin.cli`` on every command.
 """
 
 import ast
@@ -76,24 +77,41 @@ def unused_from_imports(tree) -> list:
     ]
 
 
-def module_level_scipy_imports(tree) -> list:
-    """Line numbers of the imports of scipy outside any function."""
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-    stack, out = list(tree.body), []
-    while stack:
-        node = stack.pop()
-        if isinstance(node, functions):
-            continue
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""] if not node.level else []
-        else:
-            stack.extend(ast.iter_child_nodes(node))
-            continue
-        if any(name.split(".")[0] == "scipy" for name in names):
-            out.append(node.lineno)
-    return sorted(out)
+# the one function that may import scipy: LAPACK's gelsy has no numpy entry
+SCIPY_IMPORTERS = {("linalg.py", "gelsy_solve")}
+
+
+def scipy_imports(tree) -> list:
+    """``(function, line)`` of every import of scipy, ``function`` being the
+    name of the innermost function around it, or None outside any."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""] if not child.level else []
+            else:
+                inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                visit(child, child.name if inner else owner)
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                out.append((owner, child.lineno))
+
+    visit(tree, None)
+    return out
+
+
+def stray_scipy_imports(trees: dict) -> list:
+    """``module:function:line`` of every scipy import that no entry of
+    ``SCIPY_IMPORTERS`` allows."""
+    return [
+        f"{module}:{owner}:{line}"
+        for module, tree in sorted(trees.items())
+        for owner, line in scipy_imports(tree)
+        if (module, owner) not in SCIPY_IMPORTERS
+    ]
 
 
 def _module_names(tree) -> list:
@@ -273,7 +291,12 @@ def test_no_unused_from_imports(module):
 
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_no_module_level_scipy_import(module):
-    assert module_level_scipy_imports(TREES[module]) == []
+    assert [line for owner, line in scipy_imports(TREES[module]) if owner is None] == []
+
+
+def test_only_the_gelsy_solve_imports_scipy():
+    assert stray_scipy_imports(TREES) == []
+    assert [owner for owner, _ in scipy_imports(TREES["linalg.py"])] == ["gelsy_solve"]
 
 
 def test_no_unreferenced_private_names():
@@ -359,7 +382,19 @@ def test_checks_catch_dead_code(tmp_path):
         "class Solver:\n    import scipy as sp\n"
         "def lazy():\n    from scipy import ndimage\n    import scipy.optimize\n"
     )
-    assert module_level_scipy_imports(imports) == [2, 4, 9]
+    assert scipy_imports(imports) == [
+        (None, 2), (None, 4), (None, 9), ("lazy", 11), ("lazy", 12)
+    ]
+    # a lazy import in a function of the solver is caught, and the gelsy
+    # solve is allowed in linalg only
+    scratch = ast.parse(
+        "def _label_clusters(mask):\n    from scipy import ndimage\n"
+        "def gelsy_solve(a, b):\n    import scipy.linalg\n"
+    )
+    assert stray_scipy_imports({"solver.py": scratch}) == [
+        "solver.py:_label_clusters:2", "solver.py:gelsy_solve:4"
+    ]
+    assert stray_scipy_imports({"linalg.py": scratch}) == ["linalg.py:_label_clusters:2"]
     src = ast.parse(
         "from dataclasses import dataclass\n"
         "def solve(system, grid=12, *, steps=40, seeds=None): return grid\n"

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
+from scipy.optimize import linear_sum_assignment
 
 from morin import solver
 from morin.expr import System, eval_block, eval_lattice, parse, simplify
@@ -988,9 +989,10 @@ def test_lattice_evaluation_rejects_a_missing_variable():
 
 @st.composite
 def sparse_masks(draw):
-    dim = draw(st.sampled_from([1, 2, 3]))
-    shape = tuple(draw(st.integers(1, 9)) for _ in range(dim))
-    cells = draw(st.lists(st.tuples(*[st.integers(0, n - 1) for n in shape]), max_size=12))
+    dim = draw(st.integers(1, 4))
+    shape = tuple(draw(st.integers(1, 9 if dim < 4 else 5)) for _ in range(dim))
+    size = draw(st.sampled_from([12, 80]))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, n - 1) for n in shape]), max_size=size))
     mask = np.zeros(shape, dtype=bool)
     for cell in cells:
         mask[cell] = True
@@ -1005,22 +1007,54 @@ def faces_mask():
     return mask
 
 
+def wrapping_mask(shape):
+    """Isolated cells on every face, where the cell at the end of a row and
+    the one starting the next row are both set: a flat offset that wraps a
+    row would join them."""
+    mask = np.zeros(shape, dtype=bool)
+    for cell in itertools.product(*map(range, shape)):
+        *rest, last = cell
+        if last in (0, shape[-1] - 1) and all(c % 2 == 0 for c in rest[:-1]):
+            mask[cell] = (rest[-1] if rest else 0) % 2 == (last > 0)
+    return mask
+
+
+def diagonal_mask(shape, flip=()):
+    # a chain of cells joined through corners only
+    mask = np.zeros(shape, dtype=bool)
+    for i in range(min(shape)):
+        mask[tuple(n - 1 - i if ax in flip else i for ax, n in enumerate(shape))] = True
+    return mask
+
+
+def single_cell(shape, cell):
+    mask = np.zeros(shape, dtype=bool)
+    mask[cell] = True
+    return mask
+
+
 @given(mask=sparse_masks())
 @example(mask=faces_mask())
 @example(mask=np.ones((4, 3), dtype=bool))
 @example(mask=np.zeros((3, 3, 3), dtype=bool))
-@settings(max_examples=100, deadline=None)
-def test_cluster_labels_on_the_bounding_box_match_the_whole_mask(mask):
-    labels, objects = _label_clusters(mask)
+@example(mask=wrapping_mask((5, 5, 6)))
+@example(mask=wrapping_mask((6, 5)))
+@example(mask=diagonal_mask((5, 5, 5)))
+@example(mask=diagonal_mask((6, 4), flip=(1,)))
+@example(mask=diagonal_mask((3, 4, 3, 3), flip=(0, 2)))
+@example(mask=single_cell((1, 1, 1), (0, 0, 0)))
+@example(mask=single_cell((3, 5), (2, 4)))
+@settings(max_examples=200, deadline=None)
+def test_cluster_labels_of_the_open_cells_match_the_whole_mask(mask):
     full, _ = ndimage.label(mask, structure=np.ones((3,) * mask.ndim, dtype=int))
-    assert objects == ndimage.find_objects(full)
-    # the labels of the set cells, in C order, on a box that just holds them
-    assert np.array_equal(labels[labels > 0], full[full > 0])
-    if objects:
-        hull = [max(c[ax].stop for c in objects) - min(c[ax].start for c in objects) for ax in range(mask.ndim)]
-        assert labels.shape == tuple(hull)
-    else:
-        assert labels.size == 0
+    # the runs joined a whole block at a time, and two at a time
+    for block in (solver._RUN_BLOCK, 2):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_RUN_BLOCK", block)
+            labels, objects = _label_clusters(mask)
+        assert objects == ndimage.find_objects(full)
+        # one label per open cell, in C order
+        assert np.array_equal(labels, full[full > 0])
 
 
 def test_oracle_on_torus_zeros_matches_the_implementation_it_replaced():
@@ -1263,3 +1297,66 @@ def test_match_detects_count_and_distance_failures():
     far = match_point_sets(A, [[0.5, 0.0]], tol=0.1)
     assert not far["bijective"] and far["max_distance"] == pytest.approx(0.5)
     assert match_point_sets([], [], tol=1.0)["bijective"]
+
+
+def unique_optimum(cost, cols) -> bool:
+    """Whether every other assignment costs more than ``cols`` does, by
+    more than rounding: forbidding any one of its pairs raises the least
+    sum."""
+    best = math.fsum(cost[np.arange(len(cost)), cols])
+    for i, j in enumerate(cols):
+        barred = cost.copy()
+        barred[i, j] = math.inf
+        try:
+            rows, alt = linear_sum_assignment(barred)
+        except ValueError:  # no other assignment
+            continue
+        if math.fsum(barred[rows, alt]) <= best + 1e-9 * (1.0 + best):
+            return False
+    return True
+
+
+@given(n=st.integers(1, 10), ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_least_sum_assignment_matches_scipy(n, ties, seed):
+    rng = np.random.default_rng(seed)
+    if ties:
+        # small integers: exact sums and many optimal assignments
+        found = expected = None
+        cost = rng.integers(0, 4, size=(n, n)).astype(float)
+    else:
+        # points with repeats on both sides, the expected set a noisy
+        # shuffle of the found one
+        found = rng.random((n, 2))[rng.integers(0, max(1, n - 1), size=n)]
+        expected = found[rng.permutation(n)] + rng.normal(0.0, 10.0 ** rng.uniform(-9, -1), (n, 2))
+        expected[rng.random(n) < 0.2] = found[0]
+        cost = np.linalg.norm(found[:, None, :] - expected[None, :, :], axis=2)
+    cols = solver._least_sum_assignment(cost)
+    assert sorted(cols) == list(range(n))
+    rows, want = linear_sum_assignment(cost)
+    total = math.fsum(cost[rows, want])
+    assert math.fsum(cost[np.arange(n), cols]) == total
+    if unique_optimum(cost, want):
+        assert list(cols) == list(want)
+        if found is not None:
+            worst = float(cost[rows, want].max())
+            tol = float(np.median(cost))
+            assert match_point_sets(found, expected, tol) == {
+                "found": n,
+                "expected": n,
+                "bijective": worst <= tol,
+                "max_distance": worst,
+            }
+
+
+def test_least_sum_assignment_refuses_nan_and_infeasible_costs():
+    cost = np.arange(9.0).reshape(3, 3)
+    cost[1, 2] = math.nan
+    with pytest.raises(ValueError):
+        solver._least_sum_assignment(cost)
+    with pytest.raises(ValueError):
+        match_point_sets([[0.0, math.nan]], [[0.0, 0.0]], tol=1.0)
+    with pytest.raises(ValueError):
+        solver._least_sum_assignment(np.array([[1.0, math.inf], [2.0, math.inf]]))
+    # an infinite entry off the assignment is no obstacle
+    assert list(solver._least_sum_assignment(np.array([[math.inf, 1.0], [2.0, math.inf]]))) == [1, 0]
