@@ -838,23 +838,18 @@ def _multiplier_system(scene: Scene, equations, xi_exprs) -> list:
 def _multiplier_seeds(scene: Scene, equations, xi_exprs, xs: np.ndarray) -> np.ndarray:
     """Concatenate least-squares multiplier guesses onto point seeds.
 
-    Each guess is :func:`morin.linalg.gelsy_solve`, the solve that
-    :func:`least_squares` makes, without the rank and residual diagnostics
-    it adds, which a seed does not use.
+    The guesses are one :func:`morin.linalg.gelsy_solve` of the stacked
+    gradients: per seed the solve that :func:`least_squares` makes, without
+    the rank and residual diagnostics it adds, which a seed does not use.
     """
     if not len(xs):
         return np.zeros((0, scene.ambient_dim + len(equations)))
     xi_vals = eval_block(xi_exprs, xs).T
     grads = System(equations, scene.ambient_dim).jacobian(xs)
-    if len(equations) and not np.all(np.isfinite(xi_vals)):
+    if not np.all(np.isfinite(xi_vals)):
         raise ValueError("rhs contains nan or inf")
-    seeds = []
-    for x, G, xi in zip(xs, grads, xi_vals):
-        lam = []
-        if len(G):
-            lam = gelsy_solve(G.T, xi, scene.tol_rank)
-        seeds.append(np.concatenate([x, np.asarray(lam, dtype=float)]))
-    return np.array(seeds)
+    lams = gelsy_solve(grads.transpose(0, 2, 1), xi_vals, scene.tol_rank)
+    return np.concatenate([xs, lams], axis=1)
 
 
 def find_xi_zeros(scene: Scene, weights) -> list:

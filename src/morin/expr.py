@@ -24,7 +24,6 @@ callers and are covered by the test suite:
 from __future__ import annotations
 
 import math
-import operator
 import weakref
 from collections import OrderedDict
 from fractions import Fraction
@@ -925,34 +924,39 @@ def _diff_node(n: Expr, v: int) -> Expr:
 # Evaluation.
 
 # Evaluation plans: each expression list is walked once into a flat step
-# list, which later calls replay. A step is (kind, fn, a, b, free): ``fn``
-# is the operation from ``_OPS``, which gives nan or inf quietly outside
-# its domain, or a constant's value; ``a`` and ``b`` are argument slots,
-# except that a variable's column is ``a`` and a power's exponent is
-# ``b``. Each node gets one step, and interning makes equal subtrees
-# one node, so a repeated subexpression is computed once; every operation
-# is deterministic, so the values are the bits a node-by-node walk gives.
-# The value of step i lands in slot i, and ``free`` lists the slots whose
-# last use is that step. The plan's outputs pair each root's slot with the
-# slots freed after it is copied out. Plans are keyed by the expression
-# tuple, which matches by identity (equal trees are one object), and
-# evicted least recently used first.
+# list. A step is (kind, op, a, b, free): ``op`` is the node's operation
+# name, or a constant's value; ``a`` and ``b`` are argument slots, except
+# that a variable's column is ``a`` and a power's exponent is ``b``. Each
+# node gets one step, and interning makes equal subtrees one node, so a
+# repeated subexpression is computed once. The value of step i lands in
+# slot i, and ``free`` lists the slots whose last use is that step. The
+# plan's outputs pair each root's slot with the slots freed after it is
+# copied out.
+#
+# A cached plan is compiled into one straight-line function
+# ``plan(c, z)``: slot i is the local ``s<i>``, variable k reads ``c[k]``,
+# the outputs are copied into ``o``, a fresh float array of shape ``z``
+# taken after the last step, and a ``del`` follows each step for the slots
+# it frees, so a lattice holds no more arrays at once than the step list
+# needs. ``+ - * /`` and negation are written as operators; the ufuncs,
+# ``np.power``, ``np.empty`` and every constant are bound by generated
+# names in the function's globals, so no scene text reaches the source.
+# A square is ``x * x``, the bits of numpy's ``x ** 2`` fast path; any
+# other power is ``np.power(x, float64(b))``, the bits of ``x ** b`` on
+# arrays (a numpy scalar's own ``**`` differs in the last bit on a few
+# percent of values). Every operation is deterministic and quietly gives
+# nan or inf outside its domain, so the values are the bits a node-by-node
+# walk gives, on arrays and equally on numpy scalars, which one point
+# evaluates on. Plans are keyed by the expression tuple, which matches by
+# identity (equal trees are one object), and evicted least recently used
+# first.
 _PLAN_CACHE_SIZE = 512
 
 _CONST, _VAR, _POW, _UNARY, _BINARY = range(5)
 
-_OPS = {
-    "neg": operator.neg,
-    "sqrt": np.sqrt,
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "log": np.log,
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "div": operator.truediv,
-}
+_INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+
+_UFUNCS = {"sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
 
 _plans: OrderedDict = OrderedDict()
 
@@ -978,10 +982,10 @@ def _build_plan(exprs: tuple) -> tuple:
             step, used = (_POW, None, a, n.exponent), (a,)
         elif isinstance(n, Unary):
             a = slot_of[id(n.child)]
-            step, used = (_UNARY, _OPS[n.op], a, 0), (a,)
+            step, used = (_UNARY, n.op, a, 0), (a,)
         else:
             a, b = slot_of[id(n.left)], slot_of[id(n.right)]
-            step, used = (_BINARY, _OPS[n.op], a, b), (a, b)
+            step, used = (_BINARY, n.op, a, b), (a, b)
         slot_of[id(n)] = len(steps)
         steps.append(step)
         uses.append(used)
@@ -1004,53 +1008,79 @@ def _build_plan(exprs: tuple) -> tuple:
     return plan, outputs
 
 
-def _plan(exprs: Sequence[Expr]) -> tuple:
-    """The cached ``(steps, outputs)`` plan of ``exprs``."""
-    key = tuple(exprs)
-    plan = _plans.get(key)
+def _emit(plan: tuple) -> tuple:
+    """The source of ``plan`` as the function ``plan(c, z)``, and the
+    globals it reads."""
+    steps, outputs = plan
+    names: dict = {"e": np.empty}
+    lines = ["def plan(c, z):"]
+
+    def drop(free) -> None:
+        if free:
+            lines.append("    del " + ", ".join(f"s{j}" for j in free))
+
+    for i, (kind, op, a, b, free) in enumerate(steps):
+        if kind == _CONST:
+            names[f"k{i}"] = op
+            value = f"k{i}"
+        elif kind == _VAR:
+            value = f"c[{a}]"
+        elif kind == _POW and b == 2:
+            value = f"s{a} * s{a}"
+        elif kind == _POW:
+            names[f"f{i}"], names[f"k{i}"] = np.power, np.float64(b)
+            value = f"f{i}(s{a}, k{i})"
+        elif kind == _UNARY and op == "neg":
+            value = f"-s{a}"
+        elif kind == _UNARY:
+            names[f"f{i}"] = _UFUNCS[op]
+            value = f"f{i}(s{a})"
+        else:
+            value = f"s{a} {_INFIX[op]} s{b}"
+        lines.append(f"    s{i} = {value}")
+        drop(free)
+    lines.append("    o = e(z)")
+    for row, (i, free) in enumerate(outputs):
+        lines.append(f"    o[{row}] = s{i}")
+        drop(free)
+    lines.append("    return o")
+    return "\n".join(lines), names
+
+
+def _compile(plan: tuple) -> tuple:
+    """``(function, width)``: ``plan`` compiled by :func:`_emit`, and one
+    more than the highest variable column it reads."""
+    source, names = _emit(plan)
+    exec(compile(source, "<evaluation plan>", "exec"), names)
+    width = max((a + 1 for kind, _, a, _, _ in plan[0] if kind == _VAR), default=0)
+    return names["plan"], width
+
+
+def _plan(exprs: tuple) -> tuple:
+    """The cached compiled plan of the expression tuple ``exprs``."""
+    plan = _plans.get(exprs)
     if plan is None:
-        plan = _plans[key] = _build_plan(key)
+        plan = _plans[exprs] = _compile(_build_plan(exprs))
         if len(_plans) > _PLAN_CACHE_SIZE:
             _plans.popitem(last=False)
     else:
-        _plans.move_to_end(key)
+        _plans.move_to_end(exprs)
     return plan
 
 
-def _replay(plan: tuple, columns, shape: tuple) -> np.ndarray:
-    """Run ``plan`` with variable k reading ``columns[k]``; every value
-    broadcasts to ``shape``, and the result has shape ``(len(outputs),
-    *shape)``."""
-    steps, outputs = plan
-    vals: list = []
-    push = vals.append
+def _run(exprs: Sequence[Expr], columns, shape: tuple) -> np.ndarray:
+    """Evaluate ``exprs`` with variable k reading ``columns[k]``; every
+    value broadcasts to ``shape``, and the result has shape
+    ``(len(exprs), *shape)``."""
+    key = tuple(exprs)
+    fn, width = _plan(key)
+    if width > len(columns):
+        raise ValueError(
+            f"expression uses variable index {width - 1} but points "
+            f"have dimension {len(columns)}"
+        )
     with np.errstate(all="ignore"):
-        for kind, fn, a, b, free in steps:
-            if kind == _BINARY:
-                v = fn(vals[a], vals[b])
-            elif kind == _UNARY:
-                v = fn(vals[a])
-            elif kind == _POW:
-                v = vals[a] ** b
-            elif kind == _VAR:
-                if a >= len(columns):
-                    raise ValueError(
-                        f"expression uses variable index {a} but points "
-                        f"have dimension {len(columns)}"
-                    )
-                v = columns[a]
-            else:
-                v = fn
-            for i in free:
-                vals[i] = None
-            push(v)
-
-        out = np.empty((len(outputs), *shape), dtype=float)
-        for row, (i, free) in enumerate(outputs):
-            out[row] = vals[i]
-            for j in free:
-                vals[j] = None
-    return out
+        return fn(columns, (len(key), *shape))
 
 
 def eval_block(exprs: Sequence[Expr], points) -> np.ndarray:
@@ -1072,7 +1102,10 @@ def eval_block(exprs: Sequence[Expr], points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
-    return _replay(_plan(exprs), pts.T, (len(pts),))
+    # one point evaluates on numpy scalars: their arithmetic has the bits of
+    # one-element arrays at a fraction of the cost of a ufunc call
+    columns = list(pts[0]) if len(pts) == 1 else pts.T
+    return _run(exprs, columns, (len(pts),))
 
 
 def eval_lattice(exprs: Sequence[Expr], axes) -> np.ndarray:
@@ -1093,7 +1126,7 @@ def eval_lattice(exprs: Sequence[Expr], axes) -> np.ndarray:
         np.asarray(a, dtype=float).reshape((-1,) + (1,) * (dim - 1 - k))
         for k, a in enumerate(axes)
     ]
-    return _replay(_plan(exprs), columns, tuple(len(c) for c in columns))
+    return _run(exprs, columns, tuple(len(c) for c in columns))
 
 
 class System:

@@ -1,13 +1,15 @@
 """Dense numeric helpers with explicit rank diagnostics.
 
-Thin wrappers around LAPACK (through numpy and scipy) for the three
-operations the geometry code needs: numeric rank with a gap diagnostic,
-determinants, and least squares with rank-deficiency reporting. Only the
-least-squares solve needs scipy; :func:`gelsy_solve` imports
-``scipy.linalg`` on its first call, so importing this module loads no
-scipy. Matrices are capped at 64 rows/columns; everything here is small
-and dense, and the cap turns an upstream logic error (a runaway system
-builder) into a clear failure.
+Thin wrappers around LAPACK for the three operations the geometry code
+needs: numeric rank with a gap diagnostic, determinants, and least squares
+with rank-deficiency reporting. Rank and determinant go through numpy.
+The least-squares solve is LAPACK's gelsy, which numpy lacks:
+:func:`gelsy_solve` calls ``dgelsy`` from scipy's f2py LAPACK extension
+``scipy.linalg._flapack``, loaded by file on the first solve, so that
+neither ``scipy/__init__`` nor ``scipy.linalg`` runs and importing this
+module loads no scipy. Matrices are capped at 64 rows/columns; everything
+here is small and dense, and the cap turns an upstream logic error (a
+runaway system builder) into a clear failure.
 
 Rank decisions follow the usual SVD convention: singular values above
 ``tol * sigma_max`` count. The quality of that decision is reported, not
@@ -18,8 +20,12 @@ can refuse to trust borderline verdicts.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -192,13 +198,68 @@ def least_squares(a, b, tol: float = DEFAULT_RANK_TOL) -> LstsqResult:
     )
 
 
-def gelsy_solve(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+@cache
+def _flapack():
+    """scipy's f2py LAPACK extension, loaded once by file.
+
+    ``scipy.linalg.lapack`` re-exports its routines, but importing the
+    package costs a fresh process 0.22-0.29 s and about 17 MB (scipy 1.17),
+    mostly ``scipy._lib._array_api`` cloning the numpy namespace; loading
+    the extension alone runs neither ``scipy/__init__`` nor
+    ``scipy.linalg/__init__``. It registers itself in ``sys.modules``
+    under its own name, where a later ``import scipy.linalg`` finds it.
+    """
+    name = "scipy.linalg._flapack"
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed", name="scipy")
+    stem = Path(spec.submodule_search_locations[0], "linalg", "_flapack")
+    paths = [f"{stem}{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if Path(p).is_file()), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK extension {paths[0]} is missing", name=name)
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader)
+    )
+    loader.exec_module(module)
+    return module
+
+
+def gelsy_solve(a, b, tol: float) -> np.ndarray:
     """A minimizer of ``|a @ x - b|`` from LAPACK's complete orthogonal
     factorization with column pivoting (gelsy), singular values below
-    ``tol * sigma_max`` treated as zero. ``scipy.linalg`` is imported here,
-    on the first call, because most commands never solve least squares and
-    the import is slow (0.22-0.29 s in a fresh process on a 2-CPU machine,
-    scipy 1.17)."""
-    import scipy.linalg
+    ``tol * sigma_max`` treated as zero.
 
-    return scipy.linalg.lstsq(a, b, cond=tol, lapack_driver="gelsy")[0]
+    ``a`` is one matrix, shape (m, n), or a stack of them, shape
+    (..., m, n); ``b`` has the same leading axes followed by (m,) or
+    (m, k), and the result the same leading axes followed by (n,) or
+    (n, k). Each matrix is its own ``dgelsy`` call with the arguments
+    ``scipy.linalg.lstsq(a, b, cond=tol, lapack_driver="gelsy")`` passes,
+    so each solution has its bits; the finiteness check and the workspace
+    query are made once per stack. Raises ValueError on a nan or inf entry.
+    """
+    a = np.asarray_chkfinite(a, dtype=float)
+    b = np.asarray_chkfinite(b, dtype=float)
+    *stack, m, n = a.shape
+    rhs = b.shape[len(stack) + 1:]
+    out = np.zeros((*stack, n, *rhs))
+    if m == 0 or n == 0:
+        return out
+    lapack = _flapack()
+    work, info = lapack.dgelsy_lwork(m, n, rhs[0] if rhs else 1, tol)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    lwork = int(work)
+    for i in np.ndindex(*stack):
+        rows = b[i]
+        if m < n:  # LAPACK returns the solution in b, so b needs n rows
+            rows = np.zeros((n, *rhs))
+            rows[:m] = b[i]
+        _, x, _, _, info = lapack.dgelsy(
+            a[i], rows, np.zeros((n, 1), dtype=np.int32), tol, lwork, False, False
+        )
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal gelsy")
+        out[i] = x[:n]
+    return out

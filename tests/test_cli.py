@@ -260,8 +260,9 @@ print(json.dumps(loaded))
 def test_scipy_loads_only_where_it_is_used():
     # every command runs in a fresh process, so a module loaded at import
     # is start-up paid on every run; only the gelsy least-squares solve of
-    # zeros --stratum and euler needs scipy, and the oracle's cluster
-    # labels and matching are numpy
+    # zeros --stratum and euler needs scipy, and of scipy only its LAPACK
+    # extension, which it loads by file; the oracle's cluster labels and
+    # matching are numpy
     argvs = [[cmd, f"scenes/{s}.scene"] for s in ("quadratic_well", "hyperboloid")
              for cmd in ("check", "strata", "zeros")]
     argvs += [["oracle", "scenes/torus.scene", "--depth", "2", "--grid", "32"],
@@ -275,7 +276,7 @@ def test_scipy_loads_only_where_it_is_used():
     )
     *numpy_only, (_, stratum) = json.loads(probe.stdout)
     assert [step for step, modules in numpy_only if modules] == []
-    assert len(numpy_only) == 9 and "scipy.linalg" in stratum
+    assert len(numpy_only) == 9 and stratum == ["scipy.linalg._flapack"]
 
 
 # -- serialization helper -----------------------------------------------------

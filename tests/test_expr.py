@@ -336,6 +336,86 @@ def reference_eval(exprs, pts):
     return out
 
 
+def reference_replay(plan, columns, shape):
+    """The step-by-step interpreter of an evaluation plan that compiled
+    plans replaced: run the steps of ``expr._build_plan`` in order, variable
+    k reading ``columns[k]``, every value broadcast to ``shape``."""
+    steps, outputs = plan
+    vals = []
+    with np.errstate(all="ignore"):
+        for kind, op, a, b, free in steps:
+            if kind == expr_module._BINARY:
+                v = _REFERENCE_OPS[op](vals[a], vals[b])
+            elif kind == expr_module._UNARY:
+                v = _REFERENCE_OPS[op](vals[a])
+            elif kind == expr_module._POW:
+                v = vals[a] ** b
+            elif kind == expr_module._VAR:
+                v = columns[a]
+            else:
+                v = op
+            for i in free:
+                vals[i] = None
+            vals.append(v)
+        out = np.empty((len(outputs), *shape))
+        for row, (i, free) in enumerate(outputs):
+            out[row] = vals[i]
+            for j in free:
+                vals[j] = None
+    return out
+
+
+def assert_same_values(got, want):
+    """Bitwise equal where ``want`` is finite, -0.0 told from 0.0; equal up
+    to a nan's sign elsewhere, which numpy's vector and scalar paths can
+    choose differently."""
+    finite = np.isfinite(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isfinite(got), finite)
+    assert got[finite].tobytes() == want[finite].tobytes()
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+# Trees for the kernel test: every power from 0 to 7, so each exponent
+# rule of the compiled plans is taken, and constants with 0, so division
+# by zero, and sqrt and log of negative values, come up.
+_kernel_exprs = st.recursive(
+    _leaf,
+    lambda children: st.one_of(
+        _extend(children),
+        st.tuples(children, st.integers(0, 7)).map(lambda t: Pow(t[0], t[1])),
+    ),
+    max_leaves=25,
+)
+_coordinates = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-3.0, 3.0))
+
+
+@given(
+    st.lists(_kernel_exprs, min_size=1, max_size=4),
+    st.lists(st.tuples(_coordinates, _coordinates, _coordinates), min_size=1, max_size=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_compiled_plans_match_the_step_interpreter(exprs, points):
+    pts = np.array(points)
+    plan = expr_module._build_plan(tuple(exprs))
+    # one point at a time on uniform draws too: a numpy scalar's own ``**``
+    # differs from the array path on a few percent of such values, and
+    # the drawn coordinates are often ones whose powers are exact
+    for block in (*pts[:, None], *PTS[:16, None], pts[0], pts, PTS):
+        rows = np.atleast_2d(block)
+        got = eval_block(exprs, block)
+        assert_same_values(got, reference_replay(plan, rows.T, (len(rows),)))
+        assert_same_values(got, reference_eval(exprs, rows))
+    # a lattice on the points' coordinates, each axis sorted apart
+    axes = [np.unique(pts[:, k]) for k in range(3)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    columns = [axis.reshape((-1,) + (1,) * (2 - k)) for k, axis in enumerate(axes)]
+    shape = tuple(len(axis) for axis in axes)
+    got = expr_module.eval_lattice(exprs, axes)
+    assert_same_values(got, reference_replay(plan, columns, shape))
+    assert_same_values(got.reshape(len(exprs), -1), reference_eval(exprs, grid))
+
+
 @given(_random_exprs, _random_exprs)
 @settings(max_examples=120, deadline=None)
 def test_eval_block_is_bit_identical_to_reference(a, b):

@@ -16,15 +16,20 @@ matched by name, so a name shared with another function or attribute
 hides dead code rather than inventing it.
 
 An ``import scipy...`` or ``from scipy...`` anywhere in ``src/morin``
-fails too, except inside ``linalg.gelsy_solve``, whose LAPACK driver
-numpy lacks: every command runs in a fresh process, scipy's package
-import alone takes a fresh process a quarter of a second and more, and a
-module-level import would pay it at ``import morin.cli`` on every command.
+fails too: every command runs in a fresh process, and scipy's package
+import alone takes a fresh process a quarter of a second and more. The
+one scipy code the package runs, the LAPACK extension behind
+``linalg.gelsy_solve``, is loaded by file, with no import statement.
+
+Every line of a compiled evaluation plan of ``expr`` must match a fixed
+grammar of slot names, generated global names and operators, so that no
+scene text, numeric literal included, reaches the generated source.
 """
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -77,10 +82,6 @@ def unused_from_imports(tree) -> list:
     ]
 
 
-# the one function that may import scipy: LAPACK's gelsy has no numpy entry
-SCIPY_IMPORTERS = {("linalg.py", "gelsy_solve")}
-
-
 def scipy_imports(tree) -> list:
     """``(function, line)`` of every import of scipy, ``function`` being the
     name of the innermost function around it, or None outside any."""
@@ -103,15 +104,23 @@ def scipy_imports(tree) -> list:
     return out
 
 
-def stray_scipy_imports(trees: dict) -> list:
-    """``module:function:line`` of every scipy import that no entry of
-    ``SCIPY_IMPORTERS`` allows."""
-    return [
-        f"{module}:{owner}:{line}"
-        for module, tree in sorted(trees.items())
-        for owner, line in scipy_imports(tree)
-        if (module, owner) not in SCIPY_IMPORTERS
-    ]
+# The lines a compiled evaluation plan may hold: the header, one statement
+# per step (a column read, a bound constant, an infix or negation of slots,
+# a bound function of a slot or of a slot and a bound exponent), the drops,
+# the output array and its rows, and the return.
+PLAN_LINE = re.compile(
+    r"def plan\(c, z\):"
+    r"|    s\d+ = (?:c\[\d+\]|k\d+|-s\d+|s\d+ [-+*/] s\d+|f\d+\(s\d+(?:, k\d+)?\))"
+    r"|    del s\d+(?:, s\d+)*"
+    r"|    o = e\(z\)"
+    r"|    o\[\d+\] = s\d+"
+    r"|    return o"
+)
+
+
+def stray_plan_lines(source: str) -> list:
+    """The lines of a generated plan that ``PLAN_LINE`` does not match."""
+    return [line for line in source.splitlines() if not PLAN_LINE.fullmatch(line)]
 
 
 def _module_names(tree) -> list:
@@ -295,8 +304,11 @@ def test_no_module_level_scipy_import(module):
 
 
 def test_only_the_gelsy_solve_imports_scipy():
-    assert stray_scipy_imports(TREES) == []
-    assert [owner for owner, _ in scipy_imports(TREES["linalg.py"])] == ["gelsy_solve"]
+    # no module imports scipy: gelsy_solve loads scipy's LAPACK extension
+    # by file, and nothing else of scipy runs
+    assert {module: scipy_imports(tree) for module, tree in TREES.items()} == {
+        module: [] for module in TREES
+    }
 
 
 def test_no_unreferenced_private_names():
@@ -363,6 +375,43 @@ def test_tracer_targets_exist():
         importlib.import_module(module)
 
 
+def _scene_plan_sources() -> list:
+    """The generated source of every cached plan, after the equations and
+    covector fields of every shipped scene, with their partials, are
+    evaluated."""
+    import numpy as np
+
+    from morin import expr
+    from morin.model import load_scene
+
+    for path in sorted((ROOT / "scenes").glob("*.scene")):
+        scene = load_scene(path)
+        exprs = [*scene.constraints, *(e for row in scene.omega for e in row)]
+        system = expr.System(exprs, scene.ambient_dim)
+        system.jacobian(np.zeros(scene.ambient_dim))
+        expr.eval_block([expr.simplify(e) for e in exprs], np.zeros((2, scene.ambient_dim)))
+    return [expr._emit(expr._build_plan(key))[0] for key in expr._plans]
+
+
+def test_generated_plans_hold_only_the_plan_grammar():
+    sources = _scene_plan_sources()
+    assert sources and all(stray_plan_lines(source) == [] for source in sources)
+
+
+def test_plan_grammar_catches_a_numeric_literal():
+    from morin import expr
+
+    cube = expr.parse("x1^3 - 2.5 * x2", ("x1", "x2"))
+    source = expr._emit(expr._build_plan((cube,)))[0]
+    assert stray_plan_lines(source) == []
+    # a constant, then an exponent, written into the source as a literal
+    bound_lines = re.findall(r"^    s\d+ = .*k\d+.*$", source, re.M)
+    assert len(bound_lines) == 2
+    for bound in bound_lines:
+        mutant = re.sub(r"k\d+", "2.5", bound)
+        assert stray_plan_lines(source.replace(bound, mutant)) == [mutant]
+
+
 def test_checks_catch_dead_code(tmp_path):
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -385,16 +434,6 @@ def test_checks_catch_dead_code(tmp_path):
     assert scipy_imports(imports) == [
         (None, 2), (None, 4), (None, 9), ("lazy", 11), ("lazy", 12)
     ]
-    # a lazy import in a function of the solver is caught, and the gelsy
-    # solve is allowed in linalg only
-    scratch = ast.parse(
-        "def _label_clusters(mask):\n    from scipy import ndimage\n"
-        "def gelsy_solve(a, b):\n    import scipy.linalg\n"
-    )
-    assert stray_scipy_imports({"solver.py": scratch}) == [
-        "solver.py:_label_clusters:2", "solver.py:gelsy_solve:4"
-    ]
-    assert stray_scipy_imports({"linalg.py": scratch}) == ["linalg.py:_label_clusters:2"]
     src = ast.parse(
         "from dataclasses import dataclass\n"
         "def solve(system, grid=12, *, steps=40, seeds=None): return grid\n"

@@ -1,6 +1,10 @@
 """Tests for the dense linear-algebra wrappers."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -14,6 +18,7 @@ from morin.linalg import (
     RankReport,
     as_matrix,
     determinant,
+    gelsy_solve,
     least_squares,
     numeric_rank,
     numeric_ranks,
@@ -259,3 +264,111 @@ def test_numeric_ranks_of_empty_matrices():
     reports = numeric_ranks(np.zeros((2, 0, 3)))
     assert [r.rank for r in reports] == [0, 0]
     assert all(r.gap_ratio == math.inf and r.singular_values.size == 0 for r in reports)
+
+
+# -- gelsy without the scipy.linalg package -----------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@st.composite
+def _gelsy_problems(draw):
+    """A stack of (m, n) matrices, m, n <= 8, tall, wide or square, with a
+    right-hand side of shape (m,) or (m, k): entries from ``_ENTRY``, and
+    some matrices of a lower rank, as a product of thinner factors."""
+    count = draw(st.integers(1, 3))
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    a = draw(hnp.arrays(float, (count, m, n), elements=_ENTRY))
+    rank = draw(st.integers(0, min(m, n)))
+    if rank < min(m, n):
+        left = draw(hnp.arrays(float, (count, m, rank), elements=_ENTRY))
+        a = left @ draw(hnp.arrays(float, (count, rank, n), elements=_ENTRY))
+    cols = draw(st.sampled_from([(), (1,), (3,)]))
+    b = draw(hnp.arrays(float, (count, m, *cols), elements=_ENTRY))
+    return a, b
+
+
+@given(_gelsy_problems(), st.sampled_from([1e-8, 1e-12, 1e-3]))
+@settings(max_examples=150, deadline=None)
+def test_gelsy_solve_is_bitwise_scipy_lstsq(problem, tol):
+    import scipy.linalg
+
+    a, b = problem
+    stacked = gelsy_solve(a, b, tol)
+    for i in range(len(a)):
+        want = scipy.linalg.lstsq(a[i], b[i], cond=tol, lapack_driver="gelsy")[0]
+        got = gelsy_solve(a[i], b[i], tol)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert stacked[i].tobytes() == want.tobytes()
+
+
+def test_gelsy_solve_of_empty_matrices_is_scipy_lstsq():
+    import scipy.linalg
+
+    for a, b in [
+        (np.zeros((0, 3)), np.zeros(0)),
+        (np.zeros((3, 0)), np.ones(3)),
+        (np.zeros((3, 0)), np.ones((3, 2))),
+        (np.zeros((0, 0)), np.zeros((0, 1))),
+    ]:
+        want = scipy.linalg.lstsq(a, b, cond=1e-8, lapack_driver="gelsy")[0]
+        got = gelsy_solve(a, b, 1e-8)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert gelsy_solve(np.zeros((2, 3, 0)), np.ones((2, 3)), 1e-8).shape == (2, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gelsy_solve_refuses_nonfinite_entries(bad):
+    a, b = np.eye(3), np.ones(3)
+    for where in ("a", "b"):
+        args = {"a": a.copy(), "b": b.copy()}
+        args[where].flat[-1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            gelsy_solve(args["a"], args["b"], 1e-8)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            gelsy_solve(args["a"][None], args["b"][None], 1e-8)
+
+
+# Solves seeded problems with gelsy_solve, then imports scipy.linalg and
+# solves them again, or the other way round; prints the loaded scipy
+# modules and whether both rounds gave the same bytes.
+_GELSY_PROBE = """
+import sys
+import numpy as np
+from morin.linalg import gelsy_solve
+
+rng = np.random.default_rng(7)
+problems = [(rng.normal(size=(m, n)), rng.normal(size=m)) for m in range(1, 9) for n in range(1, 9)]
+
+def solve():
+    return b"".join(gelsy_solve(a, b, 1e-8).tobytes() for a, b in problems)
+
+if sys.argv[1] == "first":
+    before = solve()
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    import scipy.linalg
+else:
+    import scipy.linalg
+    before = solve()
+    loaded = []
+after = solve()
+want = b"".join(
+    scipy.linalg.lstsq(a, b, cond=1e-8, lapack_driver="gelsy")[0].tobytes() for a, b in problems
+)
+print(loaded, before == after == want, __import__("hashlib").sha256(after).hexdigest())
+"""
+
+
+def test_gelsy_solve_gives_the_same_bits_before_and_after_scipy_linalg():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = [
+        subprocess.run(
+            [sys.executable, "-c", _GELSY_PROBE, order],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout.split()
+        for order in ("first", "last")
+    ]
+    assert out[0][:2] == ["['scipy.linalg._flapack']", "True"]
+    assert out[1][:2] == ["[]", "True"]
+    assert out[0][2] == out[1][2]
