@@ -24,6 +24,7 @@ callers and are covered by the test suite:
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from collections import OrderedDict
 from fractions import Fraction
@@ -949,7 +950,9 @@ def _diff_node(n: Expr, v: int) -> Expr:
 # walk gives, on arrays and equally on numpy scalars, which one point
 # evaluates on. Plans are keyed by the expression tuple, which matches by
 # identity (equal trees are one object), and evicted least recently used
-# first.
+# first. The cache is the one mutable state evaluation touches, and
+# ``_plans_lock`` guards it, so threads may evaluate at once (the oracle's
+# scan levels do); building a plan reads the trees only.
 _PLAN_CACHE_SIZE = 512
 
 _CONST, _VAR, _POW, _UNARY, _BINARY = range(5)
@@ -959,6 +962,7 @@ _INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 _UFUNCS = {"sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
 
 _plans: OrderedDict = OrderedDict()
+_plans_lock = threading.Lock()
 
 
 def _const_value(c: Const) -> np.float64:
@@ -1058,14 +1062,15 @@ def _compile(plan: tuple) -> tuple:
 
 def _plan(exprs: tuple) -> tuple:
     """The cached compiled plan of the expression tuple ``exprs``."""
-    plan = _plans.get(exprs)
-    if plan is None:
-        plan = _plans[exprs] = _compile(_build_plan(exprs))
-        if len(_plans) > _PLAN_CACHE_SIZE:
-            _plans.popitem(last=False)
-    else:
-        _plans.move_to_end(exprs)
-    return plan
+    with _plans_lock:
+        plan = _plans.get(exprs)
+        if plan is None:
+            plan = _plans[exprs] = _compile(_build_plan(exprs))
+            if len(_plans) > _PLAN_CACHE_SIZE:
+                _plans.popitem(last=False)
+        else:
+            _plans.move_to_end(exprs)
+        return plan
 
 
 def _run(exprs: Sequence[Expr], columns, shape: tuple) -> np.ndarray:

@@ -17,8 +17,10 @@ Everything here is deterministic: no randomness, stable orderings.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -521,9 +523,10 @@ def trace_curves(system, opts: SolveOptions) -> list:
 # Dense-grid oracle.
 
 _SCAN_CHUNK = 16_384  # lattice points per eval_block call; cache-sized
-_SLAB = 131_072  # lattice points per dense eval_lattice call: 8 planes of 128^2
+_SLAB = 65_536  # lattice points per dense eval_lattice call: 4 planes of 128^2
 _RUN_BLOCK = 16_384  # runs whose neighbor rows _label_clusters searches at once
 _FLOAT_MAX = np.finfo(float).max
+_SCAN_WORKERS = 2  # scan levels in flight at once, at most one per CPU
 
 
 def _finite_abs(block, out=None) -> np.ndarray:
@@ -662,10 +665,12 @@ def _hook(parent, a, b) -> np.ndarray:
             parent = up
 
 
-def _label_clusters(mask) -> tuple:
-    """``ndimage.label`` and ``ndimage.find_objects`` of ``mask``, face,
-    edge and corner neighbors connected, computed from its set cells alone,
-    so memory scales with the set cells, not their bounding box.
+def _label_clusters(flat, shape) -> tuple:
+    """``ndimage.label`` and ``ndimage.find_objects`` of the bool mask of
+    ``shape`` whose set cells have the sorted C-order flat indices
+    ``flat``, face, edge and corner neighbors connected, computed from
+    those cells alone, so memory scales with the set cells, not their
+    bounding box or the lattice.
 
     Returns ``(labels, objects)``: the label of each set cell in C order,
     the clusters numbered from 1 by their first cell in C order, and each
@@ -681,8 +686,7 @@ def _label_clusters(mask) -> tuple:
     next one. ``_hook`` joins the runs ``_RUN_BLOCK`` at a time, and a
     cluster's slices span the first and last cells of its runs.
     """
-    shape, dim = mask.shape, mask.ndim
-    flat = np.flatnonzero(mask)
+    dim = len(shape)
     if not flat.size:
         return flat, []
     start = np.empty(flat.size, dtype=bool)
@@ -753,12 +757,21 @@ def grid_oracle(
     selective equation. The decisions, and so the result, are bitwise
     those of testing every equation on every cell, in any order of the
     equations. A level is one pass over windows of two slabs of axis-0
-    planes (``_open_cells``) and holds no full-lattice float array, only
-    the lattice's bool mask of open cells; its cluster labels
-    (``_label_clusters``) are arrays over the open cells, not over their
-    bounding box. It frees its buffers before it rescans its clusters, so
-    memory stays at about one level's mask and open cells, whatever the
-    depth.
+    planes (``_open_cells``) and holds no array over the lattice, only the
+    flat indices of its open cells; its cluster labels
+    (``_label_clusters``) are arrays over the open cells too. It frees its
+    buffers before it rescans its clusters.
+
+    A level depends only on the box its parent handed it, so the levels
+    run on a pool of ``min(2, CPUs)`` threads (``_SCAN_WORKERS``), one
+    level per thread at a time, each in a copy of the caller's context;
+    numpy releases the interpreter lock in its loops. A finished level's
+    points join the answers and its rescans the work list, which is taken
+    last in, first out, so the list stays short. The answers are
+    lexsorted and deduplicated at the end, so the order in which levels
+    finish changes nothing. Memory stays at about two levels' buffers and
+    open cells, whatever the depth; an exception in a level propagates
+    once the other level in flight has finished.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -773,16 +786,28 @@ def grid_oracle(
         # every cell stays open, so each level rescans the whole box, and
         # its leaf cells are too coarse to accept a root
         return np.zeros((0, dim))
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+
     diam = float(np.linalg.norm([hi - lo for lo, hi in box]))
+    workers = min(_SCAN_WORKERS, len(os.sched_getaffinity(0)))
     reps: list = []
     work = [(tuple(box), resolution, levels, eqs)]
-    while work:
-        sub_box, res, levels_left, order = work.pop()
-        points, rescans = _scan_clusters(
-            order, sub_box, res, tol_residual, levels_left, 5e-7 * diam, 2e-3 * diam
-        )
-        reps += points
-        work += [(sub, sub_res, levels_left - 1, sub_eqs) for sub, sub_res, sub_eqs in rescans]
+    running: dict = {}  # each level in flight, by its future: its levels left
+    with ThreadPoolExecutor(workers) as pool:
+        while work or running:
+            while work and len(running) < workers:
+                sub_box, res, levels_left, order = work.pop()
+                # the level runs in a copy of this thread's context, so it
+                # sees the caller's numpy error state
+                args = (order, sub_box, res, tol_residual, levels_left, 5e-7 * diam, 2e-3 * diam)
+                level = pool.submit(contextvars.copy_context().run, _scan_clusters, *args)
+                running[level] = levels_left
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for level in done:
+                points, rescans = level.result()
+                reps += points
+                left = running.pop(level) - 1
+                work += [(sub, sub_res, left, sub_eqs) for sub, sub_res, sub_eqs in rescans]
     if not reps:
         return np.zeros((0, dim))
     pts = np.array(reps)
@@ -795,9 +820,9 @@ def _open_cells(eqs, box, resolution, tol_residual, half_diag, chunk=_SLAB) -> t
     """The open cells of one scan level, taken in one pass over slabs of
     ``chunk`` lattice points (``_slabs``), two slabs at a time.
 
-    Returns ``(mask, passed)``: the lattice's bool mask of open cells, and
-    per equation k the share of the cells open before its test that
-    passed it.
+    Returns ``(flat, passed)``: the sorted C-order flat indices of the
+    open cells in the lattice, and per equation k the share of the cells
+    open before its test that passed it.
 
     Each pair of slabs is tested on its ``_window``, whose open cells are
     the bool array ``open_``. The first equation is evaluated at every
@@ -809,7 +834,9 @@ def _open_cells(eqs, box, resolution, tol_residual, half_diag, chunk=_SLAB) -> t
     that fail it are closed. Its values on the window's last two planes,
     and where they are set, are copied for the next window, whose first two
     planes they are, so no cell is evaluated twice either. Every float
-    buffer is the size of a few windows and dies with the call.
+    buffer is the size of a few windows and dies with the call; the open
+    cells are kept as indices, pair by pair, with no array over the
+    lattice.
     """
     dim, n = len(box), resolution
     axes = cell_centers(box, n)
@@ -823,7 +850,7 @@ def _open_cells(eqs, box, resolution, tol_residual, half_diag, chunk=_SLAB) -> t
     # before, and where they are set
     carried = np.empty((len(eqs) - 1, 2 * plane))
     known = np.empty((len(eqs) - 1, 2) + lanes, dtype=bool)
-    mask = np.empty((n,) * dim, dtype=bool)
+    found = []  # the open cells' flat indices, pair by pair
     left = [0] * len(eqs)  # the cells open after each equation's test
     d_lo = d_hi = 0  # ``dense`` holds planes d_lo to d_hi - 1
     for i in range(0, len(slabs), 2):
@@ -869,10 +896,11 @@ def _open_cells(eqs, box, resolution, tol_residual, half_diag, chunk=_SLAB) -> t
             slope = _cell_slope(window, cells, box, n, open_.shape)
             ok = v <= 1.5 * slope * half_diag + 10.0 * tol_residual
             flat_open[cells[~ok]] = False
-        left[-1] += np.count_nonzero(flat_open)
-        mask[first:last] = open_[first - lo : last - lo]
+        cells = np.flatnonzero(open_[first - lo : last - lo])
+        left[-1] += cells.size
+        found.append(cells + first * plane)
     passed = [a / b if b else 0.0 for a, b in zip(left, [n**dim] + left[:-1])]
-    return mask, passed
+    return np.concatenate(found), passed
 
 
 def _scan_clusters(
@@ -891,9 +919,10 @@ def _scan_clusters(
     still open and their axis neighbors.
     Evaluation is elementwise, ``|b - a|`` is exactly ``|a - b|`` and
     maxima are exact, so every value and slope read is bitwise the one a
-    whole-lattice scan of every equation gives, and so is the mask.
-    ``_label_clusters`` labels the open cells alone, in arrays that scale
-    with them, not with their bounding box, numbered as ``ndimage.label``
+    whole-lattice scan of every equation gives, and so is the set of open
+    cells, which ``_open_cells`` returns as sorted flat indices.
+    ``_label_clusters`` labels those cells alone, in arrays that scale with
+    them, not with their bounding box, numbered as ``ndimage.label``
     numbers the whole mask.
 
     At a leaf, each cluster's representative is its open cell of least
@@ -904,6 +933,10 @@ def _scan_clusters(
     own evaluation took there.
     ``child_eqs`` is ``eqs`` stably sorted by the share of cells each
     equation passed here times its node count.
+
+    A level reads its arguments and returns new lists, and of the
+    expression layer it touches only the plan cache, which is locked, so
+    ``grid_oracle`` runs two levels at once on two threads.
     """
     dim = len(box)
     half_diag = 0.5 * math.sqrt(sum(((hi - lo) / resolution) ** 2 for lo, hi in box))
@@ -913,11 +946,10 @@ def _scan_clusters(
         # while a positive minimum of some V fails once the cell is small;
         # clusters whose cells never got small are plateaus, not roots
         return [], []
-    mask, passed = _open_cells(eqs, box, resolution, tol_residual, half_diag, chunk)
-    labels, objects = _label_clusters(mask)
+    flat, passed = _open_cells(eqs, box, resolution, tol_residual, half_diag, chunk)
+    labels, objects = _label_clusters(flat, (resolution,) * dim)
     if leaf:
         axes = cell_centers(box, resolution)
-        flat = np.flatnonzero(mask)
         worst = np.empty(flat.size)
         for start in range(0, flat.size, _SCAN_CHUNK):
             part = flat[start : start + _SCAN_CHUNK]
@@ -925,7 +957,7 @@ def _scan_clusters(
             worst[start : start + part.size] = _finite_abs(block).max(axis=0)
         order = np.lexsort((worst, labels))
         first = order[np.flatnonzero(np.diff(labels[order], prepend=0))]
-        idx = np.unravel_index(flat[first], mask.shape)
+        idx = np.unravel_index(flat[first], (resolution,) * dim)
         return list(np.stack([axes[a][idx[a]] for a in range(dim)], axis=1)), []
     child_eqs = [
         eq for _, eq in sorted(zip(passed, eqs), key=lambda t: t[0] * t[1].node_count)

@@ -240,19 +240,20 @@ def test_oracle_first_stratum_quadratic_well(capsys):
 # -- start-up -----------------------------------------------------------------
 
 # Prints, as JSON pairs, the scipy modules loaded after ``import morin.cli``
-# and after each command of the argv list given as its argument.
+# and after each command of the argv list given as its argument; after the
+# import, the concurrent.futures modules loaded too.
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 from morin.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded_of(package):
+    return sorted(m for m in sys.modules if m.split(".")[0] == package)
 
-loaded = [["import morin.cli", scipy_modules()]]
+loaded = [["import morin.cli", loaded_of("scipy") + loaded_of("concurrent")]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         main(argv + ["--no-timings"])
-    loaded.append([" ".join(argv), scipy_modules()])
+    loaded.append([" ".join(argv), loaded_of("scipy")])
 print(json.dumps(loaded))
 """
 
@@ -262,7 +263,8 @@ def test_scipy_loads_only_where_it_is_used():
     # is start-up paid on every run; only the gelsy least-squares solve of
     # zeros --stratum and euler needs scipy, and of scipy only its LAPACK
     # extension, which it loads by file; the oracle's cluster labels and
-    # matching are numpy
+    # matching are numpy; and the oracle's thread pool, concurrent.futures,
+    # loads when a scan runs, not at import
     argvs = [[cmd, f"scenes/{s}.scene"] for s in ("quadratic_well", "hyperboloid")
              for cmd in ("check", "strata", "zeros")]
     argvs += [["oracle", "scenes/torus.scene", "--depth", "2", "--grid", "32"],

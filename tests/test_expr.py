@@ -8,6 +8,9 @@ import operator
 import random
 import subprocess
 import sys
+import threading
+import time
+from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
@@ -460,6 +463,53 @@ def test_eval_block_plan_cache_is_bounded():
     eval_block([Binary("add", x, const(-1))], PTS[:2])
     assert len(plans) == cap
     assert tuple(lists[20]) in plans and tuple(lists[21]) not in plans
+
+
+def test_threads_evaluating_distinct_plans_share_the_plan_cache(monkeypatch):
+    # four threads, more than the cores, with two plans each in a cache of
+    # two, so the threads evict each other's plans all the time; each
+    # lookup sleeps after it finds a plan, which hands the interpreter to
+    # another thread between finding the plan and reordering the cache,
+    # and a short switch interval interleaves them further
+    class PausingCache(OrderedDict):
+        def get(self, key, default=None):
+            found = super().get(key, default)
+            time.sleep(1e-4)
+            return found
+
+    monkeypatch.setattr(expr_module, "_PLAN_CACHE_SIZE", 2)
+    monkeypatch.setattr(expr_module, "_plans", PausingCache())
+    x, y = parse("x1", NAMES), parse("x2", NAMES)
+    lists = [[Binary("add", x, const(k)), Binary("mul", y, const(k + 1))] for k in range(8)]
+    want = [eval_block(exprs, PTS) for exprs in lists]
+    got: dict = {t: [] for t in range(4)}
+    errors: list = []
+    start = threading.Barrier(4)
+
+    def evaluate(t):
+        try:
+            start.wait(timeout=60)
+            for i in range(100):
+                k = 2 * t + i // 4 % 2
+                got[t].append((k, eval_block(lists[k], PTS)))
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=evaluate, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert [len(got[t]) for t in range(4)] == [100] * 4
+    for k, values in [pair for t in range(4) for pair in got[t]]:
+        assert values.tobytes() == want[k].tobytes()
 
 
 def test_equality_compares_operations_below_the_root():

@@ -20,6 +20,9 @@ fails too: every command runs in a fresh process, and scipy's package
 import alone takes a fresh process a quarter of a second and more. The
 one scipy code the package runs, the LAPACK extension behind
 ``linalg.gelsy_solve``, is loaded by file, with no import statement.
+Threads are imported in two places only: ``threading`` by ``expr``, for
+the plan cache's lock, and ``concurrent.futures`` inside
+``solver.grid_oracle``, which runs the scan levels on a pool.
 
 Every line of a compiled evaluation plan of ``expr`` must match a fixed
 grammar of slot names, generated global names and operators, so that no
@@ -82,9 +85,10 @@ def unused_from_imports(tree) -> list:
     ]
 
 
-def scipy_imports(tree) -> list:
-    """``(function, line)`` of every import of scipy, ``function`` being the
-    name of the innermost function around it, or None outside any."""
+def imports_of(tree, package: str) -> list:
+    """``(function, line)`` of every import of ``package`` or of a module
+    in it, ``function`` being the name of the innermost function around
+    it, or None outside any."""
     out = []
 
     def visit(node, owner):
@@ -92,16 +96,41 @@ def scipy_imports(tree) -> list:
             if isinstance(child, ast.Import):
                 names = [alias.name for alias in child.names]
             elif isinstance(child, ast.ImportFrom):
-                names = [child.module or ""] if not child.level else []
+                module = child.module or ""
+                names = [] if child.level else [module] + [f"{module}.{a.name}" for a in child.names]
             else:
                 inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
                 visit(child, child.name if inner else owner)
                 continue
-            if any(name.split(".")[0] == "scipy" for name in names):
+            if any(name == package or name.startswith(package + ".") for name in names):
                 out.append((owner, child.lineno))
 
     visit(tree, None)
     return out
+
+
+# Where each package may be imported, as (module, function) pairs, the
+# function None for the module level. Every command runs in a fresh
+# process, so an import is start-up paid on every run: scipy is imported
+# nowhere, and the oracle's thread pool only when a scan runs. The plan
+# cache's lock is the one thread primitive outside the pool.
+IMPORT_PLACES = {
+    "scipy": set(),
+    "threading": {("expr.py", None)},
+    "concurrent.futures": {("solver.py", "grid_oracle")},
+}
+
+
+def stray_imports(trees: dict) -> list:
+    """``(package, module, function, line)`` of every import that
+    ``IMPORT_PLACES`` does not allow."""
+    return [
+        (package, module, owner, line)
+        for package, places in IMPORT_PLACES.items()
+        for module, tree in trees.items()
+        for owner, line in imports_of(tree, package)
+        if (module, owner) not in places
+    ]
 
 
 # The lines a compiled evaluation plan may hold: the header, one statement
@@ -300,15 +329,23 @@ def test_no_unused_from_imports(module):
 
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_no_module_level_scipy_import(module):
-    assert [line for owner, line in scipy_imports(TREES[module]) if owner is None] == []
+    assert [line for owner, line in imports_of(TREES[module], "scipy") if owner is None] == []
 
 
 def test_only_the_gelsy_solve_imports_scipy():
     # no module imports scipy: gelsy_solve loads scipy's LAPACK extension
     # by file, and nothing else of scipy runs
-    assert {module: scipy_imports(tree) for module, tree in TREES.items()} == {
+    assert {module: imports_of(tree, "scipy") for module, tree in TREES.items()} == {
         module: [] for module in TREES
     }
+
+
+def test_threads_are_imported_only_where_they_run():
+    assert stray_imports(TREES) == []
+    # and each place allowed still imports its package
+    for package in ("threading", "concurrent.futures"):
+        found = {(m, owner) for m, tree in TREES.items() for owner, _ in imports_of(tree, package)}
+        assert found == IMPORT_PLACES[package]
 
 
 def test_no_unreferenced_private_names():
@@ -431,8 +468,23 @@ def test_checks_catch_dead_code(tmp_path):
         "class Solver:\n    import scipy as sp\n"
         "def lazy():\n    from scipy import ndimage\n    import scipy.optimize\n"
     )
-    assert scipy_imports(imports) == [
+    assert imports_of(imports, "scipy") == [
         (None, 2), (None, 4), (None, 9), ("lazy", 11), ("lazy", 12)
+    ]
+    # a pool imported at start-up, or by another function, and a thread
+    # primitive outside expr
+    pools = {
+        "solver.py": ast.parse(
+            "import concurrent.futures\n"
+            "def grid_oracle():\n    from concurrent.futures import wait\n"
+            "def trace():\n    from concurrent import futures\n    import threading\n"
+        ),
+        "expr.py": ast.parse("import threading\nfrom threading import Lock\n"),
+    }
+    assert stray_imports(pools) == [
+        ("threading", "solver.py", "trace", 6),
+        ("concurrent.futures", "solver.py", None, 1),
+        ("concurrent.futures", "solver.py", "trace", 5),
     ]
     src = ast.parse(
         "from dataclasses import dataclass\n"

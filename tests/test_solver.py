@@ -7,6 +7,8 @@ axis) and the hyperboloid pair (two isolated deep-stratum points).
 
 import itertools
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -719,9 +721,10 @@ def same_bits(a, b) -> bool:
 
 
 def level_with_dense_windows(eqs, box, resolution, tol, half_diag, chunk, want):
-    """``_open_cells`` of a level as ``(mask, passed)``, checking
-    that the dense equation's window on each slab, the slab and its
-    neighbour planes, is bitwise ``want`` there and all finite."""
+    """``_open_cells`` of a level as ``(mask, passed)``, the mask set at
+    the flat indices it returns, checking that they are sorted and
+    distinct, and that the dense equation's window on each slab, the slab
+    and its neighbour planes, is bitwise ``want`` there and all finite."""
     slabs = iter(_slabs(resolution, len(box), chunk))
 
     def dense_slope(values, planes, *args):
@@ -734,8 +737,11 @@ def level_with_dense_windows(eqs, box, resolution, tol, half_diag, chunk, want):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_local_slope", dense_slope)
-        mask, passed = _open_cells(eqs, box, resolution, tol, half_diag, chunk)
+        flat, passed = _open_cells(eqs, box, resolution, tol, half_diag, chunk)
     assert next(slabs, None) is None
+    assert np.all(np.diff(flat) > 0)
+    mask = np.zeros((resolution,) * len(box), dtype=bool)
+    mask.flat[flat] = True
     return mask, passed
 
 
@@ -1051,7 +1057,7 @@ def test_cluster_labels_of_the_open_cells_match_the_whole_mask(mask):
     for block in (solver._RUN_BLOCK, 2):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "_RUN_BLOCK", block)
-            labels, objects = _label_clusters(mask)
+            labels, objects = _label_clusters(np.flatnonzero(mask), mask.shape)
         assert objects == ndimage.find_objects(full)
         # one label per open cell, in C order
         assert np.array_equal(labels, full[full > 0])
@@ -1186,6 +1192,85 @@ def test_oracle_root_level_at_256_cells_per_axis_holds_under_one_lattice_array()
     reps, peak = traced_peak(lambda: grid_oracle([parse("x1 - x2", _V3)], box, 256, levels=1))
     assert reps.shape == (1, 3)
     assert peak < one_array, peak / one_array
+
+
+# -- the scan levels' thread pool ---------------------------------------------
+
+
+def on_workers(monkeypatch, workers) -> list:
+    """Let ``grid_oracle`` run up to ``workers`` levels at once on a host of
+    any CPU count, and record the thread of every level in the list
+    returned."""
+    monkeypatch.setattr(solver, "_SCAN_WORKERS", workers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    threads: list = []
+    scan = solver._scan_clusters
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_scan_clusters", recorded)
+    return threads
+
+
+def pool_case(name):
+    """``grid_oracle``'s arguments for one of the scans the pool runs."""
+    if name.startswith("torus"):
+        chart, sc = torus_depth2()
+        return (chart.equations, sc.box, int(name.split("_")[1])), sc.tol_residual
+    if name == "hyperboloid":
+        chart, sc = hyperboloid_depth2()
+        return (chart.equations, sc.box, sc.grid), sc.tol_residual
+    return (system2(*POLE_SYSTEM), ((-1.0, 1.0),) * 2, 64), 1e-9
+
+
+@pytest.mark.parametrize("name", ["torus_64", "torus_128", "hyperboloid", "pole"])
+def test_oracle_levels_on_two_threads_give_the_bits_of_one(name):
+    args, tol = pool_case(name)
+    got = {}
+    for workers in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            threads = on_workers(mp, workers)
+            got[workers] = grid_oracle(*args, tol_residual=tol)
+        # every level ran on a pool thread, on two of them when two may run
+        assert threading.get_ident() not in threads
+        assert len(set(threads)) == min(workers, len(threads))
+    assert len(got[1]) > 0
+    assert same_bits(got[2], got[1])
+
+
+def test_a_failing_level_propagates_and_leaves_no_thread_behind(monkeypatch):
+    on_workers(monkeypatch, 2)
+    calls = itertools.count(1)
+    scan = solver._scan_clusters
+
+    def fail_third(*args, **kwargs):
+        if next(calls) == 3:
+            raise RuntimeError("the third level failed")
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_scan_clusters", fail_third)
+    before = threading.active_count()
+    args, tol = pool_case("pole")
+    with pytest.raises(RuntimeError, match="the third level failed"):
+        grid_oracle(*args, tol_residual=tol)
+    assert threading.active_count() == before
+
+
+def test_oracle_levels_run_in_the_callers_context(monkeypatch):
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append((np.geterr()["under"], threading.current_thread() is threading.main_thread()))
+        return [], []
+
+    monkeypatch.setattr(solver, "_scan_clusters", record)
+    args, tol = pool_case("pole")
+    with np.errstate(under="warn"):
+        grid_oracle(*args, tol_residual=tol)
+    assert np.geterr()["under"] != "warn"
+    assert seen == [("warn", False)]
 
 
 # -- deduplication -----------------------------------------------------------
