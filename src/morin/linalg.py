@@ -194,7 +194,7 @@ def least_squares(a, b, tol: float = DEFAULT_RANK_TOL) -> LstsqResult:
     return LstsqResult(
         solution=x,
         residual_norm=resid,
-        rank_deficient=numeric_rank(m, tol).rank < m.shape[1],
+        rank_deficient=_stack_reports(m[None], tol)[0].rank < m.shape[1],
     )
 
 

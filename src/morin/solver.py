@@ -91,10 +91,13 @@ def _row_norms(R) -> np.ndarray:
     """Euclidean norm of each row of ``R``, its squares summed left to
     right, so a row gets the same bits in any batch (``np.linalg.norm``
     sums a contiguous row of 8 or more entries pairwise, a strided one left
-    to right, and reduces short contiguous rows about ten times slower)."""
+    to right, and reduces short contiguous rows about ten times slower).
+    A row with a nan, or past the float range, has an inf norm."""
     sq = np.zeros(len(R))
-    for col in R.T:
-        sq += col * col
+    with np.errstate(over="ignore"):
+        for col in R.T:
+            sq += col * col
+    sq[np.isnan(sq)] = np.inf
     return np.sqrt(sq)
 
 
@@ -220,6 +223,15 @@ def solve_points(
     any batch, and so does ``_row_norms``, so each decision is that of
     evaluating the trial alone.
 
+    The rounds carry only the live seeds, in seed order: compact arrays of
+    iterates, residuals and their norms, damping and rounds taken, cut by
+    one boolean index when seeds converge, turn non-finite, escape, meet a
+    non-finite Jacobian or stall. Each evaluation, stacked solve and test
+    sees the rows, in the order and layout, that a mask over all seeds gave
+    it, so every float and count keeps its bits. A norm past the float
+    range is inf: such an iterate escapes, and from such residuals every
+    trial step passes.
+
     ``stats`` puts every seed in exactly one of ``converged``, ``dropped``
     (not finite, escaped or stalled), ``out_of_iterations``,
     ``recheck_failed``, ``out_of_box``, ``audit_rejected`` and
@@ -251,93 +263,80 @@ def solve_points(
 
     center = np.array([(lo + hi) / 2 for lo, hi in opts.box])
     escape = _ESCAPE_FACTOR * max(opts.diameter, 1.0)
-    lam = np.full(len(X), 1e-10)
-    iters = np.zeros(len(X), dtype=int)
-    active = np.ones(len(X), dtype=bool)
-    resid = eqs.values(X)  # each seed's residual row at its iterate
-    done: list = []
-
-    def passes(cand, old, alpha):
-        """Which trial points cut the residual norm enough, and their rows."""
-        Rc = eqs.values(cand)
-        ok = np.all(np.isfinite(Rc), axis=1)
-        newnorm = np.where(ok, _row_norms(np.nan_to_num(Rc)), np.inf)
-        return newnorm <= old * (1.0 - 1e-4 * alpha), Rc
+    # the live seeds' iterates, residuals (a row per equation), norms, damping, rounds
+    P = X
+    R = eqs.values(P).T
+    N = _row_norms(R.T)
+    lam = np.full(len(P), 1e-10)
+    its = np.zeros(len(P), dtype=int)
+    found: list = []  # per round, the converged seeds' rows of P, res and its
+    halves = 0.5 ** np.arange(1, 6)[:, None]  # the step fractions of a backtrack
 
     for _ in range(opts.max_iterations):
-        idx = np.flatnonzero(active)
-        if not idx.size:
+        if not len(P):
             break
-        P = X[idx]
-        R = resid[idx]
-        finite = np.all(np.isfinite(R), axis=1)
-        resnorm = np.where(finite, np.max(np.abs(R), axis=1, initial=0.0), np.inf)
-        conv = finite & (resnorm <= opts.tol_residual)
-        for j in np.flatnonzero(conv):
-            done.append((idx[j], P[j].copy(), float(resnorm[j]), int(iters[idx[j]])))
-        active[idx[conv]] = False
-        gone = ~finite
-        gone |= np.linalg.norm(P[:, :boxed] - center, axis=1) > escape
-        active[idx[gone]] = False
-        stats["dropped"] += int(np.count_nonzero(gone & ~conv))
-        live = ~conv & ~gone
-        if not np.any(live):
-            continue
-        sub = idx[live]
-        P, R = P[live], R[live]
-        J = eqs.jacobian(P)
-        bad_j = ~np.all(np.isfinite(J.reshape(len(P), -1)), axis=1)
-        if np.any(bad_j):
-            active[sub[bad_j]] = False
-            stats["dropped"] += int(np.count_nonzero(bad_j))
-            keep = ~bad_j
-            sub, P, R, J = sub[keep], P[keep], R[keep], J[keep]
+        # nan for a seed with a nan residual, inf for one with an inf
+        res = np.abs(R).max(axis=0, initial=0.0)
+        conv = res <= opts.tol_residual
+        if conv.any():
+            found.append((P[conv], res[conv], its[conv]))
+        with np.errstate(over="ignore"):
+            far = np.linalg.norm(P[:, :boxed] - center, axis=1) > escape
+        live = np.isfinite(res) & ~far & ~conv
+        if not live.all():
+            P, R, N, lam, its = P[live], R[:, live], N[live], lam[live], its[live]
             if not len(P):
-                continue
+                break
+        J = eqs.jacobian(P)
+        ok = np.isfinite(J).all(axis=(1, 2))
+        if not ok.all():
+            P, R, N, lam, its, J = P[ok], R[:, ok], N[ok], lam[ok], its[ok], J[ok]
+            if not len(P):
+                break
         H = np.einsum("pei,pej->pij", J, J)
-        g = np.einsum("pei,pe->pi", J, R)
-        scale = np.trace(H, axis1=1, axis2=2) / dim + 1e-30
-        A = H + (lam[sub] * scale)[:, None, None] * np.eye(dim)
+        # a row per seed, as einsum's order of summation may follow layout
+        g = np.einsum("pei,pe->pi", J, np.ascontiguousarray(R.T))
+        scale = H.trace(axis1=1, axis2=2) / dim + 1e-30
+        A = H + (lam * scale)[:, None, None] * np.eye(dim)
         try:
             step = np.linalg.solve(A, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
             step = np.array(
                 [np.linalg.lstsq(A[p], g[p], rcond=None)[0] for p in range(len(P))]
             )
-        bad_s = ~np.all(np.isfinite(step), axis=1)
-        if np.any(bad_s):
-            step[bad_s] = 0.0
-        old = _row_norms(R)
+        step[~np.isfinite(step).all(axis=1)] = 0.0
         cand = P - step
-        accepted, Rc = passes(cand, old, 1.0)
-        X[sub[accepted]] = cand[accepted]
-        resid[sub[accepted]] = Rc[accepted]
+        Rc = eqs.values(cand).T
+        Nc = _row_norms(Rc.T)
+        accepted = Nc <= N * (1.0 - 1e-4)
+        P = np.where(accepted[:, None], cand, P)
+        R = np.where(accepted, Rc, R)
+        N = np.where(accepted, Nc, N)
         fail = np.flatnonzero(~accepted)
         if fail.size:
             # row h * len(fail) + i tries the halving h + 1 of failed point i
-            alpha = np.repeat(0.5 ** np.arange(1, 6), fail.size)
-            cand = np.tile(P[fail], (5, 1)) - alpha[:, None] * np.tile(step[fail], (5, 1))
-            good, Rc = passes(cand, np.tile(old[fail], 5), alpha)
-            good = good.reshape(5, fail.size)
+            cand = (P[fail] - halves[..., None] * step[fail]).reshape(-1, dim)
+            Rc = eqs.values(cand).T
+            Nc = _row_norms(Rc.T)
+            good = Nc.reshape(5, fail.size) <= N[fail] * (1.0 - 1e-4 * halves)
             hit = good.any(axis=0)
-            rows = (np.argmax(good, axis=0) * fail.size + np.arange(fail.size))[hit]
-            X[sub[fail[hit]]] = cand[rows]
-            resid[sub[fail[hit]]] = Rc[rows]
-            accepted[fail[hit]] = True
-        lam[sub[accepted]] = np.maximum(lam[sub[accepted]] * 0.3, 1e-12)
-        lam[sub[~accepted]] *= 30.0
-        stalled = ~accepted & (lam[sub] > 1e6)
-        active[sub[stalled]] = False
-        stats["dropped"] += int(np.count_nonzero(stalled))
-        iters[sub] += 1
-    stats["out_of_iterations"] = int(np.count_nonzero(active))
+            at = fail[hit]
+            rows = (good.argmax(axis=0) * fail.size + np.arange(fail.size))[hit]
+            P[at], R[:, at], N[at] = cand[rows], Rc[:, rows], Nc[rows]
+            accepted[at] = True
+        lam = np.where(accepted, np.maximum(lam * 0.3, 1e-12), lam * 30.0)
+        its += 1
+        keep = accepted | (lam <= 1e6)  # a failed step with damping past 1e6 stalls
+        if not keep.all():
+            P, R, N, lam, its = P[keep], R[:, keep], N[keep], lam[keep], its[keep]
+    # a seed that neither converged nor ran out of rounds was dropped
+    stats["out_of_iterations"] = len(P)
+    stats["dropped"] = len(X) - len(P) - sum(len(part[1]) for part in found)
 
-    if not done:
+    if not found:
         return SolveOutcome([], stats)
 
-    pts = np.array([d[1] for d in done])
-    res = np.array([d[2] for d in done])
-    its = np.array([d[3] for d in done])
+    pts, res, its = (np.concatenate(parts) for parts in zip(*found))
 
     # strict recheck (paranoia against accumulation in the batched path)
     R = eqs.values(pts)

@@ -182,6 +182,21 @@ def test_lstsq_shape_validation():
         least_squares(np.eye(3), np.zeros(2))
     with pytest.raises(ValueError):
         least_squares(np.eye(2), np.array([np.inf, 0.0]))
+    with pytest.raises(ValueError, match="matrix contains nan or inf"):
+        least_squares([[1.0, np.nan]], np.zeros(1))
+    with pytest.raises(ValueError, match="exceeds the 64 cap"):
+        least_squares(np.zeros((65, 1)), np.zeros(65))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        least_squares(np.eye(2), np.zeros(2), tol=0.0)
+
+
+def test_lstsq_rank_flag_is_numeric_rank():
+    rng = np.random.default_rng(8)
+    for cols in range(1, 5):
+        for rank in range(cols + 1):
+            a = rng.normal(size=(6, rank)) @ rng.normal(size=(rank, cols))
+            want = numeric_rank(a).rank < cols
+            assert least_squares(a, rng.normal(size=6)).rank_deficient == want
 
 
 def test_report_types():

@@ -197,6 +197,8 @@ def test_hyperboloid_deep_points():
 # -- Gauss-Newton against the implementation it replaced ----------------------
 
 
+# a norm past the float range is inf, the norm meant there
+@np.errstate(over="ignore")
 def _reference_solve_points(system, opts, *, seeds, audits=(), var_dim=None):
     """``solve_points`` as it was before each trial round became one
     evaluation call: the residuals evaluated again at every loop head, and
@@ -340,6 +342,15 @@ def _gauss_newton_cases() -> dict:
         "torus_depth2": (list(chart.equations), chart.audits, torus.box),
         "swallowtail": _swallowtail_chart(),
         "pole": (system2("1/x1 - x2", "x1^2 + x2^2 - 1"), (), ((-1.0, 1.0),) * 2),
+        # at x1 = 0 the residuals are finite and the Jacobian is not
+        "kink": (
+            [
+                parse(t, ("x1",))
+                for t in ("sqrt(x1^2 + x1) - sqrt(0.75)", "x1^3 - 0.125", "x1^2 - 0.25")
+            ],
+            (),
+            ((-1.0, 1.0),),
+        ),
     }
 
 
@@ -360,17 +371,32 @@ def _assert_stats_add_up(stats):
     assert sum(stats[key] for key in _STAT_GROUPS) == stats["seeds"], stats
 
 
+# coordinates that make a seed's residuals non-finite, overflow its norms
+# or put it past the escape radius (1e4 is more than 20 diameters from
+# every box here), and 0.0, where the kink's Jacobian is not finite
+_ODD_COORDINATES = (math.nan, math.inf, -math.inf, 1e200, -1e200, 1e4, -1e4, 0.0)
+
+
 @pytest.mark.parametrize("case", sorted(_GN_CASES))
 @given(
     picks=st.one_of(st.none(), st.lists(st.integers(0, 10**6), min_size=1, max_size=300)),
-    max_iterations=st.sampled_from([3, 60]),
+    odd=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 7), st.sampled_from(_ODD_COORDINATES)),
+        max_size=12,
+    ),
+    max_iterations=st.sampled_from([1, 3, 60]),
 )
-@example(picks=None, max_iterations=60)
+@example(picks=None, odd=[], max_iterations=60)
 @settings(max_examples=25, deadline=None)
-def test_gauss_newton_rounds_are_bitwise_the_sequential_loop(case, picks, max_iterations):
+def test_gauss_newton_rounds_are_bitwise_the_sequential_loop(case, picks, odd, max_iterations):
     equations, audits, box = _GN_CASES[case]
     grid = grid_seeds(box, 12)
     seeds = grid if picks is None else grid[[i % len(grid) for i in picks]]
+    # each odd seed is a copy of a seed with one coordinate replaced
+    for at, axis, value in odd:
+        row = seeds[at % len(seeds)].copy()
+        row[axis % len(row)] = value
+        seeds = np.insert(seeds, at % (len(seeds) + 1), row, axis=0)
     opts = SolveOptions(box=box, grid=12, max_iterations=max_iterations)
     out = solve_points(equations, opts, seeds=seeds, audits=audits)
     want, want_stats = _reference_solve_points(equations, opts, seeds=seeds, audits=audits)
@@ -381,6 +407,26 @@ def test_gauss_newton_rounds_are_bitwise_the_sequential_loop(case, picks, max_it
         assert got.x.tobytes() == x.tobytes()
         assert np.float64(got.residual).tobytes() == np.float64(res).tobytes()
         assert got.iterations == its
+
+
+@pytest.mark.parametrize(
+    "equations, box, seed, outcome",
+    [
+        # the escape test's distance overflows
+        (system2("x1 - x2"), ((-1.0, 1.0),) * 2, [1e200, 0.0], "dropped"),
+        # the residual norm overflows, and so does the Hessian: every step
+        # is zero and passes, so the seed iterates in place
+        ([parse("exp(x1 * 800) - 1", ("x1",))], ((-1.0, 1.0),), [0.5], "out_of_iterations"),
+    ],
+)
+def test_gauss_newton_norms_past_the_float_range_raise_no_warning(equations, box, seed, outcome):
+    opts = SolveOptions(box=box)
+    out = solve_points(equations, opts, seeds=[seed])
+    want, want_stats = _reference_solve_points(equations, opts, seeds=[seed])
+    assert out.points == want == []
+    assert {key: out.stats[key] for key in want_stats} == want_stats
+    assert out.stats[outcome] == 1
+    _assert_stats_add_up(out.stats)
 
 
 def _special_floats():
