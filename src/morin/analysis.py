@@ -33,14 +33,7 @@ from .expr import (
     symbolic_determinant,
     var,
 )
-from .linalg import (
-    RankReport,
-    determinant,
-    gelsy_solve,
-    least_squares,
-    numeric_rank,
-    numeric_ranks,
-)
+from .linalg import RankTable, determinant, gelsy_solve, least_squares, numeric_rank
 from .model import (
     VALIDITY_FACTOR,
     ChartChain,
@@ -75,21 +68,35 @@ class AnalysisError(RuntimeError):
     """A precondition failed or genericity could not be reached."""
 
 
-def _trusted(report: RankReport, rank: int) -> str:
-    """Tri-state verdict for the claim ``numeric rank == rank``."""
-    if not report.margin >= TRUST_GAP:
-        return "inconclusive"
-    return "yes" if report.rank == rank else "no"
+def _trusted(table: RankTable, rank: int) -> np.ndarray:
+    """Tri-state verdicts for the claims ``numeric rank == rank``, one per
+    entry of ``table``."""
+    verdicts = np.where(table.rank == rank, "yes", "no")
+    return np.where(table.margin >= TRUST_GAP, verdicts, "inconclusive")
 
 
-def _unit_rows(mat: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit length; zero rows are dropped.
+def _unit_rank(stack: np.ndarray, tol: float) -> RankTable:
+    """:func:`numeric_rank` of each matrix of a stack, shape (P, m, N),
+    with its rows scaled to unit length and its zero rows dropped.
 
     Rank and span questions should not depend on equation scaling, so
-    every stacked-gradient rank test goes through this."""
-    norms = np.linalg.norm(mat, axis=1)
+    every stacked-gradient rank test goes through this. The matrices that
+    keep as many rows are ranked in one stack; padding them to one shape
+    would change the singular values. Each row norm sums the row as a
+    one-matrix call sums it when the stack is C-contiguous.
+    """
+    norms = np.linalg.norm(stack, axis=-1)
     keep = norms > 0
-    return mat[keep] / norms[keep, None]
+    counts = np.count_nonzero(keep, axis=1)
+    rank = np.zeros(len(stack), dtype=int)
+    full = np.zeros(len(stack), dtype=bool)
+    margin = np.zeros(len(stack))
+    for count in np.unique(counts):
+        group = counts == count
+        rows = stack[group][keep[group]] / norms[group][keep[group]][:, None]
+        table = numeric_rank(rows.reshape(group.sum(), count, stack.shape[2]), tol)
+        rank[group], full[group], margin[group] = table
+    return RankTable(rank, full, margin)
 
 
 def _null_space(rows: np.ndarray) -> np.ndarray:
@@ -118,44 +125,37 @@ def _omega_scale(scene: Scene) -> float:
     return scene.memo(("omega_scale",), build)
 
 
-def _ranks(mats, tol) -> list:
-    """:func:`numeric_rank` of each matrix of a list, one stacked SVD per
-    shape. Shapes differ where ``_unit_rows`` dropped zero rows; padding
-    them to one shape would change the singular values."""
-    out: list = [None] * len(mats)
-    for group in index_groups([m.shape for m in mats]):
-        reports = numeric_ranks(np.stack([mats[i] for i in group]), tol)
-        for i, rep in zip(group, reports):
-            out[i] = rep
-    return out
-
-
-def _jacobians(equation_sets, points) -> list:
-    """Jacobian of each point's equations at that point, one
-    ``System.jacobian`` call per distinct equations and point dimension.
-    Each block is C-contiguous, laid out as a one-point call lays it out."""
+def _jacobians(equation_sets, points):
+    """The Jacobians of the points' equations at those points, as
+    ``(group, stack)`` pairs: one ``System.jacobian`` call per distinct
+    equations and point dimension, for the point indices ``group``. Each
+    stack is C-contiguous, every block laid out as a one-point call lays
+    it out."""
     keys = [(tuple(eqs), len(x)) for eqs, x in zip(equation_sets, points)]
-    out: list = [None] * len(keys)
     for group in index_groups(keys):
         equations, dim = keys[group[0]]
-        blocks = System(equations, dim).jacobian(np.array([points[i] for i in group]))
-        for i, block in zip(group, blocks):
-            out[i] = np.ascontiguousarray(block)
-    return out
+        jac = System(equations, dim).jacobian(np.array([points[i] for i in group]))
+        yield group, np.ascontiguousarray(jac)
 
 
-def _gradient_verdicts(scene: Scene, equation_sets, points) -> list:
+def _gradient_verdicts(scene: Scene, equation_sets, points) -> tuple:
     """Whether each point's equations have full-rank stacked gradients
-    there: ``(verdict, report, det)`` per point, with the :func:`_trusted`
-    verdict on the rank report of the unit rows, and the determinant of the
-    raw gradients when they are square (None otherwise). The ranks take
-    one stack per shape."""
-    grads = _jacobians(equation_sets, points)
-    reports = _ranks([_unit_rows(g) for g in grads], scene.tol_rank)
-    return [
-        (_trusted(rep, len(eqs)), rep, determinant(g) if g.shape[0] == g.shape[1] else None)
-        for eqs, g, rep in zip(equation_sets, grads, reports)
-    ]
+    there: lists ``(verdicts, ranks, margins, dets)``, one entry per
+    point, with the :func:`_trusted` verdict on the :func:`_unit_rank` of
+    the gradients, and the determinant of the raw gradients where they
+    are square (None otherwise). Each distinct equation set and point
+    dimension takes one stack."""
+    count = len(points)
+    verdicts = np.empty(count, dtype=object)
+    dets = np.full(count, None, dtype=object)
+    rank, margin = np.zeros(count, dtype=int), np.zeros(count)
+    for group, jac in _jacobians(equation_sets, points):
+        table = _unit_rank(jac, scene.tol_rank)
+        verdicts[group] = _trusted(table, jac.shape[1])
+        rank[group], margin[group] = table.rank, table.margin
+        if jac.shape[1] == jac.shape[2]:
+            dets[group] = determinant(jac)
+    return verdicts.tolist(), rank.tolist(), margin.tolist(), dets.tolist()
 
 
 def _restriction_coranks(scene: Scene, omega_vals, base_grads) -> list:
@@ -183,57 +183,49 @@ def _restriction_coranks(scene: Scene, omega_vals, base_grads) -> list:
         ranks = np.count_nonzero(sv > 1e-12 * sv[:, :1], axis=1)
     else:
         vt, ranks = None, np.zeros(len(omega_vals), dtype=int)
-    out: list = [None] * len(omega_vals)
+    # each restriction's singular values, padded with zeros to n
+    sigma = np.zeros((len(omega_vals), n))
     for group in index_groups(ranks.tolist()):
         restriction = omega_vals[group]
         if vt is not None:
             restriction = restriction @ vt[group, ranks[group[0]]:].transpose(0, 2, 1)
         if restriction.size:
             values = np.linalg.svd(restriction, compute_uv=False)
-        else:
-            values = np.zeros((len(group), 0))
-        for i, sv in zip(group, values):
-            if len(sv) < n:
-                sv = np.concatenate([sv, np.zeros(n - len(sv))])
-            rank = int(np.count_nonzero(sv > cut))
-            kept = sv[rank - 1] / cut if rank else math.inf
-            dropped = cut / sv[rank] if rank < n and sv[rank] > 0 else math.inf
-            out[i] = (n - rank, float(min(kept, dropped)))
-    return out
+            sigma[group, : values.shape[1]] = values
+    rank = np.count_nonzero(sigma > cut, axis=1)
+    at = np.arange(len(sigma))
+    first_dropped = sigma[at, np.minimum(rank, n - 1)]
+    with np.errstate(divide="ignore"):
+        kept = np.where(rank > 0, sigma[at, rank - 1] / cut, math.inf)
+        dropped = np.where((rank < n) & (first_dropped > 0), cut / first_dropped, math.inf)
+    return list(zip((n - rank).tolist(), np.minimum(kept, dropped).tolist()))
 
 
-def _intersection_dims(omega_vals, base_grads, conormal_grads, tol) -> list:
+def _intersection_dims(omega_vals, base_grads, conormal_grads, tol) -> tuple:
     """dim(span of coframe restrictions ∩ conormal of the previous stratum)
-    at each point, with its trust: ``(dim, trust)`` pairs.
+    at each point of the stacks, with its trust: arrays ``(dims,
+    trusted)``.
 
     The coframe restriction to the tangent space kills exactly the part of
     the row span lying in the manifold conormal, so the intrinsic dimension
     is dim(A ∩ W) - dim(A ∩ B) with A the ambient coframe rows, W the
     ambient conormal of the previous stratum and B ⊆ W the manifold
-    conormal. Trust is the weakest of the rank verdicts involved. Each
-    kind of rank is taken as one stack per shape.
+    conormal. A point is trusted when every rank involved clears
+    ``TRUST_GAP``. Each rank is one :func:`_unit_rank` of a stack; where B
+    has no nonzero row, [A;B] keeps the rows of A, so dim(A ∩ B) is 0 and
+    the margins add nothing.
     """
-    A = [_unit_rows(m) for m in omega_vals]
-    B = [_unit_rows(m) for m in base_grads]
-    W = [_unit_rows(m) for m in conormal_grads]
-    ra = _ranks(A, tol)
-    rw = _ranks(W, tol)
-    raw = _ranks([np.vstack([a, w]) if len(w) else a for a, w in zip(A, W)], tol)
-    with_base = [i for i, b in enumerate(B) if len(b)]
-    rb = dict(zip(with_base, _ranks([B[i] for i in with_base], tol)))
-    rab = dict(zip(with_base, _ranks([np.vstack([A[i], B[i]]) for i in with_base], tol)))
-    out = []
-    for i in range(len(A)):
-        reports = [ra[i], rw[i], raw[i]]
-        dim_aw = ra[i].rank + rw[i].rank - raw[i].rank
-        if i in rb:
-            reports += [rb[i], rab[i]]
-            dim_ab = ra[i].rank + rb[i].rank - rab[i].rank
-        else:
-            dim_ab = 0
-        trust = "inconclusive" if any(rep.margin < TRUST_GAP for rep in reports) else "yes"
-        out.append((dim_aw - dim_ab, trust))
-    return out
+    ra = _unit_rank(omega_vals, tol)
+    rw = _unit_rank(conormal_grads, tol)
+    raw = _unit_rank(np.concatenate([omega_vals, conormal_grads], axis=1), tol)
+    dims = ra.rank + rw.rank - raw.rank
+    margins = [ra.margin, rw.margin, raw.margin]
+    if base_grads.shape[1]:
+        rb = _unit_rank(base_grads, tol)
+        rab = _unit_rank(np.concatenate([omega_vals, base_grads], axis=1), tol)
+        dims -= ra.rank + rb.rank - rab.rank
+        margins += [rb.margin, rab.margin]
+    return dims, np.all(np.array(margins) >= TRUST_GAP, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +332,8 @@ def classify_points(scene: Scene, points) -> list:
     omega = np.ascontiguousarray(omega[live])
     base = np.ascontiguousarray(base[live])
     if scene.num_constraints and len(live):
-        reports = _ranks([_unit_rows(g) for g in base], scene.tol_rank)
-        trusted = np.array([_trusted(r, scene.num_constraints) == "yes" for r in reports])
+        table = _unit_rank(base, scene.tol_rank)
+        trusted = _trusted(table, scene.num_constraints) == "yes"
         for i in live[~trusted]:
             stop(i, "inconclusive", -1, note="constraint gradients degenerate here")
         live, omega, base = live[trusted], omega[trusted], base[trusted]
@@ -394,12 +386,16 @@ def classify_points(scene: Scene, points) -> list:
             conormal = base[walking]
         else:
             equations = [chains[j].chart(k - 1).equations for j in walking]
-            conormal = _jacobians(equations, X[idx[walking]])
-        found = _intersection_dims(omega[walking], base[walking], conormal, scene.tol_rank)
+            conormal = np.empty((len(walking), len(equations[0]), N))
+            for group, jac in _jacobians(equations, X[idx[walking]]):
+                conormal[group] = jac
+        found, trusted = _intersection_dims(
+            omega[walking], base[walking], conormal, scene.tol_rank
+        )
         deeper = []
-        for j, (dim, trust) in zip(walking, found):
+        for j, dim, trust in zip(walking, found.tolist(), trusted.tolist()):
             dims[j].append(dim)
-            if trust != "yes":
+            if not trust:
                 notes[j] = f"intersection rank untrusted at depth {k}"
             elif dim != k - 1:
                 notes[j] = f"intersection dimension {dim} at depth {k} (expected {k - 1})"
@@ -644,8 +640,8 @@ def check_corank1(scene: Scene) -> dict:
     sigma1 = solve_points(corank_system(scene), opts).coordinates().reshape(-1, N)
     report["sigma1_points"] = len(sigma1)
     chains = build_chains_at(scene, sigma1, max_depth=1)
-    verdicts = _gradient_verdicts(scene, [c.chart(1).equations for c in chains], sigma1)
-    for x, (verdict, _, _) in zip(sigma1, verdicts):
+    verdicts, _, _, _ = _gradient_verdicts(scene, [c.chart(1).equations for c in chains], sigma1)
+    for x, verdict in zip(sigma1, verdicts):
         if verdict == "no":
             report["transversality_failures"].append([float(v) for v in x])
         elif verdict == "inconclusive":
@@ -735,7 +731,7 @@ def check_morin(scene: Scene, *, strata: StrataResult | None = None) -> dict:
         # the walk that found depth k ran on a chain reaching it
         equations = [cls.chain.chart(k).equations for cls in found]
         verdicts = _gradient_verdicts(scene, equations, [cls.x for cls in found])
-        for cls, (trust, rep, det) in zip(found, verdicts):
+        for cls, trust, rank, margin, det in zip(found, *verdicts):
             if trust == "no":
                 verdict = "not_morin"
                 witnesses.append(
@@ -743,7 +739,7 @@ def check_morin(scene: Scene, *, strata: StrataResult | None = None) -> dict:
                         "depth": k,
                         "point": [float(v) for v in cls.x],
                         "reason": "stacked chart gradients drop rank",
-                        "rank": rep.rank,
+                        "rank": rank,
                     }
                 )
             elif trust == "inconclusive":
@@ -762,7 +758,7 @@ def check_morin(scene: Scene, *, strata: StrataResult | None = None) -> dict:
                         "depth": k,
                         "point": [float(v) for v in cls.x],
                         "reason": "conditions hold",
-                        "rank_margin": float(rep.margin),
+                        "rank_margin": margin,
                         "stack_det": None if det is None else float(det),
                     }
                 )
@@ -1003,9 +999,10 @@ def nondegeneracy(scene: Scene, records, weights) -> list:
         lam = np.asarray(rec.multipliers, dtype=float) if rec.stratum_depth else np.zeros(q)
         systems.append(_multiplier_system(scene, rec.equations, xi))
         points.append(np.concatenate([rec.x, lam]))
+    verdicts, _, _, dets = _gradient_verdicts(scene, systems, points)
     return [
         replace(rec, nondegenerate=verdict, bordered_det=0.0 if det is None else float(det))
-        for rec, (verdict, _, det) in zip(records, _gradient_verdicts(scene, systems, points))
+        for rec, verdict, det in zip(records, verdicts, dets)
     ]
 
 
@@ -1028,33 +1025,6 @@ def zero_census(
         records = find_restricted_zeros(scene, k, weights, strata=strata)
         restricted[k] = nondegeneracy(scene, records, weights)
     return {"unrestricted": unrestricted, "restricted": restricted}
-
-
-def covector_sweep(
-    scene: Scene,
-    *,
-    count: int = 20,
-    seed: int | None = None,
-    strata: StrataResult | None = None,
-) -> list:
-    """Zero censuses for ``count`` seeded covector draws, in draw order.
-
-    Draw ``i`` uses covector seed ``seed + i`` (the scene's seed when
-    ``seed`` is None), so the output is deterministic for a fixed seed.
-    The draws run one after another and share what does not depend on the
-    weights: the scene memo (minors, depth determinants, coframe scale)
-    and the expression caches. None of these is safe to mutate from
-    several threads.
-    """
-    if strata is None:
-        strata = compute_strata(scene)
-    base = scene_seed(scene, seed)
-    out = []
-    for i in range(count):
-        weights = draw_covector(scene.n, base + i)
-        census = zero_census(scene, weights, strata=strata)
-        out.append({"draw": i, "weights": [float(w) for w in weights], "census": census})
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1151,21 +1121,19 @@ def euler_via_morse(scene: Scene, seed: int = 0) -> int:
         outcome = solve_points(system, opts, seeds=seeds, var_dim=N + 1)
         if not outcome.points:
             continue
-        total = 0
-        degenerate = False
+        restricted = []
         for sp in outcome.points:
             x, lam = sp.x[:N], sp.x[N]
             grad = gradient.values(x)[0]
             hess = gradient.jacobian(x)[0]
             tangent = _null_space(grad.reshape(1, -1))
-            restricted = tangent.T @ (-lam * hess) @ tangent
-            rep = numeric_rank(restricted, scene.tol_rank)
-            if not rep.full or rep.full_rank_margin < TRUST_GAP:
-                degenerate = True
-                break
-            total += 1 if determinant(restricted) > 0 else -1
-        if not degenerate:
-            return total
+            restricted.append(tangent.T @ (-lam * hess) @ tangent)
+        # a critical point has a nonzero gradient (lam * grad = a), so each
+        # tangent plane, and each restricted curvature, is 2 x 2
+        restricted = np.stack(restricted)
+        table = numeric_rank(restricted, scene.tol_rank)
+        if np.all(table.full & (table.margin >= TRUST_GAP)):
+            return int(np.sum(np.where(determinant(restricted) > 0, 1, -1)))
     raise AnalysisError("all height draws hit a degenerate critical point")
 
 

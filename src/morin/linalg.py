@@ -12,10 +12,11 @@ here is small and dense, and the cap turns an upstream logic error (a
 runaway system builder) into a clear failure.
 
 Rank decisions follow the usual SVD convention: singular values above
-``tol * sigma_max`` count. The quality of that decision is reported, not
-assumed: ``gap_ratio`` is the ratio of the last accepted to the first
-rejected singular value (infinite when nothing was rejected), so callers
-can refuse to trust borderline verdicts.
+``tol * sigma_max`` count. They are made for a whole stack of matrices
+at once, and the quality of each is reported, not assumed: its
+``margin`` is the ratio of the last accepted to the first rejected
+singular value, or at full rank how far the smallest one clears the
+cutoff, so callers can refuse to trust borderline verdicts.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,104 +55,76 @@ def _checked(m: np.ndarray, square: bool) -> np.ndarray:
         raise ValueError(f"matrix shape {(rows, cols)} exceeds the {MAX_DIM} cap")
     if square and rows != cols:
         raise ValueError(f"expected a square matrix, got shape {(rows, cols)}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError("matrix contains nan or inf")
     return m
 
 
-@dataclass(frozen=True)
-class RankReport:
-    """Outcome of a numeric rank decision.
+class RankTable(NamedTuple):
+    """Rank decisions for a stack of matrices, one entry per matrix.
 
     Attributes
     ----------
-    rank : int
+    rank : ndarray of int
         Number of singular values above ``tol * sigma_max``.
-    singular_values : ndarray
-        All singular values, descending.
-    gap_ratio : float
-        ``sigma[rank-1] / sigma[rank]``; infinite when the matrix has full
-        rank (nothing rejected), zero when the rank is zero.
-    full_rank_margin : float
-        ``sigma_min / (tol * sigma_max)``; above one iff the matrix has
-        full rank, and its size measures how far the smallest singular
-        value sits from the cutoff.
+    full : ndarray of bool
+        Whether the rank equals the smaller dimension (vacuously true for
+        an empty matrix).
+    margin : ndarray of float
+        How far the decision sits from its cutoff. At full rank it is
+        ``sigma_min / (tol * sigma_max)``, above one, and infinite for an
+        empty matrix. Below full rank it is the gap ratio
+        ``sigma[rank-1] / sigma[rank]``: zero at rank zero, and infinite
+        where ``sigma[rank]`` is zero or so small (subnormal) that the
+        ratio passes the float range.
     """
 
-    rank: int
-    singular_values: np.ndarray
-    gap_ratio: float
-    full_rank_margin: float
-
-    @property
-    def full(self) -> bool:
-        return self.rank == len(self.singular_values)
-
-    @property
-    def margin(self) -> float:
-        """How far the decision sits from its cutoff: ``full_rank_margin``
-        at full rank, else ``gap_ratio``."""
-        return self.full_rank_margin if self.full else self.gap_ratio
+    rank: np.ndarray
+    full: np.ndarray
+    margin: np.ndarray
 
 
-def numeric_rank(a, tol: float = DEFAULT_RANK_TOL) -> RankReport:
-    """Numeric rank of ``a`` with gap diagnostics: :func:`numeric_ranks` of
-    the one-matrix stack of ``a``.
+def numeric_rank(a, tol: float = DEFAULT_RANK_TOL) -> RankTable:
+    """Numeric rank of every matrix of a stack ``a``, shape ``(P, m, n)``,
+    with its margin, from one stacked SVD.
 
-    Parameters
-    ----------
-    a : array-like, shape (m, n)
-    tol : float
-        Relative singular-value threshold, must be positive.
-    """
-    return _stack_reports(as_matrix(a)[None], tol)[0]
-
-
-def numeric_ranks(a, tol: float = DEFAULT_RANK_TOL) -> list:
-    """:func:`numeric_rank` of every matrix of a stack ``a``, shape
-    ``(P, m, n)``, from one stacked SVD.
-
-    LAPACK factors a stack one matrix at a time, so each report holds the
+    LAPACK factors a stack one matrix at a time, so each entry holds the
     bits that its matrix gives alone. One oversized or non-finite matrix
-    makes the whole call raise a ValueError.
+    makes the whole call raise a ValueError, as does a ``tol`` that is
+    not positive.
     """
     m = np.asarray(a, dtype=float)
     if m.ndim != 3:
         raise ValueError(f"expected a matrix stack, got array of ndim {m.ndim}")
-    return _stack_reports(_checked(m, False), tol)
-
-
-def _stack_reports(m: np.ndarray, tol: float) -> list:
-    """The reports of :func:`numeric_ranks` for a stack ``m`` that passed
-    :func:`_checked`."""
+    _checked(m, False)
     if tol <= 0:
         raise ValueError("tol must be positive")
+    count = len(m)
     if m.shape[1] * m.shape[2] == 0:
-        return [RankReport(0, np.empty(0), math.inf, math.inf) for _ in m]
-    return [_rank_report(sv, tol) for sv in np.linalg.svd(m, compute_uv=False)]
+        return RankTable(
+            np.zeros(count, dtype=int), np.ones(count, dtype=bool), np.full(count, math.inf)
+        )
+    sv = np.linalg.svd(m, compute_uv=False)
+    cut = tol * sv[:, 0]
+    rank = (sv > cut[:, None]).sum(axis=1)
+    full = rank == sv.shape[1]
+    # the last kept and the first dropped value, where the rank has them
+    at = np.arange(count)
+    kept, dropped = sv[at, rank - 1], sv[at, np.minimum(rank, sv.shape[1] - 1)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gap = np.where(rank == 0, 0.0, kept / dropped)
+        margin = np.where(full, sv[:, -1] / cut, gap)
+    return RankTable(rank, full, margin)
 
 
-def _rank_report(sv: np.ndarray, tol: float) -> RankReport:
-    """The rank decision for descending singular values ``sv``."""
-    smax = sv[0]
-    if smax == 0.0:
-        return RankReport(0, sv, 0.0, 0.0)
-    rank = int(np.count_nonzero(sv > tol * smax))
-    if rank == len(sv):
-        gap = math.inf
-    elif rank == 0:
-        gap = 0.0
-    else:
-        # a gap past the float range (sv[rank] subnormal) is an infinite one
-        with np.errstate(over="ignore"):
-            gap = math.inf if sv[rank] == 0.0 else float(sv[rank - 1] / sv[rank])
-    margin = float(sv[-1] / (tol * smax))
-    return RankReport(rank, sv, gap, margin)
-
-
-def determinant(a) -> float:
-    """Determinant of a square matrix (LU factorization with pivoting)."""
-    m = as_matrix(a, square=True)
+def determinant(a):
+    """Determinant of a square matrix (LU factorization with pivoting), or
+    the array of determinants of a stack of them, shape (P, n, n), each
+    with the bits of its matrix alone."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim == 3:
+        return np.linalg.det(_checked(m, True))
+    m = as_matrix(m, square=True)
     if m.shape[0] == 0:
         return 1.0
     return float(np.linalg.det(m))
@@ -194,7 +168,7 @@ def least_squares(a, b, tol: float = DEFAULT_RANK_TOL) -> LstsqResult:
     return LstsqResult(
         solution=x,
         residual_norm=resid,
-        rank_deficient=_stack_reports(m[None], tol)[0].rank < m.shape[1],
+        rank_deficient=bool(numeric_rank(m[None], tol).rank[0] < m.shape[1]),
     )
 
 

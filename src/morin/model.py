@@ -45,7 +45,7 @@ from .expr import (
     simplify,
     symbolic_determinant,
 )
-from .linalg import numeric_ranks
+from .linalg import numeric_rank
 
 VALIDITY_FACTOR = 10.0  # margins below VALIDITY_FACTOR * tol_rank are unusable
 
@@ -732,24 +732,19 @@ def select_supplements(scene: Scene, base_equations, depth: int, points) -> list
     if not len(live):
         return out
     q, omega_vals = q[live], omega_vals[live]
-    base_ranks = [rep.rank for rep in numeric_ranks(q, scene.tol_rank)]
+    base_ranks = numeric_rank(q, scene.tol_rank).rank
     subsets = list(combinations(range(n), r))
     rows = omega_vals[:, np.array(subsets)]  # (point, subset, r, N)
     stacks = np.concatenate([np.repeat(q[:, None], len(subsets), axis=1), rows], axis=2)
-    reports = numeric_ranks(stacks.reshape(-1, *stacks.shape[2:]), scene.tol_rank)
-    ok = [
-        (p, i)
-        for p, base_rank in enumerate(base_ranks)
-        for i in range(len(subsets))
-        if reports[p * len(subsets) + i].rank == base_rank + r
-    ]
-    if not ok:
+    ranks = numeric_rank(stacks.reshape(-1, *stacks.shape[2:]), scene.tol_rank).rank
+    # the qualifying (point, subset) pairs, point by point
+    at, which = np.nonzero(ranks.reshape(len(q), len(subsets)) == base_ranks[:, None] + r)
+    if not len(at):
         return out
-    at, which = np.array(ok).T
     margins = _projected_margins(
         rows[at, which], q[at], _coframe_scale(omega_vals)[at], scene.tol_rank
     )
-    for (p, i), margin in zip(ok, margins.tolist()):
+    for p, i, margin in zip(at.tolist(), which.tolist(), margins.tolist()):
         best = out[live[p]]
         if best is None or margin > best.margin:
             out[live[p]] = SupplementSelection(subsets[i], margin)

@@ -4,8 +4,8 @@ Three independent mechanisms, deliberately overlapping so results can be
 cross-checked:
 
 * ``solve_points``: batched damped Gauss-Newton from a deterministic seed
-  grid (or caller-provided seeds), with strict residual rechecks, box and
-  audit filters, and deduplication.
+  grid (or caller-provided seeds), with box and audit filters, and
+  deduplication.
 * ``trace_curves``: predictor-corrector continuation along one-dimensional
   solution sets, detecting closed loops and box exits.
 * ``grid_oracle``: a dense multi-level scan that never uses derivatives,
@@ -211,10 +211,12 @@ def solve_points(
     """All isolated solutions of ``system`` inside the box.
 
     Damped Gauss-Newton with backtracking runs from every seed in
-    parallel. Survivors must pass a strict residual recheck, the box test
-    (with a tiny relative slack), and every audit equation within ten
-    times the residual tolerance. Duplicates are merged keeping the lower
-    residual; the result is ordered lexicographically by coordinates.
+    parallel. A seed converges when its residuals are finite and within
+    ``tol_residual``, as they are when its point is evaluated alone; the
+    converged points must pass the box test (with a tiny relative slack)
+    and every audit equation within ten times the residual tolerance.
+    Duplicates are merged keeping the lower residual; the result is
+    ordered lexicographically by coordinates.
 
     A round makes two evaluation calls: the full steps, then every halving
     1/2 ... 1/32 of the failed ones, stacked. A point takes its first step
@@ -234,8 +236,7 @@ def solve_points(
 
     ``stats`` puts every seed in exactly one of ``converged``, ``dropped``
     (not finite, escaped or stalled), ``out_of_iterations``,
-    ``recheck_failed``, ``out_of_box``, ``audit_rejected`` and
-    ``deduplicated``.
+    ``out_of_box``, ``audit_rejected`` and ``deduplicated``.
     """
     boxed = len(opts.box)
     dim = boxed if var_dim is None else var_dim
@@ -253,7 +254,6 @@ def solve_points(
         "converged": 0,
         "dropped": 0,
         "out_of_iterations": 0,
-        "recheck_failed": 0,
         "out_of_box": 0,
         "audit_rejected": 0,
         "deduplicated": 0,
@@ -338,15 +338,8 @@ def solve_points(
 
     pts, res, its = (np.concatenate(parts) for parts in zip(*found))
 
-    # strict recheck (paranoia against accumulation in the batched path)
-    R = eqs.values(pts)
-    strict = np.all(np.isfinite(R), axis=1) & (
-        np.max(np.abs(R), axis=1, initial=0.0) <= opts.tol_residual
-    )
-    inside = in_box(pts, opts.box, slack=1e-9 * opts.diameter)
-    stats["recheck_failed"] = int(np.count_nonzero(~strict))
-    stats["out_of_box"] = int(np.count_nonzero(strict & ~inside))
-    keep = strict & inside
+    keep = in_box(pts, opts.box, slack=1e-9 * opts.diameter)
+    stats["out_of_box"] = int(np.count_nonzero(~keep))
     if audits:
         audit_vals = _compile(audits, dim).values(pts)
         audit_ok = np.all(

@@ -1,14 +1,14 @@
 """Session-wide fixtures for the expensive geometric computations.
 
-Stratum towers and covector sweeps take seconds each; computing them
+Stratum towers and sweeps of covector draws take seconds each; computing them
 once and sharing across test modules keeps the whole suite fast without
 weakening any assertion.
 """
 
 import pytest
 
-from morin.analysis import compute_strata, covector_sweep, euler_congruence
-from morin.model import load_scene
+from morin.analysis import compute_strata, euler_congruence, zero_census
+from morin.model import draw_covector, load_scene
 
 
 def _scene(name):
@@ -60,16 +60,25 @@ def swallowtail_strata(swallowtail_scene):
     return compute_strata(swallowtail_scene)
 
 
+def _sweep(scene, strata, count=20, seed=7):
+    """Zero censuses of ``count`` covector draws, draw ``i`` from seed
+    ``seed + i``, one after another."""
+    out = []
+    for i in range(count):
+        weights = draw_covector(scene.n, seed + i)
+        census = zero_census(scene, weights, strata=strata)
+        out.append({"draw": i, "weights": [float(w) for w in weights], "census": census})
+    return out
+
+
 @pytest.fixture(scope="session")
 def torus_sweep(torus_scene, torus_strata):
-    return covector_sweep(torus_scene, count=20, seed=7, strata=torus_strata)
+    return _sweep(torus_scene, torus_strata)
 
 
 @pytest.fixture(scope="session")
 def hyperboloid_sweep(hyperboloid_scene, hyperboloid_strata):
-    return covector_sweep(
-        hyperboloid_scene, count=20, seed=7, strata=hyperboloid_strata
-    )
+    return _sweep(hyperboloid_scene, hyperboloid_strata)
 
 
 @pytest.fixture(scope="session")

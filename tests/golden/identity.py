@@ -6,9 +6,12 @@ Runs every argv below in a fresh ``python`` process in PARENT_ROOT and in
 the tree holding this script, with the tree as working directory and its
 ``src`` on ``PYTHONPATH``, and compares stdout, stderr and exit code. The
 argvs are the golden reports' (``record.invocations()``), the
-benchmark's invocations (``perfbench/workloads.py``) and ``euler --seed
-42`` on every scene, all with ``--no-timings``. Each difference is printed;
-the exit code is 1 if there is any, else 0.
+benchmark's invocations (``perfbench/workloads.py``), ``euler --seed
+42`` on every scene, and ``check``, ``strata``, ``euler --seed 42`` and
+``zeros --stratum 1 --seed 42`` on every generated scene, all with
+``--no-timings``. A generated scene is named by its absolute path in the
+tree holding this script, so both trees run the same file. Each
+difference is printed; the exit code is 1 if there is any, else 0.
 """
 
 import os
@@ -30,7 +33,17 @@ def argvs() -> list:
     golden = [argv for _, argv in record.invocations()]
     bench = [inv.cli_argv() for invocations in WORKLOADS.values() for inv in invocations]
     seeded = [["euler", f"scenes/{s}.scene", "--seed", "42", "--no-timings"] for s in record.SCENES]
-    return golden + bench + seeded
+    generated = [
+        [command, str(scene), *options, "--no-timings"]
+        for scene in sorted((HERE / "generated").glob("*.scene"))
+        for command, *options in (
+            ["check"],
+            ["strata"],
+            ["euler", "--seed", "42"],
+            ["zeros", "--stratum", "1", "--seed", "42"],
+        )
+    ]
+    return golden + bench + seeded + generated
 
 
 def run(root: Path, argv: list) -> tuple:

@@ -3,8 +3,9 @@
 Each test states a user-facing promise of the package: golden stratum
 points on the two reference surfaces, the mod-2 Euler congruence, the
 negative control that must fail, covector-zero properties over twenty
-seeded draws, solver/oracle agreement, derivative hygiene, and
-byte-level determinism of the CLI. Tolerances are part of the contract
+seeded draws, solver/oracle agreement, derivative hygiene, byte-level
+determinism of the CLI, and a control on S^3 whose strata are all empty.
+Tolerances are part of the contract
 and appear literally in the assertions.
 """
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from morin.analysis import (
-    _unit_rows,
+    _unit_rank,
     check_morin,
     euler_congruence,
     euler_via_morse,
@@ -22,7 +23,6 @@ from morin.analysis import (
 )
 from morin.cli import main
 from morin.expr import System, differentiate, eval_block
-from morin.linalg import numeric_rank
 from morin.model import build_chain_at, corank_system, draw_covector, load_scene
 from morin.solver import grid_oracle, match_point_sets
 
@@ -69,9 +69,9 @@ def test_01_hyperboloid_cusp_pair_with_full_rank_stack(
         assert w["rank_margin"] >= 1e4
         chain = build_chain_at(hyperboloid_scene, p)
         grads = System(chain.chart(2).equations, len(p)).jacobian(p)[0]
-        rep = numeric_rank(_unit_rows(grads), hyperboloid_scene.tol_rank)
-        assert rep.full
-        assert min(rep.full_rank_margin, rep.gap_ratio) >= 1e4
+        table = _unit_rank(grads[None], hyperboloid_scene.tol_rank)
+        assert table.full[0]
+        assert table.margin[0] >= 1e4
     # determinant magnitude is 4*|x1| times one positive chart factor
     assert ratios[0] > 0
     assert ratios[0] == pytest.approx(ratios[1], rel=1e-6)
@@ -277,3 +277,22 @@ def test_09_euler_cli_runs_are_byte_identical(tmp_path, capsys):
         assert code == 0
         outputs.append(target.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+S3_QUATERNION = "tests/golden/generated/s3_quaternion.scene"
+
+
+def test_10_s3_quaternion_frame_is_a_control_with_every_stratum_empty(capsys):
+    # x -> (ix, jx, kx) is orthonormal on S^3 and never degenerates, and
+    # chi(S^3) = 0: Fukuda's congruence holds with every count 0
+    assert main(["check", S3_QUATERNION, "--no-timings"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["corank1"]["passed"] and results["corank1"]["sigma1_points"] == 0
+    assert results["strata_counts"] == {}
+    assert results["morin"]["verdict"] == "morin"
+    assert main(["euler", S3_QUATERNION, "--seed", "42", "--no-timings"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["congruence_holds"] is True
+    assert results["counts"] == {
+        "unrestricted": 0, "restricted_1": 0, "restricted_2": 0, "deepest_3": 0
+    }

@@ -9,11 +9,13 @@ a well-behaved frame from one whose depth determinant dies identically.
 
 import math
 from dataclasses import replace
+from typing import NamedTuple
 from unittest.mock import patch
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morin.analysis import (
@@ -28,7 +30,7 @@ from morin.analysis import (
     _null_space,
     _omega_scale,
     _trusted,
-    _unit_rows,
+    _unit_rank,
     check_corank1,
     check_morin,
     classify_point,
@@ -43,7 +45,7 @@ from morin.analysis import (
     zero_census,
 )
 from morin.expr import System, eval_block
-from morin.linalg import RankReport, determinant, least_squares, numeric_rank
+from morin.linalg import RankTable, determinant, least_squares, numeric_rank
 from morin.model import (
     VALIDITY_FACTOR,
     _sigma1_charts,
@@ -142,7 +144,51 @@ def test_classification_keeps_the_chain_it_walked(
 # -- the batched walk against the per-point walk it replaced ------------------
 #
 # The reference below is the one-point tower walk that ``classify_points``
-# replaced, with its rank, corank and membership helpers.
+# replaced, with its rank, corank and membership helpers. Its ranks are
+# the per-matrix reports that the rank tables replaced.
+
+
+class _Report(NamedTuple):
+    """One matrix's rank decision, as the per-matrix reports gave it."""
+
+    rank: int
+    full: bool
+    gap_ratio: float
+    full_rank_margin: float
+
+    @property
+    def margin(self) -> float:
+        return self.full_rank_margin if self.full else self.gap_ratio
+
+
+def _reference_unit_rows(mat):
+    """Rows scaled to unit length, zero rows dropped, one matrix at a time."""
+    norms = np.linalg.norm(mat, axis=1)
+    keep = norms > 0
+    return mat[keep] / norms[keep, None]
+
+
+def _reference_rank(mat, tol) -> _Report:
+    """The rank decision for one matrix from its own SVD."""
+    if not mat.size:
+        return _Report(0, True, math.inf, math.inf)
+    sv = np.linalg.svd(mat, compute_uv=False)
+    smax = sv[0]
+    if smax == 0.0:
+        return _Report(0, False, 0.0, 0.0)
+    rank = int(np.count_nonzero(sv > tol * smax))
+    if rank == len(sv):
+        gap = math.inf
+    elif rank == 0:
+        gap = 0.0
+    else:
+        # a gap past the float range (sv[rank] subnormal) is an infinite one
+        with np.errstate(over="ignore"):
+            gap = math.inf if sv[rank] == 0.0 else float(sv[rank - 1] / sv[rank])
+    # a cutoff rounded to zero makes the margin inf, or nan at a zero sv[-1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        margin = float(sv[-1] / (tol * smax))
+    return _Report(rank, rank == len(sv), gap, margin)
 
 
 def _reference_restriction_corank(scene, omega_vals, base_grads):
@@ -158,17 +204,17 @@ def _reference_restriction_corank(scene, omega_vals, base_grads):
 
 
 def _reference_intersection_dim(omega_vals, base_grads, conormal_grads, tol):
-    A = _unit_rows(omega_vals)
-    B = _unit_rows(base_grads)
-    W = _unit_rows(conormal_grads)
-    ra = numeric_rank(A, tol)
-    rw = numeric_rank(W, tol)
-    raw = numeric_rank(np.vstack([A, W]) if len(W) else A, tol)
+    A = _reference_unit_rows(omega_vals)
+    B = _reference_unit_rows(base_grads)
+    W = _reference_unit_rows(conormal_grads)
+    ra = _reference_rank(A, tol)
+    rw = _reference_rank(W, tol)
+    raw = _reference_rank(np.vstack([A, W]) if len(W) else A, tol)
     reports = [ra, rw, raw]
     dim_aw = ra.rank + rw.rank - raw.rank
     if len(B):
-        rb = numeric_rank(B, tol)
-        rab = numeric_rank(np.vstack([A, B]), tol)
+        rb = _reference_rank(B, tol)
+        rab = _reference_rank(np.vstack([A, B]), tol)
         reports += [rb, rab]
         dim_ab = ra.rank + rb.rank - rab.rank
     else:
@@ -199,8 +245,8 @@ def _reference_classify(scene, point):
     if not (np.all(np.isfinite(omega_vals)) and np.all(np.isfinite(base_grads))):
         return "inconclusive", -1, (), "coframe values not finite here", None
     if len(base_grads):
-        g_rep = numeric_rank(_unit_rows(base_grads), scene.tol_rank)
-        if _trusted(g_rep, scene.num_constraints) != "yes":
+        g_rep = _reference_rank(_reference_unit_rows(base_grads), scene.tol_rank)
+        if _reference_trusted(g_rep, scene.num_constraints) != "yes":
             return "inconclusive", -1, (), "constraint gradients degenerate here", None
     corank, measured = _reference_restriction_corank(scene, omega_vals, base_grads)
     if measured < TRUST_GAP:
@@ -487,7 +533,7 @@ def test_restricted_zero_seeds_each_sample_once(torus_scene, torus_strata):
 
 def _reference_trusted(report, rank):
     """The trust rule with each branch spelled out: the reference for
-    ``_trusted`` and ``RankReport.margin``."""
+    ``_trusted`` and the margin of a rank table."""
     if report.rank != rank:
         measured = report.gap_ratio if not report.full else report.full_rank_margin
         return "no" if measured >= TRUST_GAP else "inconclusive"
@@ -519,7 +565,7 @@ def _reference_nondegeneracy(scene, record, weights):
     system = _multiplier_system(scene, equations, xi)
     q = len(equations)
     J = System(system, N + q).jacobian(np.concatenate([record.x, lam]))[0]
-    rep = numeric_rank(_unit_rows(J), scene.tol_rank)
+    rep = _reference_rank(_reference_unit_rows(J), scene.tol_rank)
     det = determinant(J) if J.shape[0] == J.shape[1] else 0.0
     return _reference_trusted(rep, N + q), np.float64(det).tobytes(), record.flags
 
@@ -550,18 +596,16 @@ def _one_point_verdict(scene, equations, x):
     """The gradient verdict of one point spelled out: the reference for
     ``_gradient_verdicts``."""
     J = System(equations, len(x)).jacobian(x)[0]
-    rep = numeric_rank(_unit_rows(J), scene.tol_rank)
+    rep = _reference_rank(_reference_unit_rows(J), scene.tol_rank)
     det = determinant(J) if J.shape[0] == J.shape[1] else None
-    return _trusted(rep, len(equations)), rep, det
+    return _reference_trusted(rep, len(equations)), rep.rank, rep.margin, det
 
 
-def _verdict_bits(verdict, rep, det):
+def _verdict_bits(verdict, rank, margin, det):
     return (
         verdict,
-        rep.rank,
-        rep.singular_values.tobytes(),
-        np.float64(rep.gap_ratio).tobytes(),
-        np.float64(rep.full_rank_margin).tobytes(),
+        rank,
+        np.float64(margin).tobytes(),
         None if det is None else np.float64(det).tobytes(),
     )
 
@@ -582,8 +626,8 @@ def test_gradient_verdicts_are_bitwise_the_one_point_path(torus_scene, torus_str
     items = items[::2] + items[1::2]
     assert len({(len(eqs), len(x)) for eqs, x in items}) >= 3
     got = _gradient_verdicts(torus_scene, [eqs for eqs, _ in items], [x for _, x in items])
-    assert len(got) == len(items)
-    for (equations, x), out in zip(items, got):
+    assert all(len(column) == len(items) for column in got)
+    for (equations, x), out in zip(items, zip(*got)):
         want = _one_point_verdict(torus_scene, equations, x)
         assert _verdict_bits(*out) == _verdict_bits(*want)
 
@@ -686,7 +730,7 @@ _MARGINS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
 )
 _REPORTS = st.builds(
-    lambda rank, size, gap, margin: RankReport(rank, np.ones(size), gap, margin),
+    lambda rank, size, gap, margin: _Report(rank, rank == size, gap, margin),
     st.integers(0, 4),
     st.integers(0, 4),
     _MARGINS,
@@ -694,18 +738,87 @@ _REPORTS = st.builds(
 )
 
 
+def _table(reports) -> RankTable:
+    return RankTable(
+        np.array([r.rank for r in reports], dtype=int),
+        np.array([r.full for r in reports], dtype=bool),
+        np.array([r.margin for r in reports], dtype=float),
+    )
+
+
 @given(st.lists(_REPORTS, min_size=5, max_size=5), st.integers(0, 4), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_trust_rule_matches_the_spelled_out_formulas(reports, rank, with_base):
-    for rep in reports:
-        assert _trusted(rep, rank) == _reference_trusted(rep, rank)
-    # _intersection_dims ranks three stacks, or five when there is a base
+    assert _trusted(_table(reports), rank).tolist() == [
+        _reference_trusted(rep, rank) for rep in reports
+    ]
+    # _intersection_dims ranks three stacks, or five when there is a base;
+    # a nan margin, which no finite matrix gives, counts as untrusted there
+    # as in _trusted
     used = reports if with_base else reports[:3]
-    base = np.ones((1, 3)) if with_base else np.zeros((0, 3))
-    with patch("morin.analysis.numeric_ranks", side_effect=[[r] for r in used]):
-        ((_, trust),) = _intersection_dims([np.eye(3)], [base], [np.ones((2, 3))], 1e-8)
-    weakest = [r.full_rank_margin if r.full else r.gap_ratio for r in used]
-    assert trust == ("inconclusive" if any(m < TRUST_GAP for m in weakest) else "yes")
+    base = np.ones((1, 1, 3)) if with_base else np.zeros((1, 0, 3))
+    with patch("morin.analysis.numeric_rank", side_effect=[_table([r]) for r in used]):
+        dims, trusted = _intersection_dims(np.eye(3)[None], base, np.ones((1, 2, 3)), 1e-8)
+    ra, rw, raw, *rest = used
+    want = ra.rank + rw.rank - raw.rank
+    if rest:
+        rb, rab = rest
+        want -= ra.rank + rb.rank - rab.rank
+    assert dims.tolist() == [want]
+    assert trusted.tolist() == [all(r.margin >= TRUST_GAP for r in used)]
+
+
+def _rank_bits(rank, full, margin) -> tuple:
+    return int(rank), bool(full), np.float64(margin).tobytes()
+
+
+# zeros, small integers and tiny values make rank-deficient matrices, zero
+# rows and subnormal singular values common; the rest spreads singular
+# values over many decades
+_RANK_ENTRY = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0, 1e-12, 3e7, 1e-310, 5e-324]),
+    st.floats(-10.0, 10.0, allow_subnormal=False),
+)
+
+
+@st.composite
+def _rank_stacks(draw):
+    """C-contiguous (P, m, N) stacks with N up to 16: some matrices zero,
+    some with zero rows, some with a row that a subnormal nudge sets apart
+    from another, and some with a row scaled down to subnormal size."""
+    P, m, N = draw(st.integers(1, 5)), draw(st.integers(0, 4)), draw(st.integers(0, 16))
+    a = draw(hnp.arrays(float, (P, m, N), elements=_RANK_ENTRY))
+    for p in range(P):
+        kind = draw(st.sampled_from(["plain", "zero", "zero row", "nudged", "scaled"]))
+        if kind == "zero":
+            a[p] = 0.0
+        elif kind == "zero row" and m:
+            a[p, draw(st.integers(0, m - 1))] = 0.0
+        elif kind == "nudged" and m > 1 and N:
+            a[p, -1] = a[p, 0]
+            a[p, -1, draw(st.integers(0, N - 1))] += draw(st.sampled_from([1e-310, -5e-324]))
+        elif kind == "scaled" and m:
+            a[p, -1] *= draw(st.sampled_from([1e-310, 1e-320]))
+    return a
+
+
+@given(_rank_stacks(), st.sampled_from([1e-8, 1e-3, 0.5]))
+# a subnormal sv[rank], raw and after unit scaling, whose gap overflows to inf
+@example(np.array([[[1.0, 0.0], [0.0, 1e-310]], [[1.0, 0.0], [1.0, 1e-310]]]), 1e-8)
+# a zero row in one matrix of two
+@example(np.array([[[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]], [[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]]), 1e-8)
+@settings(max_examples=300, deadline=None)
+def test_rank_tables_are_bitwise_the_per_matrix_reports(stack, tol):
+    raw, unit = numeric_rank(stack, tol), _unit_rank(stack, tol)
+    for p, m in enumerate(stack):
+        want = _reference_rank(m, tol)
+        assert _rank_bits(*(column[p] for column in raw)) == _rank_bits(
+            want.rank, want.full, want.margin
+        )
+        want = _reference_rank(_reference_unit_rows(m), tol)
+        assert _rank_bits(*(column[p] for column in unit)) == _rank_bits(
+            want.rank, want.full, want.margin
+        )
 
 
 def test_membership_tri_state(torus_scene):

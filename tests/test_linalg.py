@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 from morin.linalg import (
     MAX_DIM,
     LstsqResult,
-    RankReport,
+    RankTable,
     as_matrix,
     determinant,
     gelsy_solve,
     least_squares,
     numeric_rank,
-    numeric_ranks,
 )
 
 RNG = np.random.default_rng(991)
@@ -55,44 +54,42 @@ def test_rejects_non_finite_and_non_2d():
     with pytest.raises(ValueError):
         determinant(np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        numeric_rank(np.eye(2), tol=0.0)
+        numeric_rank(np.eye(2)[None], tol=0.0)
 
 
 # -- numeric rank -------------------------------------------------------------
 
 
+def _one(matrix, tol=1e-8):
+    """The rank, full flag and margin of one matrix, as Python values."""
+    table = numeric_rank(np.asarray(matrix, dtype=float)[None], tol)
+    return int(table.rank[0]), bool(table.full[0]), float(table.margin[0])
+
+
 def test_rank_of_identity():
-    rep = numeric_rank(np.eye(4), tol=1e-8)
-    assert rep.rank == 4 and rep.full
-    assert rep.gap_ratio == math.inf
-    assert rep.full_rank_margin == pytest.approx(1e8)
+    rank, full, margin = _one(np.eye(4))
+    assert rank == 4 and full
+    assert margin == pytest.approx(1e8)
 
 
 def test_rank_one_matrix():
-    rep = numeric_rank([[1.0, 2.0], [2.0, 4.0]], tol=1e-8)
-    assert rep.rank == 1 and not rep.full
-    assert rep.gap_ratio > 1e15  # the rejected singular value is roundoff
-    assert rep.singular_values[0] == pytest.approx(5.0)
+    rank, full, margin = _one([[1.0, 2.0], [2.0, 4.0]])
+    assert rank == 1 and not full
+    assert margin > 1e15  # the rejected singular value is roundoff
 
 
 def test_rank_zero_matrix():
-    rep = numeric_rank(np.zeros((3, 3)))
-    assert rep.rank == 0
-    assert rep.gap_ratio == 0.0
-    assert rep.full_rank_margin == 0.0
+    assert _one(np.zeros((3, 3))) == (0, False, 0.0)
 
 
 def test_empty_matrix_is_vacuously_full_rank():
-    rep = numeric_rank(np.zeros((0, 3)))
-    assert rep.rank == 0 and rep.full
-    assert rep.gap_ratio == math.inf
+    assert _one(np.zeros((0, 3))) == (0, True, math.inf)
 
 
 def test_gap_ratio_reflects_separation():
-    m = np.diag([1.0, 1e-2, 1e-12])
-    rep = numeric_rank(m, tol=1e-8)
-    assert rep.rank == 2
-    assert rep.gap_ratio == pytest.approx(1e10, rel=1e-6)
+    rank, full, margin = _one(np.diag([1.0, 1e-2, 1e-12]))
+    assert rank == 2 and not full
+    assert margin == pytest.approx(1e10, rel=1e-6)
 
 
 def test_rank_invariant_under_permutation_and_scaling():
@@ -103,14 +100,14 @@ def test_rank_invariant_under_permutation_and_scaling():
         m, n = rng.integers(2, 9, size=2)
         r = int(rng.integers(0, min(m, n) + 1))
         a = _random_rank_r(m, n, r, rng)
-        assert numeric_rank(a).rank == r
+        assert _one(a)[0] == r
         p = rng.permutation(m)
         q = rng.permutation(n)
         scale = 10.0 ** rng.uniform(-3, 3)
         rows = rng.uniform(0.5, 2.0, size=m)
         cols = rng.uniform(0.5, 2.0, size=n)
         b = scale * (rows[:, None] * a[p][:, q] * cols[None, :])
-        assert numeric_rank(b).rank == r
+        assert _one(b)[0] == r
 
 
 # -- determinant --------------------------------------------------------------
@@ -195,12 +192,12 @@ def test_lstsq_rank_flag_is_numeric_rank():
     for cols in range(1, 5):
         for rank in range(cols + 1):
             a = rng.normal(size=(6, rank)) @ rng.normal(size=(rank, cols))
-            want = numeric_rank(a).rank < cols
+            want = _one(a)[0] < cols
             assert least_squares(a, rng.normal(size=6)).rank_deficient == want
 
 
 def test_report_types():
-    assert isinstance(numeric_rank(np.eye(2)), RankReport)
+    assert isinstance(numeric_rank(np.eye(2)[None]), RankTable)
     assert isinstance(least_squares(np.eye(2), np.zeros(2)), LstsqResult)
 
 
@@ -234,51 +231,55 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
+def _entries(table, p) -> tuple:
+    return int(table.rank[p]), bool(table.full[p]), _bits(table.margin[p])
+
+
 @given(_stacks(), st.sampled_from([1e-8, 1e-3, 0.5]))
 @settings(max_examples=150, deadline=None)
 def test_numeric_ranks_are_bitwise_numeric_rank(stack, tol):
-    reports = numeric_ranks(stack, tol)
-    assert len(reports) == len(stack)
-    for got, m in zip(reports, stack):
-        want = numeric_rank(m, tol)
-        assert got.rank == want.rank
-        assert _bits(got.singular_values) == _bits(want.singular_values)
-        assert _bits(got.gap_ratio) == _bits(want.gap_ratio)
-        assert _bits(got.full_rank_margin) == _bits(want.full_rank_margin)
+    # each matrix's entry of a stack is the entry of its one-matrix stack
+    table = numeric_rank(stack, tol)
+    assert all(len(column) == len(stack) for column in table)
+    for p in range(len(stack)):
+        assert _entries(table, p) == _entries(numeric_rank(stack[p : p + 1], tol), 0)
 
 
 @given(_stacks(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_numeric_ranks_refuse_what_numeric_rank_refuses(stack, data):
+    # one non-finite matrix makes the stack raise as it raises alone
     if not len(stack):
         return
     stack = stack.copy()
     p = data.draw(st.integers(0, len(stack) - 1))
     stack[p, -1, 0] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     with pytest.raises(ValueError) as one:
-        numeric_rank(stack[p])
+        numeric_rank(stack[p : p + 1])
     with pytest.raises(ValueError) as stacked:
-        numeric_ranks(stack)
+        numeric_rank(stack)
     assert str(stacked.value) == str(one.value)
 
 
 def test_numeric_ranks_refuse_oversized_and_flat_input():
     for shape in [(MAX_DIM + 1, 2), (2, MAX_DIM + 1)]:
         with pytest.raises(ValueError) as one:
-            numeric_rank(np.zeros(shape))
+            as_matrix(np.zeros(shape))
         with pytest.raises(ValueError) as stacked:
-            numeric_ranks(np.zeros((3,) + shape))
+            numeric_rank(np.zeros((3,) + shape))
         assert str(stacked.value) == str(one.value)
     with pytest.raises(ValueError, match="ndim 2"):
-        numeric_ranks(np.eye(3))
+        numeric_rank(np.eye(3))
     with pytest.raises(ValueError, match="tol"):
-        numeric_ranks(np.zeros((1, 2, 2)), 0.0)
+        numeric_rank(np.zeros((1, 2, 2)), 0.0)
 
 
 def test_numeric_ranks_of_empty_matrices():
-    reports = numeric_ranks(np.zeros((2, 0, 3)))
-    assert [r.rank for r in reports] == [0, 0]
-    assert all(r.gap_ratio == math.inf and r.singular_values.size == 0 for r in reports)
+    for shape in [(2, 0, 3), (2, 3, 0), (0, 2, 2)]:
+        table = numeric_rank(np.zeros(shape))
+        assert table.rank.tolist() == [0] * shape[0]
+        assert table.full.tolist() == [True] * shape[0]
+        assert table.margin.tolist() == [math.inf] * shape[0]
 
 
 # -- gelsy without the scipy.linalg package -----------------------------------

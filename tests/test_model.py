@@ -616,12 +616,12 @@ def _reference_supplement(sc, base, depth, anchor):
     anchor = np.asarray(anchor, dtype=float)
     flat = [differentiate(eq, s) for eq in base for s in range(N)]
     q = eval_block(flat, anchor).reshape(len(base), N)
-    base_rank = numeric_rank(q, sc.tol_rank).rank if q.size else 0
+    base_rank = numeric_rank(q[None], sc.tol_rank).rank[0] if q.size else 0
     omega_vals = sc.omega_at(anchor)
     best = None
     for subset in combinations(range(n), r):
         stack = np.vstack([q, omega_vals[0][list(subset), :]])
-        if numeric_rank(stack, sc.tol_rank).rank != base_rank + r:
+        if numeric_rank(stack[None], sc.tol_rank).rank[0] != base_rank + r:
             continue
         margin = float(_reference_margins(omega_vals, q[None], subset, sc.tol_rank)[0])
         if best is None or margin > best.margin:

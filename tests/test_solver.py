@@ -360,7 +360,6 @@ _STAT_GROUPS = (
     "converged",
     "dropped",
     "out_of_iterations",
-    "recheck_failed",
     "out_of_box",
     "audit_rejected",
     "deduplicated",
@@ -407,6 +406,20 @@ def test_gauss_newton_rounds_are_bitwise_the_sequential_loop(case, picks, odd, m
         assert got.x.tobytes() == x.tobytes()
         assert np.float64(got.residual).tobytes() == np.float64(res).tobytes()
         assert got.iterations == its
+
+
+@pytest.mark.parametrize("case", sorted(_GN_CASES))
+def test_every_solved_point_alone_meets_the_residual_tolerance(case):
+    # a seed converges on the residuals of its batch; evaluated alone, its
+    # point must pass the same test
+    equations, audits, box = _GN_CASES[case]
+    opts = SolveOptions(box=box, grid=12)
+    system = System(equations, len(box))
+    for seeds in (None, grid_seeds(box, 12)[::-1]):
+        for point in solve_points(equations, opts, seeds=seeds, audits=audits).points:
+            residuals = system.values(point.x[None])
+            assert np.isfinite(residuals).all()
+            assert np.max(np.abs(residuals)) <= opts.tol_residual
 
 
 @pytest.mark.parametrize(
