@@ -99,13 +99,6 @@ def _unit_rank(stack: np.ndarray, tol: float) -> RankTable:
     return RankTable(rank, full, margin)
 
 
-def _null_space(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of ``rows``."""
-    _, sv, vt = np.linalg.svd(rows)
-    rank = int(np.count_nonzero(sv > 1e-12 * (sv[0] if len(sv) else 1.0)))
-    return vt[rank:].T
-
-
 def _omega_scale(scene: Scene) -> float:
     """Largest coframe row norm over a coarse box lattice.
 
@@ -557,9 +550,11 @@ def compute_strata(scene: Scene, *, max_depth: int | None = None) -> StrataResul
         if prev is not None and len(prev):
             seeds = np.vstack([prev, seeds])
         raw: list = []
-        for chain in active:
-            chart = chain.chart(k)
-            result = solve_points(chart.equations, opts, seeds=seeds, audits=chart.audits)
+        # chains that share a depth-k chart solve it once
+        for equations, audits in dict.fromkeys(
+            (c.chart(k).equations, c.chart(k).audits) for c in active
+        ):
+            result = solve_points(equations, opts, seeds=seeds, audits=audits)
             raw.extend(p.x for p in result.points)
         if scene.stratum_dim(k) == 1:
             best = next((c for c in chains if c.depth >= k), None)
@@ -785,8 +780,10 @@ class ZeroRecord:
     depth k >= 1 means the restriction to the depth-k stratum, where the
     zero condition is expressed through multipliers against the chart
     equations. ``flags`` lists every cross-check violation; nothing is
-    silently dropped. ``equations`` are the chart equations the zero was
-    verified on (the constraints at depth 0); reports leave them out.
+    silently dropped. ``system`` is the :func:`_multiplier_system` the
+    zero was verified on, over the point and its multipliers: that of the
+    chart equations at depth k, of the constraints at depth 0, where the
+    multipliers are zero. Reports leave it out.
     """
 
     x: np.ndarray
@@ -797,7 +794,7 @@ class ZeroRecord:
     nondegenerate: str = "inconclusive"
     bordered_det: float = 0.0
     flags: tuple = ()
-    equations: tuple = ()
+    system: tuple = ()
 
     def as_dict(self) -> dict:
         return {
@@ -814,7 +811,7 @@ class ZeroRecord:
         }
 
 
-def _multiplier_system(scene: Scene, equations, xi_exprs) -> list:
+def _multiplier_system(scene: Scene, equations, xi_exprs) -> tuple:
     """Equations stating "xi lies in the gradient span of ``equations``".
 
     Returns the chart equations followed by one balance equation per
@@ -828,7 +825,7 @@ def _multiplier_system(scene: Scene, equations, xi_exprs) -> list:
         for j, eq in enumerate(equations):
             expr = sub(expr, mul(var(N + j), differentiate(eq, s)))
         system.append(simplify(expr))
-    return system
+    return tuple(system)
 
 
 def _multiplier_seeds(scene: Scene, equations, xi_exprs, xs: np.ndarray) -> np.ndarray:
@@ -861,6 +858,7 @@ def find_xi_zeros(scene: Scene, weights) -> list:
     outcome = solve_points(system, opts)
     records = []
     found = classify_points(scene, outcome.coordinates())
+    multiplier_system = _multiplier_system(scene, scene.constraints, xi)
     for sp, cls in zip(outcome.points, found):
         flags = []
         if cls.kind == "regular":
@@ -877,7 +875,7 @@ def find_xi_zeros(scene: Scene, weights) -> list:
                 residual=sp.residual,
                 classification=cls,
                 flags=tuple(flags),
-                equations=scene.constraints,
+                system=multiplier_system,
             )
         )
     return records
@@ -909,13 +907,19 @@ def find_restricted_zeros(
     diam = scene.box_diameter()
 
     xs = strata.samples.get(k, np.zeros((0, N)))
+    systems: dict = {}
+
+    def system_of(equations) -> tuple:
+        """The multiplier system of chart equations, built once per call."""
+        if equations not in systems:
+            systems[equations] = _multiplier_system(scene, equations, xi)
+        return systems[equations]
 
     candidates: list = []
     for chain in strata.chains or []:
         if chain.depth < k:
             continue
         equations = chain.chart(k).equations
-        system = _multiplier_system(scene, equations, xi)
         chart_samples = chain.chart(k).samples
         stacked = xs if chart_samples is None else np.vstack([xs, chart_samples])
         if not len(stacked):
@@ -923,7 +927,7 @@ def find_restricted_zeros(
         seeds = _multiplier_seeds(scene, equations, xi, stacked)
         opts = scene.solve_options(min(scene.grid, 12), dedup_radius=1e-6)
         outcome = solve_points(
-            system, opts, seeds=seeds, var_dim=N + len(equations)
+            system_of(equations), opts, seeds=seeds, var_dim=N + len(equations)
         )
         candidates.extend(sp.x[:N] for sp in outcome.points)
     if k == 1 and scene.n == 1 and not strata.chains:
@@ -931,8 +935,48 @@ def find_restricted_zeros(
         # stratum is zero-dimensional and every point of it is a zero
         candidates.extend(np.asarray(p, dtype=float) for p in strata.samples.get(1, []))
 
-    found = classify_points(scene, np.reshape(candidates, (-1, N)))
-    verified = [_verify_restricted_zero(scene, k, x, xi, c) for x, c in zip(candidates, found)]
+    candidates = np.reshape(candidates, (-1, N))
+    found = classify_points(scene, candidates)
+    charts = [_verification_chart(scene, k, x, cls) for x, cls in zip(candidates, found)]
+    verified = [None] * len(candidates)
+    for group in index_groups(charts):
+        equations = charts[group[0]]
+        if equations is None:
+            continue
+        at = candidates[group]
+        chart = System(equations, N)
+        resid_eqs = np.max(np.abs(chart.values(at)), axis=1)
+        xi_vals = eval_block(xi, at).T
+        # contiguous blocks, laid out as a one-point call lays out its matrix
+        G = np.ascontiguousarray(chart.jacobian(at))
+        lams, resid_ls, deficient = least_squares(
+            G.transpose(0, 2, 1), xi_vals, scene.tol_rank
+        )
+        # the larger of the two, the first where they tie or one is nan
+        resid = np.where(resid_ls > resid_eqs, resid_ls, resid_eqs)
+        scale = np.maximum(
+            1.0, np.maximum(np.max(np.abs(xi_vals), axis=1), np.max(np.abs(G), axis=(1, 2)))
+        )
+        for i, lam, r, bad, off in zip(group, lams, resid, deficient, resid > 1e-6 * scale):
+            if off:
+                continue
+            cls = found[i]
+            flags = []
+            if cls.kind == "inconclusive":
+                flags.append(f"stratum membership unclear: {cls.note}")
+            elif cls.depth >= k + 2:
+                flags.append(f"restricted zero on the depth-{k + 2} stratum")
+            if bad:
+                flags.append("multiplier solve rank-deficient")
+            verified[i] = ZeroRecord(
+                x=candidates[i],
+                stratum_depth=k,
+                multipliers=tuple(float(v) for v in lam),
+                residual=float(r),
+                classification=cls,
+                flags=tuple(flags),
+                system=system_of(equations),
+            )
     verified = [rec for rec in verified if rec is not None]
     xs = np.reshape([rec.x for rec in verified], (-1, N))
     kept = [verified[i] for i in greedy_dedup(xs, 1e-6 * diam)]
@@ -940,66 +984,39 @@ def find_restricted_zeros(
     return kept
 
 
-def _verify_restricted_zero(
-    scene: Scene, k: int, x: np.ndarray, xi_exprs, cls: Classification
-) -> ZeroRecord | None:
-    """Re-anchored verification of one restricted-zero candidate, on the
-    chain its classification ``cls`` built at ``x``."""
+def _verification_chart(scene: Scene, k: int, x: np.ndarray, cls: Classification):
+    """The depth-k chart equations a restricted-zero candidate ``x`` is
+    verified on: those of the chain its classification ``cls`` built at
+    ``x``, re-anchored there where that chain stops short. None where the
+    candidate lies off the stratum or no chain reaches depth k."""
     if cls.kind == "regular" or (0 <= cls.depth < k):
         return None
     chain = cls.chain
     if chain is None or chain.depth < k:
         # the walk stopped before building a chain, or at the scene's depth cap
         chain = build_chain_at(scene, x, max_depth=k)
-    if chain.depth < k:
-        return None
-    equations = chain.chart(k).equations
-    system = System(equations, len(x))
-    resid_eqs = float(np.max(np.abs(system.values(x))))
-    xi_vals = eval_block(xi_exprs, x.reshape(1, -1))[:, 0]
-    G = system.jacobian(x)[0]
-    ls = least_squares(G.T, xi_vals, scene.tol_rank)
-    resid = max(resid_eqs, ls.residual_norm)
-    scale = max(1.0, float(np.max(np.abs(xi_vals))), float(np.max(np.abs(G))))
-    if resid > 1e-6 * scale:
-        return None
-    flags = []
-    if cls.kind == "inconclusive":
-        flags.append(f"stratum membership unclear: {cls.note}")
-    elif cls.depth >= k + 2:
-        flags.append(f"restricted zero on the depth-{k + 2} stratum")
-    if ls.rank_deficient:
-        flags.append("multiplier solve rank-deficient")
-    return ZeroRecord(
-        x=x,
-        stratum_depth=k,
-        multipliers=tuple(float(v) for v in ls.solution),
-        residual=float(resid),
-        classification=cls,
-        flags=tuple(flags),
-        equations=equations,
-    )
+    return chain.chart(k).equations if chain.depth >= k else None
 
 
-def nondegeneracy(scene: Scene, records, weights) -> list:
+def nondegeneracy(scene: Scene, records) -> list:
     """Bordered-determinant nondegeneracy verdict for each zero record.
 
-    The multiplier system's Jacobian in the joint point-multiplier space
-    is exactly the bordered matrix (covector Jacobian minus multiplier
-    curvature, bordered by the chart equation gradients), so the zero is
-    nondegenerate precisely when that square matrix has full rank with a
-    trusted margin. The raw determinant is recorded alongside. The chart
-    is the one the zero was verified on; at depth 0 the multipliers are
-    zero. Returns new records in input order; the inputs are not mutated.
+    The Jacobian of a record's multiplier system in the joint
+    point-multiplier space is exactly the bordered matrix (covector
+    Jacobian minus multiplier curvature, bordered by the chart equation
+    gradients), so the zero is nondegenerate precisely when that square
+    matrix has full rank with a trusted margin. The raw determinant is
+    recorded alongside. At depth 0 the multipliers are zero. Returns new
+    records in input order; the inputs are not mutated.
     """
-    xi = scene.covector_field(weights)
-    systems, points = [], []
-    for rec in records:
-        q = len(rec.equations)
-        lam = np.asarray(rec.multipliers, dtype=float) if rec.stratum_depth else np.zeros(q)
-        systems.append(_multiplier_system(scene, rec.equations, xi))
-        points.append(np.concatenate([rec.x, lam]))
-    verdicts, _, _, dets = _gradient_verdicts(scene, systems, points)
+    N = scene.ambient_dim
+    points = [
+        np.concatenate(
+            [rec.x, rec.multipliers if rec.stratum_depth else np.zeros(len(rec.system) - N)]
+        )
+        for rec in records
+    ]
+    verdicts, _, _, dets = _gradient_verdicts(scene, [rec.system for rec in records], points)
     return [
         replace(rec, nondegenerate=verdict, bordered_det=0.0 if det is None else float(det))
         for rec, verdict, det in zip(records, verdicts, dets)
@@ -1019,11 +1036,11 @@ def zero_census(
     """
     if strata is None:
         strata = compute_strata(scene)
-    unrestricted = nondegeneracy(scene, find_xi_zeros(scene, weights), weights)
+    unrestricted = nondegeneracy(scene, find_xi_zeros(scene, weights))
     restricted = {}
     for k in range(1, scene.n):
         records = find_restricted_zeros(scene, k, weights, strata=strata)
-        restricted[k] = nondegeneracy(scene, records, weights)
+        restricted[k] = nondegeneracy(scene, records)
     return {"unrestricted": unrestricted, "restricted": restricted}
 
 
@@ -1121,16 +1138,16 @@ def euler_via_morse(scene: Scene, seed: int = 0) -> int:
         outcome = solve_points(system, opts, seeds=seeds, var_dim=N + 1)
         if not outcome.points:
             continue
-        restricted = []
-        for sp in outcome.points:
-            x, lam = sp.x[:N], sp.x[N]
-            grad = gradient.values(x)[0]
-            hess = gradient.jacobian(x)[0]
-            tangent = _null_space(grad.reshape(1, -1))
-            restricted.append(tangent.T @ (-lam * hess) @ tangent)
-        # a critical point has a nonzero gradient (lam * grad = a), so each
-        # tangent plane, and each restricted curvature, is 2 x 2
-        restricted = np.stack(restricted)
+        critical = outcome.coordinates()
+        x, lam = critical[:, :N], critical[:, N]
+        # a critical point has a nonzero gradient (lam * grad = a), so the
+        # last two right singular vectors of its gradient span the tangent
+        # plane, and each restricted curvature is 2 x 2
+        _, _, vt = np.linalg.svd(gradient.values(x)[:, None, :])
+        tangent = vt[:, 1:].transpose(0, 2, 1)
+        # contiguous blocks, laid out as a one-point call lays out its matrix
+        hess = np.ascontiguousarray(gradient.jacobian(x))
+        restricted = tangent.transpose(0, 2, 1) @ (-lam[:, None, None] * hess) @ tangent
         table = numeric_rank(restricted, scene.tol_rank)
         if np.all(table.full & (table.margin >= TRUST_GAP)):
             return int(np.sum(np.where(determinant(restricted) > 0, 1, -1)))

@@ -246,7 +246,7 @@ def _cmd_zeros(scene: Scene, args, report: dict) -> int:
         records = find_xi_zeros(scene, weights)
     else:
         records = find_restricted_zeros(scene, k, weights, strata=strata)
-    records = nondegeneracy(scene, records, weights)
+    records = nondegeneracy(scene, records)
 
     deepest = np.array([c.x for c in strata.exact_depth(scene.max_depth)])
     distances = []

@@ -7,13 +7,14 @@ The least-squares solve is LAPACK's gelsy, which numpy lacks:
 :func:`gelsy_solve` calls ``dgelsy`` from scipy's f2py LAPACK extension
 ``scipy.linalg._flapack``, loaded by file on the first solve, so that
 neither ``scipy/__init__`` nor ``scipy.linalg`` runs and importing this
-module loads no scipy. Matrices are capped at 64 rows/columns; everything
-here is small and dense, and the cap turns an upstream logic error (a
-runaway system builder) into a clear failure.
+module loads no scipy. Every helper takes a stack of matrices, shape
+(P, m, n), and gives each matrix the bits it gives alone. Matrices are
+capped at 64 rows/columns; everything here is small and dense, and the cap
+turns an upstream logic error (a runaway system builder) into a clear
+failure.
 
 Rank decisions follow the usual SVD convention: singular values above
-``tol * sigma_max`` count. They are made for a whole stack of matrices
-at once, and the quality of each is reported, not assumed: its
+``tol * sigma_max`` count. The quality of each is reported, not assumed: its
 ``margin`` is the ratio of the last accepted to the first rejected
 singular value, or at full rank how far the smallest one clears the
 cutoff, so callers can refuse to trust borderline verdicts.
@@ -24,7 +25,6 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 from typing import NamedTuple
@@ -36,21 +36,17 @@ MAX_DIM = 64
 DEFAULT_RANK_TOL = 1e-8
 
 
-def as_matrix(a, *, square: bool = False) -> np.ndarray:
-    """Validate and return ``a`` as a float matrix.
+def _stack(a, square: bool = False) -> np.ndarray:
+    """``a`` as a float stack of matrices, shape (P, m, n).
 
-    Raises ValueError for non-2d input, dimensions above ``MAX_DIM``, or
-    non-finite entries.
+    Raises ValueError for another number of axes, a matrix dimension above
+    ``MAX_DIM``, a matrix that is not square where ``square`` asks for one,
+    or a non-finite entry.
     """
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
-    return _checked(m, square)
-
-
-def _checked(m: np.ndarray, square: bool) -> np.ndarray:
-    """The checks of :func:`as_matrix` on the last two axes of ``m``."""
-    rows, cols = m.shape[-2:]
+    if m.ndim != 3:
+        raise ValueError(f"expected a matrix stack, got array of ndim {m.ndim}")
+    rows, cols = m.shape[1:]
     if rows > MAX_DIM or cols > MAX_DIM:
         raise ValueError(f"matrix shape {(rows, cols)} exceeds the {MAX_DIM} cap")
     if square and rows != cols:
@@ -93,10 +89,7 @@ def numeric_rank(a, tol: float = DEFAULT_RANK_TOL) -> RankTable:
     makes the whole call raise a ValueError, as does a ``tol`` that is
     not positive.
     """
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 3:
-        raise ValueError(f"expected a matrix stack, got array of ndim {m.ndim}")
-    _checked(m, False)
+    m = _stack(a)
     if tol <= 0:
         raise ValueError("tol must be positive")
     count = len(m)
@@ -117,59 +110,37 @@ def numeric_rank(a, tol: float = DEFAULT_RANK_TOL) -> RankTable:
     return RankTable(rank, full, margin)
 
 
-def determinant(a):
-    """Determinant of a square matrix (LU factorization with pivoting), or
-    the array of determinants of a stack of them, shape (P, n, n), each
-    with the bits of its matrix alone."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim == 3:
-        return np.linalg.det(_checked(m, True))
-    m = as_matrix(m, square=True)
-    if m.shape[0] == 0:
-        return 1.0
-    return float(np.linalg.det(m))
+def determinant(a) -> np.ndarray:
+    """Determinants of a stack of square matrices, shape (P, n, n), by LU
+    factorization with pivoting, each with the bits of its matrix alone
+    (one for an empty matrix)."""
+    return np.linalg.det(_stack(a, square=True))
 
 
-@dataclass(frozen=True)
-class LstsqResult:
-    """Least-squares solution with conditioning diagnostics.
+def least_squares(a, b, tol: float = DEFAULT_RANK_TOL) -> tuple:
+    """Minimize ``|a[p] @ x - b[p]|`` for every matrix of a stack ``a``,
+    shape (P, m, n), and right-hand side ``b``, shape (P, m), by
+    column-pivoted QR.
 
-    ``rank_deficient`` is set when the numeric rank of the coefficient
-    matrix falls below its column count, in which case the returned
-    solution is one of many minimizers.
+    Returns the arrays ``(solution, residual_norm, rank_deficient)``:
+    solutions of shape (P, n), the Euclidean norms of their residuals,
+    and whether each matrix's :func:`numeric_rank` at ``tol`` falls below
+    its column count, where its solution is one of many minimizers. All
+    come from one :func:`gelsy_solve` and one rank table, and each entry
+    holds the bits its matrix and right-hand side give alone.
     """
-
-    solution: np.ndarray
-    residual_norm: float
-    rank_deficient: bool
-
-
-def least_squares(a, b, tol: float = DEFAULT_RANK_TOL) -> LstsqResult:
-    """Minimize ``|a @ x - b|`` by column-pivoted QR.
-
-    Parameters
-    ----------
-    a : array-like, shape (m, n)
-    b : array-like, shape (m,) or (m, k)
-    tol : float
-        Relative threshold below which singular values are treated as zero,
-        shared with :func:`numeric_rank` so the two report consistent ranks.
-    """
-    m = as_matrix(a)
-    rhs = np.asarray(b, dtype=float)
-    if rhs.shape[0] != m.shape[0]:
-        raise ValueError(
-            f"rhs has {rhs.shape[0]} rows, matrix has {m.shape[0]}"
-        )
+    m = _stack(a)
+    # contiguous, so each residual row is laid out as a 1-D residual is
+    rhs = np.ascontiguousarray(b, dtype=float)
+    if rhs.shape != m.shape[:2]:
+        raise ValueError(f"rhs has shape {rhs.shape}, the matrix stack {m.shape}")
     if rhs.size and not np.all(np.isfinite(rhs)):
         raise ValueError("rhs contains nan or inf")
     x = gelsy_solve(m, rhs, tol)
-    resid = float(np.linalg.norm(m @ x - rhs))
-    return LstsqResult(
-        solution=x,
-        residual_norm=resid,
-        rank_deficient=bool(numeric_rank(m[None], tol).rank[0] < m.shape[1]),
-    )
+    r = (m @ x[:, :, None])[:, :, 0] - rhs
+    # a row's norm as a batched matmul keeps the bits of its 1-D norm
+    resid = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+    return x, resid, numeric_rank(m, tol).rank < m.shape[2]
 
 
 @cache

@@ -7,9 +7,11 @@ the tree holding this script, with the tree as working directory and its
 ``src`` on ``PYTHONPATH``, and compares stdout, stderr and exit code. The
 argvs are the golden reports' (``record.invocations()``), the
 benchmark's invocations (``perfbench/workloads.py``), ``euler --seed
-42`` on every scene, and ``check``, ``strata``, ``euler --seed 42`` and
-``zeros --stratum 1 --seed 42`` on every generated scene, all with
-``--no-timings``. A generated scene is named by its absolute path in the
+42`` and ``zeros --seed 42`` on every scene, ``zeros --stratum 2`` and
+``--stratum 3`` with ``--seed 42`` on the swallowtail, the one scene with
+restricted zeros below depth 1, and ``check``, ``strata``, ``euler --seed
+42`` and ``zeros --stratum 1 --seed 42`` on every generated scene, all
+with ``--no-timings``. A generated scene is named by its absolute path in the
 tree holding this script, so both trees run the same file. Each
 difference is printed; the exit code is 1 if there is any, else 0.
 """
@@ -32,7 +34,15 @@ RUN = "import sys; from morin.cli import main; sys.exit(main(sys.argv[1:]))"
 def argvs() -> list:
     golden = [argv for _, argv in record.invocations()]
     bench = [inv.cli_argv() for invocations in WORKLOADS.values() for inv in invocations]
-    seeded = [["euler", f"scenes/{s}.scene", "--seed", "42", "--no-timings"] for s in record.SCENES]
+    seeded = [
+        [command, f"scenes/{s}.scene", "--seed", "42", "--no-timings"]
+        for s in record.SCENES
+        for command in ("euler", "zeros")
+    ]
+    deep = [
+        ["zeros", "scenes/swallowtail.scene", "--stratum", k, "--seed", "42", "--no-timings"]
+        for k in ("2", "3")
+    ]
     generated = [
         [command, str(scene), *options, "--no-timings"]
         for scene in sorted((HERE / "generated").glob("*.scene"))
@@ -43,7 +53,7 @@ def argvs() -> list:
             ["zeros", "--stratum", "1", "--seed", "42"],
         )
     ]
-    return golden + bench + seeded + generated
+    return golden + bench + seeded + deep + generated
 
 
 def run(root: Path, argv: list) -> tuple:

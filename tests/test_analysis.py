@@ -27,7 +27,6 @@ from morin.analysis import (
     _memberships,
     _multiplier_seeds,
     _multiplier_system,
-    _null_space,
     _omega_scale,
     _trusted,
     _unit_rank,
@@ -44,7 +43,7 @@ from morin.analysis import (
     nondegeneracy,
     zero_census,
 )
-from morin.expr import System, eval_block
+from morin.expr import System, differentiate, eval_block
 from morin.linalg import RankTable, determinant, least_squares, numeric_rank
 from morin.model import (
     VALIDITY_FACTOR,
@@ -168,6 +167,14 @@ def _reference_unit_rows(mat):
     return mat[keep] / norms[keep, None]
 
 
+def _reference_null_space(rows):
+    """Orthonormal basis (columns) of the null space of ``rows``, from the
+    matrix's own SVD."""
+    _, sv, vt = np.linalg.svd(rows)
+    rank = int(np.count_nonzero(sv > 1e-12 * (sv[0] if len(sv) else 1.0)))
+    return vt[rank:].T
+
+
 def _reference_rank(mat, tol) -> _Report:
     """The rank decision for one matrix from its own SVD."""
     if not mat.size:
@@ -193,7 +200,7 @@ def _reference_rank(mat, tol) -> _Report:
 
 def _reference_restriction_corank(scene, omega_vals, base_grads):
     n = scene.n
-    restriction = omega_vals @ _null_space(base_grads) if len(base_grads) else omega_vals
+    restriction = omega_vals @ _reference_null_space(base_grads) if len(base_grads) else omega_vals
     cut = scene.tol_rank * _omega_scale(scene)
     sv = np.linalg.svd(restriction, compute_uv=False) if restriction.size else np.zeros(0)
     sv = np.concatenate([sv, np.zeros(n - len(sv))]) if len(sv) < n else sv
@@ -432,7 +439,7 @@ def _record_bits(record):
         np.array(record.multipliers).tobytes(),
         np.float64(record.residual).tobytes(),
         record.flags,
-        record.equations,
+        record.system,
         repr(record.as_dict()),
     )
 
@@ -446,6 +453,31 @@ def test_listing_every_chain_twice_changes_no_result(torus_scene, torus_strata):
     assert repr(check_morin(torus_scene, strata=doubled)) == repr(
         check_morin(torus_scene, strata=torus_strata)
     )
+
+
+def test_chains_that_share_a_chart_solve_it_once(torus_scene):
+    # every anchor lists a copy of its chain, so the four anchors' two
+    # selections come as four chains; each depth-2 chart is solved once
+    def copied(*args, **kwargs):
+        return replace(build_chain(*args, **kwargs))
+
+    solved = []
+
+    def spy(equations, opts, **kwargs):
+        if "audits" in kwargs:
+            solved.append((tuple(equations), kwargs["audits"]))
+        return solve_points(equations, opts, **kwargs)
+
+    want = compute_strata(torus_scene)
+    with patch("morin.analysis.build_chain", copied), patch("morin.analysis.solve_points", spy):
+        got = compute_strata(torus_scene)
+    charts = [(c.chart(2).equations, c.chart(2).audits) for c in got.chains]
+    assert len(charts) == 4 and len(set(charts)) == 2
+    assert solved == list(dict.fromkeys(charts))
+    assert got.samples.keys() == want.samples.keys()
+    for k in want.samples:
+        assert got.samples[k].tobytes() == want.samples[k].tobytes()
+    assert [repr(c.as_dict()) for c in got.points[2]] == [repr(c.as_dict()) for c in want.points[2]]
 
 
 # -- corank and fold-chain checks ---------------------------------------------
@@ -501,7 +533,7 @@ def test_torus_zero_census_golden(torus_scene, torus_strata):
 
 
 def test_unrestricted_zero_bordered_dets(torus_scene):
-    records = nondegeneracy(torus_scene, find_xi_zeros(torus_scene, [1.0, 0.0]), [1.0, 0.0])
+    records = nondegeneracy(torus_scene, find_xi_zeros(torus_scene, [1.0, 0.0]))
     dets = sorted(abs(r.bordered_det) for r in records)
     assert dets[0] == pytest.approx(16.0 / 3.0, rel=1e-6)
     assert dets[-1] == pytest.approx(16.0, rel=1e-6)
@@ -509,7 +541,7 @@ def test_unrestricted_zero_bordered_dets(torus_scene):
 
 def test_nondegeneracy_returns_new_record(torus_scene):
     record = find_xi_zeros(torus_scene, [1.0, 0.0])[0]
-    (out,) = nondegeneracy(torus_scene, [record], [1.0, 0.0])
+    (out,) = nondegeneracy(torus_scene, [record])
     assert out is not record
     assert record.nondegenerate == "inconclusive"
     assert out.nondegenerate == "yes"
@@ -561,18 +593,18 @@ def _reference_nondegeneracy(scene, record, weights):
         if len(lam) != len(equations):
             G = System(equations, N).jacobian(record.x)[0]
             xi_vals = eval_block(xi, record.x.reshape(1, -1))[:, 0]
-            lam = least_squares(G.T, xi_vals, scene.tol_rank).solution
+            lam = least_squares(G.T[None], xi_vals[None], scene.tol_rank)[0][0]
     system = _multiplier_system(scene, equations, xi)
     q = len(equations)
     J = System(system, N + q).jacobian(np.concatenate([record.x, lam]))[0]
     rep = _reference_rank(_reference_unit_rows(J), scene.tol_rank)
-    det = determinant(J) if J.shape[0] == J.shape[1] else 0.0
+    det = determinant(J[None])[0] if J.shape[0] == J.shape[1] else 0.0
     return _reference_trusted(rep, N + q), np.float64(det).tobytes(), record.flags
 
 
 def _assert_reference_nondegeneracy(scene, records, weights):
     assert records
-    for record, out in zip(records, nondegeneracy(scene, records, weights)):
+    for record, out in zip(records, nondegeneracy(scene, records)):
         got = (out.nondegenerate, np.float64(out.bordered_det).tobytes(), out.flags)
         assert got == _reference_nondegeneracy(scene, record, weights)
 
@@ -592,12 +624,32 @@ def test_nondegeneracy_matches_the_chain_rebuilding_reference(
     _assert_reference_nondegeneracy(scene, records, weights)
 
 
+def test_one_census_draw_builds_each_multiplier_system_once(sphere_v_scene):
+    scene = sphere_v_scene
+    strata = compute_strata(scene)
+    built, systems = [], []
+
+    def spy(scene, equations, xi):
+        built.append((tuple(equations), tuple(xi)))
+        systems.append(_multiplier_system(scene, equations, xi))
+        return systems[-1]
+
+    with patch("morin.analysis._multiplier_system", spy):
+        census = zero_census(scene, draw_covector(scene.n, 42), strata=strata)
+        records = census["unrestricted"] + census["restricted"][1]
+        assert {r.stratum_depth for r in records} == {0, 1}
+        # each record carries a system of its draw, so assessing it builds none
+        assert all(any(r.system is system for system in systems) for r in records)
+        nondegeneracy(scene, records)
+    assert len(built) >= 3 and len(set(built)) == len(built)
+
+
 def _one_point_verdict(scene, equations, x):
     """The gradient verdict of one point spelled out: the reference for
     ``_gradient_verdicts``."""
     J = System(equations, len(x)).jacobian(x)[0]
     rep = _reference_rank(_reference_unit_rows(J), scene.tol_rank)
-    det = determinant(J) if J.shape[0] == J.shape[1] else None
+    det = determinant(J[None])[0] if J.shape[0] == J.shape[1] else None
     return _reference_trusted(rep, len(equations)), rep.rank, rep.margin, det
 
 
@@ -642,7 +694,7 @@ def test_multiplier_seeds_are_bitwise_the_least_squares_solutions(torus_scene, t
             grads = System(equations, 3).jacobian(xs)
             xi_vals = eval_block(xi, xs).T
             for seed, x, G, v in zip(seeds, xs, grads, xi_vals):
-                lam = least_squares(G.T, v, torus_scene.tol_rank).solution
+                lam = least_squares(G.T[None], v[None], torus_scene.tol_rank)[0][0]
                 assert seed.tobytes() == np.concatenate([x, lam]).tobytes()
     # the covector is nan on the torus pole
     with pytest.raises(ValueError, match="rhs contains nan or inf"):
@@ -680,6 +732,47 @@ def test_hyperboloid_congruence_refuses_open_surface(hyperboloid_scene):
     assert any("boundary" in n for n in report.notes)
     with pytest.raises(AnalysisError):
         euler_via_morse(hyperboloid_scene)
+
+
+def _reference_restricted_curvatures(gradient, critical):
+    """The restricted curvature of each critical point ``(x, lam)`` of a
+    height on a surface, one point at a time: the reference for the
+    stacked pass of ``euler_via_morse``."""
+    restricted = []
+    for sp in critical:
+        x, lam = sp[:3], sp[3]
+        grad = gradient.values(x)[0]
+        hess = gradient.jacobian(x)[0]
+        tangent = _reference_null_space(grad.reshape(1, -1))
+        restricted.append(tangent.T @ (-lam * hess) @ tangent)
+    return np.stack(restricted)
+
+
+def test_morse_curvatures_are_bitwise_the_per_point_loop(torus_scene, sphere_v_scene):
+    for scene in (torus_scene, sphere_v_scene):
+        solved, ranked = [], []
+
+        def solve_spy(*args, **kwargs):
+            out = solve_points(*args, **kwargs)
+            if "var_dim" in kwargs:
+                solved.append(out.coordinates())
+            return out
+
+        def rank_spy(stack, tol):
+            ranked.append(stack)
+            return numeric_rank(stack, tol)
+
+        with patch("morin.analysis.solve_points", solve_spy), patch(
+            "morin.analysis.numeric_rank", rank_spy
+        ):
+            count = euler_via_morse(scene, seed=3)
+        gradient = System([differentiate(scene.constraints[0], s) for s in range(3)], 3)
+        assert ranked and len(ranked) == len(solved)
+        for critical, stack in zip(solved, ranked):
+            want = _reference_restricted_curvatures(gradient, critical)
+            assert stack.shape == want.shape and stack.tobytes() == want.tobytes()
+        signs = np.where(determinant(ranked[-1]) > 0, 1, -1)
+        assert count == int(np.sum(signs))
 
 
 def test_boundary_surrogate(torus_scene, hyperboloid_scene):

@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 
 from morin.linalg import (
     MAX_DIM,
-    LstsqResult,
     RankTable,
-    as_matrix,
     determinant,
     gelsy_solve,
     least_squares,
@@ -39,20 +37,23 @@ def _random_rank_r(m, n, r, rng):
 
 
 def test_dimension_cap():
-    with pytest.raises(ValueError):
-        as_matrix(np.zeros((MAX_DIM + 1, 2)))
-    with pytest.raises(ValueError):
-        as_matrix(np.zeros((2, MAX_DIM + 1)))
-    as_matrix(np.zeros((MAX_DIM, MAX_DIM)))
+    for shape in [(MAX_DIM + 1, 2), (2, MAX_DIM + 1)]:
+        with pytest.raises(ValueError, match="exceeds the 64 cap"):
+            numeric_rank(np.zeros((1,) + shape))
+    numeric_rank(np.zeros((1, MAX_DIM, MAX_DIM)))
 
 
 def test_rejects_non_finite_and_non_2d():
-    with pytest.raises(ValueError):
-        as_matrix(np.array([[1.0, np.nan]]))
-    with pytest.raises(ValueError):
-        as_matrix(np.zeros(3))
-    with pytest.raises(ValueError):
-        determinant(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="nan or inf"):
+        numeric_rank(np.array([[[1.0, np.nan]]]))
+    for flat in [np.zeros(3), np.eye(2)]:
+        for call in (numeric_rank, determinant):
+            with pytest.raises(ValueError, match="expected a matrix stack"):
+                call(flat)
+    with pytest.raises(ValueError, match="expected a matrix stack"):
+        least_squares(np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError, match="square"):
+        determinant(np.zeros((1, 2, 3)))
     with pytest.raises(ValueError):
         numeric_rank(np.eye(2)[None], tol=0.0)
 
@@ -113,13 +114,19 @@ def test_rank_invariant_under_permutation_and_scaling():
 # -- determinant --------------------------------------------------------------
 
 
+def _det(matrix) -> float:
+    """The determinant of one matrix, from its one-matrix stack."""
+    return float(determinant(np.asarray(matrix, dtype=float)[None])[0])
+
+
 def test_determinant_golden():
-    assert determinant([[1.0, 2.0], [3.0, 4.0]]) == pytest.approx(-2.0, abs=1e-12)
-    assert determinant(np.zeros((0, 0))) == 1.0
+    assert _det([[1.0, 2.0], [3.0, 4.0]]) == pytest.approx(-2.0, abs=1e-12)
+    assert determinant(np.zeros((2, 0, 0))).tolist() == [1.0, 1.0]
+    assert determinant(np.zeros((0, 3, 3))).shape == (0,)
 
 
 def test_determinant_of_singular_matrix_is_tiny():
-    assert determinant([[1.0, 2.0], [2.0, 4.0]]) == pytest.approx(0.0, abs=1e-12)
+    assert _det([[1.0, 2.0], [2.0, 4.0]]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_determinant_product_property():
@@ -128,39 +135,49 @@ def test_determinant_product_property():
         n = int(rng.integers(1, 9))
         a = rng.normal(size=(n, n))
         b = rng.normal(size=(n, n))
-        lhs = determinant(a @ b)
-        rhs = determinant(a) * determinant(b)
+        lhs = _det(a @ b)
+        rhs = _det(a) * _det(b)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
 
 
 def test_determinant_transpose_and_scaling():
     rng = np.random.default_rng(17)
     a = rng.normal(size=(5, 5))
-    assert determinant(a.T) == pytest.approx(determinant(a), rel=1e-10)
-    assert determinant(2.0 * a) == pytest.approx(2.0 ** 5 * determinant(a), rel=1e-10)
+    assert _det(a.T) == pytest.approx(_det(a), rel=1e-10)
+    assert _det(2.0 * a) == pytest.approx(2.0 ** 5 * _det(a), rel=1e-10)
+    # each determinant of a stack has the bits of its one-matrix stack
+    stack = rng.normal(size=(7, 4, 4)).transpose(0, 2, 1)
+    assert [_bits(d) for d in determinant(stack)] == [_bits(_det(m)) for m in stack]
 
 
 # -- least squares ------------------------------------------------------------
+
+
+def _lstsq(a, b, tol=1e-8):
+    """The solution, residual norm and rank flag of one matrix, from its
+    one-matrix stack."""
+    x, resid, deficient = least_squares(np.asarray(a)[None], np.asarray(b)[None], tol)
+    return x[0], float(resid[0]), bool(deficient[0])
 
 
 def test_consistent_system_has_negligible_residual():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(8, 4))
     x_true = rng.normal(size=4)
-    res = least_squares(a, a @ x_true)
-    assert res.residual_norm <= 1e-10
-    assert not res.rank_deficient
-    assert np.allclose(res.solution, x_true, atol=1e-8)
+    x, resid, deficient = _lstsq(a, a @ x_true)
+    assert resid <= 1e-10
+    assert not deficient
+    assert np.allclose(x, x_true, atol=1e-8)
 
 
 def test_overdetermined_matches_reference_solver():
     rng = np.random.default_rng(6)
     a = rng.normal(size=(10, 3))
     b = rng.normal(size=10)
-    res = least_squares(a, b)
+    x, resid, _ = _lstsq(a, b)
     ref, *_ = np.linalg.lstsq(a, b, rcond=None)
-    assert np.allclose(res.solution, ref, atol=1e-10)
-    assert res.residual_norm == pytest.approx(np.linalg.norm(a @ ref - b), rel=1e-12)
+    assert np.allclose(x, ref, atol=1e-10)
+    assert resid == pytest.approx(np.linalg.norm(a @ ref - b), rel=1e-12)
 
 
 def test_rank_deficiency_is_flagged_not_fatal():
@@ -168,23 +185,25 @@ def test_rank_deficiency_is_flagged_not_fatal():
     col = rng.normal(size=6)
     a = np.column_stack([col, 2.0 * col, rng.normal(size=6)])
     b = a @ np.array([1.0, 0.0, 3.0])
-    res = least_squares(a, b)
-    assert res.rank_deficient
-    assert np.all(np.isfinite(res.solution))
-    assert res.residual_norm <= 1e-10
+    x, resid, deficient = _lstsq(a, b)
+    assert deficient
+    assert np.all(np.isfinite(x))
+    assert resid <= 1e-10
 
 
 def test_lstsq_shape_validation():
-    with pytest.raises(ValueError):
-        least_squares(np.eye(3), np.zeros(2))
-    with pytest.raises(ValueError):
-        least_squares(np.eye(2), np.array([np.inf, 0.0]))
+    with pytest.raises(ValueError, match="rhs has shape"):
+        least_squares(np.eye(3)[None], np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="rhs has shape"):
+        least_squares(np.eye(3)[None], np.zeros(3))
+    with pytest.raises(ValueError, match="rhs contains nan or inf"):
+        least_squares(np.eye(2)[None], np.array([[np.inf, 0.0]]))
     with pytest.raises(ValueError, match="matrix contains nan or inf"):
-        least_squares([[1.0, np.nan]], np.zeros(1))
+        least_squares([[[1.0, np.nan]]], np.zeros((1, 1)))
     with pytest.raises(ValueError, match="exceeds the 64 cap"):
-        least_squares(np.zeros((65, 1)), np.zeros(65))
+        least_squares(np.zeros((1, 65, 1)), np.zeros((1, 65)))
     with pytest.raises(ValueError, match="tol must be positive"):
-        least_squares(np.eye(2), np.zeros(2), tol=0.0)
+        least_squares(np.eye(2)[None], np.zeros((1, 2)), tol=0.0)
 
 
 def test_lstsq_rank_flag_is_numeric_rank():
@@ -193,12 +212,53 @@ def test_lstsq_rank_flag_is_numeric_rank():
         for rank in range(cols + 1):
             a = rng.normal(size=(6, rank)) @ rng.normal(size=(rank, cols))
             want = _one(a)[0] < cols
-            assert least_squares(a, rng.normal(size=6)).rank_deficient == want
+            assert _lstsq(a, rng.normal(size=6))[2] == want
 
 
 def test_report_types():
     assert isinstance(numeric_rank(np.eye(2)[None]), RankTable)
-    assert isinstance(least_squares(np.eye(2), np.zeros(2)), LstsqResult)
+    x, resid, deficient = least_squares(np.stack([np.eye(2)] * 3), np.zeros((3, 2)))
+    assert (x.shape, resid.shape, deficient.shape) == ((3, 2), (3,), (3,))
+    assert (x.dtype, resid.dtype, deficient.dtype) == (float, float, bool)
+
+
+def _reference_least_squares(a, b, tol):
+    """The one-matrix least squares of the parent tree, spelled out: one
+    gelsy solve, the norm of the residual vector and the rank flag of the
+    matrix alone. The reference for a stack's entries."""
+    x = gelsy_solve(a, b, tol)
+    resid = float(np.linalg.norm(a @ x - b))
+    return x, resid, bool(numeric_rank(a[None], tol).rank[0] < a.shape[1])
+
+
+@st.composite
+def _lstsq_stacks(draw):
+    """(P, m, n) stacks with right-hand sides, P <= 16 and m, n <= 6, tall,
+    wide, square or empty; some of a lower rank, as a product of thinner
+    factors, and some as transposed views of C-contiguous (P, n, m)
+    stacks, the layout of transposed Jacobians."""
+    P, m, n = draw(st.integers(0, 16)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    a = draw(hnp.arrays(float, (P, m, n), elements=_ENTRY))
+    rank = draw(st.integers(0, min(m, n)))
+    if rank < min(m, n):
+        left = draw(hnp.arrays(float, (P, m, rank), elements=_ENTRY))
+        a = left @ draw(hnp.arrays(float, (P, rank, n), elements=_ENTRY))
+    if draw(st.booleans()):
+        a = np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return a, draw(hnp.arrays(float, (P, m), elements=_ENTRY))
+
+
+@given(_lstsq_stacks(), st.sampled_from([1e-8, 1e-12, 1e-3]))
+@settings(max_examples=200, deadline=None)
+def test_least_squares_of_a_stack_is_bitwise_the_one_matrix_form(problem, tol):
+    a, b = problem
+    x, resid, deficient = least_squares(a, b, tol)
+    assert (x.shape, resid.shape, deficient.shape) == ((len(a), a.shape[2]), (len(a),), (len(a),))
+    for p in range(len(a)):
+        want_x, want_resid, want_deficient = _reference_least_squares(a[p], b[p], tol)
+        assert x[p].tobytes() == want_x.tobytes()
+        assert _bits(resid[p]) == _bits(want_resid)
+        assert bool(deficient[p]) == want_deficient
 
 
 # -- the stacked rank kernel --------------------------------------------------
@@ -264,7 +324,7 @@ def test_numeric_ranks_refuse_what_numeric_rank_refuses(stack, data):
 def test_numeric_ranks_refuse_oversized_and_flat_input():
     for shape in [(MAX_DIM + 1, 2), (2, MAX_DIM + 1)]:
         with pytest.raises(ValueError) as one:
-            as_matrix(np.zeros(shape))
+            numeric_rank(np.zeros((1,) + shape))
         with pytest.raises(ValueError) as stacked:
             numeric_rank(np.zeros((3,) + shape))
         assert str(stacked.value) == str(one.value)
