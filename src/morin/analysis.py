@@ -48,6 +48,7 @@ from .model import (
     scene_seed,
 )
 from .solver import (
+    _SCAN_CHUNK,
     capped_resolution,
     cell_centers,
     greedy_dedup,
@@ -1081,30 +1082,42 @@ class CongruenceReport:
 def manifold_reaches_boundary(scene: Scene) -> bool:
     """Compactness surrogate: does the manifold approach the box walls?
 
-    Scans the constraint residual on a lattice of 48 cells per axis,
-    coarser where that would pass 48^3 cells (as :func:`grid_seeds` caps
-    its seeds); a cell is suspect when the residual could vanish inside it
-    (same local-slope bound the scan oracle uses). True when any suspect
-    cell sits within five percent of a wall, or in the outermost cell layer.
-    Unconstrained scenes fill space and always return True.
+    Looks at the shell of a lattice of 48 cells per axis, coarser where
+    that would pass 48^3 cells (as :func:`grid_seeds` caps its seeds): the
+    cells within five percent of a wall, or in the outermost cell layer. A
+    shell cell is suspect when the constraint residual could vanish inside
+    it (same local-slope bound the scan oracle uses), and the verdict is
+    True when one is. The shell is evaluated in blocks of ``_SCAN_CHUNK``
+    cells up to the first block holding a suspect cell, and the verdict is
+    kept on the scene, so a command scans once. Unconstrained scenes fill
+    space and always return True.
     """
     if not scene.constraints:
         return True
-    box = scene.box
-    resolution = capped_resolution(len(box), 48, 48 ** 3)
-    pts = lattice_points(cell_centers(box, resolution))
-    constraints = System(scene.constraints, scene.ambient_dim)
-    vals = np.max(np.abs(constraints.values(pts)), axis=1)
-    cell = np.array([(hi - lo) / resolution for lo, hi in box])
-    half_diag = 0.5 * float(np.linalg.norm(cell))
-    grads = np.max(np.linalg.norm(constraints.jacobian(pts), axis=2), axis=1)
-    suspect = vals <= 1.5 * grads * half_diag + 10.0 * scene.tol_residual
-    shell = np.zeros(len(pts), dtype=bool)
-    for axis, (lo, hi) in enumerate(box):
-        # a coarse lattice puts no cell center within five percent of a wall
-        margin = max(BOUNDARY_FRACTION * (hi - lo), cell[axis])
-        shell |= (pts[:, axis] <= lo + margin) | (pts[:, axis] >= hi - margin)
-    return bool(np.any(suspect & shell))
+
+    def build() -> bool:
+        box = scene.box
+        resolution = capped_resolution(len(box), 48, 48 ** 3)
+        axes = cell_centers(box, resolution)
+        cell = np.array([(hi - lo) / resolution for lo, hi in box])
+        half_diag = 0.5 * float(np.linalg.norm(cell))
+        shell = np.zeros((resolution,) * len(box), dtype=bool)
+        for axis, ((lo, hi), centers) in enumerate(zip(box, axes)):
+            # a coarse lattice puts no cell center within five percent of a wall
+            margin = max(BOUNDARY_FRACTION * (hi - lo), cell[axis])
+            near = (centers <= lo + margin) | (centers >= hi - margin)
+            shell |= near.reshape((-1,) + (1,) * (len(box) - axis - 1))
+        flat = np.flatnonzero(shell)
+        constraints = System(scene.constraints, scene.ambient_dim)
+        for start in range(0, flat.size, _SCAN_CHUNK):
+            pts = lattice_points(axes, flat[start : start + _SCAN_CHUNK])
+            vals = np.max(np.abs(constraints.values(pts)), axis=1)
+            grads = np.max(np.linalg.norm(constraints.jacobian(pts), axis=2), axis=1)
+            if np.any(vals <= 1.5 * grads * half_diag + 10.0 * scene.tol_residual):
+                return True
+        return False
+
+    return scene.memo(("reaches_boundary",), build)
 
 
 def euler_via_morse(scene: Scene, seed: int = 0) -> int:

@@ -945,14 +945,17 @@ def _diff_node(n: Expr, v: int) -> Expr:
 # A square is ``x * x``, the bits of numpy's ``x ** 2`` fast path; any
 # other power is ``np.power(x, float64(b))``, the bits of ``x ** b`` on
 # arrays (a numpy scalar's own ``**`` differs in the last bit on a few
-# percent of values). Every operation is deterministic and quietly gives
-# nan or inf outside its domain, so the values are the bits a node-by-node
-# walk gives, on arrays and equally on numpy scalars, which one point
-# evaluates on. Plans are keyed by the expression tuple, which matches by
-# identity (equal trees are one object), and evicted least recently used
-# first. The cache is the one mutable state evaluation touches, and
-# ``_plans_lock`` guards it, so threads may evaluate at once (the oracle's
-# scan levels do); building a plan reads the trees only.
+# percent of values). A power of a subtree that reads no variable is
+# always a numpy scalar, on any points, and is ``pow(x, b)``, the
+# scalar's own bits that a node-by-node walk gives it. Every operation is
+# deterministic and quietly gives nan or inf outside its domain, so the
+# values are the bits a node-by-node walk gives, on arrays and equally on
+# numpy scalars, which one point evaluates on. Plans are keyed by the
+# expression tuple, which matches by identity (equal trees are one
+# object), and evicted least recently used first. The cache is the one
+# mutable state evaluation touches, and ``_plans_lock`` guards it, so
+# threads may evaluate at once (the oracle's scan levels do); building a
+# plan reads the trees only.
 _PLAN_CACHE_SIZE = 512
 
 _CONST, _VAR, _POW, _UNARY, _BINARY = range(5)
@@ -1018,17 +1021,24 @@ def _emit(plan: tuple) -> tuple:
     steps, outputs = plan
     names: dict = {"e": np.empty}
     lines = ["def plan(c, z):"]
+    scalar: set = set()  # the slots that read no variable: numpy scalars
 
     def drop(free) -> None:
         if free:
             lines.append("    del " + ", ".join(f"s{j}" for j in free))
 
     for i, (kind, op, a, b, free) in enumerate(steps):
+        args = (a, b) if kind == _BINARY else (a,)
+        if kind == _CONST or (kind != _VAR and scalar.issuperset(args)):
+            scalar.add(i)
         if kind == _CONST:
             names[f"k{i}"] = op
             value = f"k{i}"
         elif kind == _VAR:
             value = f"c[{a}]"
+        elif kind == _POW and a in scalar:
+            names[f"f{i}"], names[f"k{i}"] = pow, b
+            value = f"f{i}(s{a}, k{i})"
         elif kind == _POW and b == 2:
             value = f"s{a} * s{a}"
         elif kind == _POW:

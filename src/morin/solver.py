@@ -101,6 +101,29 @@ def _row_norms(R) -> np.ndarray:
     return np.sqrt(sq)
 
 
+def _beyond(X, center, radius: float) -> np.ndarray:
+    """``np.linalg.norm(X - center, axis=1) > radius`` for a C-ordered
+    ``X``, with the same bits. Each row's squares are summed left to right
+    and compared with the squared edges of a band of ``(dim + 4) * eps *
+    radius`` around the radius, as in ``greedy_dedup``; only a row inside
+    the band is confirmed with that exact expression. A row with a nan is
+    beyond in neither form, and one whose squares pass the float range in
+    both; outside radii where that holds every row is confirmed."""
+    rel = (X.shape[1] + 4) * float(np.finfo(float).eps)
+    band = rel * radius if 2.0**-500 <= radius <= 2.0**500 else math.inf
+    lo, hi = max(0.0, radius - band), radius + band
+    with np.errstate(over="ignore"):
+        off = X - center
+        sq = off[:, 0] * off[:, 0]
+        for k in range(1, off.shape[1]):
+            sq += off[:, k] * off[:, k]
+        far = sq > hi * hi
+        unsure = np.flatnonzero((sq >= lo * lo) & (sq <= hi * hi))
+        if unsure.size:
+            far[unsure] = np.linalg.norm(off[unsure], axis=1) > radius
+    return far
+
+
 def greedy_dedup(pts, radius: float) -> list:
     """Indices of the points kept by greedy deduplication, in visit order.
 
@@ -280,9 +303,7 @@ def solve_points(
         conv = res <= opts.tol_residual
         if conv.any():
             found.append((P[conv], res[conv], its[conv]))
-        with np.errstate(over="ignore"):
-            far = np.linalg.norm(P[:, :boxed] - center, axis=1) > escape
-        live = np.isfinite(res) & ~far & ~conv
+        live = np.isfinite(res) & ~_beyond(P[:, :boxed], center, escape) & ~conv
         if not live.all():
             P, R, N, lam, its = P[live], R[:, live], N[live], lam[live], its[live]
             if not len(P):
@@ -461,13 +482,31 @@ def _trace_one(eqs: System, start, direction, opts, h0):
     return path, closed, collapsed
 
 
+def _nearest_distances(A, B) -> np.ndarray:
+    """``np.min(np.linalg.norm(A[:, None] - B[None], axis=2), axis=1)``,
+    the distance from each row of ``A`` to its nearest row of the nonempty
+    ``B``, with the same bits: blocks of at most ``_PAIR_BLOCK`` pairs,
+    each a contiguous ``(rows, cols, dim)`` difference as the whole form's,
+    folded with ``np.minimum``, so memory stays bounded however many seeds
+    and vertices there are."""
+    d = np.full(len(A), np.inf)
+    cols = max(1, min(len(B), _PAIR_BLOCK))
+    rows = max(1, _PAIR_BLOCK // cols)
+    for i in range(0, len(A), rows):
+        near = d[i : i + rows]
+        for j in range(0, len(B), cols):
+            diff = A[i : i + rows, None, :] - B[None, j : j + cols, :]
+            np.minimum(near, np.min(np.linalg.norm(diff, axis=2), axis=1), out=near)
+    return d
+
+
 def trace_curves(system, opts: SolveOptions) -> list:
     """Trace the one-dimensional solution set of ``system`` inside the box.
 
     Seeds come from a deduplicated Gauss-Newton pass. Each unconsumed
-    seed starts a predictor-corrector trace; seeds near an already traced
-    component are consumed. Curves come back sorted by their smallest
-    vertex, closed loops first as traced.
+    seed starts a predictor-corrector trace; seeds within two initial
+    steps of a traced curve's vertex are consumed. Curves come back sorted
+    by their smallest vertex, closed loops first as traced.
     """
     dim = len(opts.box)
     eqs = _compile(system, dim)
@@ -500,13 +539,8 @@ def trace_curves(system, opts: SolveOptions) -> list:
         curves.append(curve)
         todo = np.flatnonzero(~consumed)
         if todo.size:
-            d = np.min(
-                np.linalg.norm(
-                    seeds[todo][:, None, :] - curve.points[None, :, :], axis=2
-                ),
-                axis=1,
-            )
-            consumed[todo[d < 2.0 * h0]] = True
+            near = _nearest_distances(seeds[todo], curve.points) < 2.0 * h0
+            consumed[todo[near]] = True
     curves.sort(key=lambda c: tuple(np.min(c.points, axis=0)))
     return curves
 

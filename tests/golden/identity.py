@@ -12,8 +12,12 @@ benchmark's invocations (``perfbench/workloads.py``), ``euler --seed
 restricted zeros below depth 1, and ``check``, ``strata``, ``euler --seed
 42`` and ``zeros --stratum 1 --seed 42`` on every generated scene, all
 with ``--no-timings``. A generated scene is named by its absolute path in the
-tree holding this script, so both trees run the same file. Each
-difference is printed; the exit code is 1 if there is any, else 0.
+tree holding this script, so both trees run the same file. The generated
+scenes are ``s3_quaternion``, whose strata are empty and whose congruence
+holds, and ``s2_cross_line``, a 4-D manifold crossing the box walls,
+whose ``euler`` takes the compactness scan's True branch on a capped
+lattice (18 cells per axis) and exits 3. Each difference is printed; the
+exit code is 1 if there is any, else 0.
 """
 
 import os

@@ -8,6 +8,7 @@ a well-behaved frame from one whose depth determinant dies identically.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 from typing import NamedTuple
 from unittest.mock import patch
@@ -43,6 +44,7 @@ from morin.analysis import (
     nondegeneracy,
     zero_census,
 )
+from morin.cli import main
 from morin.expr import System, differentiate, eval_block
 from morin.linalg import RankTable, determinant, least_squares, numeric_rank
 from morin.model import (
@@ -51,10 +53,18 @@ from morin.model import (
     build_chain,
     build_chain_at,
     draw_covector,
+    load_scene,
     parse_scene,
     select_pivots,
 )
-from morin.solver import match_point_sets, solve_points
+from morin.solver import (
+    _SCAN_CHUNK,
+    capped_resolution,
+    cell_centers,
+    lattice_points,
+    match_point_sets,
+    solve_points,
+)
 
 TORUS_CUSPS = np.array(
     [[-3.0, 3.0, 0.0], [-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [3.0, -3.0, 0.0]]
@@ -775,44 +785,174 @@ def test_morse_curvatures_are_bitwise_the_per_point_loop(torus_scene, sphere_v_s
         assert count == int(np.sum(signs))
 
 
-def test_boundary_surrogate(torus_scene, hyperboloid_scene):
+def test_boundary_surrogate(torus_scene, hyperboloid_scene, quadratic_well_scene):
     assert not manifold_reaches_boundary(torus_scene)
     assert manifold_reaches_boundary(hyperboloid_scene)
+    # an unconstrained scene fills space: no cell is evaluated
+    assert _spied_scan(quadratic_well_scene, _SCAN_CHUNK) == (True, [])
+    # S^2 x R crosses the walls of its 4-D box, seen on the capped lattice
+    assert manifold_reaches_boundary(load_scene("tests/golden/generated/s2_cross_line.scene"))
 
 
-def _flat_scene(dim, constraint, box):
+def _flat_scene(constraints, box):
+    """A scene on the given constraints and box with the constant 1-frame
+    along the first axis."""
+    dim = len(box)
     names = ", ".join(f"x{i + 1}" for i in range(dim))
     return parse_scene(
-        f"[scene]\nambient_dim = {dim}\nvars = {names}\n"
-        f"[manifold]\nconstraint = {constraint}\n"
-        f"[coframe]\nn = 1\nomega_1 = {', '.join(['1'] + ['0'] * (dim - 1))}\n"
-        f"[solver]\nbox = {', '.join([box] * dim)}\n"
+        f"[scene]\nambient_dim = {dim}\nvars = {names}\n[manifold]\n"
+        + "".join(f"constraint = {c}\n" for c in constraints)
+        + f"[coframe]\nn = 1\nomega_1 = {', '.join(['1'] + ['0'] * (dim - 1))}\n"
+        + f"[solver]\nbox = {', '.join(f'{lo!r}:{hi!r}' for lo, hi in box)}\n"
     )
 
 
-def test_boundary_scan_lattice_is_capped(monkeypatch):
-    seen = []
+def whole_lattice_suspects(scene):
+    """The suspect shell cells of the compactness scan as one bool per cell
+    of the whole lattice, in C order, computed over the whole lattice at
+    once as the scan did before it streamed its shell."""
+    box = scene.box
+    resolution = capped_resolution(len(box), 48, 48**3)
+    pts = lattice_points(cell_centers(box, resolution))
+    constraints = System(scene.constraints, scene.ambient_dim)
+    vals = np.max(np.abs(constraints.values(pts)), axis=1)
+    cell = np.array([(hi - lo) / resolution for lo, hi in box])
+    half_diag = 0.5 * float(np.linalg.norm(cell))
+    grads = np.max(np.linalg.norm(constraints.jacobian(pts), axis=2), axis=1)
+    suspect = vals <= 1.5 * grads * half_diag + 10.0 * scene.tol_residual
+    shell = np.zeros(len(pts), dtype=bool)
+    for axis, (lo, hi) in enumerate(box):
+        margin = max(0.05 * (hi - lo), cell[axis])
+        shell |= (pts[:, axis] <= lo + margin) | (pts[:, axis] >= hi - margin)
+    return suspect & shell, shell, pts
 
-    class Counting(System):
+
+def _spied_scan(scene, chunk):
+    """The verdict of a scan with blocks of ``chunk`` cells, and the points
+    of each block, checked to reach values and jacobian alike."""
+    calls = []
+
+    class Spy(System):
         def values(self, points):
-            seen.append(len(points))
+            calls.append(("values", np.array(points)))
             return super().values(points)
 
         def jacobian(self, points):
-            seen.append(len(points))
+            calls.append(("jacobian", np.array(points)))
             return super().jacobian(points)
 
-    monkeypatch.setattr("morin.analysis.System", Counting)
-    sphere = _flat_scene(4, "x1^2 + x2^2 + x3^2 + x4^2 - 1", "-2:2")
-    assert not manifold_reaches_boundary(sphere)
-    # 18 cells per axis: the largest count whose lattice fits under 48^3
-    assert seen == [18**4, 18**4]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("morin.analysis.System", Spy)
+        mp.setattr("morin.analysis._SCAN_CHUNK", chunk)
+        verdict = manifold_reaches_boundary(scene)
+    assert [kind for kind, _ in calls] == ["values", "jacobian"] * (len(calls) // 2)
+    blocks = [pts for _, pts in calls[::2]]
+    assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(calls[::2], calls[1::2]))
+    return verdict, blocks
+
+
+@st.composite
+def scan_scenes(draw):
+    """Spheres (cut by a plane from three dimensions on) in boxes of two to
+    six dimensions, whose radius puts the manifold anywhere from deep
+    inside the shell's inner edge to across the walls: the lattice is 48
+    per axis up to three dimensions, capped above (18, 10 and 8 per axis)."""
+    dim = draw(st.integers(2, 6))
+    lo = [draw(st.sampled_from([-2.0, -1.5, -1.0, -0.75])) for _ in range(dim)]
+    hi = [draw(st.sampled_from([0.75, 1.0, 1.5, 2.5])) for _ in range(dim)]
+    radius = draw(st.floats(0.3, 1.2))
+    center = [draw(st.sampled_from([0.0, 0.1, -0.2])) for _ in range(dim)]
+    sphere = " + ".join(f"(x{i + 1} - {c!r})^2" for i, c in enumerate(center))
+    constraints = [f"{sphere} - {radius * radius!r}"]
+    if dim >= 3 and draw(st.booleans()):
+        constraints.append(f"x1 - {draw(st.sampled_from([0.0, 0.5]))!r} * x{dim}")
+    return _flat_scene(constraints, list(zip(lo, hi)))
+
+
+@given(scene=scan_scenes(), chunk=st.sampled_from([97, -1, 0, 1, _SCAN_CHUNK]))
+@settings(max_examples=40, deadline=None)
+def test_boundary_scan_matches_the_whole_lattice_form(scene, chunk):
+    # The verdict, and the blocks up to the first holding a suspect cell,
+    # against the whole-lattice form, with blocks of 97 cells, of the shell
+    # size less one (a last block of one cell), exactly and plus one, and
+    # of _SCAN_CHUNK.
+    suspects, shell, pts = whole_lattice_suspects(scene)
+    on_shell = np.flatnonzero(shell)
+    size = len(on_shell)
+    if chunk in (-1, 0, 1):
+        chunk += size
+    verdict, blocks = _spied_scan(scene, chunk)
+    assert verdict == bool(np.any(suspects))
+    hits = np.flatnonzero(suspects[on_shell])
+    stop = hits[0] // chunk + 1 if len(hits) else -(-size // chunk)
+    assert len(blocks) == stop
+    want = pts[on_shell[: stop * chunk]]
+    assert np.concatenate(blocks).tobytes() == want.tobytes()
+    assert max(map(len, blocks)) <= chunk
+
+
+def _center_index(box, resolution, pts):
+    """The lattice index of each point, which must be a cell center of the
+    lattice of ``resolution`` cells per axis over the box."""
+    centers = cell_centers(box, resolution)
+    index = np.column_stack(
+        [np.minimum(np.searchsorted(c, col), resolution - 1) for c, col in zip(centers, pts.T)]
+    )
+    assert all(np.array_equal(c[i], col) for c, i, col in zip(centers, index.T, pts.T))
+    return index
+
+
+def test_boundary_scan_lattice_is_capped():
+    # 18 cells per axis: the largest count whose lattice fits under 48^3.
+    # Every evaluated point is a cell center of that lattice and no call
+    # passes the block. The margin is one cell (2/9, more than five percent
+    # of 4) and the second centers lie 1.5 cells from a wall, so a scan
+    # that finds no suspect cell evaluates the outermost layer, each cell
+    # once: 18^4 - 16^4 cells.
+    sphere = _flat_scene(["x1^2 + x2^2 + x3^2 + x4^2 - 1"], [(-2.0, 2.0)] * 4)
+    verdict, blocks = _spied_scan(sphere, _SCAN_CHUNK)
+    assert not verdict and max(map(len, blocks)) <= _SCAN_CHUNK
+    index = _center_index(sphere.box, 18, np.concatenate(blocks))
+    assert np.any((index == 0) | (index == 17), axis=1).all()
+    assert len(np.unique(index, axis=0)) == len(index) == 18**4 - 16**4
     # at 8 cells per axis no cell center lies within five percent of a
-    # wall; the outermost layer still counts as the boundary shell
-    seen.clear()
-    plane = _flat_scene(6, "x1 + x2 + x3 + x4 + x5 + x6", "-1:1")
-    assert manifold_reaches_boundary(plane)
-    assert seen == [8**6, 8**6]
+    # wall; the outermost layer still counts as the boundary shell, and
+    # its first block holds a suspect cell
+    plane = _flat_scene(["x1 + x2 + x3 + x4 + x5 + x6"], [(-1.0, 1.0)] * 6)
+    verdict, blocks = _spied_scan(plane, _SCAN_CHUNK)
+    assert verdict and len(blocks) == 1 and len(blocks[0]) == _SCAN_CHUNK
+    index = _center_index(plane.box, 8, blocks[0])
+    assert np.any((index == 0) | (index == 7), axis=1).all()
+
+
+def test_boundary_scan_memory_stays_under_a_few_blocks():
+    # A 4-D scene at the 18^4 cap, whose scan finds no suspect cell and so
+    # evaluates its whole shell (39,440 cells): the whole-lattice form
+    # peaked at 12.6 MB, the streamed scan holds the shell's mask and
+    # indices and one block's arrays, about 2.5 MB
+    sphere = _flat_scene(["x1^2 + x2^2 + x3^2 + x4^2 - 1"], [(-2.0, 2.0)] * 4)
+    tracemalloc.start()
+    try:
+        assert not manifold_reaches_boundary(sphere)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak
+
+
+def test_euler_scans_for_the_boundary_once(monkeypatch, capsys):
+    # euler_congruence and euler_via_morse both need the verdict; the
+    # scene keeps it, so one command scans one lattice
+    scans = []
+
+    def counting(box, resolution):
+        scans.append(resolution)
+        return cell_centers(box, resolution)
+
+    monkeypatch.setattr("morin.analysis.cell_centers", counting)
+    assert main(["euler", "scenes/torus.scene", "--seed", "42", "--no-timings"]) == 0
+    assert '"manifold_morse": 0' in capsys.readouterr().out
+    assert scans == [48]
 
 
 # -- helpers ------------------------------------------------------------------

@@ -38,10 +38,12 @@ from morin.solver import (
     _SLAB,
     SolveOptions,
     TracedCurve,
+    _beyond,
     _cell_slope,
     _face_dilation,
     _label_clusters,
     _local_slope,
+    _nearest_distances,
     _open_cells,
     _row_norms,
     _scan_clusters,
@@ -487,6 +489,61 @@ def test_residual_norms_do_not_depend_on_the_batch():
         assert batch[i].tobytes() == _row_norms(system.values(points[i : i + 1]))[0].tobytes()
 
 
+def old_escape(X, center, radius):
+    """The escape test of a Gauss-Newton round before ``_beyond``."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(X - center, axis=1) > radius
+
+
+@given(
+    dim=st.integers(1, 10),
+    radius=st.sampled_from([20.0, 20.0 * math.sqrt(3.0), 2000.0, 1e150, 1e300, math.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_escape_test_is_bitwise_the_norm_it_replaced(dim, radius, seed):
+    # Rows a few ulps either side of the escape radius and of the edges of
+    # the band that _beyond decides without np.linalg.norm, along an axis
+    # and in random directions around a center off the origin; rows well
+    # inside and outside, and rows with coordinates that are not finite or
+    # whose squares pass the float range. From 8 coordinates on numpy sums
+    # a contiguous row pairwise, not left to right as _beyond does.
+    rng = np.random.default_rng(seed)
+    eps = np.finfo(float).eps
+    scales = [1 + (e + k) * eps for e in (0, dim + 4, -(dim + 4)) for k in range(-3, 4)]
+    dirs = rng.standard_normal((300, dim))
+    dirs[:20] = np.eye(dim)[rng.integers(dim, size=20)]
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    center = rng.uniform(-3.0, 3.0, dim)
+    reach = min(radius, 1e300) * rng.choice(scales + [0.0, 0.5, 2.0], size=(300, 1))
+    with np.errstate(over="ignore"):
+        X = center + dirs * reach
+    odd = rng.choice([math.nan, math.inf, -math.inf, 1e160, -1e200, 0.0, 1.0], size=(40, dim))
+    X = np.concatenate([X, odd])
+    assert _beyond(X, center, radius).tobytes() == old_escape(X, center, radius).tobytes()
+
+
+def test_escape_test_of_a_row_that_is_not_finite_is_the_norms():
+    # a nan coordinate makes the norm nan, which is not past the radius, so
+    # the row stays live and its residuals decide; an inf coordinate, or
+    # squares past the float range, put the row past it
+    X = np.array(
+        [
+            [math.nan, 0.0, 0.0],
+            [0.0, math.inf, 0.0],
+            [-math.inf, math.nan, 1.0],
+            [1e200, 0.0, 0.0],
+            [1e160, 1e160, 1e160],
+            [30.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0],
+        ]
+    )
+    center = np.array([1.0, -1.0, 0.5])
+    want = [False, True, False, True, True, True, False]
+    assert old_escape(X, center, 20.0).tolist() == want
+    assert _beyond(X, center, 20.0).tolist() == want
+
+
 def test_stats_sort_every_seed_into_one_group():
     torus = load_scene("scenes/torus.scene")
     opts = torus.solve_options(12)
@@ -559,6 +616,67 @@ def test_empty_curve_set():
         SolveOptions(box=((-2.0, 2.0), (-2.0, 2.0))),
     )
     assert curves == []
+
+
+def whole_nearest(A, B):
+    """The consumption distances of ``trace_curves`` before they were
+    blocked: every seed-vertex difference at once."""
+    return np.min(np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2), axis=1)
+
+
+_COUNTS = ("zero", "one", "below", "at", "above", "many")
+
+
+@given(
+    dim=st.integers(2, 10),
+    block=st.sampled_from([1, 2, 7, 12]),
+    seeds=st.sampled_from(_COUNTS),
+    vertices=st.sampled_from(_COUNTS[1:]),
+    ties=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_consumption_distances_are_bitwise_the_whole_form(dim, block, seeds, vertices, ties, seed):
+    # Seed and vertex counts at 0, 1 and one below, at and above the pair
+    # block, and past it, with the block patched small; on a half-integer
+    # lattice many distances tie. From 8 coordinates on numpy sums each
+    # contiguous difference row pairwise.
+    counts = {"zero": 0, "one": 1, "below": block - 1, "at": block, "above": block + 1}
+    counts["many"] = 3 * block + 2
+    rng = np.random.default_rng(seed)
+
+    def draw(count):
+        if ties:
+            return 0.5 * rng.integers(-2, 3, size=(count, dim))
+        return rng.standard_normal((count, dim)) * rng.choice([1e-3, 1.0, 1e3])
+
+    A, B = draw(counts[seeds]), draw(max(1, counts[vertices]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_PAIR_BLOCK", block)
+        got = _nearest_distances(A, B)
+    assert got.tobytes() == whole_nearest(A, B).tobytes()
+
+
+@pytest.mark.parametrize(
+    "seeds, vertices",
+    [(1, 4095), (2, 4096), (1, 4097), (4095, 1), (4096, 1), (4097, 3), (65, 64)],
+)
+def test_consumption_distances_at_the_pair_block(seeds, vertices):
+    rng = np.random.default_rng(seeds + vertices)
+    A, B = rng.standard_normal((seeds, 3)), rng.standard_normal((vertices, 3))
+    assert _nearest_distances(A, B).tobytes() == whole_nearest(A, B).tobytes()
+
+
+def test_consumption_memory_does_not_grow_with_the_curve():
+    # The longest curve _trace_one gives (4,000 steps each way) against
+    # thousands of seeds: the whole form held seeds x vertices x dim
+    # floats, 576 MB for the larger case; the blocks hold a few arrays of
+    # _PAIR_BLOCK rows whatever the sizes
+    rng = np.random.default_rng(5)
+    for seeds, vertices in ((30, 81), (300, 801), (3000, 8001)):
+        A, B = rng.standard_normal((seeds, 3)), rng.standard_normal((vertices, 3))
+        d, peak = traced_peak(lambda: _nearest_distances(A, B))
+        assert d.shape == (seeds,) and peak < 500_000, (seeds, vertices, peak)
 
 
 # -- scan oracle --------------------------------------------------------------
