@@ -158,8 +158,8 @@ class Scene:
         return float(np.linalg.norm([hi - lo for lo, hi in self.box]))
 
     def solve_options(self, grid: int, **fields):
-        """Solver settings over this scene's box and tolerances; ``fields``
-        sets the remaining ``SolveOptions`` fields."""
+        """Solver settings over this scene's box, tolerances and memo;
+        ``fields`` sets the remaining ``SolveOptions`` fields."""
         from .solver import SolveOptions
 
         return SolveOptions(
@@ -167,6 +167,7 @@ class Scene:
             grid=grid,
             tol_residual=self.tol_residual,
             tol_rank=self.tol_rank,
+            memo=self.memo,
             **fields,
         )
 
@@ -233,8 +234,9 @@ class Scene:
 
         For pieces that depend on the scene alone: bordered minors, depth
         determinants, the coframe scale, the chart chain of each depth-1
-        selection. It saves computation only: equal expressions are one
-        interned object whether or not they come from the memo.
+        selection, the converged pool of each grid-seeded solve. It saves
+        computation only: equal expressions are one interned object
+        whether or not they come from the memo.
         ``dataclasses.replace`` starts a new scene with an empty memo.
         """
         try:

@@ -21,6 +21,7 @@ import contextvars
 import itertools
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,7 +39,8 @@ class SolveOptions:
 
     ``box`` bounds the first ``len(box)`` variables; extra variables (e.g.
     multipliers) are unconstrained and require explicit seeds.
-    ``dedup_radius`` is relative to the box diameter.
+    ``dedup_radius`` is relative to the box diameter. ``memo``, a scene's
+    ``Scene.memo``, keeps the converged pools of grid-seeded solves.
     """
 
     box: tuple
@@ -47,6 +49,7 @@ class SolveOptions:
     tol_rank: float = 1e-8
     max_iterations: int = 60
     dedup_radius: float = 1e-6
+    memo: Callable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.box:
@@ -200,9 +203,13 @@ def lattice_points(axes, flat=None) -> np.ndarray:
 
 
 def capped_resolution(dim: int, grid: int, cap: int) -> int:
-    """Per-axis count of a ``grid``-per-axis lattice in ``dim`` dimensions,
-    reduced (never below 8) until the full lattice fits under ``cap``."""
-    return min(grid, max(8, int(round(cap ** (1.0 / dim)))))
+    """The largest per-axis count ``r <= grid`` whose lattice of ``r**dim``
+    cells fits under ``cap``, by an exact integer test, and never below 2,
+    so a lattice holds at most ``max(cap, 2**dim)`` cells."""
+    r = min(grid, int(cap ** (1.0 / dim)) + 1)
+    while r > 2 and r**dim > cap:
+        r -= 1
+    return max(r, 2)
 
 
 def grid_seeds(box, grid: int, cap: int = _SEED_CAP) -> np.ndarray:
@@ -233,13 +240,65 @@ def solve_points(
 ) -> SolveOutcome:
     """All isolated solutions of ``system`` inside the box.
 
-    Damped Gauss-Newton with backtracking runs from every seed in
-    parallel. A seed converges when its residuals are finite and within
-    ``tol_residual``, as they are when its point is evaluated alone; the
-    converged points must pass the box test (with a tiny relative slack)
-    and every audit equation within ten times the residual tolerance.
-    Duplicates are merged keeping the lower residual; the result is
-    ordered lexicographically by coordinates.
+    :func:`_converge` runs Gauss-Newton from every seed; the converged
+    points must pass the box test (with a tiny relative slack) and every
+    audit equation within ten times the residual tolerance. Duplicates
+    are merged keeping the lower residual; the result is ordered
+    lexicographically by coordinates. Without ``seeds`` the seeds are the
+    box's grid, and ``opts.memo`` keeps their converged pool under the
+    equations, grid, box, ``tol_residual`` and ``max_iterations``, all it
+    depends on; selection never writes it. Explicit seeds converge afresh.
+
+    ``stats`` puts every seed in exactly one of ``converged``, ``dropped``
+    (not finite, escaped or stalled), ``out_of_iterations``,
+    ``out_of_box``, ``audit_rejected`` and ``deduplicated``.
+    """
+    boxed = len(opts.box)
+    dim = boxed if var_dim is None else var_dim
+    if dim < boxed:
+        raise ValueError("var_dim smaller than the box dimension")
+    eqs = _compile(system, dim)
+    if seeds is not None:
+        pool = _converge(eqs, np.asarray(seeds, dtype=float).reshape(-1, dim), opts)
+    elif dim != boxed:
+        raise ValueError("seeds are required when variables exceed the box")
+    else:
+        key = ("converged", eqs.equations, opts.grid, opts.box)
+        key += (opts.tol_residual, opts.max_iterations)
+        memo = opts.memo or (lambda _, build: build())
+        pool = memo(key, lambda: _converge(eqs, grid_seeds(opts.box, opts.grid), opts))
+    pts, res, its, counts = pool
+
+    keep = in_box(pts, opts.box, slack=1e-9 * opts.diameter)
+    stats = {**counts, "out_of_box": int(np.count_nonzero(~keep)), "audit_rejected": 0}
+    if audits:
+        vals = np.nan_to_num(_compile(audits, dim).values(pts), nan=np.inf)
+        audit_ok = np.all(np.abs(vals) <= 10.0 * opts.tol_residual, axis=1)
+        stats["audit_rejected"] = int(np.count_nonzero(keep & ~audit_ok))
+        keep &= audit_ok
+    pts, res, its = pts[keep], res[keep], its[keep]
+
+    order = np.argsort(res, kind="stable")
+    pts, res, its = pts[order], res[order], its[order]
+    kept = greedy_dedup(pts, opts.dedup_radius * max(opts.diameter, 1.0))
+    stats["deduplicated"] = len(pts) - len(kept)
+    pts, res, its = pts[kept], res[kept], its[kept]
+
+    order = np.lexsort(pts.T[::-1])
+    pts, res, its = pts[order], res[order], its[order]
+    points = [SolvedPoint(x, float(r), int(k)) for x, r, k in zip(pts, res, its)]
+    stats["converged"] = len(points)
+    return SolveOutcome(points, stats)
+
+
+def _converge(eqs: System, X, opts: SolveOptions) -> tuple:
+    """Damped Gauss-Newton with backtracking from every seed, a row of
+    ``X``, in parallel: ``(pts, res, its, counts)``, the converged points,
+    their largest absolute residuals and rounds taken, in the order the
+    rounds produce them, and the ``seeds``, ``dropped`` and
+    ``out_of_iterations`` counts of ``solve_points``' stats. A seed
+    converges when its residuals are finite and within ``tol_residual``,
+    as they are when its point is evaluated alone.
 
     A round makes two evaluation calls: the full steps, then every halving
     1/2 ... 1/32 of the failed ones, stacked. A point takes its first step
@@ -256,34 +315,8 @@ def solve_points(
     it, so every float and count keeps its bits. A norm past the float
     range is inf: such an iterate escapes, and from such residuals every
     trial step passes.
-
-    ``stats`` puts every seed in exactly one of ``converged``, ``dropped``
-    (not finite, escaped or stalled), ``out_of_iterations``,
-    ``out_of_box``, ``audit_rejected`` and ``deduplicated``.
     """
-    boxed = len(opts.box)
-    dim = boxed if var_dim is None else var_dim
-    if dim < boxed:
-        raise ValueError("var_dim smaller than the box dimension")
-    eqs = _compile(system, dim)
-    if seeds is None:
-        if dim != boxed:
-            raise ValueError("seeds are required when variables exceed the box")
-        X = grid_seeds(opts.box, opts.grid)
-    else:
-        X = np.asarray(seeds, dtype=float).reshape(-1, dim).copy()
-    stats = {
-        "seeds": len(X),
-        "converged": 0,
-        "dropped": 0,
-        "out_of_iterations": 0,
-        "out_of_box": 0,
-        "audit_rejected": 0,
-        "deduplicated": 0,
-    }
-    if not len(X):
-        return SolveOutcome([], stats)
-
+    boxed, dim = len(opts.box), X.shape[1]
     center = np.array([(lo + hi) / 2 for lo, hi in opts.box])
     escape = _ESCAPE_FACTOR * max(opts.diameter, 1.0)
     # the live seeds' iterates, residuals (a row per equation), norms, damping, rounds
@@ -292,7 +325,8 @@ def solve_points(
     N = _row_norms(R.T)
     lam = np.full(len(P), 1e-10)
     its = np.zeros(len(P), dtype=int)
-    found: list = []  # per round, the converged seeds' rows of P, res and its
+    # per round, the converged seeds' rows of P, res and its
+    found: list = [(X[:0], np.zeros(0), np.zeros(0, dtype=int))]
     halves = 0.5 ** np.arange(1, 6)[:, None]  # the step fractions of a backtrack
 
     for _ in range(opts.max_iterations):
@@ -350,45 +384,10 @@ def solve_points(
         keep = accepted | (lam <= 1e6)  # a failed step with damping past 1e6 stalls
         if not keep.all():
             P, R, N, lam, its = P[keep], R[:, keep], N[keep], lam[keep], its[keep]
-    # a seed that neither converged nor ran out of rounds was dropped
-    stats["out_of_iterations"] = len(P)
-    stats["dropped"] = len(X) - len(P) - sum(len(part[1]) for part in found)
-
-    if not found:
-        return SolveOutcome([], stats)
-
     pts, res, its = (np.concatenate(parts) for parts in zip(*found))
-
-    keep = in_box(pts, opts.box, slack=1e-9 * opts.diameter)
-    stats["out_of_box"] = int(np.count_nonzero(~keep))
-    if audits:
-        audit_vals = _compile(audits, dim).values(pts)
-        audit_ok = np.all(
-            np.abs(np.nan_to_num(audit_vals, nan=np.inf))
-            <= 10.0 * opts.tol_residual,
-            axis=1,
-        )
-        stats["audit_rejected"] = int(np.count_nonzero(keep & ~audit_ok))
-        keep &= audit_ok
-    pts, res, its = pts[keep], res[keep], its[keep]
-    if not len(pts):
-        return SolveOutcome([], stats)
-
-    order = np.argsort(res, kind="stable")
-    pts, res, its = pts[order], res[order], its[order]
-    radius = opts.dedup_radius * max(opts.diameter, 1.0)
-    kept = greedy_dedup(pts, radius)
-    stats["deduplicated"] = len(pts) - len(kept)
-    pts, res, its = pts[kept], res[kept], its[kept]
-
-    order = np.lexsort(pts.T[::-1])
-    pts, res, its = pts[order], res[order], its[order]
-    points = [
-        SolvedPoint(x=pts[i], residual=float(res[i]), iterations=int(its[i]))
-        for i in range(len(pts))
-    ]
-    stats["converged"] = len(points)
-    return SolveOutcome(points, stats)
+    # a seed that neither converged nor ran out of rounds was dropped
+    counts = {"seeds": len(X), "dropped": len(X) - len(P) - len(pts), "out_of_iterations": len(P)}
+    return pts, res, its, counts
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +502,9 @@ def _nearest_distances(A, B) -> np.ndarray:
 def trace_curves(system, opts: SolveOptions) -> list:
     """Trace the one-dimensional solution set of ``system`` inside the box.
 
-    Seeds come from a deduplicated Gauss-Newton pass. Each unconsumed
-    seed starts a predictor-corrector trace; seeds within two initial
+    Seeds come from a deduplicated Gauss-Newton pass, each within the
+    residual tolerance evaluated alone, so each unconsumed seed starts a
+    predictor-corrector trace as it is; seeds within two initial
     steps of a traced curve's vertex are consumed. Curves come back sorted
     by their smallest vertex, closed loops first as traced.
     """
@@ -512,8 +512,6 @@ def trace_curves(system, opts: SolveOptions) -> list:
     eqs = _compile(system, dim)
     sample_opts = replace(opts, grid=min(opts.grid, 12), dedup_radius=2e-3)
     seeds = solve_points(eqs.equations, sample_opts).coordinates().reshape(-1, dim)
-    if not len(seeds):
-        return []
     h0 = 5e-3 * opts.diameter
 
     consumed = np.zeros(len(seeds), dtype=bool)
@@ -522,9 +520,7 @@ def trace_curves(system, opts: SolveOptions) -> list:
         if consumed[i]:
             continue
         consumed[i] = True
-        x0, _ = _correct(eqs, seeds[i], 10 * opts.tol_residual)
-        if x0 is None:
-            continue
+        x0 = seeds[i]
         J = eqs.jacobian(x0)[0]
         t0 = _curve_tangent(J, opts.tol_rank)
         if t0 is None:

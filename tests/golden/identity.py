@@ -16,8 +16,12 @@ tree holding this script, so both trees run the same file. The generated
 scenes are ``s3_quaternion``, whose strata are empty and whose congruence
 holds, and ``s2_cross_line``, a 4-D manifold crossing the box walls,
 whose ``euler`` takes the compactness scan's True branch on a capped
-lattice (18 cells per axis) and exits 3. Each difference is printed; the
-exit code is 1 if there is any, else 0.
+lattice (18 cells per axis) and exits 3. Four more vary the options
+that key a scene's converged pools: ``check`` on the torus with ``--grid
+10`` and on the swallowtail with ``--tol 10``, ``strata`` on the
+swallowtail with ``--grid 9``, and ``euler --seed 42 --tol 10`` on
+sphere_v. Each difference is printed; the exit code is 1 if there is any,
+else 0.
 """
 
 import os
@@ -57,7 +61,14 @@ def argvs() -> list:
             ["zeros", "--stratum", "1", "--seed", "42"],
         )
     ]
-    return golden + bench + seeded + deep + generated
+    # grid and tolerance are part of the converged pool's key
+    options = [
+        ["check", "scenes/torus.scene", "--grid", "10", "--no-timings"],
+        ["check", "scenes/swallowtail.scene", "--tol", "10", "--no-timings"],
+        ["strata", "scenes/swallowtail.scene", "--grid", "9", "--no-timings"],
+        ["euler", "scenes/sphere_v.scene", "--seed", "42", "--tol", "10", "--no-timings"],
+    ]
+    return golden + bench + seeded + deep + generated + options
 
 
 def run(root: Path, argv: list) -> tuple:

@@ -915,14 +915,15 @@ def test_boundary_scan_lattice_is_capped():
     index = _center_index(sphere.box, 18, np.concatenate(blocks))
     assert np.any((index == 0) | (index == 17), axis=1).all()
     assert len(np.unique(index, axis=0)) == len(index) == 18**4 - 16**4
-    # at 8 cells per axis no cell center lies within five percent of a
-    # wall; the outermost layer still counts as the boundary shell, and
-    # its first block holds a suspect cell
+    # 6 cells per axis in six dimensions, the largest count under 48^3;
+    # there no cell center lies within five percent of a wall, the
+    # outermost layer still counts as the boundary shell, and its first
+    # block holds a suspect cell
     plane = _flat_scene(["x1 + x2 + x3 + x4 + x5 + x6"], [(-1.0, 1.0)] * 6)
     verdict, blocks = _spied_scan(plane, _SCAN_CHUNK)
     assert verdict and len(blocks) == 1 and len(blocks[0]) == _SCAN_CHUNK
-    index = _center_index(plane.box, 8, blocks[0])
-    assert np.any((index == 0) | (index == 7), axis=1).all()
+    index = _center_index(plane.box, 6, blocks[0])
+    assert np.any((index == 0) | (index == 5), axis=1).all()
 
 
 def test_boundary_scan_memory_stays_under_a_few_blocks():

@@ -11,6 +11,7 @@ import os
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.optimize import linear_sum_assignment
 
-from morin import solver
+from morin import analysis, cli, solver
 from morin.expr import System, eval_block, eval_lattice, parse, simplify
 from morin.analysis import _multiplier_seeds, _multiplier_system
 from morin.model import (
@@ -49,6 +50,7 @@ from morin.solver import (
     _scan_clusters,
     _slabs,
     _window,
+    capped_resolution,
     greedy_dedup,
     grid_oracle,
     cell_centers,
@@ -112,6 +114,17 @@ def test_grid_seeds_cap_and_coverage():
     capped = grid_seeds(((0.0, 1.0),) * 4, grid=64, cap=10_000)
     assert capped.shape[0] <= 10_000
     assert capped.shape[0] >= 8**4
+
+
+@pytest.mark.parametrize("cap", [24_000, 48**3, 4096, 1200])
+def test_capped_lattices_hold_at_most_the_cap_in_every_dimension(cap):
+    for dim in range(1, 17):
+        for grid in (6, 8, 12, 14, 17, 48, 64, 300):
+            r = capped_resolution(dim, grid, cap)
+            assert 2 <= r <= max(grid, 2)
+            assert r**dim <= max(cap, 2**dim)
+            # the largest such count
+            assert r == grid or r == 2 or (r + 1) ** dim > cap
 
 
 def test_in_box_slack():
@@ -568,6 +581,84 @@ def test_stats_sort_every_seed_into_one_group():
     )
     _assert_stats_add_up(out.stats)
     assert out.stats["out_of_iterations"] > 0
+
+
+# per command, its Gauss-Newton convergence passes with each grid-seeded
+# system converged once per scene, against its solves
+_CONVERGENCE_PASSES = [
+    (["check", "scenes/swallowtail.scene"], 7, 11),
+    (["check", "scenes/torus.scene"], 8, 9),
+    (["check", "scenes/sphere_v.scene"], 8, 9),
+    (["euler", "scenes/torus.scene", "--seed", "42"], 10, 11),
+    (["zeros", "scenes/torus.scene", "--stratum", "1", "--seed", "42"], 7, 8),
+]
+
+
+@pytest.mark.parametrize("argv, passes, solves", _CONVERGENCE_PASSES)
+def test_a_command_converges_each_grid_seeded_system_once(
+    monkeypatch, capsys, argv, passes, solves
+):
+    # every solve is checked against a fresh one, whose pass is not counted
+    converge, solve = solver._converge, solver.solve_points
+    counts = {"passes": 0, "solves": 0}
+    fresh = []
+
+    def counted(*args):
+        counts["passes"] += not fresh
+        return converge(*args)
+
+    def checked(system, opts, **kw):
+        counts["solves"] += 1
+        out = solve(system, opts, **kw)
+        fresh.append(True)
+        want = solve(system, replace(opts, memo=None), **kw)
+        fresh.pop()
+        assert out.stats == want.stats
+        assert [(p.x.tobytes(), p.residual, p.iterations) for p in out.points] == [
+            (p.x.tobytes(), p.residual, p.iterations) for p in want.points
+        ]
+        return out
+
+    monkeypatch.setattr(solver, "_converge", counted)
+    monkeypatch.setattr(solver, "solve_points", checked)
+    monkeypatch.setattr(analysis, "solve_points", checked)
+    cli.main([*argv, "--no-timings"])
+    capsys.readouterr()
+    assert counts == {"passes": passes, "solves": solves}
+
+
+def test_a_replaced_scene_shares_no_converged_pool(monkeypatch):
+    converge = solver._converge
+    passes = []
+    monkeypatch.setattr(solver, "_converge", lambda *args: passes.append(1) or converge(*args))
+    torus = load_scene("scenes/torus.scene")
+    system = corank_system(torus)
+    first = solve_points(system, torus.solve_options(12, dedup_radius=5e-3))
+    again = solve_points(system, torus.solve_options(12, dedup_radius=2e-3))
+    assert len(passes) == 1 and again.stats["seeds"] == first.stats["seeds"]
+    for changed in (replace(torus), replace(torus, tol_residual=1e-10)):
+        opts = changed.solve_options(12, dedup_radius=5e-3)
+        out = solve_points(system, opts)
+        assert out.stats == solve_points(system, replace(opts, memo=None)).stats
+    assert len(passes) == 5
+    # on one scene, a solve under another tolerance converges afresh
+    solve_points(system, replace(torus.solve_options(12), tol_residual=1e-10))
+    assert len(passes) == 6
+
+
+def test_selection_leaves_the_converged_pool_as_it_was():
+    chart, _ = torus_depth2()
+    torus = load_scene("scenes/torus.scene")
+    opts = torus.solve_options(12)
+    solve_points(chart.equations, opts, audits=chart.audits)
+    [pool] = [v for k, v in torus._memo.items() if k[0] == "converged"]
+    before = [a.copy() for a in pool[:3]] + [dict(pool[3])]
+    out = solve_points(chart.equations, replace(opts, dedup_radius=1e-3), audits=chart.audits)
+    assert out.stats["audit_rejected"] > 0 and out.points
+    for a, b in zip(pool[:3], before):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert pool[3] == before[3]
+    assert not any(np.shares_memory(p.x, pool[0]) for p in out.points)
 
 
 # -- curve tracing ------------------------------------------------------------
