@@ -1054,7 +1054,7 @@ class CongruenceReport:
 
     ``counts`` holds the zero counts that stand in for the parities;
     ``independent`` collects Euler numbers known by other means (Morse
-    counting for surfaces, closed-curve count for one-dimensional strata,
+    counting for the manifold, closed-curve count for one-dimensional strata,
     cardinality for zero-dimensional ones). ``congruence_holds`` is None
     when a precondition failed or a verdict stayed inconclusive.
     """
@@ -1121,49 +1121,35 @@ def manifold_reaches_boundary(scene: Scene) -> bool:
 
 
 def euler_via_morse(scene: Scene, seed: int = 0) -> int:
-    """Euler number of a constrained surface by critical-point counting.
+    """Euler number of a closed constrained manifold by Morse counting.
 
-    Finds the critical points of a random linear height on the surface
-    through the multiplier system, classifies each by the sign of the
-    restricted curvature determinant on the tangent plane, and sums the
-    signs. Requires one constraint in ambient dimension three and a
-    surface that stays inside the box; degenerate draws are retried.
+    The critical points of a random linear height ``a . x`` on the
+    manifold are the zeros of the constant covector ``a``, found through
+    its multiplier system over the constraints. That system's Jacobian is
+    the bordered matrix with the q constraint rows first, so its
+    determinant has the sign of the restricted Hessian's determinant
+    times (-1)^(qN): each critical point's Poincare-Hopf index, summed to
+    chi(M). Requires a manifold that stays inside the box; draws with a
+    degenerate critical point are retried.
     """
-    if scene.ambient_dim != 3 or scene.num_constraints != 1:
-        raise AnalysisError(
-            "Morse counting needs one constraint in ambient dimension 3"
-        )
     if manifold_reaches_boundary(scene):
-        raise AnalysisError("surface reaches the box boundary; count unreliable")
-    N = 3
-    gradient = System([differentiate(scene.constraints[0], s) for s in range(N)], N)
+        raise AnalysisError("manifold reaches the box boundary; count unreliable")
+    N, q = scene.ambient_dim, scene.num_constraints
     opts = scene.solve_options(min(scene.grid, 12), dedup_radius=1e-5)
-    surface = solve_points(scene.constraints, opts).coordinates()
-    if not len(surface):
-        raise AnalysisError("no surface points found in the box")
+    on_manifold = solve_points(scene.constraints, opts).coordinates()
+    if not len(on_manifold):
+        raise AnalysisError("no manifold points found in the box")
 
     for attempt in range(MAX_REDRAWS):
-        a = draw_covector(N, seed + attempt)
-        system = _multiplier_system(scene, scene.constraints, [const(float(v)) for v in a])
-        grads = gradient.values(surface)
-        lam0 = (grads @ a) / np.maximum(np.einsum("ij,ij->i", grads, grads), 1e-30)
-        seeds = np.column_stack([surface, lam0])
-        outcome = solve_points(system, opts, seeds=seeds, var_dim=N + 1)
-        if not outcome.points:
+        a = [const(float(v)) for v in draw_covector(N, seed + attempt)]
+        system = _multiplier_system(scene, scene.constraints, a)
+        seeds = _multiplier_seeds(scene, scene.constraints, a, on_manifold)
+        critical = solve_points(system, opts, seeds=seeds, var_dim=N + q).coordinates()
+        if not len(critical):
             continue
-        critical = outcome.coordinates()
-        x, lam = critical[:, :N], critical[:, N]
-        # a critical point has a nonzero gradient (lam * grad = a), so the
-        # last two right singular vectors of its gradient span the tangent
-        # plane, and each restricted curvature is 2 x 2
-        _, _, vt = np.linalg.svd(gradient.values(x)[:, None, :])
-        tangent = vt[:, 1:].transpose(0, 2, 1)
-        # contiguous blocks, laid out as a one-point call lays out its matrix
-        hess = np.ascontiguousarray(gradient.jacobian(x))
-        restricted = tangent.transpose(0, 2, 1) @ (-lam[:, None, None] * hess) @ tangent
-        table = numeric_rank(restricted, scene.tol_rank)
-        if np.all(table.full & (table.margin >= TRUST_GAP)):
-            return int(np.sum(np.where(determinant(restricted) > 0, 1, -1)))
+        verdicts, _, _, dets = _gradient_verdicts(scene, [system] * len(critical), critical)
+        if all(v == "yes" for v in verdicts):
+            return (-1) ** (q * N) * int(np.sum(np.sign(dets)))
     raise AnalysisError("all height draws hit a degenerate critical point")
 
 
@@ -1179,7 +1165,7 @@ def euler_congruence(
     each stratum parity comes from the restricted zero counts (cardinality
     for the deepest, zero-dimensional stratum). A draw is accepted only if
     every zero is nondegenerate and unflagged; otherwise the covector is
-    redrawn. Independent Euler numbers (surface Morse count, closed-curve
+    redrawn. Independent Euler numbers (manifold Morse count, closed-curve
     count) are attached where available.
     """
     notes: list = []
@@ -1257,11 +1243,10 @@ def euler_congruence(
             independent["first_stratum"] = 0
     if n in strata.points:
         independent[f"depth_{n}"] = len(deepest)
-    if scene.ambient_dim == 3 and scene.num_constraints == 1:
-        try:
-            independent["manifold_morse"] = euler_via_morse(scene, seed=scene_seed(scene, seed))
-        except AnalysisError as err:
-            notes.append(f"surface Morse count unavailable: {err}")
+    try:
+        independent["manifold_morse"] = euler_via_morse(scene, seed=scene_seed(scene, seed))
+    except AnalysisError as err:
+        notes.append(f"manifold Morse count unavailable: {err}")
     if "manifold_morse" in independent:
         if independent["manifold_morse"] % 2 != parities["manifold"]:
             holds = None

@@ -14,9 +14,10 @@ restricted zeros below depth 1, and ``check``, ``strata``, ``euler --seed
 with ``--no-timings``. A generated scene is named by its absolute path in the
 tree holding this script, so both trees run the same file. The generated
 scenes are ``s3_quaternion``, whose strata are empty and whose congruence
-holds, and ``s2_cross_line``, a 4-D manifold crossing the box walls,
+holds, ``s2_cross_line``, a 4-D manifold crossing the box walls,
 whose ``euler`` takes the compactness scan's True branch on a capped
-lattice (18 cells per axis) and exits 3. Four more vary the options
+lattice (18 cells per axis) and exits 3, and ``s2_two_constraints``, a
+2-sphere cut from R^4 by two constraints. Four more vary the options
 that key a scene's converged pools: ``check`` on the torus with ``--grid
 10`` and on the swallowtail with ``--tol 10``, ``strata`` on the
 swallowtail with ``--grid 9``, and ``euler --seed 42 --tol 10`` on

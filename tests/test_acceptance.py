@@ -296,3 +296,4 @@ def test_10_s3_quaternion_frame_is_a_control_with_every_stratum_empty(capsys):
     assert results["counts"] == {
         "unrestricted": 0, "restricted_1": 0, "restricted_2": 0, "deepest_3": 0
     }
+    assert results["independent"]["manifold_morse"] == 0

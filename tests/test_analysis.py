@@ -52,6 +52,7 @@ from morin.model import (
     _sigma1_charts,
     build_chain,
     build_chain_at,
+    covector_weights,
     draw_covector,
     load_scene,
     parse_scene,
@@ -746,8 +747,8 @@ def test_hyperboloid_congruence_refuses_open_surface(hyperboloid_scene):
 
 def _reference_restricted_curvatures(gradient, critical):
     """The restricted curvature of each critical point ``(x, lam)`` of a
-    height on a surface, one point at a time: the reference for the
-    stacked pass of ``euler_via_morse``."""
+    height on a surface, one point at a time, on a tangent basis from the
+    gradient's own SVD."""
     restricted = []
     for sp in critical:
         x, lam = sp[:3], sp[3]
@@ -758,31 +759,73 @@ def _reference_restricted_curvatures(gradient, critical):
     return np.stack(restricted)
 
 
-def test_morse_curvatures_are_bitwise_the_per_point_loop(torus_scene, sphere_v_scene):
-    for scene in (torus_scene, sphere_v_scene):
-        solved, ranked = [], []
-
-        def solve_spy(*args, **kwargs):
-            out = solve_points(*args, **kwargs)
-            if "var_dim" in kwargs:
-                solved.append(out.coordinates())
-            return out
-
-        def rank_spy(stack, tol):
-            ranked.append(stack)
-            return numeric_rank(stack, tol)
-
-        with patch("morin.analysis.solve_points", solve_spy), patch(
-            "morin.analysis.numeric_rank", rank_spy
-        ):
-            count = euler_via_morse(scene, seed=3)
+def test_morse_index_signs_are_the_restricted_curvature_signs(
+    torus_scene, sphere_v_scene, sphere_w_scene
+):
+    # (-1)^(qN) times the sign of the bordered determinant is the sign of
+    # the restricted curvature's determinant at every critical point
+    for scene in (torus_scene, sphere_v_scene, sphere_w_scene):
         gradient = System([differentiate(scene.constraints[0], s) for s in range(3)], 3)
-        assert ranked and len(ranked) == len(solved)
-        for critical, stack in zip(solved, ranked):
-            want = _reference_restricted_curvatures(gradient, critical)
-            assert stack.shape == want.shape and stack.tobytes() == want.tobytes()
-        signs = np.where(determinant(ranked[-1]) > 0, 1, -1)
-        assert count == int(np.sum(signs))
+        parity = (-1) ** (scene.num_constraints * scene.ambient_dim)
+        for seed in range(5):
+            audited = []
+
+            def spy(scene, equation_sets, points):
+                out = _gradient_verdicts(scene, equation_sets, points)
+                audited.append((np.array(points), out[0], out[3]))
+                return out
+
+            with patch("morin.analysis._gradient_verdicts", spy):
+                count = euler_via_morse(scene, seed=seed)
+            assert audited
+            for critical, verdicts, dets in audited:
+                want = np.sign(determinant(_reference_restricted_curvatures(gradient, critical)))
+                signs = parity * np.sign(dets)
+                kept = np.array(verdicts) == "yes"
+                assert np.array_equal(signs[kept], want[kept])
+            critical, verdicts, dets = audited[-1]
+            assert set(verdicts) == {"yes"} and count == parity * int(np.sum(np.sign(dets)))
+
+
+@pytest.mark.parametrize(
+    ("constraints", "box", "grid", "chi"),
+    [
+        (["x1^2 + 2*x2^2 + 3*x3^2 - 1"], [(-2.0, 2.0)] * 3, None, 2),
+        # a genus-2 surface: the tube around the figure eight x2^2 = -p(x1)
+        (
+            ["(x1*(x1-1)^2*(x1-2) + x2^2)^2 + x3^2 - 0.01"],
+            [(-1.0, 3.0), (-1.5, 1.5), (-0.5, 0.5)],
+            48,
+            -2,
+        ),
+    ],
+)
+def test_morse_count_is_the_euler_number(constraints, box, grid, chi):
+    assert euler_via_morse(_flat_scene(constraints, box, grid=grid)) == chi
+
+
+@pytest.mark.parametrize(
+    ("path", "chi"),
+    [
+        ("scenes/torus.scene", 0),
+        ("scenes/sphere_w.scene", 2),
+        ("scenes/sphere_v.scene", 2),
+        ("tests/golden/generated/s2_two_constraints.scene", 2),
+        ("tests/golden/generated/s3_quaternion.scene", 0),
+    ],
+)
+def test_covector_index_sum_is_the_morse_count(path, chi):
+    # Poincare-Hopf: the indices of the covector's zeros on M sum to
+    # chi(M), each index (-1)^(qN) times the sign of its bordered
+    # determinant, whatever the weights; a Morse count in any dimension
+    # and codimension gives the same integer
+    scene = load_scene(path)
+    assert euler_via_morse(scene) == chi
+    parity = (-1) ** (scene.num_constraints * scene.ambient_dim)
+    for seed in (None, 42, 1, 2):
+        records = nondegeneracy(scene, find_xi_zeros(scene, covector_weights(scene, seed)))
+        assert all(rec.nondegenerate == "yes" for rec in records)
+        assert parity * int(np.sum(np.sign([rec.bordered_det for rec in records]))) == chi
 
 
 def test_boundary_surrogate(torus_scene, hyperboloid_scene, quadratic_well_scene):
@@ -794,9 +837,9 @@ def test_boundary_surrogate(torus_scene, hyperboloid_scene, quadratic_well_scene
     assert manifold_reaches_boundary(load_scene("tests/golden/generated/s2_cross_line.scene"))
 
 
-def _flat_scene(constraints, box):
+def _flat_scene(constraints, box, grid=None):
     """A scene on the given constraints and box with the constant 1-frame
-    along the first axis."""
+    along the first axis, on the default grid unless ``grid`` is given."""
     dim = len(box)
     names = ", ".join(f"x{i + 1}" for i in range(dim))
     return parse_scene(
@@ -804,6 +847,7 @@ def _flat_scene(constraints, box):
         + "".join(f"constraint = {c}\n" for c in constraints)
         + f"[coframe]\nn = 1\nomega_1 = {', '.join(['1'] + ['0'] * (dim - 1))}\n"
         + f"[solver]\nbox = {', '.join(f'{lo!r}:{hi!r}' for lo, hi in box)}\n"
+        + (f"grid = {grid}\n" if grid else "")
     )
 
 
